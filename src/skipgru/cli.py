@@ -56,29 +56,29 @@ class PathsConfig:
 
 @dataclass
 class ModelSection:
-    activation: str = "relu"
-    hidden_size: int = 96
-    use_batchnorm: bool = False
+    activation: str = VariantConfig.activation
+    hidden_size: int = VariantConfig.hidden_size
+    use_batchnorm: bool = VariantConfig.use_batchnorm
 
 
 @dataclass
 class TrainSection:
-    batch_size: int = 64
-    epochs: int = 10
-    lr: float = 0.0005
-    seed: int = 0
-    clip_norm: float | None = None
+    batch_size: int = training.TrainConfig.batch_size
+    epochs: int = training.TrainConfig.epochs
+    lr: float = training.TrainConfig.lr
+    seed: int = training.TrainConfig.seed
+    clip_norm: float | None = training.TrainConfig.clip_norm
     val_fraction: float = 0.1
 
 
 @dataclass
 class GloveSection:
-    dims: int = 150
-    window: int = 5
-    epochs: int = 25
-    x_max: float = 100.0
-    alpha: float = 0.75
-    lr: float = 0.05
+    dims: int = glove.DIMS
+    window: int = glove.WINDOW
+    epochs: int = glove.EPOCHS
+    x_max: float = glove.X_MAX
+    alpha: float = glove.ALPHA
+    lr: float = glove.LEARNING_RATE
     seed: int = 0
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
-    EmptyBatchError,
     ParseError,
     ValidationError,
 )
@@ -81,6 +80,8 @@ class TrackRecord:
             raise ValidationError(f"track {self.track_id}: acoustic vector must be 1-D")
         if not np.isfinite(self.acoustic).all():
             raise ValidationError(f"track {self.track_id}: non-finite acoustic entries")
+        if not np.isfinite(self.duration):
+            raise ValidationError(f"track {self.track_id}: non-finite duration {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -155,42 +156,7 @@ class PaddedBatch:
 
 def pad_batch(sessions: list[Session], pipeline, tracks: dict[str, TrackRecord]) -> PaddedBatch:
     """Encode sessions through a fitted pipeline into padded tensors."""
-    if not sessions:
-        raise EmptyBatchError("pad_batch received an empty session list")
-    b = len(sessions)
-    first = np.zeros((b, HALF_LEN, pipeline.d_trip))
-    second = np.zeros((b, HALF_LEN, pipeline.d_doub))
-    mask = np.zeros((b, HALF_LEN), dtype=bool)
-    targets = np.zeros((b, HALF_LEN, len(TASK_NAMES)))
-    second_lengths = []
-    for i, session in enumerate(sessions):
-        first_events, second_events = split_halves(session)
-        for t in range(HALF_LEN):
-            if t < len(first_events):
-                ev = first_events[t]
-                first[i, t] = pipeline.assemble_triplet(
-                    tracks[ev.track_id], ev.interaction, ev.position
-                )
-            else:
-                first[i, t] = pipeline.triplet_pad()
-        for t in range(HALF_LEN):
-            if t < len(second_events):
-                ev = second_events[t]
-                second[i, t] = pipeline.assemble_doublet(tracks[ev.track_id], ev.position)
-                mask[i, t] = True
-                if ev.interaction is not None:
-                    targets[i, t] = np.array(ev.interaction.targets(), dtype=np.float64)
-            else:
-                second[i, t] = pipeline.doublet_pad()
-        second_lengths.append(len(second_events))
-    return PaddedBatch(
-        session_ids=[s.session_id for s in sessions],
-        first_half=first,
-        second_half=second,
-        mask=mask,
-        targets=targets,
-        second_lengths=second_lengths,
-    )
+    return pipeline.encode(sessions, tracks).batch(range(len(sessions)))
 
 
 def _parse_bool(raw: str, column: str, line_no: int) -> bool:
@@ -235,14 +201,14 @@ def load_tracks(path) -> dict[str, TrackRecord]:
             track_id = row[0]
             if track_id in tracks:
                 raise ValidationError(f"line {line_no}: duplicate track_id {track_id!r}")
-            tracks[track_id] = TrackRecord(
-                track_id=track_id,
-                duration=_parse_float(row[1], "duration", line_no),
-                release_year=_parse_int(row[2], "release_year", line_no),
-                acoustic=np.array(
-                    [_parse_float(v, c, line_no) for v, c in zip(row[3:], acoustic_cols)]
-                ),
-            )
+            duration = _parse_float(row[1], "duration", line_no)
+            release_year = _parse_int(row[2], "release_year", line_no)
+            acoustic = [_parse_float(v, c, line_no) for v, c in zip(row[3:], acoustic_cols)]
+            try:
+                tracks[track_id] = TrackRecord(track_id, duration, release_year,
+                                               np.array(acoustic))
+            except ValidationError as err:
+                raise ValidationError(f"line {line_no}: {err}") from None
     return tracks
 
 

@@ -1,4 +1,4 @@
-"""Fixed-width numeric feature assembly for session events.
+"""Columnar featurization of session events into fixed-width tensors.
 
 Column layout, frozen and relied upon by the model and the checkpoints:
 
@@ -11,6 +11,10 @@ triplet (observed first-half event):
 doublet (second-half event, interactions withheld):
     [track embedding (d_emb) | duration | release_year | acoustic_0..d_ac-1 |
      position | is_pad]
+
+Only this module knows the layout: ``FeaturePipeline.encode`` turns a session
+list into compact arrays once, and ``EncodedSessions.batch`` gathers padded
+tensors from them. Pad slots are 0 except is_pad, which is 1.
 
 Numeric features are min-max scaled into [0, 1] from training data (values
 outside the training range are clamped). The context_type slot carries the
@@ -25,13 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
+    HALF_LEN,
     MAX_SESSION_LEN,
-    EmptyBatchError,
-    InteractionRecord,
+    TASK_NAMES,
+    PaddedBatch,
     Session,
     TrackRecord,
+    split_halves,
 )
-from .errors import StateError, ValidationError
+from .errors import EmptyBatchError, StateError, ValidationError
 
 NUMERIC_INTERACTION_FEATURES = ("seek_fwd_count", "seek_back_count", "hour_of_day")
 # width of the interaction-only block: 3 numerics + 4 booleans + ctx index
@@ -45,11 +51,11 @@ class Scaler:
     lo: float
     hi: float
 
-    def transform(self, x: float) -> float:
+    def transform(self, x):
+        """Elementwise scaling into [0, 1]; a constant training range maps to 0."""
         if self.hi == self.lo:
-            return 0.0
-        t = (x - self.lo) / (self.hi - self.lo)
-        return min(1.0, max(0.0, t))
+            return np.zeros_like(x)
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     @classmethod
     def fit(cls, values) -> "Scaler":
@@ -59,12 +65,8 @@ class Scaler:
         return cls(lo=float(min(values)), hi=float(max(values)))
 
 
-def transform_numeric(scaler: Scaler, x: float) -> float:
-    return scaler.transform(x)
-
-
-def position_feature(position: int) -> float:
-    if not 1 <= position <= MAX_SESSION_LEN:
+def position_feature(position):
+    if np.any((position < 1) | (position > MAX_SESSION_LEN)):
         raise ValidationError(f"position must be in [1, {MAX_SESSION_LEN}], got {position}")
     return position / MAX_SESSION_LEN
 
@@ -92,7 +94,7 @@ class FeaturePipeline:
     """Scalers, vocabularies and the pretrained track-embedding table.
 
     Construct with the embedding table (track_id -> vector), then ``fit`` on
-    training sessions before any ``assemble_*`` call. Fitted pipelines are
+    training sessions before any ``encode`` call. Fitted pipelines are
     immutable in use and safe to share across threads.
     """
 
@@ -116,34 +118,15 @@ class FeaturePipeline:
     def fit(self, sessions: list[Session], tracks: dict[str, TrackRecord]) -> "FeaturePipeline":
         if not sessions:
             raise EmptyBatchError("cannot fit the feature pipeline on an empty session list")
-        durations, years, acoustics = [], [], []
-        seek_fwd, seek_back, hours, contexts = [], [], [], []
-        seen_tracks = set()
-        for session in sessions:
-            for ev in session.events:
-                if ev.track_id not in seen_tracks:
-                    seen_tracks.add(ev.track_id)
-                    track = tracks[ev.track_id]
-                    durations.append(track.duration)
-                    years.append(track.release_year)
-                    acoustics.append(track.acoustic)
-                if ev.interaction is not None:
-                    seek_fwd.append(ev.interaction.seek_fwd_count)
-                    seek_back.append(ev.interaction.seek_back_count)
-                    hours.append(ev.interaction.hour_of_day)
-                    contexts.append(ev.interaction.context_type)
-        acoustic = np.asarray(acoustics)
-        self.acoustic_dim = acoustic.shape[1]
-        self.scalers = {
-            "duration": Scaler.fit(durations),
-            "release_year": Scaler.fit(years),
-            "seek_fwd_count": Scaler.fit(seek_fwd),
-            "seek_back_count": Scaler.fit(seek_back),
-            "hour_of_day": Scaler.fit(hours),
-        }
-        for i in range(self.acoustic_dim):
-            self.scalers[f"acoustic_{i}"] = Scaler.fit(acoustic[:, i])
-        self.context_vocab = Vocabulary.fit(contexts)
+        events = [ev for session in sessions for ev in session.events]
+        used = list({ev.track_id: tracks[ev.track_id] for ev in events}.values())
+        observed = [ev.interaction for ev in events if ev.interaction is not None]
+        self.acoustic_dim = len(used[0].acoustic)
+        self.context_vocab = Vocabulary.fit(a.context_type for a in observed)
+        self.scalers = {name: Scaler.fit(column) for name, column
+                        in zip(self._track_columns(), self._track_values(used).T)}
+        self.scalers.update(zip(NUMERIC_INTERACTION_FEATURES,
+                                map(Scaler.fit, self._interaction_values(observed).T)))
         self.fitted = True
         return self
 
@@ -174,56 +157,65 @@ class FeaturePipeline:
         vec = self.embeddings.get(track_id)
         return np.zeros(self.d_emb) if vec is None else vec
 
-    def _track_block(self, track: TrackRecord) -> list[float]:
-        out = [
-            self.scalers["duration"].transform(track.duration),
-            self.scalers["release_year"].transform(track.release_year),
-        ]
-        if len(track.acoustic) != self.acoustic_dim:
-            raise ValidationError(
-                f"track {track.track_id}: acoustic dim {len(track.acoustic)} "
-                f"!= fitted dim {self.acoustic_dim}"
-            )
-        out.extend(
-            self.scalers[f"acoustic_{i}"].transform(track.acoustic[i])
-            for i in range(self.acoustic_dim)
-        )
-        return out
+    def _track_columns(self) -> list[str]:
+        return ["duration", "release_year", *(f"acoustic_{k}" for k in range(self.acoustic_dim))]
 
-    def assemble_doublet(self, track: TrackRecord, position: int) -> np.ndarray:
-        self._require_fitted()
-        parts = list(self.track_embedding(track.track_id))
-        parts.extend(self._track_block(track))
-        parts.append(position_feature(position))
-        parts.append(0.0)  # is_pad
-        return np.array(parts)
+    def _track_values(self, used: list[TrackRecord]) -> np.ndarray:
+        """Unscaled rows in ``_track_columns`` order."""
+        for track in used:
+            if len(track.acoustic) != self.acoustic_dim:
+                raise ValidationError(f"track {track.track_id}: acoustic dim "
+                                      f"{len(track.acoustic)} != fitted dim {self.acoustic_dim}")
+        return np.column_stack([[t.duration for t in used], [t.release_year for t in used],
+                                np.stack([t.acoustic for t in used])])
 
-    def assemble_triplet(
-        self, track: TrackRecord, interaction: InteractionRecord, position: int
-    ) -> np.ndarray:
-        self._require_fitted()
-        parts = list(self.track_embedding(track.track_id))
-        parts.extend(self._track_block(track))
-        parts.append(self.scalers["seek_fwd_count"].transform(interaction.seek_fwd_count))
-        parts.append(self.scalers["seek_back_count"].transform(interaction.seek_back_count))
-        parts.append(self.scalers["hour_of_day"].transform(interaction.hour_of_day))
-        parts.extend(float(flag) for flag in interaction.targets())
-        parts.append(float(self.context_vocab.lookup(interaction.context_type)))
-        parts.append(position_feature(position))
-        parts.append(0.0)  # is_pad
-        return np.array(parts)
+    def _interaction_values(self, observed) -> np.ndarray:
+        """Interaction-block rows; the NUMERIC_INTERACTION_FEATURES columns are unscaled."""
+        return np.array([
+            (a.seek_fwd_count, a.seek_back_count, a.hour_of_day, *a.targets(),
+             self.context_vocab.lookup(a.context_type))
+            for a in observed
+        ], dtype=np.float64).reshape(-1, INTERACTION_WIDTH)
 
-    def triplet_pad(self) -> np.ndarray:
-        self._require_fitted()
-        vec = np.zeros(self.d_trip)
-        vec[-1] = 1.0
-        return vec
+    def _scaled(self, values: np.ndarray, names) -> np.ndarray:
+        """The leading columns of ``values``, each scaled by the scaler of its name."""
+        return np.column_stack([self.scalers[name].transform(column)
+                                for name, column in zip(names, values.T)])
 
-    def doublet_pad(self) -> np.ndarray:
+    def encode(self, sessions: list[Session], tracks: dict[str, TrackRecord]) -> "EncodedSessions":
+        """Featurize a session list once; ``batch`` then gathers padded tensors from it."""
+        if not sessions:
+            raise EmptyBatchError("cannot encode an empty session list")
         self._require_fitted()
-        vec = np.zeros(self.d_doub)
-        vec[-1] = 1.0
-        return vec
+        n = len(sessions)
+        row_of: dict[str, int] = {}  # track_id -> static row; row 0 is the pad row
+        track_rows = np.zeros((n, 2 * HALF_LEN), dtype=np.int64)
+        positions = np.zeros((n, 2 * HALF_LEN))
+        targets = np.zeros((n, HALF_LEN, len(TASK_NAMES)))
+        observed = []
+        for i, session in enumerate(sessions):
+            if len(session) > MAX_SESSION_LEN:
+                raise ValidationError(f"session {session.session_id}: longer than {MAX_SESSION_LEN}")
+            first, second = split_halves(session)
+            for t, ev in [*enumerate(first), *enumerate(second, start=HALF_LEN)]:
+                track_rows[i, t] = row_of.setdefault(ev.track_id, len(row_of) + 1)
+                positions[i, t] = ev.position
+            observed.extend(ev.interaction for ev in first)
+            for t, ev in enumerate(second):
+                if ev.interaction is not None:
+                    targets[i, t] = ev.interaction.targets()
+        used = [tracks[track_id] for track_id in row_of]
+        static = np.hstack([np.stack([self.track_embedding(t.track_id) for t in used]),
+                            self._scaled(self._track_values(used), self._track_columns())])
+        raw = self._interaction_values(observed)
+        raw[:, :len(NUMERIC_INTERACTION_FEATURES)] = self._scaled(raw, NUMERIC_INTERACTION_FEATURES)
+        real = track_rows > 0
+        positions[real] = position_feature(positions[real])
+        interactions = np.zeros((n, HALF_LEN, INTERACTION_WIDTH))
+        interactions[real[:, :HALF_LEN]] = raw
+        return EncodedSessions([s.session_id for s in sessions],
+                               np.vstack([np.zeros(static.shape[1]), static]),
+                               track_rows, positions, interactions, targets)
 
     def schema_fingerprint(self) -> tuple:
         """Stable identity of the feature layout, used for ensemble compatibility."""
@@ -253,6 +245,39 @@ class FeaturePipeline:
         )
         pipeline.acoustic_dim = payload["acoustic_dim"]
         pipeline.scalers = {k: Scaler(lo=v[0], hi=v[1]) for k, v in payload["scalers"].items()}
+        if set(pipeline.scalers) != {*pipeline._track_columns(), *NUMERIC_INTERACTION_FEATURES}:
+            raise ValidationError(f"scalers {sorted(pipeline.scalers)} do not match the "
+                                  f"feature schema")
         pipeline.context_vocab = Vocabulary(index=dict(payload["context_vocab"]))
         pipeline.fitted = True
         return pipeline
+
+
+@dataclass
+class EncodedSessions:
+    """A featurized session list, kept compact until a batch is gathered.
+
+    Slots ``0..HALF_LEN-1`` hold a session's first half and ``HALF_LEN..`` its
+    second half, each padded at the tail. ``track_rows`` indexes ``static``,
+    whose row 0 is the all-zero pad row, so a slot is real exactly where its
+    track row is nonzero.
+    """
+
+    session_ids: list[str]
+    static: np.ndarray        # [tracks used + 1, d_doub - 2]
+    track_rows: np.ndarray    # int [n, 2 * HALF_LEN]
+    positions: np.ndarray     # [n, 2 * HALF_LEN] position feature, 0 on pad slots
+    interactions: np.ndarray  # [n, HALF_LEN, INTERACTION_WIDTH] scaled, 0 on pad slots
+    targets: np.ndarray       # [n, HALF_LEN, 4]
+
+    def batch(self, rows) -> PaddedBatch:
+        """The sessions at ``rows``, in that order, as padded tensors."""
+        track_rows = self.track_rows[rows]
+        static = self.static[track_rows]
+        tail = np.stack([self.positions[rows], track_rows == 0], axis=2)  # position | is_pad
+        first = np.concatenate(
+            [static[:, :HALF_LEN], self.interactions[rows], tail[:, :HALF_LEN]], axis=2)
+        second = np.concatenate([static[:, HALF_LEN:], tail[:, HALF_LEN:]], axis=2)
+        mask = track_rows[:, HALF_LEN:] > 0
+        return PaddedBatch([self.session_ids[r] for r in rows], first, second, mask,
+                           self.targets[rows], mask.sum(axis=1).tolist())

@@ -27,6 +27,8 @@ X_MAX = 100.0
 ALPHA = 0.75
 WINDOW = 5
 LEARNING_RATE = 0.05
+DIMS = 150
+EPOCHS = 25
 ENTRY_BATCH = 4096
 
 
@@ -139,8 +141,8 @@ def objective(table: CooccurrenceTable, emb: EmbeddingTable,
 
 def train_glove(
     table: CooccurrenceTable,
-    dims: int = 150,
-    epochs: int = 25,
+    dims: int = DIMS,
+    epochs: int = EPOCHS,
     lr: float = LEARNING_RATE,
     seed: int = 0,
     x_max: float = X_MAX,
@@ -219,10 +221,15 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                 raise ValidationError(
                     f"line {line_no}: expected {dims} values, got {len(fields) - 1}"
                 )
+            if fields[0] in table:
+                raise ValidationError(f"line {line_no}: duplicate track id {fields[0]!r}")
             try:
-                table[fields[0]] = np.array([float(v) for v in fields[1:]])
+                vec = np.array([float(v) for v in fields[1:]])
             except ValueError:
                 raise ValidationError(f"line {line_no}: non-numeric embedding value") from None
+            if not np.isfinite(vec).all():
+                raise ValidationError(f"line {line_no}: non-finite embedding value")
+            table[fields[0]] = vec
     if not table:
         raise ValidationError(f"{path}: no embeddings found")
     return table

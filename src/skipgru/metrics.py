@@ -28,13 +28,13 @@ from .data import Session, TrackRecord, split_halves
 from .errors import AlignmentError, EnsembleError, ParseError, ValidationError
 
 
-def _as_bools(values, name: str) -> list[bool]:
+def _as_bools(values) -> list[bool]:
     return [bool(v) for v in values]
 
 
 def average_accuracy(pred, truth) -> float:
-    pred = _as_bools(pred, "pred")
-    truth = _as_bools(truth, "truth")
+    pred = _as_bools(pred)
+    truth = _as_bools(truth)
     if len(pred) != len(truth):
         raise ValidationError(
             f"prediction length {len(pred)} != truth length {len(truth)}"

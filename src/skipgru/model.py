@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import HALF_LEN, PaddedBatch, Session, TrackRecord, pad_batch, split_halves
+from .data import HALF_LEN, PaddedBatch, Session, TrackRecord
 from .errors import ConfigError, DegenerateBatchError, ShapeError
-from .features import FeaturePipeline
+from .features import EncodedSessions, FeaturePipeline
 
 CTX_EMBED_WIDTH = 8
 TASK_WEIGHTS = (1.0, 0.2, 0.2, 0.2)
 ACTIVATION_VARIANTS = ("relu", "elu")
+PREDICT_BATCH_SIZE = 256
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -316,13 +317,21 @@ def predict_probs(
     pipeline: FeaturePipeline,
     tracks: dict[str, TrackRecord],
     params: ModelParams,
-    batch_size: int = 256,
+    batch_size: int = PREDICT_BATCH_SIZE,
 ) -> dict[str, np.ndarray]:
     """Per-session skip probabilities for the real (unpadded) second half."""
+    if not sessions:
+        return {}
+    return predict_encoded(pipeline.encode(sessions, tracks), params, batch_size)
+
+
+def predict_encoded(encoded: EncodedSessions, params: ModelParams,
+                    batch_size: int = PREDICT_BATCH_SIZE) -> dict[str, np.ndarray]:
+    """``predict_probs`` over sessions already encoded by their pipeline."""
     out: dict[str, np.ndarray] = {}
-    for lo in range(0, len(sessions), batch_size):
-        chunk = sessions[lo:lo + batch_size]
-        batch = pad_batch(chunk, pipeline, tracks)
+    rows = np.arange(len(encoded.session_ids))
+    for lo in range(0, len(rows), batch_size):
+        batch = encoded.batch(rows[lo:lo + batch_size])
         probs = forward_batch(batch, params, "infer")
         values = probs.value.reshape(HALF_LEN, batch.size, len(TASK_WEIGHTS))
         for b, session_id in enumerate(batch.session_ids):

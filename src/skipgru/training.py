@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import metrics
-from .data import Session, TrackRecord, pad_batch
+from .data import Session, TrackRecord
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
     ConfigError,
     NumericError,
+    SkipGruError,
     TrainingError,
 )
 from .features import FeaturePipeline
@@ -37,7 +39,7 @@ from .model import (
     flatten_position_major,
     forward_batch,
     loss,
-    predict_probs,
+    predict_encoded,
 )
 
 SCHEMA_VERSION = 1
@@ -122,9 +124,10 @@ class Checkpoint:
     metadata: dict
 
     def build(self) -> tuple[ModelParams, FeaturePipeline]:
-        params = ModelParams(self.variant, self.dims, seed=0)
-        params.load_state_dict(self.state)
-        return params, FeaturePipeline.from_dict(self.pipeline_payload)
+        with _payload_schema("checkpoint"):
+            params = ModelParams(self.variant, self.dims, seed=0)
+            params.load_state_dict(self.state)
+            return params, FeaturePipeline.from_dict(self.pipeline_payload)
 
     def payload(self) -> dict:
         return {
@@ -141,6 +144,20 @@ class Checkpoint:
 
     def content_hash(self) -> str:
         return _hash_payload(self.payload())
+
+
+@contextmanager
+def _payload_schema(where):
+    """Report a payload that does not fit the checkpoint schema as a CheckpointIntegrityError."""
+    try:
+        yield
+    except SkipGruError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise CheckpointIntegrityError(
+            f"{where}: payload does not match the checkpoint schema "
+            f"({type(err).__name__}: {err})"
+        ) from None
 
 
 def _hash_payload(payload: dict) -> str:
@@ -183,23 +200,24 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: content hash mismatch (stored {recorded[:12]}.., "
             f"computed {actual[:12]}..)"
         )
-    state = {}
-    for name, entry in payload["params"].items():
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape)):
-            raise CheckpointIntegrityError(
-                f"{path}: parameter {name} has {data.size} values for shape {shape}"
-            )
-        state[name] = data.reshape(shape)
-    return Checkpoint(
-        variant=VariantConfig.from_dict(payload["variant"]),
-        dims=ModelDims.from_dict(payload["dims"]),
-        state=state,
-        pipeline_payload=payload["pipeline"],
-        embedding_ref=payload.get("embedding_ref"),
-        metadata=payload.get("metadata", {}),
-    )
+    with _payload_schema(path):
+        state = {}
+        for name, entry in payload["params"].items():
+            shape = tuple(entry["shape"])
+            data = np.asarray(entry["data"], dtype=np.float64)
+            if data.size != int(np.prod(shape)):
+                raise CheckpointIntegrityError(
+                    f"{path}: parameter {name} has {data.size} values for shape {shape}"
+                )
+            state[name] = data.reshape(shape)
+        return Checkpoint(
+            variant=VariantConfig.from_dict(payload["variant"]),
+            dims=ModelDims.from_dict(payload["dims"]),
+            state=state,
+            pipeline_payload=payload["pipeline"],
+            embedding_ref=payload.get("embedding_ref"),
+            metadata=payload.get("metadata", {}),
+        )
 
 
 def train(
@@ -214,9 +232,10 @@ def train(
 ) -> Checkpoint:
     """Seeded training run; returns the best-validation-AA checkpoint.
 
-    Per epoch: shuffle, batch, forward, masked multi-task loss, backward,
-    Adam. Validation mean AA is computed after every epoch and the best
-    parameter snapshot is kept. Fully deterministic given config.seed.
+    Both session lists are encoded once. Per epoch: shuffle, batch, forward,
+    masked multi-task loss, backward, Adam. Validation mean AA is computed
+    after every epoch and the best parameter snapshot is kept. Fully
+    deterministic given config.seed.
     """
     if not train_sessions or not valid_sessions:
         raise ConfigError("train and validation session lists must be non-empty")
@@ -225,6 +244,8 @@ def train(
     adam = AdamState(lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     valid_truth = metrics.second_half_truth(valid_sessions)
+    train_set = pipeline.encode(train_sessions, tracks)
+    valid_set = pipeline.encode(valid_sessions, tracks)
 
     best_state = params.state_dict()
     best_aa = None
@@ -233,8 +254,7 @@ def train(
         order = shuffle_rng.permutation(len(train_sessions))
         batch_losses = []
         for lo in range(0, len(order), config.batch_size):
-            chunk = [train_sessions[i] for i in order[lo:lo + config.batch_size]]
-            batch = pad_batch(chunk, pipeline, tracks)
+            batch = train_set.batch(order[lo:lo + config.batch_size])
             targets, mask = flatten_position_major(batch)
             try:
                 probs = forward_batch(batch, params, "train")
@@ -253,7 +273,7 @@ def train(
             batch_losses.append(float(batch_loss.value[0, 0]))
         val_predictions = {
             sid: probs >= 0.5
-            for sid, probs in predict_probs(valid_sessions, pipeline, tracks, params).items()
+            for sid, probs in predict_encoded(valid_set, params).items()
         }
         val_aa, _ = metrics.mean_aa(val_predictions, valid_truth)
         train_loss = float(np.mean(batch_losses))

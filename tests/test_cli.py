@@ -139,6 +139,19 @@ class TestTrain:
         assert run(["train", "--out", str(tmp_path / "x.ckpt")]) == 3
         assert "sessions" in capsys.readouterr().err
 
+    def test_non_finite_track_duration_exits_three(self, workspace, tmp_path, capsys):
+        lines = (workspace / "tracks.csv").read_text().splitlines()
+        parts = lines[4].split(",")
+        parts[1] = "nan"
+        lines[4] = ",".join(parts)
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("\n".join(lines) + "\n")
+        assert run(["train", "--sessions", str(workspace / "sessions.csv"),
+                    "--tracks", str(tracks), "--embeddings", str(workspace / "emb.txt"),
+                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 3
+        err = capsys.readouterr().err
+        assert "line 5" in err and "duration" in err
+
     def test_numeric_abort_exits_four(self, workspace, tmp_path, capsys, monkeypatch):
         from skipgru import cli as cli_mod
         from skipgru.errors import TrainingError
@@ -195,6 +208,27 @@ class TestPredictAndEvaluate:
                     "--sessions", str(workspace / "sessions_holdout.csv"),
                     "--tracks", str(workspace / "tracks.csv"),
                     "--out", str(tmp_path / "s.txt")]) == 3
+
+    @pytest.mark.parametrize("tamper", [
+        lambda p: p["variant"].update(dropout=0.5),
+        lambda p: p.pop("dims"),
+        lambda p: p["pipeline"].pop("scalers"),
+        lambda p: p["pipeline"]["scalers"].pop("acoustic_0"),
+        lambda p: p["params"]["head.b3"].update(shape="four"),
+    ], ids=["unknown-variant-key", "missing-dims", "missing-scalers",
+                         "missing-acoustic-scaler", "bad-shape"])
+    def test_rehashed_bad_schema_checkpoint(self, workspace, trained, tmp_path, capsys, tamper):
+        envelope = json.loads(trained[0].read_text())
+        tamper(envelope["payload"])
+        canonical = json.dumps(envelope["payload"], sort_keys=True, separators=(",", ":"))
+        envelope["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        bad = tmp_path / "rehashed.ckpt"
+        bad.write_text(json.dumps(envelope))
+        assert run(["predict", "--model", str(bad),
+                    "--sessions", str(workspace / "sessions_holdout.csv"),
+                    "--tracks", str(workspace / "tracks.csv"),
+                    "--out", str(tmp_path / "s.txt")]) == 3
+        assert "schema" in capsys.readouterr().err
 
     def test_evaluate_identity(self, workspace, tmp_path, capsys):
         truth = workspace / "sessions_holdout.csv"

@@ -90,6 +90,22 @@ class TestValidation:
             make_interaction(seek_fwd_count=-1)
 
 
+class TestTrackRecord:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_duration_rejected(self, bad):
+        with pytest.raises(ValidationError, match="duration"):
+            data.TrackRecord("t", bad, 2000, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_load_tracks_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "t.csv"
+        path.write_text("track_id,duration,release_year,acoustic_0\n"
+                        "a,200.0,2000,0.5\n"
+                        f"b,{bad},2001,0.5\n")
+        with pytest.raises(ValidationError, match="line 3.*duration"):
+            data.load_tracks(path)
+
+
 class TestCsvRoundTrip:
     def test_well_formed_file(self, tmp_path, corpus):
         tracks, sessions = corpus
@@ -188,8 +204,9 @@ class TestPadBatch:
         tracks, _ = corpus
         batch = data.pad_batch([make_session("s", 10, sorted(tracks)[:3])],
                                fitted_pipeline, tracks)
-        for arr, pad in [(batch.first_half, fitted_pipeline.triplet_pad()),
-                         (batch.second_half, fitted_pipeline.doublet_pad())]:
+        for arr in (batch.first_half, batch.second_half):
+            pad = np.zeros(arr.shape[2])
+            pad[-1] = 1.0
             for t in range(5, 10):
                 assert np.array_equal(arr[0, t], pad)
 
@@ -204,11 +221,10 @@ class TestPadBatch:
         for i, session in enumerate(sessions[:8]):
             _, second = data.split_halves(session)
             kept = batch.second_half[i][batch.mask[i]]
-            direct = np.array([
-                fitted_pipeline.assemble_doublet(tracks[e.track_id], e.position)
-                for e in second
-            ])
-            assert np.array_equal(kept, direct)
+            alone = data.pad_batch([session], fitted_pipeline, tracks).second_half[0]
+            assert np.array_equal(kept, alone[:len(second)])
+            assert kept[:, -2].tolist() == [e.position / data.MAX_SESSION_LEN for e in second]
+            assert not kept[:, -1].any()
 
     def test_empty_batch(self, corpus, fitted_pipeline):
         tracks, _ = corpus

@@ -5,14 +5,14 @@ from skipgru import data
 from skipgru.errors import StateError, ValidationError
 from skipgru.features import (
     INTERACTION_WIDTH,
+    NUMERIC_INTERACTION_FEATURES,
     FeaturePipeline,
     Scaler,
     Vocabulary,
     position_feature,
-    transform_numeric,
 )
 
-from test_data import make_interaction, make_session
+from test_data import make_interaction
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +34,7 @@ class TestScaler:
 
     def test_endpoints_and_midpoint(self):
         s = Scaler(lo=2.0, hi=10.0)
-        assert transform_numeric(s, 2.0) == 0.0
-        assert transform_numeric(s, 6.0) == 0.5
-        assert transform_numeric(s, 10.0) == 1.0
+        assert s.transform(np.array([2.0, 6.0, 10.0])).tolist() == [0.0, 0.5, 1.0]
 
     def test_clamping(self):
         s = Scaler(lo=2.0, hi=10.0)
@@ -50,9 +48,8 @@ class TestScaler:
 
     def test_monotone(self):
         s = Scaler(lo=-3.0, hi=11.0)
-        xs = np.linspace(-10, 20, 101)
-        ys = [s.transform(x) for x in xs]
-        assert all(b >= a for a, b in zip(ys, ys[1:]))
+        ys = s.transform(np.linspace(-10, 20, 101))
+        assert (np.diff(ys) >= 0).all()
 
 
 class TestVocabulary:
@@ -78,6 +75,36 @@ class TestPositionFeature:
             position_feature(0)
         with pytest.raises(ValidationError):
             position_feature(21)
+        with pytest.raises(ValidationError):
+            position_feature(np.array([3, 0, 7]))
+
+
+def one_session(track_ids, length=10, **interaction):
+    """A session whose every event carries the same interaction record."""
+    inter = make_interaction(**interaction)
+    return data.Session("s", [data.Event(track_ids[(p - 1) % len(track_ids)], p, inter)
+                              for p in range(1, length + 1)])
+
+
+def scalar_scale(scaler, x):
+    if scaler.hi == scaler.lo:
+        return 0.0
+    return min(1.0, max(0.0, (x - scaler.lo) / (scaler.hi - scaler.lo)))
+
+
+def reference_vector(pipeline, track, position, interaction=None):
+    """One event's triplet (with an interaction) or doublet, built field by field."""
+    scalers = pipeline.scalers
+    vec = list(pipeline.embeddings.get(track.track_id, np.zeros(pipeline.d_emb)))
+    vec += [scalar_scale(scalers["duration"], track.duration),
+            scalar_scale(scalers["release_year"], track.release_year)]
+    vec += [scalar_scale(scalers[f"acoustic_{i}"], v) for i, v in enumerate(track.acoustic)]
+    if interaction is not None:
+        vec += [scalar_scale(scalers[name], getattr(interaction, name))
+                for name in NUMERIC_INTERACTION_FEATURES]
+        vec += [float(flag) for flag in interaction.targets()]
+        vec.append(float(pipeline.context_vocab.lookup(interaction.context_type)))
+    return vec + [position / data.MAX_SESSION_LEN, 0.0]
 
 
 class TestAssembly:
@@ -87,47 +114,82 @@ class TestAssembly:
 
     def test_triplet_layout(self, corpus, pipeline):
         tracks, _ = corpus
-        track = tracks[sorted(tracks)[0]]
-        inter = make_interaction(skip=True, context_type="radio")
-        vec = pipeline.assemble_triplet(track, inter, position=10)
+        track_id = sorted(tracks)[0]
+        batch = data.pad_batch([one_session([track_id], context_type="radio")], pipeline, tracks)
+        vec = batch.first_half[0, 4]  # position 5
         assert vec.shape == (pipeline.d_trip,)
-        assert np.array_equal(vec[:5], pipeline.track_embedding(track.track_id))
+        assert np.array_equal(vec[:5], pipeline.track_embedding(track_id))
         assert vec[pipeline.triplet_ctx_col] == pipeline.context_vocab.lookup("radio")
-        assert vec[-2] == 0.5   # position 10 / 20
+        assert vec[-2] == 0.25  # position 5 / 20
         assert vec[-1] == 0.0   # is_pad
+
+    def test_hand_computed_layout(self):
+        tracks = {
+            "a": data.TrackRecord("a", 100.0, 1990, np.array([0.0, 1.0])),
+            "b": data.TrackRecord("b", 300.0, 2010, np.array([1.0, 1.0])),
+            "c": data.TrackRecord("c", 200.0, 2000, np.array([0.5, 1.0])),
+        }
+        fit_session = one_session(["a", "b"], seek_fwd_count=4, hour_of_day=20)
+        fit_session.events[0] = data.Event("a", 1, make_interaction(hour_of_day=10))
+        pipeline = FeaturePipeline({"a": np.array([7.0]), "c": np.array([8.0])})
+        pipeline.fit([fit_session], tracks)
+        # 11 events alternating c, b: six observed, five withheld; "c" is unseen
+        # in fit and "b" has no embedding
+        session = one_session(["c", "b"], length=11, skip=True, context_type="radio",
+                              seek_fwd_count=9, hour_of_day=15)
+        batch = data.pad_batch([session], pipeline, tracks)
+        # emb | duration | year | acoustic_0 | acoustic_1 (constant -> 0) | ...
+        c_static = [8.0, 0.5, 0.5, 0.5, 0.0]
+        b_static = [0.0, 1.0, 1.0, 1.0, 0.0]
+        # seek_fwd (clamped) | seek_back (constant -> 0) | hour | 4 flags | ctx (unknown)
+        inter = [1.0, 0.0, 0.5, 1.0, 0.0, 1.0, 0.0, 0.0]
+        assert batch.first_half[0, 0].tolist() == c_static + inter + [0.05, 0.0]
+        assert batch.first_half[0, 5].tolist() == b_static + inter + [0.3, 0.0]
+        assert batch.second_half[0, 0].tolist() == c_static + [0.35, 0.0]
+        assert batch.second_half[0, 3].tolist() == b_static + [0.5, 0.0]
+        assert batch.first_half[0, 6].tolist() == [0.0] * 14 + [1.0]
+        assert batch.second_half[0, 5].tolist() == [0.0] * 6 + [1.0]
+        assert batch.mask[0].tolist() == [True] * 5 + [False] * 5
+        assert batch.targets[0, :5].tolist() == [[1.0, 0.0, 1.0, 0.0]] * 5
+        assert batch.second_lengths == [5]
 
     def test_doublet_differs_only_in_position(self, corpus, pipeline):
         tracks, _ = corpus
-        track = tracks[sorted(tracks)[1]]
-        a = pipeline.assemble_doublet(track, 11)
-        b = pipeline.assemble_doublet(track, 12)
+        batch = data.pad_batch([one_session([sorted(tracks)[1]])], pipeline, tracks)
+        a, b = batch.second_half[0, 0], batch.second_half[0, 1]
         diff = np.nonzero(a != b)[0]
         assert diff.tolist() == [pipeline.d_doub - 2]
 
     def test_assembly_pure(self, corpus, pipeline):
-        tracks, _ = corpus
-        track = tracks[sorted(tracks)[2]]
-        inter = make_interaction()
-        assert np.array_equal(
-            pipeline.assemble_triplet(track, inter, 3),
-            pipeline.assemble_triplet(track, inter, 3),
-        )
+        tracks, sessions = corpus
+        a = data.pad_batch(sessions[:4], pipeline, tracks)
+        b = data.pad_batch(sessions[:4], pipeline, tracks)
+        for x, y in [(a.first_half, b.first_half), (a.second_half, b.second_half),
+                     (a.mask, b.mask), (a.targets, b.targets)]:
+            assert np.array_equal(x, y)
 
-    def test_pad_vectors(self, pipeline):
-        tp, dp = pipeline.triplet_pad(), pipeline.doublet_pad()
-        assert tp[-1] == 1.0 and dp[-1] == 1.0
-        assert not tp[:-1].any() and not dp[:-1].any()
+    def test_pad_vectors(self, corpus, pipeline):
+        tracks, _ = corpus
+        batch = data.pad_batch([one_session(sorted(tracks)[:3])], pipeline, tracks)
+        for arr in (batch.first_half[0, 5:], batch.second_half[0, 5:]):
+            assert (arr[:, -1] == 1.0).all()
+            assert not arr[:, :-1].any()
+        assert not batch.first_half[0, :5, -1].any()
+        assert not batch.second_half[0, :5, -1].any()
 
     def test_unknown_context_type_never_crashes(self, corpus, pipeline):
         tracks, _ = corpus
-        track = tracks[sorted(tracks)[0]]
-        vec = pipeline.assemble_triplet(
-            track, make_interaction(context_type="martian"), 1
-        )
-        assert vec[pipeline.triplet_ctx_col] == 0.0
+        session = one_session(sorted(tracks)[:1], context_type="martian")
+        batch = data.pad_batch([session], pipeline, tracks)
+        assert not batch.first_half[0, :, pipeline.triplet_ctx_col].any()
 
     def test_unknown_track_embedding_is_zero(self, pipeline):
         assert not pipeline.track_embedding("no-such-track").any()
+        stranger = data.TrackRecord("no-such-track", 200.0, 2000, np.zeros(3))
+        session = one_session(["no-such-track"])
+        batch = data.pad_batch([session], pipeline, {"no-such-track": stranger})
+        assert not batch.first_half[0, :5, :pipeline.d_emb].any()
+        assert not batch.second_half[0, :5, :pipeline.d_emb].any()
 
     def test_values_in_unit_interval(self, corpus, pipeline):
         tracks, sessions = corpus
@@ -135,13 +197,50 @@ class TestAssembly:
         numeric = batch.second_half[..., pipeline.d_emb:]
         assert numeric.min() >= 0.0 and numeric.max() <= 1.0
 
+    def test_matches_per_event_reference(self, corpus):
+        tracks, sessions = corpus
+        ids = sorted(tracks)
+        emb = {tid: np.full(4, k * 0.3 - 2.0) for k, tid in enumerate(ids) if k % 4}
+        pipeline = FeaturePipeline(emb).fit(sessions[:20], tracks)
+        unseen = one_session(ids[:7], length=13, context_type="martian", seek_back_count=50)
+        batch = data.pad_batch(sessions[20:] + [unseen], pipeline, tracks)
+        for i, session in enumerate(sessions[20:] + [unseen]):
+            first, second = data.split_halves(session)
+            for t, ev in enumerate(first):
+                want = reference_vector(pipeline, tracks[ev.track_id], ev.position, ev.interaction)
+                assert batch.first_half[i, t].tolist() == want
+            for t, ev in enumerate(second):
+                want = reference_vector(pipeline, tracks[ev.track_id], ev.position)
+                assert batch.second_half[i, t].tolist() == want
+
+    def test_batch_composition_invariance(self, corpus, pipeline):
+        tracks, sessions = corpus
+        chosen = sessions[:6]
+        encoded = pipeline.encode(chosen, tracks)
+        orders = [[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 4, 2], [2, 4]]
+        batches = [encoded.batch(order) for order in orders]
+        batches += [pipeline.encode(chosen[::-1], tracks).batch(range(6))]
+        orders += [[5, 4, 3, 2, 1, 0]]
+        for k, session in enumerate(chosen):
+            alone = data.pad_batch([session], pipeline, tracks)
+            for order, batch in zip(orders, batches):
+                if k not in order:
+                    continue
+                row = order.index(k)
+                assert batch.session_ids[row] == session.session_id
+                assert batch.second_lengths[row] == alone.second_lengths[0]
+                for got, want in [(batch.first_half, alone.first_half),
+                                  (batch.second_half, alone.second_half),
+                                  (batch.mask, alone.mask), (batch.targets, alone.targets)]:
+                    assert np.array_equal(got[row], want[0])
+
 
 class TestPipelineState:
     def test_unfitted_raises(self, corpus):
-        tracks, _ = corpus
+        tracks, sessions = corpus
         p = FeaturePipeline({}, d_emb=3)
         with pytest.raises(StateError):
-            p.assemble_doublet(tracks[sorted(tracks)[0]], 1)
+            data.pad_batch(sessions[:1], p, tracks)
 
     def test_fit_empty_raises(self, corpus):
         tracks, _ = corpus
@@ -152,12 +251,10 @@ class TestPipelineState:
         tracks, sessions = corpus
         clone = FeaturePipeline.from_dict(pipeline.to_dict())
         assert clone.schema_fingerprint() == pipeline.schema_fingerprint()
-        track = tracks[sorted(tracks)[4]]
-        inter = make_interaction(skip=True)
-        assert np.array_equal(
-            clone.assemble_triplet(track, inter, 7),
-            pipeline.assemble_triplet(track, inter, 7),
-        )
+        a = data.pad_batch(sessions[:5], clone, tracks)
+        b = data.pad_batch(sessions[:5], pipeline, tracks)
+        assert np.array_equal(a.first_half, b.first_half)
+        assert np.array_equal(a.second_half, b.second_half)
 
     def test_fingerprint_detects_schema_change(self, corpus, pipeline):
         tracks, sessions = corpus

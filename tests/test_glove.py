@@ -212,3 +212,16 @@ class TestExport:
         path.write_text("A 1.0 2.0\nB 1.0\n")
         with pytest.raises(ValidationError, match="line 2"):
             glove.load_embeddings(path)
+
+    def test_duplicate_track_id_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("A 1.0 2.0\nB 1.0 2.0\nA 3.0 4.0\n")
+        with pytest.raises(ValidationError, match="line 3.*duplicate"):
+            glove.load_embeddings(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"A 1.0 2.0\nB 1.0 {bad}\n")
+        with pytest.raises(ValidationError, match="line 2.*non-finite"):
+            glove.load_embeddings(path)
