@@ -133,16 +133,19 @@ def hadamard(a: Node, b: Node) -> Node:
     return elementwise(a, b, "hadamard")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that only ever exponentiates non-positive numbers:
+    ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below, ``e = exp(-|x|)``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def activation(a: Node, kind: str) -> Node:
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unknown activation kind '{kind}'")
     x = a.value
     if kind == "sigmoid":
-        y = np.empty_like(x)
-        pos = x >= 0.0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        y = _sigmoid(x)
         local = y * (1.0 - y)
     elif kind == "tanh":
         y = np.tanh(x)
@@ -209,6 +212,24 @@ def concat_rows(parts: list[Node]) -> Node:
         pulls.append((p, lambda g, lo=lo, hi=hi: g[lo:hi, :]))
         offset = hi
     return _result(value, pulls, "concat_rows")
+
+
+def take_rows(a: Node, idx) -> Node:
+    """Rows ``a[idx]`` in the order given; a repeated index sums its gradients."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError(f"take_rows needs a 1-D index, got shape {idx.shape}")
+    rows = a.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(f"take_rows: row index outside [0, {rows})")
+    av = a.value
+
+    def pull(g):
+        out = np.zeros_like(av)
+        np.add.at(out, idx, g)
+        return out
+
+    return _result(av[idx], [(a, pull)], "take_rows")
 
 
 def sum_all(a: Node) -> Node:
@@ -322,6 +343,105 @@ def batchnorm(a: Node, state: BatchNormState, mode: str) -> Node:
         (state.beta, lambda g: g.sum(axis=0, keepdims=True)),
     ]
     return _result(value, pulls, "batchnorm")
+
+
+def gru(x: Node, o0: Node, w_ux: Node, w_us: Node, w_rx: Node, w_rs: Node,
+        w_x: Node, w_s: Node, b_u: Node, b_r: Node, b_s: Node, steps: int) -> Node:
+    """One GRU layer over ``steps`` position-major blocks, as a single node.
+
+    ``x`` is ``[steps * B, I]`` with row ``t * B + b`` holding step t of
+    sequence b, ``o0`` the ``[B, H]`` initial state. Returns every step's
+    output state, ``[steps * B, H]`` in the same row order:
+
+        u_t = sigmoid(x_t W_ux + b_u + o_{t-1} W_us)
+        r_t = sigmoid(x_t W_rx + b_r + o_{t-1} W_rs)
+        s_t = tanh(x_t W_x + b_s + (r_t * o_{t-1}) W_s)
+        o_t = (1 - u_t) * o_{t-1} + u_t * s_t
+
+    The input projections of all steps are one matmul; only the recurrent
+    products run per step. The gradient is one backpropagation-through-time
+    sweep, shared by the pulls of all parents of one ``backward``. Non-finite
+    pre-activations raise :class:`NumericError`, since the saturating gates
+    would otherwise hide them.
+    """
+    batch, h = o0.shape
+    n_in = x.shape[1]
+    if steps < 1 or x.shape[0] != steps * batch:
+        raise ShapeError(f"gru: input {x.shape} is not {steps} steps of state {o0.shape}")
+    for w, shape in ((w_ux, (n_in, h)), (w_rx, (n_in, h)), (w_x, (n_in, h)),
+                     (w_us, (h, h)), (w_rs, (h, h)), (w_s, (h, h)),
+                     (b_u, (1, h)), (b_r, (1, h)), (b_s, (1, h))):
+        if w.shape != shape:
+            raise ShapeError(f"gru: weight shape {w.shape}, expected {shape}")
+    w_in = np.concatenate([w_ux.value, w_rx.value, w_x.value], axis=1)
+    w_gate = np.concatenate([w_us.value, w_rs.value], axis=1)
+    ws = w_s.value
+    xv = x.value
+    # pre-activations [u | r | s]; the recurrent terms are added step by step
+    pre = xv @ w_in + np.concatenate([b_u.value, b_r.value, b_s.value], axis=1)
+    gates = np.empty_like(pre)  # [u | r | s]
+    out = np.empty((steps * batch, h))
+    o = o0.value
+    for t in range(steps):
+        rows = slice(t * batch, (t + 1) * batch)
+        a, gt = pre[rows], gates[rows]
+        a[:, :2 * h] += o @ w_gate
+        gt[:, :2 * h] = _sigmoid(a[:, :2 * h])
+        u, r = gt[:, :h], gt[:, h:2 * h]
+        a[:, 2 * h:] += (r * o) @ ws
+        gt[:, 2 * h:] = np.tanh(a[:, 2 * h:])
+        o = out[rows] = (1.0 - u) * o + u * gt[:, 2 * h:]
+    if not np.isfinite(pre).all():
+        raise NumericError("non-finite pre-activation in 'gru'")
+    o_prev = np.concatenate([o0.value, out[:-batch]], axis=0)
+
+    def sweep(g):
+        u, r, s = gates[:, :h], gates[:, h:2 * h], gates[:, 2 * h:]
+        # local derivatives of every step at once; only the state carry loops
+        ds_local = u * (1.0 - s * s)
+        du_local = (s - o_prev) * u * (1.0 - u)
+        dr_local = o_prev * r * (1.0 - r)
+        keep = 1.0 - u
+        d_pre = np.empty_like(pre)
+        d_o = np.zeros((batch, h))
+        for t in reversed(range(steps)):
+            rows = slice(t * batch, (t + 1) * batch)
+            dp = d_pre[rows]
+            d_o = d_o + g[rows]
+            dp[:, 2 * h:] = d_o * ds_local[rows]
+            d_ro = dp[:, 2 * h:] @ ws.T
+            dp[:, :h] = d_o * du_local[rows]
+            dp[:, h:2 * h] = d_ro * dr_local[rows]
+            d_o = d_o * keep[rows] + d_ro * r[rows] + dp[:, :2 * h] @ w_gate.T
+        return d_pre, d_o
+
+    memo: dict = {}
+
+    def swept(g):
+        """``(dL/d pre-activations, dL/d o0)``, swept once per distinct ``g``."""
+        if "g" not in memo or not np.array_equal(memo["g"], g):
+            memo["g"], memo["swept"] = g.copy(), sweep(g)
+        return memo["swept"]
+
+    def pre_grad(g, gate):
+        return swept(g)[0][:, gate * h:(gate + 1) * h]
+
+    def bias_grad(g, gate):
+        return pre_grad(g, gate).sum(axis=0, keepdims=True)
+
+    return _result(out, [
+        (x, lambda g: swept(g)[0] @ w_in.T),
+        (o0, lambda g: swept(g)[1]),
+        (w_ux, lambda g: xv.T @ pre_grad(g, 0)),
+        (w_us, lambda g: o_prev.T @ pre_grad(g, 0)),
+        (w_rx, lambda g: xv.T @ pre_grad(g, 1)),
+        (w_rs, lambda g: o_prev.T @ pre_grad(g, 1)),
+        (w_x, lambda g: xv.T @ pre_grad(g, 2)),
+        (w_s, lambda g: (gates[:, h:2 * h] * o_prev).T @ pre_grad(g, 2)),
+        (b_u, lambda g: bias_grad(g, 0)),
+        (b_r, lambda g: bias_grad(g, 1)),
+        (b_s, lambda g: bias_grad(g, 2)),
+    ], "gru")
 
 
 def _topo_order(root: Node) -> list[Node]:

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,6 +271,28 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> lis
         session.validate(mode)
         sessions.append(session)
     return sessions
+
+
+@contextmanager
+def atomic_write(path):
+    """Text file handle whose contents replace ``path`` only when the block ends.
+
+    The text goes to a temporary file in the target directory, which is
+    flushed to disk and then renamed over ``path``. If the block raises, the
+    temporary file is removed and whatever ``path`` held is left untouched.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_tracks(path, tracks: dict[str, TrackRecord]) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Session
+from .data import Session, atomic_write
 from .errors import TrainingError, ValidationError
 
 X_MAX = 100.0
@@ -202,7 +202,7 @@ def train_glove(
 def export_embeddings(emb: EmbeddingTable, path) -> None:
     """Write 'track_id v_1 .. v_d' lines with full float64 precision."""
     combined = emb.vectors()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for k, track_id in enumerate(emb.track_ids):
             fh.write(track_id + " " + " ".join(repr(float(x)) for x in combined[k]) + "\n")
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import model as model_mod
-from .data import Session, TrackRecord, split_halves
+from .data import Session, TrackRecord, atomic_write, split_halves
 from .errors import AlignmentError, EnsembleError, ParseError, ValidationError
 
 
@@ -177,7 +177,7 @@ def ensemble_predict(
 
 def write_submission(path, predictions: dict) -> None:
     """One line per session in session_id order, '1' for predicted skips."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sid in sorted(predictions):
             fh.write("".join("1" if p else "0" for p in predictions[sid]) + "\n")
 

@@ -11,8 +11,15 @@ The gates of a GRU step read the previous output state:
     s_t = tanh(W^x x_t + W^s (r_t * o_{t-1}) + b_s)
     o_t = (1 - u_t) * o_{t-1} + u_t * s_t
 
-The context_type slot of a triplet carries a vocabulary index; it is swapped
-for a trainable dense embedding row before entering the first GRU layer.
+Each GRU layer is one ``ad.gru`` node over all HALF_LEN steps of the batch,
+laid out position-major (row ``t * batch + b``): the input projections of
+every step are one matmul, only the recurrent products run step by step, and
+the backward pass is one hand-written BPTT sweep. Layer 2 reads all of layer
+1's output rows, since its step t needs only ``o1_t``; ``x_half`` is the last
+step's row of each layer. The context_type slot of a triplet carries a
+vocabulary index; it is swapped for a gathered row of a trainable dense
+embedding before entering the first GRU layer. The whole second half is
+enriched and classified in one pass, in the same position-major row order.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ CTX_EMBED_WIDTH = 8
 TASK_WEIGHTS = (1.0, 0.2, 0.2, 0.2)
 ACTIVATION_VARIANTS = ("relu", "elu")
 PREDICT_BATCH_SIZE = 256
+GRU_WEIGHTS = ("w_ux", "w_us", "w_rx", "w_rs", "w_x", "w_s", "b_u", "b_r", "b_s")
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -124,10 +132,12 @@ class GruParams:
             b_s=ad.parameter(np.zeros((1, hidden))),
         )
 
+    def weights(self) -> list[ad.Node]:
+        """The nine weights in ``ad.gru`` argument order."""
+        return [getattr(self, name) for name in GRU_WEIGHTS]
+
     def named(self, prefix: str) -> dict[str, ad.Node]:
-        return {f"{prefix}.{name}": getattr(self, name)
-                for name in ("w_ux", "w_us", "w_rx", "w_rs", "w_x", "w_s",
-                             "b_u", "b_r", "b_s")}
+        return {f"{prefix}.{name}": getattr(self, name) for name in GRU_WEIGHTS}
 
 
 class ModelParams:
@@ -213,28 +223,8 @@ class ModelParams:
 
 
 def gru_step(x: ad.Node, o_prev: ad.Node, p: GruParams) -> ad.Node:
-    if x.shape[0] != o_prev.shape[0]:
-        raise ShapeError(f"gru_step batch mismatch: {x.shape} vs {o_prev.shape}")
-    u = ad.sigmoid(ad.add(affine(x, p.w_ux, p.b_u), ad.matmul(o_prev, p.w_us)))
-    r = ad.sigmoid(ad.add(affine(x, p.w_rx, p.b_r), ad.matmul(o_prev, p.w_rs)))
-    s = ad.tanh(ad.add(affine(x, p.w_x, p.b_s), ad.matmul(ad.hadamard(r, o_prev), p.w_s)))
-    ones = ad.constant(np.ones(u.shape))
-    return ad.add(ad.hadamard(ad.sub(ones, u), o_prev), ad.hadamard(u, s))
-
-
-def _step_input(step: np.ndarray, params: ModelParams) -> ad.Node:
-    """Swap the context-index column for trainable embedding rows."""
-    dims = params.dims
-    idx = step[:, dims.ctx_col].astype(np.int64)
-    if (idx < 0).any() or (idx >= dims.ctx_vocab).any():
-        raise ShapeError(f"context index outside vocabulary of size {dims.ctx_vocab}")
-    onehot = np.zeros((step.shape[0], dims.ctx_vocab))
-    onehot[np.arange(step.shape[0]), idx] = 1.0
-    numeric = np.delete(step, dims.ctx_col, axis=1)
-    return ad.concat_cols([
-        ad.constant(numeric),
-        ad.matmul(ad.constant(onehot), params.ctx_embedding),
-    ])
+    """One GRU step: the ``steps=1`` case of the fused layer."""
+    return ad.gru(x, o_prev, *p.weights(), steps=1)
 
 
 def encode_first_half(first_half: np.ndarray, params: ModelParams) -> ad.Node:
@@ -242,18 +232,21 @@ def encode_first_half(first_half: np.ndarray, params: ModelParams) -> ad.Node:
     if first_half.ndim != 3 or first_half.shape[1] != HALF_LEN:
         raise ShapeError(f"first_half must be [batch, {HALF_LEN}, d_trip], "
                          f"got {first_half.shape}")
-    if first_half.shape[2] != params.dims.d_trip:
+    dims = params.dims
+    if first_half.shape[2] != dims.d_trip:
         raise ShapeError(f"first_half width {first_half.shape[2]} "
-                         f"!= d_trip {params.dims.d_trip}")
+                         f"!= d_trip {dims.d_trip}")
     b = first_half.shape[0]
-    h = params.variant.hidden_size
-    o1 = ad.constant(np.zeros((b, h)))
-    o2 = ad.constant(np.zeros((b, h)))
-    for t in range(HALF_LEN):
-        x_t = _step_input(first_half[:, t, :], params)
-        o1 = gru_step(x_t, o1, params.gru1)
-        o2 = gru_step(o1, o2, params.gru2)
-    return ad.concat_cols([o1, o2])
+    flat = first_half.transpose(1, 0, 2).reshape(HALF_LEN * b, dims.d_trip)
+    x = ad.concat_cols([
+        ad.constant(np.delete(flat, dims.ctx_col, axis=1)),
+        ad.take_rows(params.ctx_embedding, flat[:, dims.ctx_col].astype(np.int64)),
+    ])
+    o0 = ad.constant(np.zeros((b, params.variant.hidden_size)))
+    o1 = ad.gru(x, o0, *params.gru1.weights(), steps=HALF_LEN)
+    o2 = ad.gru(o1, o0, *params.gru2.weights(), steps=HALF_LEN)
+    last = np.arange((HALF_LEN - 1) * b, HALF_LEN * b)
+    return ad.concat_cols([ad.take_rows(o1, last), ad.take_rows(o2, last)])
 
 
 def enrich(x_i: ad.Node, x_half: ad.Node, params: ModelParams) -> ad.Node:
@@ -289,10 +282,9 @@ def flatten_position_major(batch: PaddedBatch) -> tuple[np.ndarray, np.ndarray]:
 def forward_batch(batch: PaddedBatch, params: ModelParams, mode: str) -> ad.Node:
     """Probabilities [HALF_LEN * batch, 4]; row t * batch + b is session b, step t."""
     x_half = encode_first_half(batch.first_half, params)
-    enriched = ad.concat_rows([
-        enrich(ad.constant(batch.second_half[:, t, :]), x_half, params)
-        for t in range(HALF_LEN)
-    ])
+    second = batch.second_half.transpose(1, 0, 2).reshape(-1, batch.second_half.shape[2])
+    tiled = ad.take_rows(x_half, np.tile(np.arange(x_half.shape[0]), HALF_LEN))
+    enriched = enrich(ad.constant(second), tiled, params)
     return classify(enriched, params, mode)
 
 

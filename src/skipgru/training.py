@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics
-from .data import Session, TrackRecord
+from .data import Session, TrackRecord, atomic_write
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -172,7 +172,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "sha256": _hash_payload(payload),
         "payload": payload,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(envelope, fh)
 
 

@@ -24,12 +24,18 @@ from test_model import hand_gru_step, tiny_setup, whole_model_fd
 
 @contextlib.contextmanager
 def criterion(name):
+    """Print the criterion's ACCEPTANCE line; notes appended to the yielded list join it."""
+    notes = []
+
+    def line(verdict):
+        return f"\nACCEPTANCE {name}: {verdict}" + (f" ({'; '.join(notes)})" if notes else "")
+
     try:
-        yield
+        yield notes
     except BaseException:
-        print(f"\nACCEPTANCE {name}: FAIL")
+        print(line("FAIL"))
         raise
-    print(f"\nACCEPTANCE {name}: PASS")
+    print(line("PASS"))
 
 
 def brute_force_aa(pred, truth):
@@ -111,12 +117,16 @@ OP_CASES = [
     ("scale", lambda a: ad.scale(a, -1.7), [(3, 4)]),
     ("batchnorm-train", _bn_train, [(5, 3)]),
     ("batchnorm-infer", _bn_infer, [(4, 3)]),
+    ("take-rows", lambda a: ad.hadamard(ad.take_rows(a, [2, 0, 2]), ad.take_rows(a, [1, 2, 2])),
+     [(3, 4)]),
+    ("gru", lambda *a: ad.gru(*a, steps=3),
+     [(6, 3), (2, 2), (3, 2), (2, 2), (3, 2), (2, 2), (3, 2), (2, 2), (1, 2), (1, 2), (1, 2)]),
 ]
 
 
 class TestGradientSuite:
     def test_every_op_and_model_loss_100_seeds(self):
-        with criterion("gradient-suite"):
+        with criterion("gradient-suite") as notes:
             started = time.monotonic()
             for name, build, shapes in OP_CASES:
                 for seed in range(100):
@@ -138,6 +148,7 @@ class TestGradientSuite:
             assert checked > 1800
             assert skipped < 0.02 * checked, f"{skipped} kink skips of {checked}"
             elapsed = time.monotonic() - started
+            notes.append(f"{elapsed:.1f}s of the 60s gate")
             assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
 

@@ -4,7 +4,7 @@ import pytest
 from skipgru import autodiff as ad
 from skipgru.errors import DegenerateBatchError, NumericError, ShapeError, StateError
 
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, composed_gru_step, max_rel_err
 
 
 def loss_of(node):
@@ -69,6 +69,16 @@ class TestActivation:
     def test_sigmoid_closed_form(self):
         out = ad.sigmoid(ad.constant([[1.0]])).value[0, 0]
         assert out == pytest.approx(0.7310585786300049, abs=1e-15)
+
+    def test_sigmoid_matches_two_branch_reference(self):
+        x = np.random.default_rng(2).normal(scale=60.0, size=(200, 50))
+        x[0, :4] = [0.0, -0.0, 800.0, -800.0]
+        ref = np.empty_like(x)
+        pos = x >= 0.0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(ad.sigmoid(ad.constant(x)).value, ref)
 
     def test_elu_closed_form(self):
         out = ad.elu(ad.constant([[-1.0]])).value[0, 0]
@@ -198,6 +208,103 @@ class TestBackward:
         ad.backward(ad.sum_all(w))
         w.zero_grad()
         assert np.array_equal(w.grad, np.zeros((1, 2)))
+
+
+class TestTakeRows:
+    def test_gathers_in_index_order(self):
+        a = ad.constant([[1.0, -1.0], [2.0, -2.0], [3.0, -3.0]])
+        out = ad.take_rows(a, [2, 0, 2])
+        assert np.array_equal(out.value, [[3.0, -3.0], [1.0, -1.0], [3.0, -3.0]])
+
+    def test_repeated_rows_sum_their_gradients(self):
+        a = ad.parameter(np.zeros((3, 2)))
+        ad.backward(loss_of(ad.take_rows(a, [2, 0, 2, 2])))
+        assert np.array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
+
+    @pytest.mark.parametrize("idx", [[3], [-1], [[0]]])
+    def test_bad_index(self, idx):
+        with pytest.raises(ShapeError):
+            ad.take_rows(ad.constant(np.ones((3, 2))), idx)
+
+
+GRU_BATCH, GRU_IN, GRU_HIDDEN = 2, 3, 4
+
+
+def gru_shapes(steps):
+    """Shapes of gru's x, o0 and nine weights, in argument order."""
+    i, h = GRU_IN, GRU_HIDDEN
+    return [(steps * GRU_BATCH, i), (GRU_BATCH, h),
+            (i, h), (h, h), (i, h), (h, h), (i, h), (h, h),
+            (1, h), (1, h), (1, h)]
+
+
+def composed_gru(xs, o0, weights):
+    """Every step's state from the primitive-composed oracle, position-major."""
+    states = []
+    o = o0
+    for x in xs:
+        o = composed_gru_step(x, o, *weights)
+        states.append(o)
+    return ad.concat_rows(states)
+
+
+class TestGru:
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    def test_matches_composed_primitives(self, steps):
+        b = GRU_BATCH
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            values = [rng.normal(size=shape) for shape in gru_shapes(steps)]
+            head = ad.constant(rng.normal(size=(steps * b, GRU_HIDDEN)))
+            fused_in = [ad.parameter(v) for v in values]
+            fused = ad.gru(*fused_in, steps=steps)
+            ad.backward(ad.sum_all(ad.hadamard(fused, head)))
+
+            xs = [ad.parameter(values[0][t * b:(t + 1) * b]) for t in range(steps)]
+            o0 = ad.parameter(values[1])
+            weights = [ad.parameter(v) for v in values[2:]]
+            composed = composed_gru(xs, o0, weights)
+            ad.backward(ad.sum_all(ad.hadamard(composed, head)))
+
+            assert np.max(np.abs(fused.value - composed.value)) <= 1e-12
+            expected = [np.concatenate([x.grad for x in xs]), o0.grad]
+            expected += [w.grad for w in weights]
+            for node, grad in zip(fused_in, expected):
+                assert np.max(np.abs(node.grad - grad)) <= 1e-12
+
+    def test_each_backward_sweeps_its_own_gradient(self):
+        rng = np.random.default_rng(4)
+        values = [rng.normal(size=shape) for shape in gru_shapes(3)]
+        heads = [rng.normal(size=(3 * GRU_BATCH, GRU_HIDDEN)) for _ in range(2)]
+
+        def weight_grads(head):
+            nodes = [ad.constant(values[0]), ad.constant(values[1])]
+            nodes += [ad.parameter(v) for v in values[2:]]
+            ad.backward(ad.sum_all(ad.hadamard(ad.gru(*nodes, steps=3), ad.constant(head))))
+            return [n.grad for n in nodes[2:]]
+
+        # a second loss over the same gru node reaches it with head0 + head1
+        nodes = [ad.constant(values[0]), ad.constant(values[1])]
+        nodes += [ad.parameter(v) for v in values[2:]]
+        shared = ad.gru(*nodes, steps=3)
+        for head in heads:
+            ad.backward(ad.sum_all(ad.hadamard(shared, ad.constant(head))))
+        first, both = weight_grads(heads[0]), weight_grads(heads[0] + heads[1])
+        for node, g0, g01 in zip(nodes[2:], first, both):
+            assert np.allclose(node.grad, g0 + g01, rtol=0.0, atol=1e-12)
+
+    def test_non_finite_pre_activation_rejected(self):
+        # the gates saturate to finite outputs, so only the pre-activation shows it
+        values = [np.ones(shape) for shape in gru_shapes(1)]
+        values[0][...] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="gru"):
+            ad.gru(*[ad.constant(v) for v in values], steps=1)
+
+    def test_input_rows_must_be_steps_of_the_state(self):
+        values = [np.ones(shape) for shape in gru_shapes(3)]
+        with pytest.raises(ShapeError):
+            ad.gru(*[ad.constant(v) for v in values], steps=2)
 
 
 class TestFiniteness:
@@ -333,3 +440,20 @@ class TestGradientsVsFiniteDifferences:
             return ad.hadamard(ad.sigmoid(ad.add(h, c)), h)
 
         _gradcheck(build, [(3, 4), (4, 2), (1, 2)], n_seeds=100)
+
+    def test_take_rows_repeated_indices(self):
+        head = np.random.default_rng(1).normal(size=(5, 3))
+        _gradcheck(
+            lambda a: ad.hadamard(ad.take_rows(a, [2, 0, 2, 2, 1]), ad.constant(head)),
+            [(4, 3)],
+            n_seeds=20,
+        )
+
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    def test_gru_every_input(self, steps):
+        head = np.random.default_rng(steps).normal(size=(steps * GRU_BATCH, GRU_HIDDEN))
+        _gradcheck(
+            lambda *a: ad.hadamard(ad.gru(*a, steps=steps), ad.constant(head)),
+            gru_shapes(steps),
+            n_seeds=5,
+        )

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from skipgru import data
+from skipgru import data, glove, metrics, training
 from skipgru.errors import (
     ConfigError,
     DataError,
@@ -273,3 +275,72 @@ class TestSyntheticGenerator:
         tracks, sessions = data.gen_synthetic(n_sessions=25, n_tracks=50, seed=1)
         for s in sessions:
             s.validate("train")
+
+
+class _FailingFile:
+    """Text handle whose second write raises, after the first reached the disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("disk full")
+        n = self.fh.write(text)
+        self.fh.flush()
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+def _save_checkpoint(path):
+    from test_model import tiny_setup
+
+    _, _, pipeline, params = tiny_setup()
+    checkpoint = training.Checkpoint(params.variant, params.dims, params.state_dict(),
+                                     pipeline.to_dict(), None, {})
+    training.save_checkpoint(checkpoint, path)
+
+
+def _export_embeddings(path):
+    rng = np.random.default_rng(0)
+    table = glove.EmbeddingTable(["t1", "t2"], rng.normal(size=(2, 3)),
+                                 rng.normal(size=(2, 3)), np.zeros(2), np.zeros(2))
+    glove.export_embeddings(table, path)
+
+
+WRITERS = {
+    "checkpoint": _save_checkpoint,
+    "submission": lambda path: metrics.write_submission(path, {"s1": [True], "s2": [False]}),
+    "embeddings": _export_embeddings,
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_leaves_old_file(self, writer, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents\n")
+        monkeypatch.setattr(data, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            WRITERS[writer](path)
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_replaces_and_leaves_no_temp_file(self, writer, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents\n")
+        WRITERS[writer](path)
+        assert path.read_bytes() != b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.txt"]

@@ -148,12 +148,37 @@ class TestEncodeFirstHalf:
         other = model.encode_first_half(permuted, params).value
         assert not np.allclose(base, other)
 
+    @pytest.mark.parametrize("past_end", [True, False])
+    def test_context_index_outside_vocabulary(self, past_end):
+        tracks, sessions, pipeline, params = tiny_setup()
+        batch = data.pad_batch(sessions[:2], pipeline, tracks)
+        bad = params.dims.ctx_vocab if past_end else -1
+        batch.first_half[0, 0, params.dims.ctx_col] = bad
+        with pytest.raises(ShapeError):
+            model.encode_first_half(batch.first_half, params)
+
     def test_bad_shapes(self):
         _, _, _, params = tiny_setup()
         with pytest.raises(ShapeError):
             model.encode_first_half(np.zeros((2, 9, params.dims.d_trip)), params)
         with pytest.raises(ShapeError):
             model.encode_first_half(np.zeros((2, 10, params.dims.d_trip + 1)), params)
+
+
+class TestGraphSize:
+    @pytest.mark.parametrize("use_batchnorm", [False, True])
+    def test_training_batch_graph_is_small_and_batch_independent(self, use_batchnorm):
+        """Op nodes one training batch adds to the loss graph (parameters excluded)."""
+        tracks, sessions, pipeline, params = tiny_setup(
+            seed=2, n_sessions=16, use_batchnorm=use_batchnorm
+        )
+        counts = []
+        for size in (2, 16):
+            batch = data.pad_batch(sessions[:size], pipeline, tracks)
+            targets, mask = model.flatten_position_major(batch)
+            graph = model.loss(model.forward_batch(batch, params, "train"), targets, mask)
+            counts.append(sum(1 for node in ad._topo_order(graph) if node.parents))
+        assert counts[0] == counts[1] <= 40
 
 
 class TestEnrich:
