@@ -294,13 +294,13 @@ def cmd_evaluate(args) -> int:
     print(f"mean_aa={mean:.6f}")
     print(f"first_position_accuracy={report['first_position_accuracy']:.6f}")
     if args.per_session:
-        with open(args.per_session, "w", encoding="utf-8") as fh:
+        with data.atomic_write(args.per_session) as fh:
             fh.write("session_id,aa\n")
             for sid in sorted(report["per_session"]):
                 fh.write(f"{sid},{report['per_session'][sid]!r}\n")
         print(f"per_session={args.per_session}")
     if args.breakdown:
-        with open(args.breakdown, "w", encoding="utf-8") as fh:
+        with data.atomic_write(args.breakdown) as fh:
             fh.write("position,accuracy,count\n")
             for pos, acc, count in report["per_position"]:
                 fh.write(f"{pos},{acc!r},{count}\n")

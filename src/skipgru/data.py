@@ -274,17 +274,18 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> lis
 
 
 @contextmanager
-def atomic_write(path):
+def atomic_write(path, newline: str | None = None):
     """Text file handle whose contents replace ``path`` only when the block ends.
 
     The text goes to a temporary file in the target directory, which is
     flushed to disk and then renamed over ``path``. If the block raises, the
     temporary file is removed and whatever ``path`` held is left untouched.
+    ``newline`` is passed to ``open`` (``""`` for ``csv`` writers).
     """
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "x", newline=newline, encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -298,7 +299,7 @@ def atomic_write(path):
 def write_tracks(path, tracks: dict[str, TrackRecord]) -> None:
     ids = sorted(tracks)
     dim = len(tracks[ids[0]].acoustic) if ids else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["track_id", "duration", "release_year"]
                         + [f"acoustic_{i}" for i in range(dim)])
@@ -310,7 +311,7 @@ def write_tracks(path, tracks: dict[str, TrackRecord]) -> None:
 
 def write_sessions(path, sessions: list[Session], mode: str = "train") -> None:
     """Serialize sessions; infer mode blanks second-half interaction columns."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SESSION_COLUMNS)
         for session in sessions:

@@ -7,16 +7,18 @@ co-occurrence table; embeddings then minimize
 
     sum_ij weight(X_ij) * (w_i . w~_j + b_i + b~_j - log X_ij)^2
 
-with per-coordinate adaptive (AdaGrad-style) steps over shuffled nonzero
-entries. The exported embedding for a track is ``w + w~``. The table stores
-each unordered pair once; training iterates both directions of every pair,
-which makes the objective symmetric under swapping the main and context
-parameter sets.
+with per-coordinate adaptive (AdaGrad-style) steps over shuffled slices of
+the nonzero entries: within a slice the entries that share a row are summed,
+and each row takes one step. The exported embedding for a track is
+``w + w~``. The table stores each unordered pair once; training iterates
+both directions of every pair, which makes the objective symmetric under
+swapping the main and context parameter sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -63,37 +65,66 @@ class CooccurrenceTable:
             self.pairs[key] = self.pairs.get(key, 0.0) + value
 
     def directed_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Both directions of every stored pair as (i, j, x) arrays."""
+        """Both directions of every stored pair as (i, j, x) arrays, in pair order."""
         n = len(self.pairs)
-        i = np.empty(2 * n, dtype=np.int64)
-        j = np.empty(2 * n, dtype=np.int64)
-        x = np.empty(2 * n)
-        for k, ((a, b), w) in enumerate(sorted(self.pairs.items())):
-            i[2 * k], j[2 * k], x[2 * k] = a, b, w
-            i[2 * k + 1], j[2 * k + 1], x[2 * k + 1] = b, a, w
-        return i, j, x
+        keys = np.fromiter(chain.from_iterable(self.pairs), dtype=np.int64, count=2 * n)
+        a, b = keys.reshape(n, 2).T
+        w = np.fromiter(self.pairs.values(), dtype=np.float64, count=n)
+        order = np.lexsort((b, a))
+        a, b, w = a[order], b[order], w[order]
+        i = np.stack([a, b], axis=1).ravel()
+        j = np.stack([b, a], axis=1).ravel()
+        return i, j, np.repeat(w, 2)
 
 
 def build_cooccurrence(sessions: list[Session], window: int = WINDOW) -> CooccurrenceTable:
+    """Sum 1/distance over every pair of distinct tracks within ``window``
+    of each other in a session.
+
+    All sessions are flattened into one index array; event ``a`` pairs with
+    ``a + 1 .. a + window`` through an offset grid, masked where the partner
+    falls past the end of its session or is the same track. The grid is
+    ravelled row-major, so each pair's weights are summed in the same
+    (session, a, b) order as a per-pair loop would add them.
+    """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
     track_ids = sorted({ev.track_id for s in sessions for ev in s.events})
     index = {tid: k for k, tid in enumerate(track_ids)}
-    table = CooccurrenceTable(track_ids=track_ids)
-    for session in sessions:
-        seq = [index[ev.track_id] for ev in session.events]
-        for a in range(len(seq)):
-            for b in range(a + 1, min(a + window, len(seq) - 1) + 1):
-                table.add(seq[a], seq[b], 1.0 / (b - a))
-    return table
+    lengths = np.array([len(s.events) for s in sessions], dtype=np.int64)
+    n = int(lengths.sum())
+    seq = np.fromiter((index[ev.track_id] for s in sessions for ev in s.events),
+                      dtype=np.int64, count=n)
+    session_end = np.repeat(np.cumsum(lengths), lengths)
+    width = min(window, int(lengths.max(initial=1)) - 1)
+    offsets = np.arange(1, width + 1)
+    partner = np.arange(n)[:, None] + offsets
+    valid = partner < session_end[:, None]
+    first = np.broadcast_to(seq[:, None], partner.shape)[valid]
+    second = seq[partner[valid]]
+    distance = np.broadcast_to(offsets, partner.shape)[valid]
+    distinct = first != second
+    first, second, distance = first[distinct], second[distinct], distance[distinct]
+    v = len(track_ids)
+    keys, inverse = np.unique(np.minimum(first, second) * v + np.maximum(first, second),
+                              return_inverse=True)
+    sums = np.bincount(inverse, weights=1.0 / distance, minlength=len(keys))
+    lo, hi = np.divmod(keys, v)
+    pairs = dict(zip(zip(lo.tolist(), hi.tolist()), sums.tolist()))
+    return CooccurrenceTable(track_ids=track_ids, pairs=pairs)
+
+
+def glove_weights(x, x_max: float = X_MAX, alpha: float = ALPHA) -> np.ndarray:
+    """Elementwise min(1, (x / x_max) ** alpha); negative counts are rejected."""
+    x = np.asarray(x, dtype=np.float64)
+    negative = x < 0
+    if negative.any():
+        raise ValidationError(f"co-occurrence weight must be >= 0, got {x[negative].flat[0]}")
+    return np.where(x >= x_max, 1.0, (x / x_max) ** alpha)
 
 
 def glove_weight(x: float, x_max: float = X_MAX, alpha: float = ALPHA) -> float:
-    if x < 0:
-        raise ValidationError(f"co-occurrence weight must be >= 0, got {x}")
-    if x >= x_max:
-        return 1.0
-    return (x / x_max) ** alpha
+    return float(glove_weights(x, x_max, alpha))
 
 
 @dataclass
@@ -129,10 +160,27 @@ def _batch_gradients(main, context, main_bias, context_bias, i, j, logx, f):
     return loss, g[:, None] * wj, g[:, None] * wi, g, g
 
 
+def _adagrad_rows(param, cache, rows, grad, lr):
+    """One AdaGrad step per row of ``param`` for a slice of entry gradients.
+
+    The gradients and squared gradients of the entries that share a row are
+    summed first (a flat ``bincount`` over ``row * d + col``), the squares are
+    added to the cache, and each row then moves once by ``-lr * sum / sqrt(cache)``.
+    Rows no entry touches get a zero step and keep their value.
+    """
+    size = param.size
+    if grad.ndim == 2:
+        rows = (rows[:, None] * grad.shape[1] + np.arange(grad.shape[1])).ravel()
+        grad = grad.ravel()
+    total = np.bincount(rows, weights=grad, minlength=size).reshape(param.shape)
+    cache += np.bincount(rows, weights=grad * grad, minlength=size).reshape(param.shape)
+    param -= lr * total / np.sqrt(cache)
+
+
 def objective(table: CooccurrenceTable, emb: EmbeddingTable,
               x_max: float = X_MAX, alpha: float = ALPHA) -> float:
     i, j, x = table.directed_entries()
-    f = np.array([glove_weight(v, x_max, alpha) for v in x])
+    f = glove_weights(x, x_max, alpha)
     loss, *_ = _batch_gradients(
         emb.main, emb.context, emb.main_bias, emb.context_bias, i, j, np.log(x), f
     )
@@ -151,7 +199,8 @@ def train_glove(
     """Fit embeddings to the table; deterministic given the seed.
 
     Entries are shuffled every epoch and consumed in vectorized slices of
-    ENTRY_BATCH; AdaGrad caches start at 1 so early steps are bounded by lr.
+    ENTRY_BATCH; each slice moves every row it touches once (see
+    ``_adagrad_rows``). AdaGrad caches start at 1 so early steps are bounded by lr.
     The loss recorded per epoch is the objective evaluated as each slice is
     visited, before its update.
     """
@@ -174,7 +223,7 @@ def train_glove(
 
     i_all, j_all, x_all = table.directed_entries()
     logx_all = np.log(x_all)
-    f_all = np.where(x_all >= x_max, 1.0, (x_all / x_max) ** alpha)
+    f_all = glove_weights(x_all, x_max, alpha)
 
     for _ in range(epochs):
         order = rng.permutation(len(i_all))
@@ -187,14 +236,10 @@ def train_glove(
                 i, j, logx_all[sel], f_all[sel],
             )
             epoch_loss += float(loss.sum())
-            np.add.at(cache_main, i, gwi * gwi)
-            np.add.at(cache_context, j, gwj * gwj)
-            np.add.at(cache_mb, i, gbi * gbi)
-            np.add.at(cache_cb, j, gbj * gbj)
-            np.add.at(emb.main, i, -lr * gwi / np.sqrt(cache_main[i]))
-            np.add.at(emb.context, j, -lr * gwj / np.sqrt(cache_context[j]))
-            np.add.at(emb.main_bias, i, -lr * gbi / np.sqrt(cache_mb[i]))
-            np.add.at(emb.context_bias, j, -lr * gbj / np.sqrt(cache_cb[j]))
+            _adagrad_rows(emb.main, cache_main, i, gwi, lr)
+            _adagrad_rows(emb.context, cache_context, j, gwj, lr)
+            _adagrad_rows(emb.main_bias, cache_mb, i, gbi, lr)
+            _adagrad_rows(emb.context_bias, cache_cb, j, gbj, lr)
         emb.epoch_losses.append(epoch_loss)
     return emb
 

@@ -73,8 +73,11 @@ def adam_step(params: dict[str, ad.Node], state: AdamState) -> None:
         g = node.grad
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        m = state.m.setdefault(name, np.zeros_like(node.value))
-        v = state.v.setdefault(name, np.zeros_like(node.value))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(node.value)
+        if name not in state.v:
+            state.v[name] = np.zeros_like(node.value)
+        m, v = state.m[name], state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

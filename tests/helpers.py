@@ -38,3 +38,37 @@ def composed_gru_step(x, o_prev, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s
                        ad.matmul(ad.hadamard(r, o_prev), w_s)))
     ones = ad.constant(np.ones(u.shape))
     return ad.add(ad.hadamard(ad.sub(ones, u), o_prev), ad.hadamard(u, s))
+
+
+def loop_cooccurrence_pairs(sessions, window):
+    """Per-pair loop over each session: the ``glove.build_cooccurrence`` oracle."""
+    track_ids = sorted({ev.track_id for s in sessions for ev in s.events})
+    index = {tid: k for k, tid in enumerate(track_ids)}
+    pairs = {}
+    for session in sessions:
+        seq = [index[ev.track_id] for ev in session.events]
+        for a in range(len(seq)):
+            for b in range(a + 1, min(a + window, len(seq) - 1) + 1):
+                if seq[a] != seq[b]:
+                    key = (min(seq[a], seq[b]), max(seq[a], seq[b]))
+                    pairs[key] = pairs.get(key, 0.0) + 1.0 / (b - a)
+    return track_ids, pairs
+
+
+def loop_directed_entries(pairs):
+    """Sorted-dict loop emitting (a, b) then (b, a): the ``directed_entries`` oracle."""
+    n = len(pairs)
+    i = np.empty(2 * n, dtype=np.int64)
+    j = np.empty(2 * n, dtype=np.int64)
+    x = np.empty(2 * n)
+    for k, ((a, b), w) in enumerate(sorted(pairs.items())):
+        i[2 * k], j[2 * k], x[2 * k] = a, b, w
+        i[2 * k + 1], j[2 * k + 1], x[2 * k + 1] = b, a, w
+    return i, j, x
+
+
+def scatter_adagrad_step(param, cache, rows, grad, lr):
+    """Entry-by-entry ``np.add.at`` AdaGrad step, the cache filled over the whole
+    slice before any row moves: the ``glove`` row-step oracle."""
+    np.add.at(cache, rows, grad * grad)
+    np.add.at(param, rows, -lr * grad / np.sqrt(cache[rows]))

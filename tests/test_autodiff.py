@@ -209,6 +209,14 @@ class TestBackward:
         w.zero_grad()
         assert np.array_equal(w.grad, np.zeros((1, 2)))
 
+    def test_second_backward_through_shared_node_counts_once(self):
+        x = ad.parameter([[1.0]])
+        y = ad.scale(x, 2.0)
+        ad.backward(ad.sum_all(y))
+        x.zero_grad()
+        ad.backward(ad.sum_all(y))
+        assert np.array_equal(x.grad, [[2.0]])
+
 
 class TestTakeRows:
     def test_gathers_in_index_order(self):
@@ -283,15 +291,34 @@ class TestGru:
             ad.backward(ad.sum_all(ad.hadamard(ad.gru(*nodes, steps=3), ad.constant(head))))
             return [n.grad for n in nodes[2:]]
 
-        # a second loss over the same gru node reaches it with head0 + head1
+        # a second loss over the same gru node reaches it with head1 alone;
+        # the weights, as leaves, accumulate both passes
         nodes = [ad.constant(values[0]), ad.constant(values[1])]
         nodes += [ad.parameter(v) for v in values[2:]]
         shared = ad.gru(*nodes, steps=3)
         for head in heads:
             ad.backward(ad.sum_all(ad.hadamard(shared, ad.constant(head))))
-        first, both = weight_grads(heads[0]), weight_grads(heads[0] + heads[1])
-        for node, g0, g01 in zip(nodes[2:], first, both):
-            assert np.allclose(node.grad, g0 + g01, rtol=0.0, atol=1e-12)
+        first, second = weight_grads(heads[0]), weight_grads(heads[1])
+        for node, g0, g1 in zip(nodes[2:], first, second):
+            assert np.allclose(node.grad, g0 + g1, rtol=0.0, atol=1e-12)
+
+    def test_shared_node_with_grads_reset_by_hand(self):
+        rng = np.random.default_rng(5)
+        values = [rng.normal(size=shape) for shape in gru_shapes(3)]
+        heads = [rng.normal(size=(3 * GRU_BATCH, GRU_HIDDEN)) for _ in range(2)]
+        nodes = [ad.constant(values[0]), ad.constant(values[1])]
+        nodes += [ad.parameter(v) for v in values[2:]]
+        shared = ad.gru(*nodes, steps=3)
+        ad.backward(ad.sum_all(ad.hadamard(shared, ad.constant(heads[0]))))
+        for node in nodes[2:]:
+            node.zero_grad()
+        ad.backward(ad.sum_all(ad.hadamard(shared, ad.constant(heads[1]))))
+
+        fresh = [ad.constant(values[0]), ad.constant(values[1])]
+        fresh += [ad.parameter(v) for v in values[2:]]
+        ad.backward(ad.sum_all(ad.hadamard(ad.gru(*fresh, steps=3), ad.constant(heads[1]))))
+        for node, alone in zip(nodes[2:], fresh[2:]):
+            assert np.allclose(node.grad, alone.grad, rtol=0.0, atol=1e-12)
 
     def test_non_finite_pre_activation_rejected(self):
         # the gates saturate to finite outputs, so only the pre-activation shows it

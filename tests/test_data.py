@@ -1,9 +1,10 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
-from skipgru import data, glove, metrics, training
+from skipgru import cli, data, glove, metrics, training
 from skipgru.errors import (
     ConfigError,
     DataError,
@@ -318,10 +319,31 @@ def _export_embeddings(path):
     glove.export_embeddings(table, path)
 
 
+def _evaluate_report(flag):
+    """``evaluate`` writing one report to ``path``, its errors left to propagate."""
+    def write(path):
+        with tempfile.TemporaryDirectory() as inputs:
+            truth = os.path.join(inputs, "truth.txt")
+            with open(truth, "w", encoding="utf-8") as fh:
+                fh.write("01010\n11100\n")
+            args = cli.build_parser().parse_args(
+                ["evaluate", "--truth", truth, "--submission", truth, flag, str(path)])
+            args.func(args)
+    return write
+
+
+def _corpus(seed=3):
+    return data.gen_synthetic(n_sessions=3, n_tracks=50, seed=seed)
+
+
 WRITERS = {
     "checkpoint": _save_checkpoint,
     "submission": lambda path: metrics.write_submission(path, {"s1": [True], "s2": [False]}),
     "embeddings": _export_embeddings,
+    "tracks": lambda path: data.write_tracks(path, _corpus()[0]),
+    "sessions": lambda path: data.write_sessions(path, _corpus()[1]),
+    "per-session report": _evaluate_report("--per-session"),
+    "breakdown report": _evaluate_report("--breakdown"),
 }
 
 

@@ -5,7 +5,13 @@ from skipgru import glove
 from skipgru.data import Event, Session
 from skipgru.errors import TrainingError, ValidationError
 
-from helpers import central_diff, max_rel_err
+from helpers import (
+    central_diff,
+    loop_cooccurrence_pairs,
+    loop_directed_entries,
+    max_rel_err,
+    scatter_adagrad_step,
+)
 
 
 def sessions_of(*seqs):
@@ -70,6 +76,37 @@ class TestCooccurrence:
         with pytest.raises(ValidationError):
             glove.build_cooccurrence(sessions_of(["A", "B"]), window=0)
 
+    @pytest.mark.parametrize("window", [1, 2, 5, 30])
+    def test_matches_per_pair_loop(self, window):
+        _, clustered = cluster_corpus(n_sessions=60, seed=6)
+        # short sessions, one-event sessions and tracks repeated back to back
+        odd = sessions_of(["A"], ["A", "A"], ["A", "B"], ["B", "A", "B", "A", "A", "C"],
+                          ["C", "C", "C"], ["D", "A", "D", "B", "D"])
+        sessions = clustered + odd
+        table = glove.build_cooccurrence(sessions, window=window)
+        track_ids, pairs = loop_cooccurrence_pairs(sessions, window)
+        assert table.track_ids == track_ids
+        assert table.pairs == pairs
+        assert all(type(a) is int and type(b) is int and type(w) is float
+                   for (a, b), w in table.pairs.items())
+
+    def test_no_sessions(self):
+        table = glove.build_cooccurrence([], window=5)
+        assert table.track_ids == [] and table.pairs == {}
+
+    def test_directed_entries_match_sorted_loop(self):
+        a = glove.build_cooccurrence(cluster_corpus(n_sessions=60, seed=7)[1], window=3)
+        b = glove.build_cooccurrence(cluster_corpus(n_sessions=60, seed=8)[1], window=4)
+        b.track_ids = a.track_ids
+        a.merge(b)  # insertion order is no longer sorted
+        for got, want in zip(a.directed_entries(), loop_directed_entries(a.pairs)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_directed_entries_of_empty_table(self):
+        i, j, x = glove.CooccurrenceTable(track_ids=["A"]).directed_entries()
+        assert i.shape == j.shape == x.shape == (0,)
+
 
 class TestGloveWeight:
     def test_cap(self):
@@ -87,6 +124,16 @@ class TestGloveWeight:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             glove.glove_weight(-1.0)
+
+    def test_array_matches_scalar(self):
+        x = np.array([0.0, 0.5, 1.0, 37.5, 99.999, 100.0, 250.0])
+        weights = glove.glove_weights(x, x_max=100.0, alpha=0.75)
+        assert weights.shape == x.shape
+        assert list(weights) == [glove.glove_weight(v, x_max=100.0, alpha=0.75) for v in x]
+
+    def test_array_negative_rejected(self):
+        with pytest.raises(ValidationError, match="-0.5"):
+            glove.glove_weights(np.array([1.0, -0.5, 2.0]))
 
 
 class TestTraining:
@@ -126,6 +173,43 @@ class TestTraining:
         within = cosine(clusters[0][0], clusters[0][1])
         across = cosine(clusters[0][0], clusters[1][0])
         assert within > across
+
+    @pytest.mark.parametrize("shape", [(5, 7), (5,)])
+    def test_row_step_matches_scatter_reference(self, shape):
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 4, size=4096)  # row 4 is never touched
+        grad = rng.normal(size=(4096,) + shape[1:])
+        param, cache = rng.normal(size=shape), 1.0 + rng.random(size=shape)
+        want_param, want_cache = param.copy(), cache.copy()
+        scatter_adagrad_step(want_param, want_cache, rows, grad, 0.05)
+        glove._adagrad_rows(param, cache, rows, grad, 0.05)
+        assert max_rel_err(cache, want_cache) < 1e-12
+        assert np.max(np.abs(param - want_param) / np.abs(want_param)) < 1e-12
+        assert np.array_equal(param[4], want_param[4])
+
+    def test_one_slice_matches_scatter_reference(self):
+        # six tracks, all 15 pairs: every row is hit by five entries in the slice
+        tracks = [f"t{k}" for k in range(6)]
+        pairs = {(a, b): 1.0 + a + 2 * b for a in range(6) for b in range(a + 1, 6)}
+        table = glove.CooccurrenceTable(track_ids=tracks, pairs=pairs)
+        emb = glove.train_glove(table, dims=4, epochs=1, seed=3)
+
+        rng = np.random.default_rng(3)
+        span = 0.5 / 4
+        params = [rng.uniform(-span, span, size=size) for size in [(6, 4), (6, 4), 6, 6]]
+        caches = [np.ones_like(p) for p in params]
+        i, j, x = loop_directed_entries(pairs)
+        sel = rng.permutation(len(i))
+        i, j = i[sel], j[sel]
+        loss, *grads = glove._batch_gradients(
+            *params, i, j, np.log(x[sel]), glove.glove_weights(x[sel]))
+        for param, cache, rows, grad in zip(params, caches, [i, j, i, j], grads):
+            scatter_adagrad_step(param, cache, rows, grad, glove.LEARNING_RATE)
+
+        got = [emb.main, emb.context, emb.main_bias, emb.context_bias]
+        for g, want in zip(got, params):
+            assert np.max(np.abs(g - want) / np.abs(want)) < 1e-12
+        assert emb.epoch_losses == [float(loss.sum())]
 
     def test_objective_swap_symmetric(self):
         table = glove.build_cooccurrence(sessions_of(["A", "B", "C", "A", "C"]))

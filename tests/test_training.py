@@ -65,6 +65,24 @@ class TestAdamStep:
         assert state.v["w"][0, 0] == pytest.approx(0.004)
         assert (state.v["w"] >= 0.0).all()
 
+    def test_two_steps_match_the_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        start = rng.normal(size=(3, 4))
+        grads = [rng.normal(size=(3, 4)) for _ in range(2)]
+        params = {"w": ad.parameter(start.copy())}
+        state = training.AdamState()
+        w, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for t, g in enumerate(grads, start=1):
+            params["w"].grad = g.copy()
+            training.adam_step(params, state)
+            m = state.beta1 * m + (1.0 - state.beta1) * g
+            v = state.beta2 * v + (1.0 - state.beta2) * g * g
+            m_hat = m / (1.0 - state.beta1 ** t)
+            v_hat = v / (1.0 - state.beta2 ** t)
+            w = w - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+            assert np.array_equal(params["w"].value, w)
+
     def test_nonfinite_gradient_names_parameter(self):
         params = {"bad_weight": ad.parameter([[1.0]])}
         params["bad_weight"].grad[...] = np.nan
