@@ -42,7 +42,7 @@ def as_matrix(x) -> np.ndarray:
 class Node:
     """A matrix value in the compute graph with an accumulated gradient."""
 
-    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward_done", "_swept")
+    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward_done")
 
     def __init__(self, value, requires_grad: bool = False, parents=None, op: str = "leaf"):
         v = as_matrix(value)
@@ -53,7 +53,6 @@ class Node:
         self.parents = [] if parents is None else parents
         self.requires_grad = requires_grad
         self._backward_done = False
-        self._swept = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -467,10 +466,9 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(loss: Node) -> None:
     """Populate grads of every reachable requires_grad node with dLoss/dNode.
 
-    Leaf grads accumulate across calls until ``zero_grad``. An intermediate
-    node that an earlier ``backward`` swept has its grad reset first, so a
-    node shared with an earlier graph passes on only this loss's gradient;
-    a node no sweep has reached still holds the zeros it was created with.
+    Leaf grads accumulate across calls until ``zero_grad``. Every intermediate
+    node's grad is reset first, so a node shared with an earlier graph passes
+    on only this loss's gradient.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 loss, got {loss.shape}")
@@ -479,9 +477,8 @@ def backward(loss: Node) -> None:
     loss._backward_done = True
     order = _topo_order(loss)
     for node in order:
-        if node._swept and node.parents:
+        if node.parents:
             node.zero_grad()
-        node._swept = True
     loss.grad = np.ones((1, 1))
     for node in reversed(order):
         g = node.grad

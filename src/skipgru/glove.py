@@ -163,18 +163,20 @@ def _batch_gradients(main, context, main_bias, context_bias, i, j, logx, f):
 def _adagrad_rows(param, cache, rows, grad, lr):
     """One AdaGrad step per row of ``param`` for a slice of entry gradients.
 
-    The gradients and squared gradients of the entries that share a row are
-    summed first (a flat ``bincount`` over ``row * d + col``), the squares are
-    added to the cache, and each row then moves once by ``-lr * sum / sqrt(cache)``.
-    Rows no entry touches get a zero step and keep their value.
+    Only the rows the slice touches are read or written. The gradients and
+    squared gradients of the entries that share a row are summed first (a
+    flat ``bincount`` over ``slot * d + col``, where ``slot`` numbers the
+    touched rows), the squares are added to the cache, and each touched row
+    then moves once by ``-lr * sum / sqrt(cache)``.
     """
-    size = param.size
+    touched, slot = np.unique(rows, return_inverse=True)
+    shape = (len(touched),) + param.shape[1:]
     if grad.ndim == 2:
-        rows = (rows[:, None] * grad.shape[1] + np.arange(grad.shape[1])).ravel()
+        slot = (slot[:, None] * grad.shape[1] + np.arange(grad.shape[1])).ravel()
         grad = grad.ravel()
-    total = np.bincount(rows, weights=grad, minlength=size).reshape(param.shape)
-    cache += np.bincount(rows, weights=grad * grad, minlength=size).reshape(param.shape)
-    param -= lr * total / np.sqrt(cache)
+    total = np.bincount(slot, weights=grad).reshape(shape)
+    cache[touched] += np.bincount(slot, weights=grad * grad).reshape(shape)
+    param[touched] -= lr * total / np.sqrt(cache[touched])
 
 
 def objective(table: CooccurrenceTable, emb: EmbeddingTable,

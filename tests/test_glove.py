@@ -187,6 +187,20 @@ class TestTraining:
         assert np.max(np.abs(param - want_param) / np.abs(want_param)) < 1e-12
         assert np.array_equal(param[4], want_param[4])
 
+    def test_sparse_slice_writes_only_its_rows(self):
+        rng = np.random.default_rng(12)
+        rows = np.array([9_000, 3, 9_000, 77, 3, 3])
+        grad = rng.normal(size=(6, 3))
+        param, cache = rng.normal(size=(10_000, 3)), 1.0 + rng.random(size=(10_000, 3))
+        want_param, want_cache = param.copy(), cache.copy()
+        scatter_adagrad_step(want_param, want_cache, rows, grad, 0.05)
+        glove._adagrad_rows(param, cache, rows, grad, 0.05)
+        other = np.setdiff1d(np.arange(10_000), rows)
+        assert np.array_equal(param[other], want_param[other])
+        assert np.array_equal(cache[other], want_cache[other])
+        assert max_rel_err(param, want_param) < 1e-12
+        assert max_rel_err(cache, want_cache) < 1e-12
+
     def test_one_slice_matches_scatter_reference(self):
         # six tracks, all 15 pairs: every row is hit by five entries in the slice
         tracks = [f"t{k}" for k in range(6)]
