@@ -4,7 +4,9 @@ Values are float64 numpy arrays of shape (rows, cols). Every operation
 returns a new :class:`Node` whose ``parents`` list carries ``(node, pull)``
 pairs; ``pull`` maps the output gradient to that parent's gradient
 contribution. ``backward`` walks the graph once in reverse topological
-order and accumulates gradients into every node that requires them.
+order and accumulates gradients into every node that requires them. Only
+parameters (leaves that require a gradient) own a ``grad`` array from the
+start; every other node's ``grad`` is ``None`` until ``backward`` reaches it.
 
 Broadcasting is deliberately restricted: the second operand of an
 elementwise op may be a 1 x n bias row matched against an m x n left
@@ -49,7 +51,7 @@ class Node:
         if not np.isfinite(v).all():
             raise NumericError(f"non-finite values produced by '{op}'")
         self.value = v
-        self.grad = np.zeros_like(v)
+        self.grad = np.zeros_like(v) if requires_grad and not parents else None
         self.parents = [] if parents is None else parents
         self.requires_grad = requires_grad
         self._backward_done = False
@@ -59,7 +61,8 @@ class Node:
         return self.value.shape
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         r, c = self.shape
@@ -467,8 +470,11 @@ def backward(loss: Node) -> None:
     """Populate grads of every reachable requires_grad node with dLoss/dNode.
 
     Leaf grads accumulate across calls until ``zero_grad``. Every intermediate
-    node's grad is reset first, so a node shared with an earlier graph passes
-    on only this loss's gradient.
+    node's grad is reset to ``None`` first and starts at the first contribution
+    it receives, so a node shared with an earlier graph passes on only this
+    loss's gradient. A contribution may be a view of the child's gradient
+    (``add`` passes it through, ``concat_cols`` slices it), so an intermediate
+    grad is never added to in place.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 loss, got {loss.shape}")
@@ -478,9 +484,14 @@ def backward(loss: Node) -> None:
     order = _topo_order(loss)
     for node in order:
         if node.parents:
-            node.zero_grad()
+            node.grad = None
     loss.grad = np.ones((1, 1))
     for node in reversed(order):
         g = node.grad
         for parent, pull in node.parents:
-            parent.grad += pull(g)
+            if not parent.parents:
+                parent.grad += pull(g)
+            elif parent.grad is None:
+                parent.grad = pull(g)
+            else:
+                parent.grad = parent.grad + pull(g)

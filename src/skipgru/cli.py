@@ -108,6 +108,8 @@ def load_config(path) -> RunConfig:
             payload = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid config JSON ({err})") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: config is not UTF-8 text ({err.reason})") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config root must be an object")
     sections = {"paths": PathsConfig, "model": ModelSection,
@@ -277,7 +279,7 @@ def cmd_predict(args) -> int:
 
 
 def _load_truth(path) -> dict[str, list[bool]]:
-    with open(path, encoding="utf-8") as fh:
+    with data.open_text(path) as fh:
         head = fh.readline()
     if head.startswith("session_id,"):
         sessions = data.load_sessions(path, None, mode="train")

@@ -185,7 +185,7 @@ def _parse_float(raw: str, column: str, line_no: int) -> float:
 
 
 def load_tracks(path) -> dict[str, TrackRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -224,7 +224,7 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> lis
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     rows: dict[str, list[tuple[int, Event]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -274,18 +274,42 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> lis
 
 
 @contextmanager
-def atomic_write(path, newline: str | None = None):
-    """Text file handle whose contents replace ``path`` only when the block ends.
+def open_text(path, newline: str | None = None):
+    """UTF-8 text handle for reading ``path``; a byte that is not UTF-8 raises
+    ParseError naming the path and the first line that does not decode."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: line {_first_undecodable_line(path)}: "
+                         f"not UTF-8 text ({err.reason})") from None
 
-    The text goes to a temporary file in the target directory, which is
+
+def _first_undecodable_line(path) -> int:
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return line_no
+
+
+@contextmanager
+def atomic_write(path, newline: str | None = None, binary: bool = False):
+    """File handle whose contents replace ``path`` only when the block ends.
+
+    The data goes to a temporary file in the target directory, which is
     flushed to disk and then renamed over ``path``. If the block raises, the
     temporary file is removed and whatever ``path`` held is left untouched.
-    ``newline`` is passed to ``open`` (``""`` for ``csv`` writers).
+    The handle is UTF-8 text, with ``newline`` passed to ``open`` (``""`` for
+    ``csv`` writers), or takes bytes when ``binary`` is set.
     """
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
+    text = {} if binary else {"newline": newline, "encoding": "utf-8"}
     try:
-        with open(tmp, "x", newline=newline, encoding="utf-8") as fh:
+        with open(tmp, "xb" if binary else "x", **text) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

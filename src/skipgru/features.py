@@ -228,21 +228,27 @@ class FeaturePipeline:
         )
 
     def to_dict(self) -> dict:
+        """The fitted state; ``embeddings`` is one ``[n, d_emb]`` table whose
+        rows follow the sorted ``embedding_ids``."""
         self._require_fitted()
+        ids = sorted(self.embeddings)
         return {
             "d_emb": self.d_emb,
             "acoustic_dim": self.acoustic_dim,
             "scalers": {k: [s.lo, s.hi] for k, s in sorted(self.scalers.items())},
             "context_vocab": dict(sorted(self.context_vocab.index.items())),
-            "embeddings": {k: list(map(float, v)) for k, v in sorted(self.embeddings.items())},
+            "embedding_ids": ids,
+            "embeddings": np.array([self.embeddings[k] for k in ids],
+                                   dtype=np.float64).reshape(len(ids), self.d_emb),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FeaturePipeline":
-        pipeline = cls(
-            embeddings={k: np.array(v) for k, v in payload["embeddings"].items()},
-            d_emb=payload["d_emb"],
-        )
+        ids, table = payload["embedding_ids"], np.asarray(payload["embeddings"], dtype=np.float64)
+        if len(set(ids)) != len(ids) or table.ndim != 2 or table.shape[0] != len(ids):
+            raise ValidationError(f"embedding table of shape {table.shape} does not match "
+                                  f"{len(ids)} distinct embedding ids")
+        pipeline = cls(embeddings=dict(zip(ids, table)), d_emb=payload["d_emb"])
         pipeline.acoustic_dim = payload["acoustic_dim"]
         pipeline.scalers = {k: Scaler(lo=v[0], hi=v[1]) for k, v in payload["scalers"].items()}
         if set(pipeline.scalers) != {*pipeline._track_columns(), *NUMERIC_INTERACTION_FEATURES}:

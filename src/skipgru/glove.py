@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .data import Session, atomic_write
+from .data import Session, atomic_write, open_text
 from .errors import TrainingError, ValidationError
 
 X_MAX = 100.0
@@ -257,7 +257,7 @@ def export_embeddings(emb: EmbeddingTable, path) -> None:
 def load_embeddings(path) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     dims = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if len(fields) < 2:

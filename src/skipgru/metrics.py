@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import model as model_mod
-from .data import Session, TrackRecord, atomic_write, split_halves
+from .data import Session, TrackRecord, atomic_write, open_text, split_halves
 from .errors import AlignmentError, EnsembleError, ParseError, ValidationError
 
 
@@ -184,7 +184,7 @@ def write_submission(path, predictions: dict) -> None:
 
 def read_submission(path) -> list[list[bool]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -1,14 +1,23 @@
 """Adam optimization, the seeded mini-batch training loop, and versioned
 checkpoint persistence.
 
-A checkpoint is a JSON envelope: ``{"schema_version", "sha256", "payload"}``
-where the hash covers the canonical (sorted-keys, no-whitespace) dump of the
-payload. The payload carries the variant config, the model dimension table,
-every named parameter with its shape, the fitted feature pipeline (embedding
-table included, so inference needs no side files), an optional reference to
-the original embedding file, and the training log. Loading re-verifies the
-version, the hash, and every parameter shape; reloaded models reproduce the
-saved model's predictions bit for bit.
+A version-2 checkpoint is one header line followed by raw array bytes. The
+header is the JSON envelope ``{"schema_version": 2, "sha256", "payload"}``,
+ended by ``\n``, so ``head -n 1 model.ckpt`` prints it. The payload carries
+the variant config, the model dimension table, every named parameter's shape,
+the fitted feature pipeline (scalers, context vocabulary, the sorted
+``embedding_ids`` and the shape of their ``[n, d_emb]`` embedding table, so
+inference needs no side files), an optional reference to the original
+embedding file, and the training log. After the newline come the arrays as
+little-endian float64, back to back: the parameters in name order, then the
+embedding table. ``sha256`` is the digest of the canonical (sorted-keys,
+no-whitespace) JSON dump of the payload followed by those array bytes.
+
+Loading re-verifies the version, the hash, and every shape; reloaded models
+reproduce the saved model's predictions bit for bit. Version-1 files, one
+JSON line whose payload holds the arrays as float lists and whose hash
+covers the canonical dump of that payload alone, are still read; they are
+no longer written.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .model import (
     predict_encoded,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 ADAM_LR = 0.0005
 ADAM_BETA1 = 0.9
@@ -132,21 +141,27 @@ class Checkpoint:
             params.load_state_dict(self.state)
             return params, FeaturePipeline.from_dict(self.pipeline_payload)
 
+    def arrays(self) -> list[np.ndarray]:
+        """The float arrays in file order: parameters by name, then the embedding table."""
+        return [np.ascontiguousarray(a, dtype="<f8") for a in
+                [*(self.state[name] for name in sorted(self.state)),
+                 self.pipeline_payload["embeddings"]]]
+
     def payload(self) -> dict:
+        """The header payload: the arrays appear as their shapes."""
+        table = self.pipeline_payload["embeddings"]
         return {
             "variant": self.variant.to_dict(),
             "dims": self.dims.to_dict(),
-            "params": {
-                name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-                for name, arr in sorted(self.state.items())
-            },
-            "pipeline": self.pipeline_payload,
+            "params": {name: {"shape": list(arr.shape)}
+                       for name, arr in sorted(self.state.items())},
+            "pipeline": {**self.pipeline_payload, "embeddings": {"shape": list(table.shape)}},
             "embedding_ref": self.embedding_ref,
             "metadata": self.metadata,
         }
 
     def content_hash(self) -> str:
-        return _hash_payload(self.payload())
+        return _content_hash(self.payload(), self.arrays())
 
 
 @contextmanager
@@ -163,64 +178,114 @@ def _payload_schema(where):
         ) from None
 
 
-def _hash_payload(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _canonical(payload: dict) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _content_hash(payload: dict, arrays) -> str:
+    """sha256 of the canonical payload followed by the array bytes; a version-1
+    payload holds its arrays itself, so its hash covers the payload alone."""
+    digest = hashlib.sha256(_canonical(payload))
+    for arr in arrays:
+        digest.update(arr)
+    return digest.hexdigest()
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    payload = checkpoint.payload()
+    payload, arrays = checkpoint.payload(), checkpoint.arrays()
     envelope = {
         "schema_version": SCHEMA_VERSION,
-        "sha256": _hash_payload(payload),
+        "sha256": _content_hash(payload, arrays),
         "payload": payload,
     }
-    with atomic_write(path) as fh:
-        json.dump(envelope, fh)
+    with atomic_write(path, binary=True) as fh:
+        fh.write(json.dumps(envelope).encode("ascii") + b"\n")
+        for arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
+    with open(path, "rb") as fh:
+        header, _, body = fh.read().partition(b"\n")
     try:
-        with open(path, encoding="utf-8") as fh:
-            envelope = json.load(fh)
+        envelope = json.loads(header.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CheckpointIntegrityError(f"{path}: checkpoint header is not UTF-8 text") from None
     except json.JSONDecodeError as err:
         raise CheckpointIntegrityError(f"{path}: truncated or unparsable checkpoint "
-                                       f"({err})") from None
+                                       f"header ({err})") from None
     if not isinstance(envelope, dict) or "schema_version" not in envelope:
         raise CheckpointIntegrityError(f"{path}: not a checkpoint file")
     version = envelope["schema_version"]
-    if version != SCHEMA_VERSION:
+    if version not in (1, SCHEMA_VERSION):
         raise CheckpointVersionError(
-            f"{path}: schema version {version} unsupported (want {SCHEMA_VERSION})"
+            f"{path}: schema version {version} unsupported "
+            f"(want {SCHEMA_VERSION}, or 1 read-only)"
         )
     payload = envelope.get("payload")
     recorded = envelope.get("sha256")
     if payload is None or recorded is None:
         raise CheckpointIntegrityError(f"{path}: missing payload or hash")
-    actual = _hash_payload(payload)
+    if version == 1 and body.strip():
+        raise CheckpointIntegrityError(f"{path}: data after a version-1 checkpoint")
+    actual = _content_hash(payload, [body] if version == SCHEMA_VERSION else [])
     if actual != recorded:
         raise CheckpointIntegrityError(
             f"{path}: content hash mismatch (stored {recorded[:12]}.., "
             f"computed {actual[:12]}..)"
         )
     with _payload_schema(path):
-        state = {}
-        for name, entry in payload["params"].items():
-            shape = tuple(entry["shape"])
-            data = np.asarray(entry["data"], dtype=np.float64)
-            if data.size != int(np.prod(shape)):
-                raise CheckpointIntegrityError(
-                    f"{path}: parameter {name} has {data.size} values for shape {shape}"
-                )
-            state[name] = data.reshape(shape)
+        state, pipeline = _v1_arrays(path, payload) if version == 1 else \
+            _v2_arrays(path, payload, body)
         return Checkpoint(
             variant=VariantConfig.from_dict(payload["variant"]),
             dims=ModelDims.from_dict(payload["dims"]),
             state=state,
-            pipeline_payload=payload["pipeline"],
+            pipeline_payload=pipeline,
             embedding_ref=payload.get("embedding_ref"),
             metadata=payload.get("metadata", {}),
         )
+
+
+def _v2_arrays(path, payload: dict, body: bytes):
+    """The parameter arrays and the pipeline payload, its table cut from the array bytes."""
+    params = payload["params"]
+    names = sorted(params)
+    shapes = [_shape(params[name]["shape"]) for name in names]
+    shapes.append(_shape(payload["pipeline"]["embeddings"]["shape"]))
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if len(body) != 8 * sum(sizes):
+        raise CheckpointIntegrityError(
+            f"{path}: {len(body)} array bytes, but the header lists {sum(sizes)} floats"
+        )
+    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    arrays = [part.reshape(shape) for part, shape
+              in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
+    return dict(zip(names, arrays[:-1])), {**payload["pipeline"], "embeddings": arrays[-1]}
+
+
+def _shape(raw) -> tuple[int, ...]:
+    if not isinstance(raw, list) or not all(type(d) is int and d >= 0 for d in raw):
+        raise ValueError(f"array shape {raw!r} is not a list of non-negative integers")
+    return tuple(raw)
+
+
+def _v1_arrays(path, payload: dict):
+    """The parameter arrays and the pipeline payload from a version-1 payload's float lists."""
+    state = {}
+    for name, entry in payload["params"].items():
+        shape = tuple(entry["shape"])
+        data = np.asarray(entry["data"], dtype=np.float64)
+        if data.size != int(np.prod(shape)):
+            raise CheckpointIntegrityError(
+                f"{path}: parameter {name} has {data.size} values for shape {shape}"
+            )
+        state[name] = data.reshape(shape)
+    pipeline = payload["pipeline"]
+    ids = sorted(pipeline["embeddings"])
+    table = np.array([pipeline["embeddings"][k] for k in ids], dtype=np.float64)
+    return state, {**pipeline, "embedding_ids": ids,
+                   "embeddings": table.reshape(len(ids), pipeline["d_emb"])}
 
 
 def train(

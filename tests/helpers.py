@@ -1,5 +1,9 @@
 """Shared test oracles: central finite differences, independent of the
-library, and a GRU step composed from the autodiff primitives."""
+library, a GRU step composed from the autodiff primitives, and checkpoint
+writers for the version-1 format and for re-hashed tampered files."""
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -72,3 +76,41 @@ def scatter_adagrad_step(param, cache, rows, grad, lr):
     slice before any row moves: the ``glove`` row-step oracle."""
     np.add.at(cache, rows, grad * grad)
     np.add.at(param, rows, -lr * grad / np.sqrt(cache[rows]))
+
+
+def _canonical_sha256(payload, tail=b""):
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8") + tail).hexdigest()
+
+
+def write_v1_checkpoint(checkpoint, path):
+    """The version-1 writer: one JSON line whose payload holds every array as a
+    float list, under the sha256 of the payload's canonical dump."""
+    pipeline = dict(checkpoint.pipeline_payload)
+    ids, table = pipeline.pop("embedding_ids"), pipeline.pop("embeddings")
+    pipeline["embeddings"] = {k: list(map(float, row)) for k, row in zip(ids, table)}
+    payload = {
+        "variant": checkpoint.variant.to_dict(),
+        "dims": checkpoint.dims.to_dict(),
+        "params": {
+            name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+            for name, arr in sorted(checkpoint.state.items())
+        },
+        "pipeline": pipeline,
+        "embedding_ref": checkpoint.embedding_ref,
+        "metadata": checkpoint.metadata,
+    }
+    envelope = {"schema_version": 1, "sha256": _canonical_sha256(payload), "payload": payload}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(envelope, fh)
+
+
+def rewrite_checkpoint(src, dst, tamper):
+    """Copy a version-2 checkpoint, applying ``tamper`` to its header envelope and
+    re-hashing the payload with the unchanged array bytes, so only the schema
+    checks can catch the change."""
+    header, _, body = src.read_bytes().partition(b"\n")
+    envelope = json.loads(header)
+    tamper(envelope)
+    envelope["sha256"] = _canonical_sha256(envelope["payload"], body)
+    dst.write_bytes(json.dumps(envelope).encode("utf-8") + b"\n" + body)

@@ -217,6 +217,27 @@ class TestBackward:
         ad.backward(ad.sum_all(y))
         assert np.array_equal(x.grad, [[2.0]])
 
+    def test_pass_through_gradient_is_never_added_into(self):
+        # add hands its output gradient to both inputs as the same array, so
+        # u's two contributions must not be summed in place into it
+        x = ad.parameter([[1.0, -1.0]])
+        u, v = ad.scale(x, 2.0), ad.scale(x, 3.0)
+        out = ad.add(ad.add(u, v), u)
+        ad.backward(ad.sum_all(out))
+        assert np.array_equal(x.grad, [[7.0, 7.0]])
+        assert np.array_equal(out.grad, [[1.0, 1.0]])
+        assert np.array_equal(u.grad, [[2.0, 2.0]])
+
+    def test_constants_and_intermediates_hold_no_grad_until_backward(self):
+        c, w = ad.constant([[1.0, 2.0]]), ad.parameter([[3.0, 4.0]])
+        y = ad.hadamard(w, c)
+        assert c.grad is None and y.grad is None
+        assert np.array_equal(w.grad, np.zeros((1, 2)))
+        y.zero_grad()
+        ad.backward(ad.sum_all(y))
+        assert c.grad is None
+        assert np.array_equal(w.grad, [[1.0, 2.0]])
+
 
 class TestTakeRows:
     def test_gathers_in_index_order(self):

@@ -1,7 +1,9 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from helpers import rewrite_checkpoint
 
 from skipgru import cli, training
 from skipgru.errors import ConfigError
@@ -215,15 +217,12 @@ class TestPredictAndEvaluate:
         lambda p: p["pipeline"].pop("scalers"),
         lambda p: p["pipeline"]["scalers"].pop("acoustic_0"),
         lambda p: p["params"]["head.b3"].update(shape="four"),
+        lambda p: p["params"]["head.b3"].update(shape=[-1, 1]),
     ], ids=["unknown-variant-key", "missing-dims", "missing-scalers",
-                         "missing-acoustic-scaler", "bad-shape"])
+                         "missing-acoustic-scaler", "bad-shape", "negative-shape"])
     def test_rehashed_bad_schema_checkpoint(self, workspace, trained, tmp_path, capsys, tamper):
-        envelope = json.loads(trained[0].read_text())
-        tamper(envelope["payload"])
-        canonical = json.dumps(envelope["payload"], sort_keys=True, separators=(",", ":"))
-        envelope["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         bad = tmp_path / "rehashed.ckpt"
-        bad.write_text(json.dumps(envelope))
+        rewrite_checkpoint(trained[0], bad, lambda envelope: tamper(envelope["payload"]))
         assert run(["predict", "--model", str(bad),
                     "--sessions", str(workspace / "sessions_holdout.csv"),
                     "--tracks", str(workspace / "tracks.csv"),
@@ -268,6 +267,59 @@ class TestPredictAndEvaluate:
         sub.write_text("01010\n11100\n")
         assert run(["evaluate", "--truth", str(truth), "--submission", str(sub)]) == 0
         assert "mean_aa=1.000000" in capsys.readouterr().out
+
+
+def _with_bad_byte(src, dst, line_no):
+    """Copy a text file, putting a byte that is not UTF-8 at the end of one line."""
+    lines = src.read_bytes().split(b"\n")
+    lines[line_no - 1] += b"\xff"
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+class TestNonUtf8Input:
+    """Each reader turns bytes that are not UTF-8 into a typed error: exit 3."""
+
+    def _argv(self, reader, workspace, trained, tmp):
+        ws = {name: str(workspace / name) for name in
+              ("sessions.csv", "tracks.csv", "emb.txt", "sessions_holdout.csv")}
+        train = ["train", "--sessions", ws["sessions.csv"], "--tracks", ws["tracks.csv"],
+                 "--embeddings", ws["emb.txt"], "--out", str(tmp / "m.ckpt"), "--epochs", "0"]
+        predict = ["predict", "--model", str(trained[0]), "--sessions", ws["sessions_holdout.csv"],
+                   "--tracks", ws["tracks.csv"], "--out", str(tmp / "s.txt")]
+        if reader == "checkpoint":
+            bad = tmp / "random.ckpt"
+            bad.write_bytes(np.random.default_rng(0).bytes(4096))
+            return predict[:2] + [str(bad)] + predict[3:], "not UTF-8", bad
+        if reader == "config":
+            bad = tmp / "run.json"
+            bad.write_bytes(b"\xff\xfe{}")
+            return train + ["--config", str(bad)], "UTF-8", bad
+        if reader == "truth":
+            bad = tmp / "truth.txt"
+            bad.write_bytes(b"0101\n01\xff1\n")
+            return ["evaluate", "--truth", str(bad), "--submission", str(bad)], "line 2", bad
+        if reader == "submission":
+            bad = tmp / "sub.txt"
+            bad.write_bytes(b"0101\n1\xff\n")
+            return ["evaluate", "--truth", str(bad.with_name("ok.txt")),
+                    "--submission", str(bad)], "line 2", bad
+        name, flag, line_no = {"sessions": ("sessions.csv", "--sessions", 40),
+                               "tracks": ("tracks.csv", "--tracks", 7),
+                               "embeddings": ("emb.txt", "--embeddings", 3)}[reader]
+        bad = _with_bad_byte(workspace / name, tmp / name, line_no)
+        argv = list(train)
+        argv[argv.index(flag) + 1] = str(bad)
+        return argv, f"line {line_no}", bad
+
+    @pytest.mark.parametrize("reader", ["checkpoint", "config", "sessions", "tracks",
+                                        "embeddings", "submission", "truth"])
+    def test_exits_three_without_traceback(self, workspace, trained, tmp_path, capsys, reader):
+        argv, expected, bad = self._argv(reader, workspace, trained, tmp_path)
+        (tmp_path / "ok.txt").write_text("0101\n1111\n")
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and expected in err and str(bad) in err
 
 
 class TestPipelineComposition:

@@ -279,7 +279,8 @@ class TestSyntheticGenerator:
 
 
 class _FailingFile:
-    """Text handle whose second write raises, after the first reached the disk."""
+    """File handle whose second write raises, after the first reached the disk;
+    reads pass through to the wrapped handle."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -295,6 +296,9 @@ class _FailingFile:
 
     def __getattr__(self, name):
         return getattr(self.fh, name)
+
+    def __iter__(self):
+        return iter(self.fh)
 
     def __enter__(self):
         return self

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from helpers import rewrite_checkpoint, write_v1_checkpoint
 
 from skipgru import autodiff as ad
 from skipgru import data, metrics, model, training
@@ -185,31 +188,97 @@ class TestOverfitSanity:
 class TestCheckpointIO:
     def make_checkpoint(self, seed=0):
         tracks, train_s, valid_s, pipeline, variant = tiny_training_setup(seed=seed)
+        # an embedding table for some of the tracks, so the table's bytes are in the file
+        rng = np.random.default_rng(seed)
+        embedded = FeaturePipeline({tid: rng.normal(size=3) for tid in sorted(tracks)[::3]})
+        pipeline = embedded.fit(train_s, tracks)
         config = training.TrainConfig(batch_size=8, epochs=1, seed=seed)
         ckpt = training.train(train_s, valid_s, tracks, pipeline, variant, config)
         return tracks, valid_s, ckpt
+
+    def assert_same_predictions(self, ckpt, loaded, tracks, sessions):
+        params_a, pipeline_a = ckpt.build()
+        params_b, pipeline_b = loaded.build()
+        probs_a = model.predict_probs(sessions, pipeline_a, tracks, params_a)
+        probs_b = model.predict_probs(sessions, pipeline_b, tracks, params_b)
+        assert probs_a.keys() == probs_b.keys()
+        for sid in probs_a:
+            assert np.array_equal(probs_a[sid], probs_b[sid])
 
     def test_round_trip_predictions_bit_identical(self, tmp_path):
         tracks, sessions, ckpt = self.make_checkpoint()
         path = tmp_path / "model.ckpt"
         training.save_checkpoint(ckpt, path)
         loaded = training.load_checkpoint(path)
-        params_a, pipeline_a = ckpt.build()
-        params_b, pipeline_b = loaded.build()
-        probs_a = model.predict_probs(sessions, pipeline_a, tracks, params_a)
-        probs_b = model.predict_probs(sessions, pipeline_b, tracks, params_b)
-        for sid in probs_a:
-            assert np.array_equal(probs_a[sid], probs_b[sid])
+        self.assert_same_predictions(ckpt, loaded, tracks, sessions)
+
+    def test_version_1_file_loads_and_predicts_bit_identically(self, tmp_path):
+        tracks, sessions, ckpt = self.make_checkpoint(seed=2)
+        path = tmp_path / "v1.ckpt"
+        write_v1_checkpoint(ckpt, path)
+        assert b"\n" not in path.read_bytes()
+        loaded = training.load_checkpoint(path)
+        assert loaded.content_hash() == ckpt.content_hash()
+        assert loaded.metadata == ckpt.metadata
+        self.assert_same_predictions(ckpt, loaded, tracks, sessions)
+
+    def test_header_line_is_readable_json(self, tmp_path):
+        tracks, sessions, ckpt = self.make_checkpoint()
+        path = tmp_path / "model.ckpt"
+        training.save_checkpoint(ckpt, path)
+        with open(path, "rb") as fh:
+            envelope = json.loads(fh.readline())
+        assert envelope["schema_version"] == training.SCHEMA_VERSION == 2
+        assert envelope["sha256"] == ckpt.content_hash()
+        pipeline = envelope["payload"]["pipeline"]
+        assert pipeline["embeddings"] == {"shape": [len(pipeline["embedding_ids"]), 3]}
+        assert pipeline["embedding_ids"] == sorted(pipeline["embedding_ids"])
+
+    def test_file_is_header_plus_raw_floats(self, tmp_path):
+        tracks, sessions, ckpt = self.make_checkpoint()
+        path = tmp_path / "model.ckpt"
+        training.save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        header = blob[:blob.index(b"\n") + 1]
+        floats = sum(arr.size for arr in ckpt.arrays())
+        assert len(blob) <= 8 * floats + len(header)
+        assert blob[len(header):] == b"".join(
+            np.asarray(a, dtype="<f8").tobytes() for a in ckpt.arrays())
+
+    def test_content_hash_deterministic_across_two_saves(self, tmp_path):
+        tracks, sessions, ckpt = self.make_checkpoint()
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        training.save_checkpoint(ckpt, first)
+        hash_before = ckpt.content_hash()
+        training.save_checkpoint(ckpt, second)
+        assert ckpt.content_hash() == hash_before
+        assert first.read_bytes() == second.read_bytes()
+        assert training.load_checkpoint(second).content_hash() == hash_before
+
+    @staticmethod
+    def flip_lr_digit(blob: bytearray) -> bytearray:
+        """Change one digit of the learning rate recorded in the header."""
+        k = blob.index(b'"lr": ') + len(b'"lr": ')
+        blob[k] = ord("1") if blob[k] != ord("1") else ord("2")
+        return blob
 
     def test_corrupted_byte_is_integrity_error(self, tmp_path):
         tracks, sessions, ckpt = self.make_checkpoint()
         path = tmp_path / "model.ckpt"
         training.save_checkpoint(ckpt, path)
-        blob = path.read_text()
-        k = blob.index('"data": [') + len('"data": [')
-        digit = blob[k] if blob[k].isdigit() else "1"
-        flipped = "2" if digit != "2" else "3"
-        path.write_text(blob[:k] + flipped + blob[k + 1:])
+        good = path.read_bytes()
+        array_bit = bytearray(good)
+        array_bit[-5] ^= 0x01  # one bit of the embedding table's last float
+        for blob in (array_bit, self.flip_lr_digit(bytearray(good))):
+            path.write_bytes(bytes(blob))
+            with pytest.raises(CheckpointIntegrityError, match="hash"):
+                training.load_checkpoint(path)
+
+    def test_corrupted_version_1_byte_is_integrity_error(self, tmp_path):
+        tracks, sessions, ckpt = self.make_checkpoint()
+        path = tmp_path / "v1.ckpt"
+        write_v1_checkpoint(ckpt, path)
+        path.write_bytes(bytes(self.flip_lr_digit(bytearray(path.read_bytes()))))
         with pytest.raises(CheckpointIntegrityError, match="hash"):
             training.load_checkpoint(path)
 
@@ -217,8 +286,8 @@ class TestCheckpointIO:
         tracks, sessions, ckpt = self.make_checkpoint()
         path = tmp_path / "model.ckpt"
         training.save_checkpoint(ckpt, path)
-        blob = path.read_text().replace('"schema_version": 1', '"schema_version": 99', 1)
-        path.write_text(blob)
+        blob = path.read_bytes().replace(b'"schema_version": 2', b'"schema_version": 99', 1)
+        path.write_bytes(blob)
         with pytest.raises(CheckpointVersionError, match="99"):
             training.load_checkpoint(path)
 
@@ -226,10 +295,33 @@ class TestCheckpointIO:
         tracks, sessions, ckpt = self.make_checkpoint()
         path = tmp_path / "model.ckpt"
         training.save_checkpoint(ckpt, path)
-        blob = path.read_text()
-        path.write_text(blob[: len(blob) // 2])
+        blob = path.read_bytes()
+        body_start = blob.index(b"\n") + 1
+        path.write_bytes(blob[: (body_start + len(blob)) // 2])  # half the arrays are missing
+        with pytest.raises(CheckpointIntegrityError, match="hash"):
+            training.load_checkpoint(path)
+
+    def test_file_cut_inside_header_is_integrity_error(self, tmp_path):
+        tracks, sessions, ckpt = self.make_checkpoint()
+        path = tmp_path / "model.ckpt"
+        training.save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: blob.index(b"\n") // 2])
         with pytest.raises(CheckpointIntegrityError, match="truncated"):
             training.load_checkpoint(path)
+
+    def test_rehashed_array_bytes_of_the_wrong_length(self, tmp_path):
+        tracks, sessions, ckpt = self.make_checkpoint()
+        path, bad = tmp_path / "model.ckpt", tmp_path / "bad.ckpt"
+        training.save_checkpoint(ckpt, path)
+
+        def grow(envelope):
+            shape = envelope["payload"]["params"]["head.b3"]["shape"]
+            shape[-1] += 1
+
+        rewrite_checkpoint(path, bad, grow)
+        with pytest.raises(CheckpointIntegrityError, match="array bytes"):
+            training.load_checkpoint(bad)
 
     def test_metadata_preserved(self, tmp_path):
         tracks, sessions, ckpt = self.make_checkpoint(seed=4)
