@@ -206,10 +206,9 @@ def _split_validation(sessions, fraction, seed):
     if n_valid >= len(sessions):
         raise ConfigError("validation split leaves no training sessions")
     order = np.random.default_rng([seed, 2]).permutation(len(sessions))
-    valid_idx = set(order[:n_valid].tolist())
-    train_split = [s for i, s in enumerate(sessions) if i not in valid_idx]
-    valid_split = [s for i, s in enumerate(sessions) if i in valid_idx]
-    return train_split, valid_split
+    valid = np.zeros(len(sessions), dtype=bool)
+    valid[order[:n_valid]] = True
+    return sessions.take(np.flatnonzero(~valid)), sessions.take(np.flatnonzero(valid))
 
 
 def cmd_train(args) -> int:

@@ -1,5 +1,6 @@
-"""Session/track data model, CSV ingestion, half-splitting, padding and a
-synthetic corpus generator with a known learnable skip rule.
+"""Session/track data model, CSV ingestion into a columnar session table,
+padding, atomic file writes and a synthetic corpus generator with a known
+learnable skip rule.
 
 File formats (UTF-8, comma-separated, first row is the header):
 
@@ -12,16 +13,32 @@ sessions.csv
 
 tracks.csv
     track_id, duration, release_year, acoustic_0 .. acoustic_{d-1}
+
+``load_sessions`` parses sessions.csv straight into a ``SessionTable``: the
+events of every session laid end to end on one flat event axis, sorted by
+session_id and then position, with ``offsets`` marking where each session
+starts. Per event the table holds a track index into its sorted
+``track_ids``, the position, a bool block of the four TASK_NAMES flags, an
+int block of seek_fwd_count, seek_back_count and hour_of_day, a context-type
+index into its sorted ``context_types``, and an ``observed`` bit that is
+false where the interaction columns were blank. Featurization, co-occurrence
+counting and truth extraction read these arrays directly. A table behaves as
+a sequence of sessions: ``len``, slicing and ``take`` give tables, and an
+integer index gives a ``Session`` view. ``Session``, ``Event`` and
+``InteractionRecord`` remain for sessions built by hand (``gen_synthetic``,
+``write_sessions``, tests); ``SessionTable.from_sessions`` turns a list of
+them into a table, keeping its order.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import operator
 import os
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import compress, islice
 
 import numpy as np
 
@@ -44,8 +61,15 @@ SESSION_COLUMNS = (
     "seek_back_count", "hour_of_day", "context_type",
 )
 INTERACTION_COLUMNS = SESSION_COLUMNS[3:]
+COUNT_COLUMNS = ("seek_fwd_count", "seek_back_count", "hour_of_day")
+HOURS_PER_DAY = 24
 
 CONTEXT_TYPES = ("playlist", "radio", "album", "artist_page", "search", "charts")
+
+# sessions.csv rows parsed at a time; only one block's row lists are held at once
+BLOCK_ROWS = 8192
+_FLAG_VALUES = {"0": False, "1": True}
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -60,14 +84,23 @@ class InteractionRecord:
     context_type: str
 
     def __post_init__(self):
-        if not 0 <= self.hour_of_day <= 23:
-            raise ValidationError(f"hour_of_day must be in [0, 23], got {self.hour_of_day}")
-        if self.seek_fwd_count < 0 or self.seek_back_count < 0:
-            raise ValidationError("seek counts must be non-negative")
+        fault = _range_fault(self.seek_fwd_count, self.seek_back_count, self.hour_of_day)
+        if fault:
+            raise ValidationError(fault)
 
     def targets(self) -> tuple[bool, bool, bool, bool]:
         return (self.skipped, self.context_switch,
                 self.no_pause_before_play, self.short_pause_before_play)
+
+
+def _range_fault(seek_fwd_count: int, seek_back_count: int, hour_of_day: int) -> str | None:
+    """The first out-of-range interaction count, as "column '<name>' ...", or None."""
+    if not 0 <= hour_of_day < HOURS_PER_DAY:
+        return f"column 'hour_of_day' must be in [0, {HOURS_PER_DAY - 1}], got {hour_of_day}"
+    for column, value in zip(COUNT_COLUMNS, (seek_fwd_count, seek_back_count)):
+        if value < 0:
+            return f"column '{column}' must be non-negative, got {value}"
+    return None
 
 
 @dataclass(eq=False)
@@ -125,14 +158,127 @@ class Session:
                 )
 
 
-def first_half_length(session_len: int) -> int:
-    """Observed-prefix length: ceil(L/2), so odd sessions put the extra event first."""
-    return math.ceil(session_len / 2)
+def first_half_length(session_len):
+    """Observed-prefix length: ceil(L/2), so odd sessions put the extra event
+    first. Works elementwise on integer arrays."""
+    return (session_len + 1) // 2
 
 
-def split_halves(session: Session) -> tuple[list[Event], list[Event]]:
-    cut = first_half_length(len(session.events))
-    return session.events[:cut], session.events[cut:]
+# the per-event columns of a SessionTable, in field order
+EVENT_COLUMNS = ("track_index", "positions", "flags", "counts", "context_index", "observed")
+
+
+@dataclass(eq=False)
+class SessionTable:
+    """Sessions as columns over one flat event axis (see the module docstring).
+
+    Session ``k`` is ``session_ids[k]`` and holds events
+    ``offsets[k]:offsets[k + 1]`` in slot order. Slices and ``take`` share the
+    ``track_ids`` and ``context_types`` lists, so an index may name a string
+    that no event of the result uses.
+    """
+
+    session_ids: list[str]
+    offsets: np.ndarray        # int64 [sessions + 1]
+    track_ids: list[str]       # sorted distinct track ids
+    context_types: list[str]   # sorted distinct context types; "" marks unobserved events
+    track_index: np.ndarray    # int64 [events], into track_ids
+    positions: np.ndarray      # int64 [events]
+    flags: np.ndarray          # bool [events, 4], TASK_NAMES order
+    counts: np.ndarray         # int64 [events, 3], COUNT_COLUMNS order
+    context_index: np.ndarray  # int64 [events], into context_types
+    observed: np.ndarray       # bool [events]; false where the interaction columns are blank
+
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def event_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per event: its session's row, its rank within the session, and
+        whether it lies in the observed first half."""
+        lengths = self.lengths
+        session = np.repeat(np.arange(len(lengths)), lengths)
+        rank = np.arange(len(session)) - self.offsets[session]
+        return session, rank, rank < first_half_length(lengths)[session]
+
+    def take(self, rows) -> "SessionTable":
+        """The sessions at ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        lengths = self.lengths[rows]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        events = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], lengths)
+        return replace(self, session_ids=[self.session_ids[r] for r in rows.tolist()],
+                       offsets=offsets,
+                       **{name: getattr(self, name)[events] for name in EVENT_COLUMNS})
+
+    def __getitem__(self, key):
+        """A table for a slice; a ``Session`` view for an integer."""
+        if isinstance(key, slice):
+            return self.take(range(len(self))[key])
+        k = range(len(self))[key]
+        span = slice(self.offsets[k], self.offsets[k + 1])
+        columns = [getattr(self, name)[span].tolist() for name in EVENT_COLUMNS]
+        return Session(self.session_ids[k], [
+            Event(self.track_ids[track], position,
+                  InteractionRecord(*flags, *counts, self.context_types[context])
+                  if observed else None)
+            for track, position, flags, counts, context, observed in zip(*columns)
+        ])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @classmethod
+    def from_sessions(cls, sessions: list[Session]) -> "SessionTable":
+        """The table of a hand-built session list, sessions and events in list order."""
+        events = [ev for session in sessions for ev in session.events]
+        records = [_UNOBSERVED if ev.interaction is None else ev.interaction for ev in events]
+        return cls._build(
+            [session.session_id for session in sessions],
+            np.array([len(session.events) for session in sessions], dtype=np.int64),
+            [ev.track_id for ev in events],
+            [a.context_type for a in records],
+            np.array([ev.position for ev in events], dtype=np.int64),
+            np.array([a.targets() for a in records], dtype=bool).reshape(-1, len(TASK_NAMES)),
+            np.array([(a.seek_fwd_count, a.seek_back_count, a.hour_of_day) for a in records],
+                     dtype=np.int64).reshape(-1, len(COUNT_COLUMNS)),
+            np.array([ev.interaction is not None for ev in events], dtype=bool),
+        )
+
+    @classmethod
+    def _build(cls, session_ids, lengths, track_column, context_column, positions, flags,
+               counts, observed, order=slice(None)) -> "SessionTable":
+        """A table from per-event columns, the string ones coded against their
+        sorted distinct values and every one taken in ``order``."""
+        track_ids, track_index = _codes(track_column)
+        context_types, context_index = _codes(context_column)
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(session_ids, offsets, track_ids, context_types, track_index[order],
+                   positions[order], flags[order], counts[order], context_index[order],
+                   observed[order])
+
+
+_UNOBSERVED = InteractionRecord(False, False, False, False, 0, 0, 0, "")
+
+
+def as_table(sessions: SessionTable | list[Session]) -> SessionTable:
+    """``sessions`` itself if it is a table, else the table of the Session list."""
+    if isinstance(sessions, SessionTable):
+        return sessions
+    return SessionTable.from_sessions(sessions)
+
+
+def _codes(values) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct strings of ``values`` and each value's index among them."""
+    distinct = sorted(set(values))
+    index = {value: k for k, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), dtype=np.int64,
+                                 count=len(values))
 
 
 @dataclass
@@ -157,7 +303,8 @@ class PaddedBatch:
         return len(self.session_ids)
 
 
-def pad_batch(sessions: list[Session], pipeline, tracks: dict[str, TrackRecord]) -> PaddedBatch:
+def pad_batch(sessions: SessionTable | list[Session], pipeline,
+              tracks: dict[str, TrackRecord]) -> PaddedBatch:
     """Encode sessions through a fitted pipeline into padded tensors."""
     return pipeline.encode(sessions, tracks).batch(range(len(sessions)))
 
@@ -175,6 +322,13 @@ def _parse_int(raw: str, column: str, line_no: int) -> int:
         return int(raw)
     except ValueError:
         raise ParseError(f"line {line_no}: column '{column}' is not an integer: {raw!r}") from None
+
+
+def _parse_int64(raw: str, column: str, line_no: int) -> int:
+    value = _parse_int(raw, column, line_no)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ParseError(f"line {line_no}: column '{column}' does not fit in 64 bits: {raw!r}")
+    return value
 
 
 def _parse_float(raw: str, column: str, line_no: int) -> float:
@@ -215,15 +369,20 @@ def load_tracks(path) -> dict[str, TrackRecord]:
     return tracks
 
 
-def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> list[Session]:
-    """Load and validate sessions; result is sorted by session_id then position.
+def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> SessionTable:
+    """Load and validate sessions; the table is sorted by session_id then position.
 
     ``tracks=None`` skips track-id resolution (used when only the interaction
-    labels matter, e.g. loading a truth file for scoring).
+    labels matter, e.g. loading a truth file for scoring). Rows are parsed in
+    blocks of BLOCK_ROWS into columns and checked with array code; a block
+    that fails a check is rescanned row by row with ``_check_row``, so the
+    error names the first bad row in file order. Session-level checks follow
+    once every row has parsed, in session_id order.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
-    rows: dict[str, list[tuple[int, Event]]] = {}
+    strings: tuple[list, list, list] = ([], [], [])  # session_id, track_id, context_type
+    blocks = []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -232,45 +391,108 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> lis
             raise ParseError(f"{path}: empty session file") from None
         if tuple(header) != SESSION_COLUMNS:
             raise ParseError(f"{path}: unexpected header {header}, want {list(SESSION_COLUMNS)}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(SESSION_COLUMNS):
-                raise ParseError(
-                    f"line {line_no}: expected {len(SESSION_COLUMNS)} columns, got {len(row)}"
-                )
-            session_id, position_raw, track_id = row[0], row[1], row[2]
-            position = _parse_int(position_raw, "position", line_no)
-            if tracks is not None and track_id not in tracks:
-                raise DataError(f"line {line_no}: unknown track_id {track_id!r}")
-            inter_raw = row[3:]
-            if all(v == "" for v in inter_raw):
-                interaction = None
-            elif any(v == "" for v in inter_raw):
-                raise ParseError(
-                    f"line {line_no}: interaction columns must be all present or all empty"
-                )
-            else:
-                interaction = InteractionRecord(
-                    skipped=_parse_bool(inter_raw[0], "skipped", line_no),
-                    context_switch=_parse_bool(inter_raw[1], "context_switch", line_no),
-                    no_pause_before_play=_parse_bool(inter_raw[2], "no_pause_before_play", line_no),
-                    short_pause_before_play=_parse_bool(
-                        inter_raw[3], "short_pause_before_play", line_no
-                    ),
-                    seek_fwd_count=_parse_int(inter_raw[4], "seek_fwd_count", line_no),
-                    seek_back_count=_parse_int(inter_raw[5], "seek_back_count", line_no),
-                    hour_of_day=_parse_int(inter_raw[6], "hour_of_day", line_no),
-                    context_type=inter_raw[7],
-                )
-            rows.setdefault(session_id, []).append(
-                (line_no, Event(track_id=track_id, position=position, interaction=interaction))
+        line_no = 2
+        while rows := list(islice(reader, BLOCK_ROWS)):
+            block_strings, block_arrays = _parse_block(rows, line_no, tracks)
+            for column, values in zip(strings, block_strings):
+                column.extend(values)
+            blocks.append(block_arrays)
+            line_no += len(rows)
+    if not blocks:
+        return SessionTable.from_sessions([])
+    session_ids, session = _codes(strings[0])
+    positions, flags, counts, observed = map(np.concatenate, zip(*blocks))
+    table = SessionTable._build(session_ids, np.bincount(session, minlength=len(session_ids)),
+                                strings[1], strings[2], positions, flags, counts, observed,
+                                order=np.lexsort((positions, session)))
+    _check_sessions(table, mode)
+    return table
+
+
+def _parse_block(rows: list[list[str]], first_line: int, tracks):
+    """The string and array columns of a block of rows whose first is line
+    ``first_line``; a bad row raises its error instead."""
+    try:
+        columns = _block_columns(rows, tracks)
+    except (KeyError, ValueError, OverflowError):
+        columns = None
+    if columns is None:
+        for line_no, row in enumerate(rows, start=first_line):
+            _check_row(row, line_no, tracks)
+        raise ParseError(f"lines {first_line}..{first_line + len(rows) - 1}: rejected rows")
+    return columns
+
+
+def _block_columns(rows: list[list[str]], tracks):
+    """Array-checked columns of a block, or None (or a conversion error) when
+    some row is bad."""
+    if set(map(len, rows)) != {len(SESSION_COLUMNS)}:
+        return None
+    session_ids, positions, track_ids, *interaction = zip(*rows)
+    if tracks is not None and not tracks.keys() >= set(track_ids):
+        return None
+    observed = np.ones(len(rows), dtype=bool)
+    if any("" in column for column in interaction):
+        blank = np.array([list(map(operator.not_, column)) for column in interaction])
+        if (blank != blank[0]).any():
+            return None
+        observed = ~blank[0]
+    keep = observed.tolist()
+    flags = np.zeros((len(rows), len(TASK_NAMES)), dtype=bool)
+    flags[observed] = np.column_stack([
+        np.fromiter(map(_FLAG_VALUES.__getitem__, compress(column, keep)), dtype=bool)
+        for column in interaction[:len(TASK_NAMES)]])
+    counts = np.zeros((len(rows), len(COUNT_COLUMNS)), dtype=np.int64)
+    counts[observed] = np.column_stack([
+        np.fromiter(map(int, compress(column, keep)), dtype=np.int64)
+        for column in interaction[len(TASK_NAMES):-1]])
+    if (counts < 0).any() or (counts[:, 2] >= HOURS_PER_DAY).any():
+        return None
+    positions = np.fromiter(map(int, positions), dtype=np.int64, count=len(rows))
+    return (session_ids, track_ids, interaction[-1]), (positions, flags, counts, observed)
+
+
+def _check_row(row: list[str], line_no: int, tracks) -> None:
+    """Raise the error of one sessions.csv row, if it has one.
+
+    The single source of the loader's per-row error text. Checks run in
+    column order, so a row with several faults reports its leftmost: column
+    count, position, track id, blank interaction columns, the four flags, the
+    three counts, then the count ranges.
+    """
+    if len(row) != len(SESSION_COLUMNS):
+        raise ParseError(f"line {line_no}: expected {len(SESSION_COLUMNS)} columns, got {len(row)}")
+    _parse_int64(row[1], "position", line_no)
+    if tracks is not None and row[2] not in tracks:
+        raise DataError(f"line {line_no}: unknown track_id {row[2]!r}")
+    interaction = row[3:]
+    if "" in interaction:
+        if any(interaction):
+            raise ParseError(
+                f"line {line_no}: interaction columns must be all present or all empty"
             )
-    sessions = []
-    for session_id in sorted(rows):
-        events = [ev for _, ev in sorted(rows[session_id], key=lambda r: r[1].position)]
-        session = Session(session_id=session_id, events=events)
-        session.validate(mode)
-        sessions.append(session)
-    return sessions
+        return
+    for raw, column in zip(interaction, TASK_NAMES):
+        _parse_bool(raw, column, line_no)
+    counts = [_parse_int64(raw, column, line_no)
+              for raw, column in zip(interaction[len(TASK_NAMES):], COUNT_COLUMNS)]
+    fault = _range_fault(*counts)
+    if fault:
+        raise ValidationError(f"line {line_no}: {fault}")
+
+
+def _check_sessions(table: SessionTable, mode: str) -> None:
+    """Raise the first bad session's error, in table order: a length outside
+    [MIN_SESSION_LEN, MAX_SESSION_LEN], positions other than 1..L, or a missing
+    interaction the mode requires. ``Session.validate`` words the error."""
+    lengths = table.lengths
+    session, rank, first = table.event_layout()
+    required = first | (mode == "train")
+    faults = (table.positions != rank + 1) | (required & ~table.observed)
+    bad = ((lengths < MIN_SESSION_LEN) | (lengths > MAX_SESSION_LEN)
+           | (np.bincount(session, weights=faults, minlength=len(table)) > 0))
+    if bad.any():
+        table[int(np.argmax(bad))].validate(mode)
 
 
 @contextmanager

@@ -12,9 +12,11 @@ doublet (second-half event, interactions withheld):
     [track embedding (d_emb) | duration | release_year | acoustic_0..d_ac-1 |
      position | is_pad]
 
-Only this module knows the layout: ``FeaturePipeline.encode`` turns a session
-list into compact arrays once, and ``EncodedSessions.batch`` gathers padded
-tensors from them. Pad slots are 0 except is_pad, which is 1.
+Only this module knows the layout: ``FeaturePipeline.encode`` turns a
+session table (or a hand-built session list, through
+``SessionTable.from_sessions``) into compact arrays once, and
+``EncodedSessions.batch`` gathers padded tensors from them. Pad slots are 0
+except is_pad, which is 1.
 
 Numeric features are min-max scaled into [0, 1] from training data (values
 outside the training range are clamped). The context_type slot carries the
@@ -24,22 +26,26 @@ Position is normalized by the global maximum session length.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (
+    COUNT_COLUMNS,
     HALF_LEN,
     MAX_SESSION_LEN,
     TASK_NAMES,
     PaddedBatch,
     Session,
+    SessionTable,
     TrackRecord,
-    split_halves,
+    as_table,
+    first_half_length,
 )
-from .errors import EmptyBatchError, StateError, ValidationError
+from .errors import DataError, EmptyBatchError, StateError, ValidationError
 
-NUMERIC_INTERACTION_FEATURES = ("seek_fwd_count", "seek_back_count", "hour_of_day")
+NUMERIC_INTERACTION_FEATURES = COUNT_COLUMNS
 # width of the interaction-only block: 3 numerics + 4 booleans + ctx index
 INTERACTION_WIDTH = len(NUMERIC_INTERACTION_FEATURES) + 4 + 1
 
@@ -59,10 +65,10 @@ class Scaler:
 
     @classmethod
     def fit(cls, values) -> "Scaler":
-        values = list(values)
-        if not values:
+        values = np.asarray(values, dtype=np.float64)
+        if not values.size:
             raise ValidationError("cannot fit a scaler on no values")
-        return cls(lo=float(min(values)), hi=float(max(values)))
+        return cls(lo=float(values.min()), hi=float(values.max()))
 
 
 def position_feature(position):
@@ -115,18 +121,20 @@ class FeaturePipeline:
         self.context_vocab: Vocabulary | None = None
         self.fitted = False
 
-    def fit(self, sessions: list[Session], tracks: dict[str, TrackRecord]) -> "FeaturePipeline":
-        if not sessions:
+    def fit(self, sessions: SessionTable | list[Session],
+            tracks: dict[str, TrackRecord]) -> "FeaturePipeline":
+        table = as_table(sessions)
+        if not table:
             raise EmptyBatchError("cannot fit the feature pipeline on an empty session list")
-        events = [ev for session in sessions for ev in session.events]
-        used = list({ev.track_id: tracks[ev.track_id] for ev in events}.values())
-        observed = [ev.interaction for ev in events if ev.interaction is not None]
+        used, _ = _used_tracks(table, tracks)
+        observed = table.observed
         self.acoustic_dim = len(used[0].acoustic)
-        self.context_vocab = Vocabulary.fit(a.context_type for a in observed)
+        self.context_vocab = Vocabulary.fit(
+            table.context_types[k] for k in np.unique(table.context_index[observed]).tolist())
         self.scalers = {name: Scaler.fit(column) for name, column
                         in zip(self._track_columns(), self._track_values(used).T)}
         self.scalers.update(zip(NUMERIC_INTERACTION_FEATURES,
-                                map(Scaler.fit, self._interaction_values(observed).T)))
+                                map(Scaler.fit, table.counts[observed].T)))
         self.fitted = True
         return self
 
@@ -169,51 +177,59 @@ class FeaturePipeline:
         return np.column_stack([[t.duration for t in used], [t.release_year for t in used],
                                 np.stack([t.acoustic for t in used])])
 
-    def _interaction_values(self, observed) -> np.ndarray:
-        """Interaction-block rows; the NUMERIC_INTERACTION_FEATURES columns are unscaled."""
-        return np.array([
-            (a.seek_fwd_count, a.seek_back_count, a.hour_of_day, *a.targets(),
-             self.context_vocab.lookup(a.context_type))
-            for a in observed
-        ], dtype=np.float64).reshape(-1, INTERACTION_WIDTH)
+    def _interaction_values(self, table: SessionTable, events: np.ndarray) -> np.ndarray:
+        """Interaction-block rows of the ``events`` mask; the NUMERIC_INTERACTION_FEATURES
+        columns are unscaled."""
+        context = np.array([self.context_vocab.lookup(c) for c in table.context_types],
+                           dtype=np.int64)
+        return np.column_stack([table.counts[events], table.flags[events],
+                                context[table.context_index[events]]]).astype(np.float64)
 
     def _scaled(self, values: np.ndarray, names) -> np.ndarray:
         """The leading columns of ``values``, each scaled by the scaler of its name."""
         return np.column_stack([self.scalers[name].transform(column)
                                 for name, column in zip(names, values.T)])
 
-    def encode(self, sessions: list[Session], tracks: dict[str, TrackRecord]) -> "EncodedSessions":
-        """Featurize a session list once; ``batch`` then gathers padded tensors from it."""
-        if not sessions:
+    def encode(self, sessions: SessionTable | list[Session],
+               tracks: dict[str, TrackRecord]) -> "EncodedSessions":
+        """Featurize a session table once; ``batch`` then gathers padded tensors from it.
+
+        Every event lands in slot ``(session, t)`` of ``[n, 2 * HALF_LEN]``
+        arrays by one scatter: first-half events at ``t = rank``, second-half
+        events at ``t = HALF_LEN + rank - first_half_length``.
+        """
+        table = as_table(sessions)
+        if not table:
             raise EmptyBatchError("cannot encode an empty session list")
         self._require_fitted()
-        n = len(sessions)
-        row_of: dict[str, int] = {}  # track_id -> static row; row 0 is the pad row
+        n = len(table)
+        lengths = table.lengths
+        too_long = np.flatnonzero(lengths > MAX_SESSION_LEN)
+        if too_long.size:
+            raise ValidationError(f"session {table.session_ids[too_long[0]]}: "
+                                  f"longer than {MAX_SESSION_LEN}")
+        used, static_row = _used_tracks(table, tracks)
+        session, rank, first = table.event_layout()
+        unobserved = np.flatnonzero(first & ~table.observed)
+        if unobserved.size:
+            e = unobserved[0]
+            raise ValidationError(f"session {table.session_ids[session[e]]}: missing "
+                                  f"interaction at position {table.positions[e]} (first half)")
+        slot = np.where(first, rank, rank - first_half_length(lengths)[session] + HALF_LEN)
         track_rows = np.zeros((n, 2 * HALF_LEN), dtype=np.int64)
+        track_rows[session, slot] = static_row + 1
         positions = np.zeros((n, 2 * HALF_LEN))
+        positions[session, slot] = position_feature(table.positions.astype(np.float64))
+        raw = self._interaction_values(table, first)
+        raw[:, :len(NUMERIC_INTERACTION_FEATURES)] = self._scaled(raw, NUMERIC_INTERACTION_FEATURES)
+        interactions = np.zeros((n, HALF_LEN, INTERACTION_WIDTH))
+        interactions[session[first], slot[first]] = raw
+        labelled = ~first & table.observed
         targets = np.zeros((n, HALF_LEN, len(TASK_NAMES)))
-        observed = []
-        for i, session in enumerate(sessions):
-            if len(session) > MAX_SESSION_LEN:
-                raise ValidationError(f"session {session.session_id}: longer than {MAX_SESSION_LEN}")
-            first, second = split_halves(session)
-            for t, ev in [*enumerate(first), *enumerate(second, start=HALF_LEN)]:
-                track_rows[i, t] = row_of.setdefault(ev.track_id, len(row_of) + 1)
-                positions[i, t] = ev.position
-            observed.extend(ev.interaction for ev in first)
-            for t, ev in enumerate(second):
-                if ev.interaction is not None:
-                    targets[i, t] = ev.interaction.targets()
-        used = [tracks[track_id] for track_id in row_of]
+        targets[session[labelled], slot[labelled] - HALF_LEN] = table.flags[labelled]
         static = np.hstack([np.stack([self.track_embedding(t.track_id) for t in used]),
                             self._scaled(self._track_values(used), self._track_columns())])
-        raw = self._interaction_values(observed)
-        raw[:, :len(NUMERIC_INTERACTION_FEATURES)] = self._scaled(raw, NUMERIC_INTERACTION_FEATURES)
-        real = track_rows > 0
-        positions[real] = position_feature(positions[real])
-        interactions = np.zeros((n, HALF_LEN, INTERACTION_WIDTH))
-        interactions[real[:, :HALF_LEN]] = raw
-        return EncodedSessions([s.session_id for s in sessions],
+        return EncodedSessions(list(table.session_ids),
                                np.vstack([np.zeros(static.shape[1]), static]),
                                track_rows, positions, interactions, targets)
 
@@ -226,6 +242,15 @@ class FeaturePipeline:
             tuple(sorted(self.scalers)),
             tuple(sorted(self.context_vocab.index.items())),
         )
+
+    def state_key(self) -> tuple[str, bytes]:
+        """Exact, hashable identity of the fitted state: pipelines with equal
+        keys encode every session to the same bytes. Unlike
+        ``schema_fingerprint``, it covers the scaler bounds and the embedding
+        values."""
+        state = self.to_dict()
+        table = state.pop("embeddings")
+        return json.dumps(state, sort_keys=True), table.tobytes()
 
     def to_dict(self) -> dict:
         """The fitted state; ``embeddings`` is one ``[n, d_emb]`` table whose
@@ -257,6 +282,22 @@ class FeaturePipeline:
         pipeline.context_vocab = Vocabulary(index=dict(payload["context_vocab"]))
         pipeline.fitted = True
         return pipeline
+
+
+def _used_tracks(table: SessionTable,
+                 tracks: dict[str, TrackRecord]) -> tuple[list[TrackRecord], np.ndarray]:
+    """The distinct tracks the table's events play, in track-id order, and
+    each event's index into that list. A track missing from ``tracks`` is a
+    DataError naming the first session that plays it."""
+    codes, event_track = np.unique(table.track_index, return_inverse=True)
+    ids = [table.track_ids[k] for k in codes.tolist()]
+    missing = [k for k, track_id in enumerate(ids) if track_id not in tracks]
+    if missing:
+        event = np.flatnonzero(np.isin(event_track, missing))[0]
+        session = np.searchsorted(table.offsets, event, side="right") - 1
+        raise DataError(f"session {table.session_ids[session]}: unknown track_id "
+                        f"{ids[event_track[event]]!r}")
+    return [tracks[track_id] for track_id in ids], event_track
 
 
 @dataclass

@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .data import Session, atomic_write, open_text
+from .data import Session, SessionTable, as_table, atomic_write, open_text
 from .errors import TrainingError, ValidationError
 
 X_MAX = 100.0
@@ -77,11 +77,13 @@ class CooccurrenceTable:
         return i, j, np.repeat(w, 2)
 
 
-def build_cooccurrence(sessions: list[Session], window: int = WINDOW) -> CooccurrenceTable:
+def build_cooccurrence(sessions: SessionTable | list[Session],
+                       window: int = WINDOW) -> CooccurrenceTable:
     """Sum 1/distance over every pair of distinct tracks within ``window``
     of each other in a session.
 
-    All sessions are flattened into one index array; event ``a`` pairs with
+    The table's track column is already one flat index array; it is renumbered
+    over the tracks the sessions play, and event ``a`` pairs with
     ``a + 1 .. a + window`` through an offset grid, masked where the partner
     falls past the end of its session or is the same track. The grid is
     ravelled row-major, so each pair's weights are summed in the same
@@ -89,13 +91,12 @@ def build_cooccurrence(sessions: list[Session], window: int = WINDOW) -> Cooccur
     """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
-    track_ids = sorted({ev.track_id for s in sessions for ev in s.events})
-    index = {tid: k for k, tid in enumerate(track_ids)}
-    lengths = np.array([len(s.events) for s in sessions], dtype=np.int64)
-    n = int(lengths.sum())
-    seq = np.fromiter((index[ev.track_id] for s in sessions for ev in s.events),
-                      dtype=np.int64, count=n)
-    session_end = np.repeat(np.cumsum(lengths), lengths)
+    table = as_table(sessions)
+    played, seq = np.unique(table.track_index, return_inverse=True)
+    track_ids = [table.track_ids[k] for k in played.tolist()]
+    lengths = table.lengths
+    n = len(seq)
+    session_end = np.repeat(table.offsets[1:], lengths)
     width = min(window, int(lengths.max(initial=1)) - 1)
     offsets = np.arange(1, width + 1)
     partner = np.arange(n)[:, None] + offsets

@@ -24,7 +24,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import model as model_mod
-from .data import Session, TrackRecord, atomic_write, open_text, split_halves
+from .data import (
+    Session,
+    SessionTable,
+    TrackRecord,
+    as_table,
+    atomic_write,
+    first_half_length,
+    open_text,
+)
 from .errors import AlignmentError, EnsembleError, ParseError, ValidationError
 
 
@@ -112,18 +120,20 @@ def mean_aa(predictions: dict, truths: dict) -> tuple[float, dict]:
     return mean, report
 
 
-def second_half_truth(sessions: list[Session]) -> dict[str, list[bool]]:
+def second_half_truth(sessions: SessionTable | list[Session]) -> dict[str, list[bool]]:
     """Skip labels of each session's prediction half (requires train-mode data)."""
-    truth = {}
-    for session in sessions:
-        _, second = split_halves(session)
-        if any(ev.interaction is None for ev in second):
-            raise ValidationError(
-                f"session {session.session_id}: second-half interactions missing, "
-                "cannot derive truth"
-            )
-        truth[session.session_id] = [ev.interaction.skipped for ev in second]
-    return truth
+    table = as_table(sessions)
+    session, _, first = table.event_layout()
+    unlabelled = np.flatnonzero(~first & ~table.observed)
+    if unlabelled.size:
+        raise ValidationError(
+            f"session {table.session_ids[session[unlabelled[0]]]}: second-half "
+            "interactions missing, cannot derive truth"
+        )
+    skipped = table.flags[:, 0].tolist()
+    cuts = (table.offsets[:-1] + first_half_length(table.lengths)).tolist()
+    return {sid: skipped[lo:hi]
+            for sid, lo, hi in zip(table.session_ids, cuts, table.offsets[1:].tolist())}
 
 
 def ensemble_probs(member_probs: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -150,14 +160,16 @@ def ensemble_probs(member_probs: list[dict[str, np.ndarray]]) -> dict[str, np.nd
 
 def ensemble_predict(
     members: list[tuple],
-    sessions: list[Session],
+    sessions: SessionTable | list[Session],
     tracks: dict[str, TrackRecord],
     threshold: float = 0.5,
 ) -> dict[str, np.ndarray]:
     """Mean-probability ensemble over (params, pipeline) members; >= threshold skips.
 
     Members must share the feature-pipeline schema; the first member is the
-    reference and any mismatch names the offending member position.
+    reference and any mismatch names the offending member position. The
+    sessions are encoded once per distinct fitted pipeline state
+    (``FeaturePipeline.state_key``), not once per member.
     """
     if not members:
         raise EnsembleError("ensemble needs at least one member")
@@ -167,10 +179,16 @@ def ensemble_predict(
             raise EnsembleError(
                 f"member {k}: feature pipeline schema differs from member 0"
             )
-    member_probs = [
-        model_mod.predict_probs(sessions, pipeline, tracks, params)
-        for params, pipeline in members
-    ]
+    table = as_table(sessions)
+    if not table:
+        return {}
+    encoded = {}
+    member_probs = []
+    for params, pipeline in members:
+        key = pipeline.state_key()
+        if key not in encoded:
+            encoded[key] = pipeline.encode(table, tracks)
+        member_probs.append(model_mod.predict_encoded(encoded[key], params))
     combined = ensemble_probs(member_probs)
     return {sid: probs >= threshold for sid, probs in combined.items()}
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import HALF_LEN, PaddedBatch, Session, TrackRecord
+from .data import HALF_LEN, PaddedBatch, Session, SessionTable, TrackRecord
 from .errors import ConfigError, DegenerateBatchError, ShapeError
 from .features import EncodedSessions, FeaturePipeline
 
@@ -305,7 +305,7 @@ def loss(probs: ad.Node, targets: np.ndarray, mask: np.ndarray,
 
 
 def predict_probs(
-    sessions: list[Session],
+    sessions: SessionTable | list[Session],
     pipeline: FeaturePipeline,
     tracks: dict[str, TrackRecord],
     params: ModelParams,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics
-from .data import Session, TrackRecord, atomic_write
+from .data import Session, SessionTable, TrackRecord, as_table, atomic_write
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -289,8 +289,8 @@ def _v1_arrays(path, payload: dict):
 
 
 def train(
-    train_sessions: list[Session],
-    valid_sessions: list[Session],
+    train_sessions: SessionTable | list[Session],
+    valid_sessions: SessionTable | list[Session],
     tracks: dict[str, TrackRecord],
     pipeline: FeaturePipeline,
     variant: VariantConfig,
@@ -300,13 +300,14 @@ def train(
 ) -> Checkpoint:
     """Seeded training run; returns the best-validation-AA checkpoint.
 
-    Both session lists are encoded once. Per epoch: shuffle, batch, forward,
+    Both session tables are encoded once. Per epoch: shuffle, batch, forward,
     masked multi-task loss, backward, Adam. Validation mean AA is computed
     after every epoch and the best parameter snapshot is kept. Fully
     deterministic given config.seed.
     """
     if not train_sessions or not valid_sessions:
         raise ConfigError("train and validation session lists must be non-empty")
+    train_sessions, valid_sessions = as_table(train_sessions), as_table(valid_sessions)
     params = ModelParams(variant, ModelDims.from_pipeline(pipeline), seed=config.seed)
     named = params.named_parameters()
     adam = AdamState(lr=config.lr)

@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences, independent of the
-library, a GRU step composed from the autodiff primitives, and checkpoint
-writers for the version-1 format and for re-hashed tampered files."""
+library, a GRU step composed from the autodiff primitives, a session's
+halves as event lists, and checkpoint writers for the version-1 format and
+for re-hashed tampered files."""
 
 import hashlib
 import json
@@ -8,6 +9,7 @@ import json
 import numpy as np
 
 from skipgru import autodiff as ad
+from skipgru import data
 
 
 def central_diff(f, x, h=1e-6):
@@ -42,6 +44,12 @@ def composed_gru_step(x, o_prev, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s
                        ad.matmul(ad.hadamard(r, o_prev), w_s)))
     ones = ad.constant(np.ones(u.shape))
     return ad.add(ad.hadamard(ad.sub(ones, u), o_prev), ad.hadamard(u, s))
+
+
+def split_halves(session):
+    """A hand-built session's observed first half and prediction half, as event lists."""
+    cut = data.first_half_length(len(session.events))
+    return session.events[:cut], session.events[cut:]
 
 
 def loop_cooccurrence_pairs(sessions, window):

@@ -1,8 +1,11 @@
+import csv
 import os
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipgru import cli, data, glove, metrics, training
 from skipgru.errors import (
@@ -13,6 +16,8 @@ from skipgru.errors import (
     ValidationError,
 )
 from skipgru.features import FeaturePipeline
+
+from helpers import split_halves
 
 
 def make_interaction(skip=False, context_type="playlist", **over):
@@ -51,18 +56,23 @@ def fitted_pipeline(corpus):
     return FeaturePipeline({}, d_emb=6).fit(sessions, tracks)
 
 
+def table_halves(session):
+    """First- and second-half event counts of a session as the table lays it out."""
+    _, _, first = data.SessionTable.from_sessions([session]).event_layout()
+    return int(first.sum()), int((~first).sum())
+
+
 class TestSplitHalves:
     @pytest.mark.parametrize("length,first,second", [(20, 10, 10), (11, 6, 5), (10, 5, 5)])
     def test_split_rule(self, length, first, second):
         session = make_session("s", length, ["a"])
-        f, s = data.split_halves(session)
-        assert (len(f), len(s)) == (first, second)
+        assert table_halves(session) == (first, second)
 
     def test_lengths_sum_and_order(self):
         for length in range(10, 21):
-            f, s = data.split_halves(make_session("s", length, ["a"]))
-            assert len(f) + len(s) == length
-            assert len(f) >= len(s) >= 5
+            f, s = table_halves(make_session("s", length, ["a"]))
+            assert f + s == length
+            assert f >= s >= 5
 
 
 class TestValidation:
@@ -222,7 +232,7 @@ class TestPadBatch:
         tracks, sessions = corpus
         batch = data.pad_batch(sessions[:8], fitted_pipeline, tracks)
         for i, session in enumerate(sessions[:8]):
-            _, second = data.split_halves(session)
+            _, second = split_halves(session)
             kept = batch.second_half[i][batch.mask[i]]
             alone = data.pad_batch([session], fitted_pipeline, tracks).second_half[0]
             assert np.array_equal(kept, alone[:len(second)])
@@ -370,3 +380,222 @@ class TestAtomicWrite:
         WRITERS[writer](path)
         assert path.read_bytes() != b"old contents\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def assert_tables_equal(a, b):
+    assert a.session_ids == b.session_ids
+    assert a.track_ids == b.track_ids
+    assert a.context_types == b.context_types
+    for name in ("offsets", *data.EVENT_COLUMNS):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+
+
+def write_edited(path, sessions, edits):
+    """Write ``sessions`` in train mode, then set fields of chosen file lines:
+    ``edits`` maps a 1-based line number to {column index: value}; the key
+    "drop" removes the last column."""
+    data.write_sessions(path, sessions, mode="train")
+    lines = path.read_text().splitlines()
+    for line_no, fields in edits.items():
+        parts = lines[line_no - 1].split(",")
+        for k, v in fields.items():
+            if k == "drop":
+                parts = parts[:-1]
+            else:
+                parts[k] = v
+        lines[line_no - 1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestSessionTable:
+    def test_loaded_table_layout(self, tmp_path, corpus):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        data.write_sessions(spath, sessions[::-1], mode="train")
+        table = data.load_sessions(spath, tracks, mode="train")
+        assert table.session_ids == sorted(s.session_id for s in sessions)
+        assert table.offsets[0] == 0 and table.offsets[-1] == sum(len(s) for s in sessions)
+        assert table.lengths.tolist() == [len(s) for s in sessions]
+        assert table.track_ids == sorted({e.track_id for s in sessions for e in s.events})
+        assert table.flags.shape == (table.offsets[-1], 4) and table.flags.dtype == bool
+        assert table.counts.shape == (table.offsets[-1], 3) and table.counts.dtype == np.int64
+        assert table.observed.all()
+        assert list(table) == sessions
+
+    def test_sequence_protocol(self, corpus):
+        _, sessions = corpus
+        table = data.SessionTable.from_sessions(sessions)
+        assert len(table) == len(sessions) and table
+        assert not data.SessionTable.from_sessions([])
+        assert table[3] == sessions[3] and table[-1] == sessions[-1]
+        with pytest.raises(IndexError):
+            table[len(sessions)]
+        for part, want in [(table[:-7], sessions[:-7]), (table[-7:], sessions[-7:]),
+                           (table[5:30:4], sessions[5:30:4]), (table[:0], [])]:
+            assert isinstance(part, data.SessionTable)
+            assert list(part) == want
+            assert_tables_equal(part, table.take([sessions.index(s) for s in want]))
+        reordered = table.take([4, 0, 2])
+        assert [s.session_id for s in reordered] == [sessions[k].session_id for k in (4, 0, 2)]
+
+    def test_from_sessions_keeps_list_order(self, corpus):
+        _, sessions = corpus
+        shuffled = sessions[::-1]
+        assert list(data.SessionTable.from_sessions(shuffled)) == shuffled
+
+    def test_blocks_do_not_change_the_table(self, tmp_path, corpus, monkeypatch):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        data.write_sessions(spath, sessions, mode="infer")
+        whole = data.load_sessions(spath, tracks, mode="infer")
+        monkeypatch.setattr(data, "BLOCK_ROWS", 7)
+        assert_tables_equal(data.load_sessions(spath, tracks, mode="infer"), whole)
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        spath = tmp_path / "s.csv"
+        data.write_sessions(spath, [], mode="train")
+        table = data.load_sessions(spath, {}, mode="train")
+        assert len(table) == 0 and list(table) == []
+
+
+class TestRowErrors:
+    """Every row fault names its line; the first bad row in file order wins,
+    and a row with several faults reports the one the per-row checks reach
+    first: column count, position, track id, blank interaction columns, the
+    four flags, the three counts, then the count ranges."""
+
+    def test_hour_out_of_range_names_line_and_column(self, tmp_path, corpus):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        write_edited(spath, sessions[:1], {4: {9: "25"}})
+        with pytest.raises(ValidationError,
+                           match=r"^line 4: column 'hour_of_day' must be in \[0, 23\], got 25$"):
+            data.load_sessions(spath, tracks, mode="train")
+
+    @pytest.mark.parametrize("column,name", [(7, "seek_fwd_count"), (8, "seek_back_count")])
+    def test_negative_seek_names_line_and_column(self, tmp_path, corpus, column, name):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        write_edited(spath, sessions[:1], {6: {column: "-3"}})
+        with pytest.raises(ValidationError,
+                           match=rf"^line 6: column '{name}' must be non-negative, got -3$"):
+            data.load_sessions(spath, tracks, mode="train")
+
+    @pytest.mark.parametrize("fields,error,message", [
+        ({1: "x", 2: "zzz", 3: "yes"}, ParseError,
+         "line 3: column 'position' is not an integer: 'x'"),
+        ({2: "zzz", 4: ""}, DataError, "line 3: unknown track_id 'zzz'"),
+        ({4: "", 3: "yes"}, ParseError,
+         "line 3: interaction columns must be all present or all empty"),
+        ({3: "yes", 7: "abc"}, ParseError, "line 3: column 'skipped' must be 0 or 1, got 'yes'"),
+        ({9: "25", 5: "2"}, ParseError,
+         "line 3: column 'no_pause_before_play' must be 0 or 1, got '2'"),
+        ({9: "25", 7: "-1"}, ValidationError,
+         "line 3: column 'hour_of_day' must be in [0, 23], got 25"),
+        ({8: "-2", 9: "x"}, ParseError, "line 3: column 'hour_of_day' is not an integer: 'x'"),
+        ({7: "-1", 8: "-2"}, ValidationError,
+         "line 3: column 'seek_fwd_count' must be non-negative, got -1"),
+        ({"drop": True, 1: "x"}, ParseError, "line 3: expected 11 columns, got 10"),
+        ({1: "99999999999999999999"}, ParseError,
+         "line 3: column 'position' does not fit in 64 bits: '99999999999999999999'"),
+    ])
+    def test_first_fault_of_a_row(self, tmp_path, corpus, fields, error, message):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        write_edited(spath, sessions[:2], {3: fields})
+        with pytest.raises(error) as info:
+            data.load_sessions(spath, tracks, mode="train")
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 5])
+    def test_first_bad_row_in_file_order(self, tmp_path, corpus, monkeypatch, block_rows):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+        # the later row fails a check the array code runs earlier
+        write_edited(spath, sessions[:3], {12: {9: "24"}, 30: {1: "x"}, 31: {2: "zzz"}})
+        with pytest.raises(ValidationError, match="^line 12: column 'hour_of_day'"):
+            data.load_sessions(spath, tracks, mode="train")
+        write_edited(spath, sessions[:3], {30: {1: "x"}, 31: {2: "zzz"}})
+        with pytest.raises(ParseError, match="^line 30: column 'position'"):
+            data.load_sessions(spath, tracks, mode="train")
+
+    def test_row_faults_come_before_session_faults(self, tmp_path, corpus):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        # line 2 breaks the first session's positions; line 40 holds a bad flag
+        write_edited(spath, sessions[:3], {2: {1: "7"}, 40: {6: "2"}})
+        with pytest.raises(ParseError, match="^line 40: column 'short_pause_before_play'"):
+            data.load_sessions(spath, tracks, mode="train")
+        write_edited(spath, sessions[:3], {2: {1: "7"}})
+        with pytest.raises(ValidationError, match="positions not contiguous"):
+            data.load_sessions(spath, tracks, mode="train")
+
+    def test_first_bad_session_in_session_order(self, tmp_path, corpus):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        short = data.Session("b", sessions[1].events[:9])
+        gap = data.Session("a", [data.Event(e.track_id, e.position + (e.position > 4),
+                                            e.interaction) for e in sessions[0].events])
+        data.write_sessions(spath, [short, gap], mode="train")
+        with pytest.raises(ValidationError, match=r"^session a: positions not contiguous"):
+            data.load_sessions(spath, tracks, mode="train")
+        data.write_sessions(spath, [short, sessions[2]], mode="train")
+        with pytest.raises(ValidationError, match=r"^session b: length 9 outside \[10, 20\]$"):
+            data.load_sessions(spath, tracks, mode="train")
+
+
+TRACK_POOL = [f"t{k:02d}" for k in range(8)] + ["t,quoted\"", "tü"]
+
+interactions = st.builds(
+    data.InteractionRecord, st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+    st.integers(0, 40), st.integers(0, 40), st.integers(0, data.HOURS_PER_DAY - 1),
+    st.sampled_from(data.CONTEXT_TYPES + ("mix,ed \"ctx\"",)))
+
+
+@st.composite
+def session_lists(draw):
+    """Valid train-mode sessions in arbitrary order, ids unique and awkward to quote."""
+    ids = draw(st.lists(st.text(alphabet="ab,\"é 1", min_size=1, max_size=4),
+                        min_size=1, max_size=5, unique=True))
+    sessions = []
+    for session_id in ids:
+        length = draw(st.integers(data.MIN_SESSION_LEN, data.MAX_SESSION_LEN))
+        tracks = draw(st.lists(st.sampled_from(TRACK_POOL), min_size=length, max_size=length))
+        records = draw(st.lists(interactions, min_size=length, max_size=length))
+        sessions.append(data.Session(session_id, [
+            data.Event(track, pos, record)
+            for pos, (track, record) in enumerate(zip(tracks, records), start=1)]))
+    return sessions
+
+
+def blank_second_halves(session):
+    cut = data.first_half_length(len(session))
+    return data.Session(session.session_id, [
+        data.Event(e.track_id, e.position, e.interaction if e.position <= cut else None)
+        for e in session.events])
+
+
+class TestCsvProperties:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(sessions=session_lists(), mode=st.sampled_from(["train", "infer"]),
+           rng=st.randoms(use_true_random=False))
+    def test_write_load_round_trip(self, sessions, mode, rng):
+        want = sorted(sessions, key=lambda s: s.session_id)
+        if mode == "infer":
+            want = [blank_second_halves(s) for s in want]
+        tracks = {t: data.TrackRecord(t, 200.0, 2000, np.zeros(2)) for t in TRACK_POOL}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            data.write_sessions(path, sessions, mode=mode)
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = list(csv.reader(fh))
+            rng.shuffle(rows)  # the loader sorts by session_id, then position
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *rows])
+            loaded = data.load_sessions(path, tracks, mode=mode)
+            assert_tables_equal(data.load_sessions(path, None, mode=mode), loaded)
+        assert list(loaded) == want
+        assert_tables_equal(data.SessionTable.from_sessions(want), loaded)

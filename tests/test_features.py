@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skipgru import data
-from skipgru.errors import StateError, ValidationError
+from skipgru.errors import DataError, StateError, ValidationError
 from skipgru.features import (
     INTERACTION_WIDTH,
     NUMERIC_INTERACTION_FEATURES,
@@ -12,6 +12,7 @@ from skipgru.features import (
     position_feature,
 )
 
+from helpers import split_halves
 from test_data import make_interaction
 
 
@@ -205,7 +206,7 @@ class TestAssembly:
         unseen = one_session(ids[:7], length=13, context_type="martian", seek_back_count=50)
         batch = data.pad_batch(sessions[20:] + [unseen], pipeline, tracks)
         for i, session in enumerate(sessions[20:] + [unseen]):
-            first, second = data.split_halves(session)
+            first, second = split_halves(session)
             for t, ev in enumerate(first):
                 want = reference_vector(pipeline, tracks[ev.track_id], ev.position, ev.interaction)
                 assert batch.first_half[i, t].tolist() == want
@@ -260,3 +261,57 @@ class TestPipelineState:
         tracks, sessions = corpus
         other = FeaturePipeline({}, d_emb=4).fit(sessions, tracks)
         assert other.schema_fingerprint() != pipeline.schema_fingerprint()
+
+
+def batch_bytes(batch):
+    """Every array of a PaddedBatch with its dtype and shape, plus its id lists."""
+    arrays = (batch.first_half, batch.second_half, batch.mask, batch.targets)
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            batch.session_ids, batch.second_lengths)
+
+
+class TestTableInput:
+    def test_table_and_list_encode_identically(self, tmp_path, corpus):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        ids = sorted(tracks)
+        pipeline = FeaturePipeline({t: np.full(4, k * 0.1) for k, t in enumerate(ids) if k % 3})
+        data.write_sessions(spath, sessions, mode="train")
+        pipeline.fit(data.load_sessions(spath, tracks, mode="train")[:20], tracks)
+        fitted_on_list = FeaturePipeline(pipeline.embeddings).fit(sessions[:20], tracks)
+        assert fitted_on_list.state_key() == pipeline.state_key()
+        for mode in ("train", "infer"):
+            data.write_sessions(spath, sessions, mode=mode)
+            table = data.load_sessions(spath, tracks, mode=mode)
+            from_table = pipeline.encode(table, tracks)
+            from_list = pipeline.encode(list(table), tracks)
+            for rows in ([0, 1, 2], list(range(len(sessions))), [17, 3, 29, 3]):
+                assert batch_bytes(from_table.batch(rows)) == batch_bytes(from_list.batch(rows))
+        hand_built = pipeline.encode(sessions, tracks)
+        assert (batch_bytes(hand_built.batch(range(len(sessions))))
+                == batch_bytes(pipeline.encode(data.SessionTable.from_sessions(sessions), tracks)
+                               .batch(range(len(sessions)))))
+
+    def test_fit_unknown_track_is_data_error(self, corpus):
+        tracks, sessions = corpus
+        missing = sessions[4].events[2].track_id
+        known = {k: v for k, v in tracks.items() if k != missing}
+        first = next(s for s in sessions if any(e.track_id == missing for e in s.events))
+        with pytest.raises(DataError, match=f"^session {first.session_id}: "
+                                            f"unknown track_id '{missing}'$"):
+            FeaturePipeline({}, d_emb=3).fit(sessions, known)
+
+    def test_encode_unknown_track_is_data_error(self, corpus, pipeline):
+        tracks, sessions = corpus
+        stranger = one_session(["t00001", "never-listed"])
+        with pytest.raises(DataError, match="^session s: unknown track_id 'never-listed'$"):
+            pipeline.encode(sessions[:3] + [stranger], tracks)
+
+    def test_encode_needs_first_half_interactions(self, corpus, pipeline):
+        tracks, sessions = corpus
+        session = sessions[0]
+        session = data.Session("gap", [data.Event(e.track_id, e.position,
+                                                  None if e.position == 3 else e.interaction)
+                                       for e in session.events])
+        with pytest.raises(ValidationError, match="^session gap: missing interaction at position 3"):
+            pipeline.encode([session], tracks)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skipgru import glove
+from skipgru import data, glove
 from skipgru.data import Event, Session
 from skipgru.errors import TrainingError, ValidationError
 
@@ -323,3 +323,25 @@ class TestExport:
         path.write_text(f"A 1.0 2.0\nB 1.0 {bad}\n")
         with pytest.raises(ValidationError, match="line 2.*non-finite"):
             glove.load_embeddings(path)
+
+
+class TestTableInput:
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_loaded_table_matches_per_pair_loop(self, tmp_path, window):
+        tracks, sessions = data.gen_synthetic(n_sessions=60, n_tracks=50, seed=12)
+        path = tmp_path / "s.csv"
+        data.write_sessions(path, sessions[::-1], mode="infer")
+        table = data.load_sessions(path, None, mode="infer")
+        built = glove.build_cooccurrence(table, window=window)
+        track_ids, pairs = loop_cooccurrence_pairs(table, window)
+        assert built.track_ids == track_ids
+        assert built.pairs == pairs
+        assert glove.build_cooccurrence(sessions, window=window).pairs == pairs
+
+    def test_slice_renumbers_over_played_tracks(self, tmp_path):
+        tracks, sessions = data.gen_synthetic(n_sessions=20, n_tracks=50, seed=13)
+        path = tmp_path / "s.csv"
+        data.write_sessions(path, sessions, mode="train")
+        part = data.load_sessions(path, None, mode="train")[:3]
+        built = glove.build_cooccurrence(part, window=5)
+        assert (built.track_ids, built.pairs) == loop_cooccurrence_pairs(sessions[:3], 5)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skipgru import data, metrics, model
+from skipgru import data, metrics, model, training
 from skipgru.errors import (
     AlignmentError,
     EnsembleError,
@@ -11,6 +11,8 @@ from skipgru.errors import (
     ValidationError,
 )
 from skipgru.features import FeaturePipeline
+
+from helpers import split_halves
 
 
 def brute_force_aa(pred, truth):
@@ -217,7 +219,7 @@ class TestTruthAndSubmission:
         tracks, sessions = data.gen_synthetic(n_sessions=4, n_tracks=50, seed=6)
         truth = metrics.second_half_truth(sessions)
         for session in sessions:
-            _, second = data.split_halves(session)
+            _, second = split_halves(session)
             assert truth[session.session_id] == [e.interaction.skipped for e in second]
 
     def test_truth_requires_interactions(self):
@@ -258,3 +260,70 @@ class TestTruthAndSubmission:
     def test_score_submission_length_mismatch(self):
         with pytest.raises(AlignmentError, match="a"):
             metrics.score_submission({"a": [True, False]}, [[True]])
+
+
+def count_encodes(monkeypatch):
+    """Record the pipeline of every FeaturePipeline.encode call from now on."""
+    calls = []
+    original = FeaturePipeline.encode
+
+    def encode(self, sessions, tracks):
+        calls.append(self)
+        return original(self, sessions, tracks)
+
+    monkeypatch.setattr(FeaturePipeline, "encode", encode)
+    return calls
+
+
+def shifted_copy(pipeline):
+    """An equal-schema copy whose duration scaler spans a wider range."""
+    copy = FeaturePipeline.from_dict(pipeline.to_dict())
+    copy.scalers["duration"].hi += 50.0
+    return copy
+
+
+class TestEnsembleEncoding:
+    def test_members_from_separate_checkpoints_share_one_encode(self, tmp_path, monkeypatch):
+        tracks, sessions, pipeline, members = small_models(3)
+        loaded = []
+        for k, (params, _) in enumerate(members):
+            path = tmp_path / f"member{k}.ckpt"
+            training.save_checkpoint(training.Checkpoint(
+                params.variant, params.dims, params.state_dict(), pipeline.to_dict(), None, {}),
+                path)
+            loaded.append(training.load_checkpoint(path).build())
+        assert len({id(p) for _, p in loaded}) == 3
+        calls = count_encodes(monkeypatch)
+        metrics.ensemble_predict(loaded, sessions, tracks)
+        assert len(calls) == 1
+
+    def test_shifted_scaler_gets_its_own_encode(self, monkeypatch):
+        tracks, sessions, pipeline, members = small_models(2)
+        shifted = shifted_copy(pipeline)
+        assert shifted.schema_fingerprint() == pipeline.schema_fingerprint()
+        assert shifted.state_key() != pipeline.state_key()
+        calls = count_encodes(monkeypatch)
+        metrics.ensemble_predict([members[0], (members[1][0], shifted)], sessions, tracks)
+        assert [p is shifted for p in calls] == [False, True]
+
+    def test_grouped_encoding_matches_per_member_encoding(self):
+        tracks, sessions, pipeline, members = small_models(3)
+        mixed = members + [(members[0][0], shifted_copy(pipeline))]
+        combined = metrics.ensemble_probs([model.predict_probs(sessions, p, tracks, params)
+                                           for params, p in mixed])
+        # thresholds at the combined values themselves make the >= rule bit-sensitive
+        for threshold in [0.5, *(combined[s.session_id][0] for s in sessions[:4])]:
+            got = metrics.ensemble_predict(mixed, sessions, tracks, threshold=threshold)
+            assert got.keys() == combined.keys()
+            for sid, probs in combined.items():
+                assert np.array_equal(got[sid], probs >= threshold)
+
+    def test_truth_from_a_loaded_table(self, tmp_path):
+        tracks, sessions = data.gen_synthetic(n_sessions=6, n_tracks=50, seed=8)
+        path = tmp_path / "s.csv"
+        data.write_sessions(path, sessions[::-1], mode="train")
+        table = data.load_sessions(path, None, mode="train")
+        assert metrics.second_half_truth(table) == metrics.second_half_truth(sessions)
+        data.write_sessions(path, sessions, mode="infer")
+        with pytest.raises(ValidationError, match=f"^session {sessions[0].session_id}: "):
+            metrics.second_half_truth(data.load_sessions(path, None, mode="infer"))

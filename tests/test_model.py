@@ -8,7 +8,7 @@ from skipgru import data, model
 from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
 from skipgru.features import FeaturePipeline
 
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, max_rel_err, split_halves
 
 
 def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="relu"):
@@ -305,7 +305,7 @@ class TestPrediction:
         tracks, sessions, pipeline, params = tiny_setup(seed=6)
         for session in sessions:
             pred = model.predict_session(session, pipeline, tracks, params)
-            assert len(pred) == len(data.split_halves(session)[1])
+            assert len(pred) == len(split_halves(session)[1])
 
     def test_batched_equals_single(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=7)
