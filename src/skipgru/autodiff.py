@@ -8,9 +8,9 @@ order and accumulates gradients into every node that requires them. Only
 parameters (leaves that require a gradient) own a ``grad`` array from the
 start; every other node's ``grad`` is ``None`` until ``backward`` reaches it.
 
-Broadcasting is deliberately restricted: the second operand of an
-elementwise op may be a 1 x n bias row matched against an m x n left
-operand, nothing else. All other mismatches raise :class:`ShapeError`.
+Broadcasting is deliberately restricted: the second operand of ``add`` or
+``hadamard`` may be a 1 x n bias row matched against an m x n left operand,
+nothing else. All other mismatches raise :class:`ShapeError`.
 Any op whose result contains NaN/Inf raises :class:`NumericError`.
 """
 
@@ -25,8 +25,7 @@ from .errors import DegenerateBatchError, NumericError, ShapeError, StateError
 ELU_ALPHA = 1.0
 BCE_CLIP = 1e-12
 
-ELEMENTWISE_KINDS = ("add", "sub", "hadamard")
-ACTIVATION_KINDS = ("sigmoid", "tanh", "relu", "elu")
+ACTIVATION_KINDS = ("sigmoid", "relu", "elu")
 
 
 def as_matrix(x) -> np.ndarray:
@@ -94,46 +93,26 @@ def matmul(a: Node, b: Node) -> Node:
     )
 
 
-def _broadcast_kind(a: Node, b: Node, op: str) -> bool:
-    """True when b is a 1 x n bias row to stretch over a's rows."""
+def _bias_reducer(a: Node, b: Node, op: str):
+    """The pull that maps an output gradient to b's shape: identity for equal
+    shapes, a column sum when b is a 1 x n bias row stretched over a's rows."""
     if a.shape == b.shape:
-        return False
-    if b.shape == (1, a.shape[1]) and a.shape[0] >= 1:
-        return True
+        return lambda g: g
+    if b.shape == (1, a.shape[1]):
+        return lambda g: g.sum(axis=0, keepdims=True)
     raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
 
 
-def elementwise(a: Node, b: Node, kind: str) -> Node:
-    if kind not in ELEMENTWISE_KINDS:
-        raise ValueError(f"unknown elementwise kind '{kind}'")
-    broadcast = _broadcast_kind(a, b, kind)
-    av, bv = a.value, b.value
-
-    def reduce_b(g):
-        return g.sum(axis=0, keepdims=True) if broadcast else g
-
-    if kind == "add":
-        value = av + bv
-        pulls = [(a, lambda g: g), (b, lambda g: reduce_b(g))]
-    elif kind == "sub":
-        value = av - bv
-        pulls = [(a, lambda g: g), (b, lambda g: -reduce_b(g))]
-    else:  # hadamard
-        value = av * bv
-        pulls = [(a, lambda g: g * bv), (b, lambda g: reduce_b(g * av))]
-    return _result(value, pulls, kind)
-
-
 def add(a: Node, b: Node) -> Node:
-    return elementwise(a, b, "add")
-
-
-def sub(a: Node, b: Node) -> Node:
-    return elementwise(a, b, "sub")
+    reduce_b = _bias_reducer(a, b, "add")
+    return _result(a.value + b.value, [(a, lambda g: g), (b, reduce_b)], "add")
 
 
 def hadamard(a: Node, b: Node) -> Node:
-    return elementwise(a, b, "hadamard")
+    reduce_b = _bias_reducer(a, b, "hadamard")
+    av, bv = a.value, b.value
+    return _result(av * bv, [(a, lambda g: g * bv), (b, lambda g: reduce_b(g * av))],
+                   "hadamard")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -150,9 +129,6 @@ def activation(a: Node, kind: str) -> Node:
     if kind == "sigmoid":
         y = _sigmoid(x)
         local = y * (1.0 - y)
-    elif kind == "tanh":
-        y = np.tanh(x)
-        local = 1.0 - y * y
     elif kind == "relu":
         y = np.maximum(x, 0.0)
         local = (x > 0.0).astype(np.float64)
@@ -167,16 +143,8 @@ def sigmoid(a: Node) -> Node:
     return activation(a, "sigmoid")
 
 
-def tanh(a: Node) -> Node:
-    return activation(a, "tanh")
-
-
 def relu(a: Node) -> Node:
     return activation(a, "relu")
-
-
-def elu(a: Node) -> Node:
-    return activation(a, "elu")
 
 
 def concat_cols(parts: list[Node]) -> Node:
@@ -196,25 +164,6 @@ def concat_cols(parts: list[Node]) -> Node:
         pulls.append((p, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
         offset = hi
     return _result(value, pulls, "concat_cols")
-
-
-def concat_rows(parts: list[Node]) -> Node:
-    if not parts:
-        raise ShapeError("concat_rows needs at least one part")
-    cols = parts[0].shape[1]
-    for p in parts[1:]:
-        if p.shape[1] != cols:
-            raise ShapeError(
-                f"concat_rows column mismatch: {parts[0].shape} vs {p.shape}"
-            )
-    value = np.concatenate([p.value for p in parts], axis=0)
-    pulls = []
-    offset = 0
-    for p in parts:
-        lo, hi = offset, offset + p.shape[0]
-        pulls.append((p, lambda g, lo=lo, hi=hi: g[lo:hi, :]))
-        offset = hi
-    return _result(value, pulls, "concat_rows")
 
 
 def take_rows(a: Node, idx) -> Node:

@@ -10,20 +10,20 @@ co-occurrence table; embeddings then minimize
 with per-coordinate adaptive (AdaGrad-style) steps over shuffled slices of
 the nonzero entries: within a slice the entries that share a row are summed,
 and each row takes one step. The exported embedding for a track is
-``w + w~``. The table stores each unordered pair once; training iterates
-both directions of every pair, which makes the objective symmetric under
-swapping the main and context parameter sets.
+``w + w~``. The table is two arrays: each unordered pair of track indices
+once, as an ``(i, j)`` row with ``i < j`` in sorted order, and its summed
+weight. Training iterates both directions of every pair, which makes the
+objective symmetric under swapping the main and context parameter sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .data import Session, SessionTable, as_table, atomic_write, open_text
-from .errors import TrainingError, ValidationError
+from .errors import ConfigError, TrainingError, ValidationError
 
 X_MAX = 100.0
 ALPHA = 0.75
@@ -36,45 +36,25 @@ ENTRY_BATCH = 4096
 
 @dataclass
 class CooccurrenceTable:
-    """Symmetric sparse co-occurrence weights keyed by canonical (i < j) pairs."""
+    """Symmetric sparse co-occurrence weights over ``track_ids``.
+
+    ``pairs`` is int64 ``[n, 2]``: each unordered pair of track indices once,
+    as ``i < j``, in ascending ``(i, j)`` order. ``values`` is float64 ``[n]``,
+    the weight of each pair.
+    """
 
     track_ids: list[str]
-    pairs: dict[tuple[int, int], float] = field(default_factory=dict)
+    pairs: np.ndarray
+    values: np.ndarray
 
     @property
     def n_tracks(self) -> int:
         return len(self.track_ids)
 
-    def weight(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        key = (i, j) if i < j else (j, i)
-        return self.pairs.get(key, 0.0)
-
-    def add(self, i: int, j: int, amount: float) -> None:
-        if i == j:
-            return
-        key = (i, j) if i < j else (j, i)
-        self.pairs[key] = self.pairs.get(key, 0.0) + amount
-
-    def merge(self, other: "CooccurrenceTable") -> None:
-        """Entrywise sum; both tables must share the same track index."""
-        if other.track_ids != self.track_ids:
-            raise ValidationError("cannot merge tables over different track indices")
-        for key, value in other.pairs.items():
-            self.pairs[key] = self.pairs.get(key, 0.0) + value
-
     def directed_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Both directions of every stored pair as (i, j, x) arrays, in pair order."""
-        n = len(self.pairs)
-        keys = np.fromiter(chain.from_iterable(self.pairs), dtype=np.int64, count=2 * n)
-        a, b = keys.reshape(n, 2).T
-        w = np.fromiter(self.pairs.values(), dtype=np.float64, count=n)
-        order = np.lexsort((b, a))
-        a, b, w = a[order], b[order], w[order]
-        i = np.stack([a, b], axis=1).ravel()
-        j = np.stack([b, a], axis=1).ravel()
-        return i, j, np.repeat(w, 2)
+        """Both directions of every pair as (i, j, x) arrays: ``(a, b)`` then
+        ``(b, a)``, pair by pair in table order."""
+        return self.pairs.ravel(), self.pairs[:, ::-1].ravel(), np.repeat(self.values, 2)
 
 
 def build_cooccurrence(sessions: SessionTable | list[Session],
@@ -110,9 +90,7 @@ def build_cooccurrence(sessions: SessionTable | list[Session],
     keys, inverse = np.unique(np.minimum(first, second) * v + np.maximum(first, second),
                               return_inverse=True)
     sums = np.bincount(inverse, weights=1.0 / distance, minlength=len(keys))
-    lo, hi = np.divmod(keys, v)
-    pairs = dict(zip(zip(lo.tolist(), hi.tolist()), sums.tolist()))
-    return CooccurrenceTable(track_ids=track_ids, pairs=pairs)
+    return CooccurrenceTable(track_ids, np.stack(np.divmod(keys, v), axis=1), sums)
 
 
 def glove_weights(x, x_max: float = X_MAX, alpha: float = ALPHA) -> np.ndarray:
@@ -122,10 +100,6 @@ def glove_weights(x, x_max: float = X_MAX, alpha: float = ALPHA) -> np.ndarray:
     if negative.any():
         raise ValidationError(f"co-occurrence weight must be >= 0, got {x[negative].flat[0]}")
     return np.where(x >= x_max, 1.0, (x / x_max) ** alpha)
-
-
-def glove_weight(x: float, x_max: float = X_MAX, alpha: float = ALPHA) -> float:
-    return float(glove_weights(x, x_max, alpha))
 
 
 @dataclass
@@ -207,7 +181,13 @@ def train_glove(
     The loss recorded per epoch is the objective evaluated as each slice is
     visited, before its update.
     """
-    if not table.pairs:
+    if dims < 1 or epochs < 1:
+        raise ConfigError(f"glove dims and epochs must be >= 1, got dims={dims}, "
+                          f"epochs={epochs}")
+    for name, value in (("lr", lr), ("x_max", x_max), ("alpha", alpha)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"glove {name} must be finite and positive, got {value}")
+    if not len(table.pairs):
         raise TrainingError("cannot train embeddings on an empty co-occurrence table")
     v = table.n_tracks
     rng = np.random.default_rng(seed)

@@ -33,7 +33,7 @@ from .data import (
     first_half_length,
     open_text,
 )
-from .errors import AlignmentError, EnsembleError, ParseError, ValidationError
+from .errors import AlignmentError, ConfigError, EnsembleError, ParseError, ValidationError
 
 
 def _as_bools(values) -> list[bool]:
@@ -169,10 +169,13 @@ def ensemble_predict(
     Members must share the feature-pipeline schema; the first member is the
     reference and any mismatch names the offending member position. The
     sessions are encoded once per distinct fitted pipeline state
-    (``FeaturePipeline.state_key``), not once per member.
+    (``FeaturePipeline.state_key``), not once per member. A non-finite
+    threshold is a :class:`ConfigError`.
     """
     if not members:
         raise EnsembleError("ensemble needs at least one member")
+    if not np.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     reference = members[0][1].schema_fingerprint()
     for k, (_, pipeline) in enumerate(members[1:], start=1):
         if pipeline.schema_fingerprint() != reference:

@@ -14,9 +14,10 @@ The gates of a GRU step read the previous output state:
 Each GRU layer is one ``ad.gru`` node over all HALF_LEN steps of the batch,
 laid out position-major (row ``t * batch + b``): the input projections of
 every step are one matmul, only the recurrent products run step by step, and
-the backward pass is one hand-written BPTT sweep. Layer 2 reads all of layer
-1's output rows, since its step t needs only ``o1_t``; ``x_half`` is the last
-step's row of each layer. The context_type slot of a triplet carries a
+the backward pass is one hand-written BPTT sweep. A single step is the
+``steps=1`` case of the same node. Layer 2 reads all of layer 1's output
+rows, since its step t needs only ``o1_t``; ``x_half`` is the last step's
+row of each layer. The context_type slot of a triplet carries a
 vocabulary index; it is swapped for a gathered row of a trainable dense
 embedding before entering the first GRU layer. The whole second half is
 enriched and classified in one pass, in the same position-major row order.
@@ -152,8 +153,7 @@ class ModelParams:
         self.gru2 = GruParams.create(rng, h, h)
         self.proj_w = ad.parameter(glorot(rng, dims.d_doub, 2 * h))
         self.proj_b = ad.parameter(np.zeros((1, 2 * h)))
-        d_enr = dims.d_doub + 4 * h
-        self.head_w1 = ad.parameter(glorot(rng, d_enr, 2 * h))
+        self.head_w1 = ad.parameter(glorot(rng, self.d_enriched, 2 * h))
         self.head_b1 = ad.parameter(np.zeros((1, 2 * h)))
         self.head_w2 = ad.parameter(glorot(rng, 2 * h, 2 * h))
         self.head_b2 = ad.parameter(np.zeros((1, 2 * h)))
@@ -220,11 +220,6 @@ class ModelParams:
             for bn, prefix in ((self.bn1, "bn1"), (self.bn2, "bn2")):
                 bn.running_mean = np.asarray(state[f"{prefix}.running_mean"], dtype=np.float64).copy()
                 bn.running_var = np.asarray(state[f"{prefix}.running_var"], dtype=np.float64).copy()
-
-
-def gru_step(x: ad.Node, o_prev: ad.Node, p: GruParams) -> ad.Node:
-    """One GRU step: the ``steps=1`` case of the fused layer."""
-    return ad.gru(x, o_prev, *p.weights(), steps=1)
 
 
 def encode_first_half(first_half: np.ndarray, params: ModelParams) -> ad.Node:
@@ -329,15 +324,3 @@ def predict_encoded(encoded: EncodedSessions, params: ModelParams,
         for b, session_id in enumerate(batch.session_ids):
             out[session_id] = values[: batch.second_lengths[b], b, 0].copy()
     return out
-
-
-def predict_session(
-    session: Session,
-    pipeline: FeaturePipeline,
-    tracks: dict[str, TrackRecord],
-    params: ModelParams,
-    threshold: float = 0.5,
-) -> np.ndarray:
-    """Boolean skip predictions for the session's second half."""
-    probs = predict_probs([session], pipeline, tracks, params)[session.session_id]
-    return probs >= threshold

@@ -122,8 +122,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if self.clip_norm is not None and not 0.0 < self.clip_norm < np.inf:
+            raise ConfigError(f"clip_norm must be finite and positive, got {self.clip_norm}")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Shared test oracles: central finite differences, independent of the
-library, a GRU step composed from the autodiff primitives, a session's
-halves as event lists, and checkpoint writers for the version-1 format and
-for re-hashed tampered files."""
+library, a GRU composed step by step from autodiff nodes, a session's halves
+as event lists, the co-occurrence table as a pair dict, and checkpoint
+writers for the version-1 format and for re-hashed tampered files."""
 
 import hashlib
 import json
@@ -36,14 +36,38 @@ def max_rel_err(analytic, numeric):
     return float(np.max(np.abs(a - n) / denom))
 
 
+def tanh(a):
+    """Elementwise tanh as a graph node: the GRU candidate activation."""
+    y = np.tanh(a.value)
+    local = 1.0 - y * y
+    return ad._result(y, [(a, lambda g: g * local)], "tanh")
+
+
+def concat_rows(parts):
+    """Row concatenation as a graph node; each part's pull is its row block."""
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+    pulls = [(p, lambda g, lo=lo, hi=hi: g[lo:hi])
+             for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])]
+    return ad._result(np.concatenate([p.value for p in parts], axis=0), pulls, "concat_rows")
+
+
 def composed_gru_step(x, o_prev, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s):
     """One GRU step built node by node from primitives: the fused ``ad.gru`` oracle."""
     u = ad.sigmoid(ad.add(ad.add(ad.matmul(x, w_ux), b_u), ad.matmul(o_prev, w_us)))
     r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, w_rx), b_r), ad.matmul(o_prev, w_rs)))
-    s = ad.tanh(ad.add(ad.add(ad.matmul(x, w_x), b_s),
-                       ad.matmul(ad.hadamard(r, o_prev), w_s)))
-    ones = ad.constant(np.ones(u.shape))
-    return ad.add(ad.hadamard(ad.sub(ones, u), o_prev), ad.hadamard(u, s))
+    s = tanh(ad.add(ad.add(ad.matmul(x, w_x), b_s), ad.matmul(ad.hadamard(r, o_prev), w_s)))
+    keep = ad.add(ad.constant(np.ones(u.shape)), ad.scale(u, -1.0))  # 1 - u
+    return ad.add(ad.hadamard(keep, o_prev), ad.hadamard(u, s))
+
+
+def composed_gru(xs, o0, weights):
+    """Every step's state from the primitive-composed oracle, position-major."""
+    states = []
+    o = o0
+    for x in xs:
+        o = composed_gru_step(x, o, *weights)
+        states.append(o)
+    return concat_rows(states)
 
 
 def split_halves(session):
@@ -65,6 +89,12 @@ def loop_cooccurrence_pairs(sessions, window):
                     key = (min(seq[a], seq[b]), max(seq[a], seq[b]))
                     pairs[key] = pairs.get(key, 0.0) + 1.0 / (b - a)
     return track_ids, pairs
+
+
+def pair_dict(table):
+    """A co-occurrence table's arrays as ``{(i, j): weight}`` in Python numbers,
+    the form ``loop_cooccurrence_pairs`` returns."""
+    return dict(zip(map(tuple, table.pairs.tolist()), table.values.tolist()))
 
 
 def loop_directed_entries(pairs):

@@ -19,7 +19,7 @@ from skipgru import cli, data, glove, metrics, model, training
 from skipgru.features import FeaturePipeline
 
 from helpers import central_diff, max_rel_err
-from test_model import hand_gru_step, tiny_setup, whole_model_fd
+from test_model import hand_gru_step, step, tiny_setup, whole_model_fd
 
 
 @contextlib.contextmanager
@@ -103,17 +103,13 @@ def _bn_infer(a):
 OP_CASES = [
     ("matmul", lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)]),
     ("add", lambda a, b: ad.add(a, b), [(3, 4), (3, 4)]),
-    ("sub", lambda a, b: ad.sub(a, b), [(3, 4), (3, 4)]),
     ("hadamard", lambda a, b: ad.hadamard(a, b), [(3, 4), (3, 4)]),
     ("bias-broadcast", lambda a, b: ad.add(a, b), [(4, 3), (1, 3)]),
     ("sigmoid", lambda a: ad.sigmoid(a), [(3, 4)]),
-    ("tanh", lambda a: ad.tanh(a), [(3, 4)]),
     ("relu", lambda a: ad.relu(a), [(3, 4)]),
-    ("elu", lambda a: ad.elu(a), [(3, 4)]),
+    ("elu", lambda a: ad.activation(a, "elu"), [(3, 4)]),
     ("concat-cols", lambda a, b: ad.hadamard(ad.concat_cols([a, b]),
                                              ad.concat_cols([b, a])), [(3, 2), (3, 2)]),
-    ("concat-rows", lambda a, b: ad.hadamard(ad.concat_rows([a, b]),
-                                             ad.concat_rows([b, a])), [(2, 3), (2, 3)]),
     ("scale", lambda a: ad.scale(a, -1.7), [(3, 4)]),
     ("batchnorm-train", _bn_train, [(5, 3)]),
     ("batchnorm-infer", _bn_infer, [(4, 3)]),
@@ -164,7 +160,7 @@ class TestGruOracle:
             o = ad.constant([[0.9, -1.7]])
             o0 = o.value.copy()
             for t in range(1, 16):
-                o = model.gru_step(ad.constant([[0.2, -0.4]]), o, p)
+                o = step(ad.constant([[0.2, -0.4]]), o, p)
                 assert np.max(np.abs(o.value - 0.5 ** t * o0)) < 1e-12
 
             w = {
@@ -185,7 +181,7 @@ class TestGruOracle:
             )
             o = ad.constant([[0.0, 0.0]])
             for x in xs:
-                o = model.gru_step(ad.constant([x]), o, p)
+                o = step(ad.constant([x]), o, p)
             assert np.max(np.abs(o.value - np.array([o_hand]))) < 1e-9
 
 

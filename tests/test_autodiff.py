@@ -4,7 +4,7 @@ import pytest
 from skipgru import autodiff as ad
 from skipgru.errors import DegenerateBatchError, NumericError, ShapeError, StateError
 
-from helpers import central_diff, composed_gru_step, max_rel_err
+from helpers import central_diff, composed_gru, max_rel_err
 
 
 def loss_of(node):
@@ -57,10 +57,6 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             ad.add(a, b)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ad.elementwise(ad.constant([1.0]), ad.constant([1.0]), "mul")
-
 
 class TestActivation:
     def test_sigmoid_symmetry_point(self):
@@ -81,7 +77,7 @@ class TestActivation:
         assert np.array_equal(ad.sigmoid(ad.constant(x)).value, ref)
 
     def test_elu_closed_form(self):
-        out = ad.elu(ad.constant([[-1.0]])).value[0, 0]
+        out = ad.activation(ad.constant([[-1.0]]), "elu").value[0, 0]
         assert out == pytest.approx(-0.6321205588285577, abs=1e-15)
 
     def test_relu(self):
@@ -89,18 +85,21 @@ class TestActivation:
         assert np.array_equal(out.value, [[0.0, 0.0, 3.0]])
 
     def test_output_bounds(self):
-        # float64 tanh/sigmoid saturate to the closed bound beyond |x| ~ 19,
+        # float64 sigmoid rounds to 1.0 beyond x ~ 37,
         # so probe the range where the open bounds are representable
         rng = np.random.default_rng(7)
         x = ad.constant(rng.uniform(-15.0, 15.0, size=(20, 20)))
         s = ad.sigmoid(x).value
-        t = ad.tanh(x).value
         r = ad.relu(x).value
-        e = ad.elu(x).value
+        e = ad.activation(x, "elu").value
         assert ((s > 0.0) & (s < 1.0)).all()
-        assert ((t > -1.0) & (t < 1.0)).all()
         assert (r >= 0.0).all()
         assert (e > -ad.ELU_ALPHA).all()
+
+    @pytest.mark.parametrize("kind", ["tanh", "softmax"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=kind):
+            ad.activation(ad.constant([[1.0]]), kind)
 
 
 class TestConcat:
@@ -122,15 +121,6 @@ class TestConcat:
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
             ad.concat_cols([ad.constant(np.ones((2, 2))), ad.constant(np.ones((3, 2)))])
-
-    def test_concat_rows(self):
-        a = ad.parameter(np.ones((2, 2)))
-        b = ad.parameter(2.0 * np.ones((1, 2)))
-        out = ad.concat_rows([a, b])
-        assert out.shape == (3, 2)
-        ad.backward(loss_of(out))
-        assert np.array_equal(a.grad, np.ones((2, 2)))
-        assert np.array_equal(b.grad, np.ones((1, 2)))
 
 
 class TestBatchNorm:
@@ -267,16 +257,6 @@ def gru_shapes(steps):
             (1, h), (1, h), (1, h)]
 
 
-def composed_gru(xs, o0, weights):
-    """Every step's state from the primitive-composed oracle, position-major."""
-    states = []
-    o = o0
-    for x in xs:
-        o = composed_gru_step(x, o, *weights)
-        states.append(o)
-    return ad.concat_rows(states)
-
-
 class TestGru:
     @pytest.mark.parametrize("steps", [1, 3, 10])
     def test_matches_composed_primitives(self, steps):
@@ -396,16 +376,13 @@ class TestGradientsVsFiniteDifferences:
     def test_add(self):
         _gradcheck(ad.add, [(3, 4), (3, 4)], n_seeds=100)
 
-    def test_sub(self):
-        _gradcheck(ad.sub, [(3, 4), (3, 4)], n_seeds=100)
-
     def test_hadamard(self):
         _gradcheck(ad.hadamard, [(3, 4), (3, 4)], n_seeds=100)
 
     def test_bias_broadcast(self):
         _gradcheck(ad.add, [(4, 3), (1, 3)], n_seeds=100)
 
-    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "relu", "elu"])
+    @pytest.mark.parametrize("kind", ["sigmoid", "relu", "elu"])
     def test_activations(self, kind):
         _gradcheck(lambda a: ad.activation(a, kind), [(3, 4)], n_seeds=100)
 
@@ -413,13 +390,6 @@ class TestGradientsVsFiniteDifferences:
         _gradcheck(
             lambda a, b: ad.hadamard(ad.concat_cols([a, b]), ad.concat_cols([b, a])),
             [(3, 2), (3, 2)],
-            n_seeds=100,
-        )
-
-    def test_concat_rows(self):
-        _gradcheck(
-            lambda a, b: ad.hadamard(ad.concat_rows([a, b]), ad.concat_rows([b, a])),
-            [(2, 3), (2, 3)],
             n_seeds=100,
         )
 
@@ -484,7 +454,7 @@ class TestGradientsVsFiniteDifferences:
 
     def test_composite_graph(self):
         def build(a, b, c):
-            h = ad.tanh(ad.matmul(a, b))
+            h = ad.activation(ad.matmul(a, b), "elu")
             return ad.hadamard(ad.sigmoid(ad.add(h, c)), h)
 
         _gradcheck(build, [(3, 4), (4, 2), (1, 2)], n_seeds=100)

@@ -84,6 +84,18 @@ class TestEmbed:
         assert run(["embed", "--sessions", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "e.txt")]) == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dims", "0"), ("--dims", "-3"), ("--epochs", "0"), ("--lr", "-1"),
+        ("--lr", "nan"), ("--x-max", "0"), ("--x-max", "inf"), ("--alpha", "-0.5"),
+    ])
+    def test_bad_flag_exits_three(self, workspace, tmp_path, capsys, flag, value):
+        out = tmp_path / "e.txt"
+        assert run(["embed", "--sessions", str(workspace / "sessions.csv"),
+                    "--out", str(out), "--dims", "4", "--epochs", "1", flag, value]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag.lstrip("-").replace("-", "_") in err
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint(self, workspace, tmp_path, capsys):
@@ -154,6 +166,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "line 5" in err and "duration" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--clip-norm", "0"), ("--clip-norm", "-1"), ("--clip-norm", "nan"),
+        ("--lr", "nan"), ("--lr", "inf"),
+    ])
+    def test_bad_flag_exits_three(self, workspace, tmp_path, capsys, flag, value):
+        ckpt = tmp_path / "x.ckpt"
+        assert run(["train", "--sessions", str(workspace / "sessions.csv"),
+                    "--tracks", str(workspace / "tracks.csv"),
+                    "--embeddings", str(workspace / "emb.txt"),
+                    "--out", str(ckpt), "--epochs", "1", "--hidden-size", "4",
+                    flag, value]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag.lstrip("-").replace("-", "_") in err
+        assert "Traceback" not in err and not ckpt.exists()
+
     def test_numeric_abort_exits_four(self, workspace, tmp_path, capsys, monkeypatch):
         from skipgru import cli as cli_mod
         from skipgru.errors import TrainingError
@@ -202,6 +229,18 @@ class TestPredictAndEvaluate:
                     "--tracks", str(workspace / "tracks.csv"),
                     "--out", str(sub)]) == 0
         assert "models=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_three(self, workspace, trained, tmp_path, capsys,
+                                               value):
+        sub = tmp_path / "sub.txt"
+        assert run(["predict", "--model", str(trained[0]),
+                    "--sessions", str(workspace / "sessions_holdout.csv"),
+                    "--tracks", str(workspace / "tracks.csv"),
+                    "--out", str(sub), f"--threshold={value}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threshold" in err
+        assert "Traceback" not in err and not sub.exists()
 
     def test_malformed_checkpoint(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -579,7 +579,7 @@ def blank_second_halves(session):
 
 
 class TestCsvProperties:
-    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(sessions=session_lists(), mode=st.sampled_from(["train", "infer"]),
            rng=st.randoms(use_true_random=False))
     def test_write_load_round_trip(self, sessions, mode, rng):

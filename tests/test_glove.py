@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skipgru import data, glove
 from skipgru.data import Event, Session
@@ -10,6 +12,7 @@ from helpers import (
     loop_cooccurrence_pairs,
     loop_directed_entries,
     max_rel_err,
+    pair_dict,
     scatter_adagrad_step,
 )
 
@@ -19,6 +22,19 @@ def sessions_of(*seqs):
         Session(f"s{k}", [Event(t, p + 1, None) for p, t in enumerate(seq)])
         for k, seq in enumerate(seqs)
     ]
+
+
+def table_of(track_ids, pairs):
+    """A table from a ``{(i, j): weight}`` dict with ``i < j``."""
+    keys = sorted(pairs)
+    return glove.CooccurrenceTable(track_ids, np.array(keys, dtype=np.int64).reshape(-1, 2),
+                                   np.array([pairs[k] for k in keys]))
+
+
+def weight(table, a, b):
+    """The table's weight of tracks ``a`` and ``b`` (by id), 0.0 when absent."""
+    i, j = sorted((table.track_ids.index(a), table.track_ids.index(b)))
+    return pair_dict(table).get((i, j), 0.0)
 
 
 def cluster_corpus(n_clusters=10, tracks_per_cluster=4, n_sessions=200, seed=0):
@@ -38,39 +54,35 @@ def cluster_corpus(n_clusters=10, tracks_per_cluster=4, n_sessions=200, seed=0):
 class TestCooccurrence:
     def test_adjacent_pair(self):
         table = glove.build_cooccurrence(sessions_of(["A", "B"]), window=5)
-        assert table.weight(table.track_ids.index("A"), table.track_ids.index("B")) == 1.0
+        assert weight(table, "A", "B") == 1.0
 
     def test_distance_two(self):
         table = glove.build_cooccurrence(sessions_of(["A", "B", "C"]), window=5)
-        a, c = table.track_ids.index("A"), table.track_ids.index("C")
-        assert table.weight(a, c) == 0.5
+        assert weight(table, "A", "C") == 0.5
 
     def test_window_cutoff(self):
         table = glove.build_cooccurrence(sessions_of(["A", "B", "C"]), window=1)
-        a, c = table.track_ids.index("A"), table.track_ids.index("C")
-        assert table.weight(a, c) == 0.0
+        assert weight(table, "A", "C") == 0.0
 
     def test_repeats_accumulate(self):
         table = glove.build_cooccurrence(sessions_of(["A", "B", "A"]), window=5)
-        a, b = table.track_ids.index("A"), table.track_ids.index("B")
-        assert table.weight(a, b) == 2.0
-        assert table.weight(a, a) == 0.0  # no diagonal
+        assert weight(table, "A", "B") == 2.0
+        assert weight(table, "A", "A") == 0.0  # no diagonal
 
     def test_symmetry(self):
+        # one row per unordered pair, i < j, in ascending (i, j) order; reading
+        # every session backwards gives the same table
         _, sessions = cluster_corpus(n_sessions=30, seed=4)
         table = glove.build_cooccurrence(sessions, window=5)
-        for (i, j), w in table.pairs.items():
-            assert i < j
-            assert table.weight(i, j) == table.weight(j, i) == w
-
-    def test_merge_is_entrywise_sum(self):
-        a = glove.build_cooccurrence(sessions_of(["A", "B", "C"] * 4), window=2)
-        b = glove.build_cooccurrence(sessions_of(["C", "B", "A"] * 4), window=2)
-        b.track_ids = a.track_ids
-        total = {k: a.pairs.get(k, 0.0) + b.pairs.get(k, 0.0)
-                 for k in set(a.pairs) | set(b.pairs)}
-        a.merge(b)
-        assert a.pairs == total
+        assert table.pairs.dtype == np.int64 and table.pairs.shape == (len(table.values), 2)
+        assert table.values.dtype == np.float64
+        assert (table.pairs[:, 0] < table.pairs[:, 1]).all()
+        assert np.array_equal(np.lexsort(table.pairs.T[::-1]), np.arange(len(table.pairs)))
+        backwards = glove.build_cooccurrence(
+            [Session(s.session_id, s.events[::-1]) for s in sessions], window=5)
+        assert backwards.track_ids == table.track_ids
+        assert np.array_equal(backwards.pairs, table.pairs)
+        assert np.allclose(backwards.values, table.values, rtol=1e-12, atol=0.0)
 
     def test_bad_window(self):
         with pytest.raises(ValidationError):
@@ -86,50 +98,60 @@ class TestCooccurrence:
         table = glove.build_cooccurrence(sessions, window=window)
         track_ids, pairs = loop_cooccurrence_pairs(sessions, window)
         assert table.track_ids == track_ids
-        assert table.pairs == pairs
-        assert all(type(a) is int and type(b) is int and type(w) is float
-                   for (a, b), w in table.pairs.items())
+        assert pair_dict(table) == pairs
+        assert list(pair_dict(table)) == sorted(pairs)
 
     def test_no_sessions(self):
         table = glove.build_cooccurrence([], window=5)
-        assert table.track_ids == [] and table.pairs == {}
+        assert table.track_ids == []
+        assert table.pairs.shape == (0, 2) and table.values.shape == (0,)
 
     def test_directed_entries_match_sorted_loop(self):
-        a = glove.build_cooccurrence(cluster_corpus(n_sessions=60, seed=7)[1], window=3)
-        b = glove.build_cooccurrence(cluster_corpus(n_sessions=60, seed=8)[1], window=4)
-        b.track_ids = a.track_ids
-        a.merge(b)  # insertion order is no longer sorted
-        for got, want in zip(a.directed_entries(), loop_directed_entries(a.pairs)):
+        table = glove.build_cooccurrence(cluster_corpus(n_sessions=60, seed=7)[1], window=3)
+        for got, want in zip(table.directed_entries(), loop_directed_entries(pair_dict(table))):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
     def test_directed_entries_of_empty_table(self):
-        i, j, x = glove.CooccurrenceTable(track_ids=["A"]).directed_entries()
+        i, j, x = table_of(["A"], {}).directed_entries()
         assert i.shape == j.shape == x.shape == (0,)
+
+
+class TestCooccurrenceProperties:
+    @given(seqs=st.lists(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=25),
+                         max_size=8),
+           window=st.integers(1, 30))
+    def test_matches_per_pair_loop(self, seqs, window):
+        # one-event sessions, repeated tracks and windows past the session end
+        sessions = sessions_of(*seqs)
+        table = glove.build_cooccurrence(sessions, window=window)
+        track_ids, pairs = loop_cooccurrence_pairs(sessions, window)
+        assert table.track_ids == track_ids
+        assert pair_dict(table) == pairs
 
 
 class TestGloveWeight:
     def test_cap(self):
-        assert glove.glove_weight(100.0, x_max=100.0) == 1.0
-        assert glove.glove_weight(250.0, x_max=100.0) == 1.0
+        assert list(glove.glove_weights([100.0, 250.0], x_max=100.0)) == [1.0, 1.0]
 
     def test_formula(self):
-        assert glove.glove_weight(50.0, x_max=100.0, alpha=0.75) == pytest.approx(
+        assert float(glove.glove_weights(50.0, x_max=100.0, alpha=0.75)) == pytest.approx(
             0.5946035575013605, abs=1e-15
         )
 
     def test_zero(self):
-        assert glove.glove_weight(0.0) == 0.0
+        assert float(glove.glove_weights(0.0)) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
-            glove.glove_weight(-1.0)
+            glove.glove_weights(-1.0)
 
     def test_array_matches_scalar(self):
         x = np.array([0.0, 0.5, 1.0, 37.5, 99.999, 100.0, 250.0])
         weights = glove.glove_weights(x, x_max=100.0, alpha=0.75)
         assert weights.shape == x.shape
-        assert list(weights) == [glove.glove_weight(v, x_max=100.0, alpha=0.75) for v in x]
+        assert list(weights) == [float(glove.glove_weights(v, x_max=100.0, alpha=0.75))
+                                 for v in x]
 
     def test_array_negative_rejected(self):
         with pytest.raises(ValidationError, match="-0.5"):
@@ -144,7 +166,7 @@ class TestTraining:
         assert emb.epoch_losses[-1] < emb.epoch_losses[0]
 
     def test_single_pair_fit(self):
-        table = glove.CooccurrenceTable(track_ids=["A", "B"], pairs={(0, 1): 4.0})
+        table = table_of(["A", "B"], {(0, 1): 4.0})
         emb = glove.train_glove(table, dims=4, epochs=400, seed=0)
         fit = float(emb.main[0] @ emb.context[1] + emb.main_bias[0] + emb.context_bias[1])
         assert abs(fit - np.log(4.0)) < 1e-2
@@ -159,7 +181,7 @@ class TestTraining:
 
     def test_empty_table(self):
         with pytest.raises(TrainingError):
-            glove.train_glove(glove.CooccurrenceTable(track_ids=["A"]), dims=2, epochs=1)
+            glove.train_glove(table_of(["A"], {}), dims=2, epochs=1)
 
     def test_cosine_separation(self):
         clusters, sessions = cluster_corpus(seed=5)
@@ -205,7 +227,7 @@ class TestTraining:
         # six tracks, all 15 pairs: every row is hit by five entries in the slice
         tracks = [f"t{k}" for k in range(6)]
         pairs = {(a, b): 1.0 + a + 2 * b for a in range(6) for b in range(a + 1, 6)}
-        table = glove.CooccurrenceTable(track_ids=tracks, pairs=pairs)
+        table = table_of(tracks, pairs)
         emb = glove.train_glove(table, dims=4, epochs=1, seed=3)
 
         rng = np.random.default_rng(3)
@@ -251,7 +273,7 @@ class TestTraining:
             context_bias=rng.normal(size=v),
         )
         i, j, x = table.directed_entries()
-        f = np.array([glove.glove_weight(w) for w in x])
+        f = np.array([float(glove.glove_weights(w)) for w in x])
         _, gwi, gwj, gbi, gbj = glove._batch_gradients(
             emb.main, emb.context, emb.main_bias, emb.context_bias, i, j, np.log(x), f
         )
@@ -335,8 +357,8 @@ class TestTableInput:
         built = glove.build_cooccurrence(table, window=window)
         track_ids, pairs = loop_cooccurrence_pairs(table, window)
         assert built.track_ids == track_ids
-        assert built.pairs == pairs
-        assert glove.build_cooccurrence(sessions, window=window).pairs == pairs
+        assert pair_dict(built) == pairs
+        assert pair_dict(glove.build_cooccurrence(sessions, window=window)) == pairs
 
     def test_slice_renumbers_over_played_tracks(self, tmp_path):
         tracks, sessions = data.gen_synthetic(n_sessions=20, n_tracks=50, seed=13)
@@ -344,4 +366,4 @@ class TestTableInput:
         data.write_sessions(path, sessions, mode="train")
         part = data.load_sessions(path, None, mode="train")[:3]
         built = glove.build_cooccurrence(part, window=5)
-        assert (built.track_ids, built.pairs) == loop_cooccurrence_pairs(sessions[:3], 5)
+        assert (built.track_ids, pair_dict(built)) == loop_cooccurrence_pairs(sessions[:3], 5)

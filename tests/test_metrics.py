@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skipgru import data, metrics, model, training
 from skipgru.errors import (
@@ -157,6 +159,19 @@ class TestEnsembleProbs:
             assert np.array_equal(base[sid], shuffled[sid])
             assert np.array_equal(base[sid], mixed[sid])
 
+    @given(draws=st.data(), n_members=st.integers(1, 6),
+           lengths=st.lists(st.integers(1, 10), min_size=1, max_size=4))
+    def test_member_order_property(self, draws, n_members, lengths):
+        probs = st.floats(0.0, 1.0)
+        members = [{f"s{k}": np.array(draws.draw(st.lists(probs, min_size=m, max_size=m)))
+                    for k, m in enumerate(lengths)} for _ in range(n_members)]
+        order = draws.draw(st.permutations(range(n_members)))
+        base = metrics.ensemble_probs(members)
+        permuted = metrics.ensemble_probs([members[k] for k in order])
+        assert base.keys() == permuted.keys()
+        for sid in base:
+            assert base[sid].tobytes() == permuted[sid].tobytes()
+
     def test_tie_breaks_to_skip(self):
         combined = metrics.ensemble_probs([{"s": np.array([0.9])},
                                            {"s": np.array([0.1])}])
@@ -186,7 +201,8 @@ class TestEnsemblePredict:
         params, _ = members[0]
         combined = metrics.ensemble_predict(members, sessions, tracks)
         for session in sessions:
-            direct = model.predict_session(session, pipeline, tracks, params)
+            direct = model.predict_probs([session], pipeline, tracks,
+                                         params)[session.session_id] >= 0.5
             assert np.array_equal(combined[session.session_id], direct)
 
     def test_copies_reproduce_single_model(self):

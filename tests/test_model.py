@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skipgru import autodiff as ad
-from skipgru import data, model
+from skipgru import data, metrics, model
 from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
 from skipgru.features import FeaturePipeline
 
@@ -46,6 +46,11 @@ def hand_gru_step(x, o_prev, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s):
     return [(1.0 - u[j]) * o_prev[j] + u[j] * s[j] for j in range(n)]
 
 
+def step(x, o_prev, p):
+    """One GRU step: ``ad.gru`` over a single position."""
+    return ad.gru(x, o_prev, *p.weights(), steps=1)
+
+
 class TestGruStep:
     def make_params(self, arrays):
         return model.GruParams(**{k: ad.parameter(v) for k, v in arrays.items()})
@@ -61,12 +66,12 @@ class TestGruStep:
     def test_zero_weights_halve_state(self):
         p = self.zero_gru()
         o_prev = ad.constant([[0.8, -0.4]])
-        out = model.gru_step(ad.constant([[1.0, 2.0]]), o_prev, p)
+        out = step(ad.constant([[1.0, 2.0]]), o_prev, p)
         assert np.array_equal(out.value, 0.5 * o_prev.value)
 
     def test_zero_state_fixed_point(self):
         p = self.zero_gru()
-        out = model.gru_step(ad.constant([[3.0, -1.0]]), ad.constant([[0.0, 0.0]]), p)
+        out = step(ad.constant([[3.0, -1.0]]), ad.constant([[0.0, 0.0]]), p)
         assert np.array_equal(out.value, [[0.0, 0.0]])
 
     def test_zero_weights_iterated_decay(self):
@@ -74,7 +79,7 @@ class TestGruStep:
         o = ad.constant([[1.0, -2.0]])
         o0 = o.value.copy()
         for t in range(1, 13):
-            o = model.gru_step(ad.constant([[0.3, 0.7]]), o, p)
+            o = step(ad.constant([[0.3, 0.7]]), o, p)
             assert np.max(np.abs(o.value - 0.5 ** t * o0)) < 1e-12
 
     def test_update_gate_saturation(self):
@@ -88,7 +93,7 @@ class TestGruStep:
         }
         p = self.make_params(arrays)
         x = np.array([[0.4, -0.9]])
-        out = model.gru_step(ad.constant(x), ad.constant([[0.6, 0.1]]), p)
+        out = step(ad.constant(x), ad.constant([[0.6, 0.1]]), p)
         expected = np.tanh(x @ arrays["w_x"] + arrays["b_s"])
         assert np.allclose(out.value, expected, atol=1e-9)
 
@@ -117,13 +122,13 @@ class TestGruStep:
         })
         o = ad.constant([[0.0, 0.0]])
         for x in xs:
-            o = model.gru_step(ad.constant([x]), o, p)
+            o = step(ad.constant([x]), o, p)
         assert np.max(np.abs(o.value - np.array([o_hand]))) < 1e-9
 
     def test_shape_mismatch(self):
         p = self.zero_gru()
         with pytest.raises(ShapeError):
-            model.gru_step(ad.constant(np.ones((2, 2))), ad.constant(np.ones((3, 2))), p)
+            step(ad.constant(np.ones((2, 2))), ad.constant(np.ones((3, 2))), p)
 
 
 class TestEncodeFirstHalf:
@@ -296,16 +301,17 @@ class TestPrediction:
         tracks, sessions, pipeline, params = tiny_setup(seed=4)
         session = sessions[0]
         probs = model.predict_probs([session], pipeline, tracks, params)[session.session_id]
+        members = [(params, pipeline)]
         for threshold in (0.0, 0.5):
-            pred = model.predict_session(session, pipeline, tracks, params, threshold)
-            assert np.array_equal(pred, probs >= threshold)
-        assert model.predict_session(session, pipeline, tracks, params, 0.0).all()
+            pred = metrics.ensemble_predict(members, [session], tracks, threshold)
+            assert np.array_equal(pred[session.session_id], probs >= threshold)
+        assert metrics.ensemble_predict(members, [session], tracks, 0.0)[session.session_id].all()
 
     def test_output_length_matches_second_half(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=6)
         for session in sessions:
-            pred = model.predict_session(session, pipeline, tracks, params)
-            assert len(pred) == len(split_halves(session)[1])
+            probs = model.predict_probs([session], pipeline, tracks, params)
+            assert len(probs[session.session_id]) == len(split_halves(session)[1])
 
     def test_batched_equals_single(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=7)
