@@ -167,7 +167,8 @@ def concat_cols(parts: list[Node]) -> Node:
 
 
 def take_rows(a: Node, idx) -> Node:
-    """Rows ``a[idx]`` in the order given; a repeated index sums its gradients."""
+    """Rows ``a[idx]`` in the order given; a repeated index sums its gradients,
+    as one ``np.add.reduceat`` segment of the index's stable sort."""
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"take_rows needs a 1-D index, got shape {idx.shape}")
@@ -175,10 +176,13 @@ def take_rows(a: Node, idx) -> Node:
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ShapeError(f"take_rows: row index outside [0, {rows})")
     av = a.value
+    order = np.argsort(idx, kind="stable")
+    starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
+    hit = idx[order[starts]]
 
     def pull(g):
         out = np.zeros_like(av)
-        np.add.at(out, idx, g)
+        out[hit] = np.add.reduceat(g[order], starts, axis=0)
         return out
 
     return _result(av[idx], [(a, pull)], "take_rows")
@@ -297,53 +301,46 @@ def batchnorm(a: Node, state: BatchNormState, mode: str) -> Node:
     return _result(value, pulls, "batchnorm")
 
 
-def gru(x: Node, o0: Node, w_ux: Node, w_us: Node, w_rx: Node, w_rs: Node,
-        w_x: Node, w_s: Node, b_u: Node, b_r: Node, b_s: Node, steps: int) -> Node:
-    """One GRU layer over ``steps`` position-major blocks, as a single node.
+def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, steps: int) -> Node:
+    """The recurrence of one GRU layer over ``steps`` position-major blocks, as
+    a single node. ``pre`` is the ``[steps * B, 3H]`` input pre-activation
+    ``[u | r | s]`` (the caller's projection of every step's input,
+    ``x_t [W_ux | W_rx | W_x] + [b_u | b_r | b_s]``), with row ``t * B + b``
+    holding step t of sequence b; ``o0`` is the ``[B, H]`` initial state.
+    Returns every step's output state, ``[steps * B, H]`` in the same order:
 
-    ``x`` is ``[steps * B, I]`` with row ``t * B + b`` holding step t of
-    sequence b, ``o0`` the ``[B, H]`` initial state. Returns every step's
-    output state, ``[steps * B, H]`` in the same row order:
-
-        u_t = sigmoid(x_t W_ux + b_u + o_{t-1} W_us)
-        r_t = sigmoid(x_t W_rx + b_r + o_{t-1} W_rs)
-        s_t = tanh(x_t W_x + b_s + (r_t * o_{t-1}) W_s)
+        u_t = sigmoid(pre_u_t + o_{t-1} W_us)
+        r_t = sigmoid(pre_r_t + o_{t-1} W_rs)
+        s_t = tanh(pre_s_t + (r_t * o_{t-1}) W_s)
         o_t = (1 - u_t) * o_{t-1} + u_t * s_t
 
-    The input projections of all steps are one matmul; only the recurrent
-    products run per step. The gradient is one backpropagation-through-time
-    sweep, shared by the pulls of all parents of one ``backward``. Non-finite
-    pre-activations raise :class:`NumericError`, since the saturating gates
-    would otherwise hide them.
+    Only the recurrent products run per step; ``pre.value`` is not written.
+    The gradient is one backpropagation-through-time sweep, shared by the
+    pulls of all parents of one ``backward``. Non-finite pre-activations
+    raise :class:`NumericError`, since the saturating gates would hide them.
     """
     batch, h = o0.shape
-    n_in = x.shape[1]
-    if steps < 1 or x.shape[0] != steps * batch:
-        raise ShapeError(f"gru: input {x.shape} is not {steps} steps of state {o0.shape}")
-    for w, shape in ((w_ux, (n_in, h)), (w_rx, (n_in, h)), (w_x, (n_in, h)),
-                     (w_us, (h, h)), (w_rs, (h, h)), (w_s, (h, h)),
-                     (b_u, (1, h)), (b_r, (1, h)), (b_s, (1, h))):
-        if w.shape != shape:
-            raise ShapeError(f"gru: weight shape {w.shape}, expected {shape}")
-    w_in = np.concatenate([w_ux.value, w_rx.value, w_x.value], axis=1)
+    if (steps < 1 or pre.shape != (steps * batch, 3 * h)
+            or any(w.shape != (h, h) for w in (w_us, w_rs, w_s))):
+        raise ShapeError(f"gru: pre-activation {pre.shape} or recurrent weights "
+                         f"{[w.shape for w in (w_us, w_rs, w_s)]} do not fit "
+                         f"{steps} steps of state {o0.shape}")
     w_gate = np.concatenate([w_us.value, w_rs.value], axis=1)
     ws = w_s.value
-    xv = x.value
-    # pre-activations [u | r | s]; the recurrent terms are added step by step
-    pre = xv @ w_in + np.concatenate([b_u.value, b_r.value, b_s.value], axis=1)
-    gates = np.empty_like(pre)  # [u | r | s]
+    acts = np.empty_like(pre.value)  # pre plus the recurrent terms, step by step
+    gates = np.empty_like(acts)  # [u | r | s]
     out = np.empty((steps * batch, h))
     o = o0.value
     for t in range(steps):
         rows = slice(t * batch, (t + 1) * batch)
-        a, gt = pre[rows], gates[rows]
-        a[:, :2 * h] += o @ w_gate
+        p, a, gt = pre.value[rows], acts[rows], gates[rows]
+        np.add(p[:, :2 * h], o @ w_gate, out=a[:, :2 * h])
         gt[:, :2 * h] = _sigmoid(a[:, :2 * h])
         u, r = gt[:, :h], gt[:, h:2 * h]
-        a[:, 2 * h:] += (r * o) @ ws
+        np.add(p[:, 2 * h:], (r * o) @ ws, out=a[:, 2 * h:])
         gt[:, 2 * h:] = np.tanh(a[:, 2 * h:])
         o = out[rows] = (1.0 - u) * o + u * gt[:, 2 * h:]
-    if not np.isfinite(pre).all():
+    if not np.isfinite(acts).all():
         raise NumericError("non-finite pre-activation in 'gru'")
     o_prev = np.concatenate([o0.value, out[:-batch]], axis=0)
 
@@ -354,7 +351,7 @@ def gru(x: Node, o0: Node, w_ux: Node, w_us: Node, w_rx: Node, w_rs: Node,
         du_local = (s - o_prev) * u * (1.0 - u)
         dr_local = o_prev * r * (1.0 - r)
         keep = 1.0 - u
-        d_pre = np.empty_like(pre)
+        d_pre = np.empty_like(gates)
         d_o = np.zeros((batch, h))
         for t in reversed(range(steps)):
             rows = slice(t * batch, (t + 1) * batch)
@@ -370,29 +367,18 @@ def gru(x: Node, o0: Node, w_ux: Node, w_us: Node, w_rx: Node, w_rs: Node,
     memo: dict = {}
 
     def swept(g):
-        """``(dL/d pre-activations, dL/d o0)``, swept once per distinct ``g``."""
-        if "g" not in memo or not np.array_equal(memo["g"], g):
-            memo["g"], memo["swept"] = g.copy(), sweep(g)
+        """``(dL/d pre, dL/d o0)``, swept once per ``backward``: all pulls of a
+        pass get one gradient object, never added into in place."""
+        if memo.get("g") is not g:
+            memo["g"], memo["swept"] = g, sweep(g)
         return memo["swept"]
 
-    def pre_grad(g, gate):
-        return swept(g)[0][:, gate * h:(gate + 1) * h]
-
-    def bias_grad(g, gate):
-        return pre_grad(g, gate).sum(axis=0, keepdims=True)
-
     return _result(out, [
-        (x, lambda g: swept(g)[0] @ w_in.T),
+        (pre, lambda g: swept(g)[0]),
         (o0, lambda g: swept(g)[1]),
-        (w_ux, lambda g: xv.T @ pre_grad(g, 0)),
-        (w_us, lambda g: o_prev.T @ pre_grad(g, 0)),
-        (w_rx, lambda g: xv.T @ pre_grad(g, 1)),
-        (w_rs, lambda g: o_prev.T @ pre_grad(g, 1)),
-        (w_x, lambda g: xv.T @ pre_grad(g, 2)),
-        (w_s, lambda g: (gates[:, h:2 * h] * o_prev).T @ pre_grad(g, 2)),
-        (b_u, lambda g: bias_grad(g, 0)),
-        (b_r, lambda g: bias_grad(g, 1)),
-        (b_s, lambda g: bias_grad(g, 2)),
+        (w_us, lambda g: o_prev.T @ swept(g)[0][:, :h]),
+        (w_rs, lambda g: o_prev.T @ swept(g)[0][:, h:2 * h]),
+        (w_s, lambda g: (gates[:, h:2 * h] * o_prev).T @ swept(g)[0][:, 2 * h:]),
     ], "gru")
 
 

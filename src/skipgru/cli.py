@@ -9,10 +9,10 @@
     skipgru evaluate  --truth held_out.csv --submission submission.txt
 
 Every subcommand accepts ``--config FILE`` pointing at a JSON file with the
-sections ``paths``, ``model``, ``training`` and ``glove``; unknown keys are
-rejected. Explicit flags win over config-file values, which win over the
-built-in defaults. Exit codes: 0 success, 2 usage, 3 data/format error,
-4 numeric failure.
+sections ``paths``, ``model``, ``training`` and ``glove``; unknown keys and
+values of the wrong JSON type are rejected. Explicit flags win over
+config-file values, which win over the built-in defaults. Exit codes:
+0 success, 2 usage, 3 data/format error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
 
 
 @dataclass
@@ -95,10 +96,16 @@ class RunConfig:
 
 
 def _build_section(cls, payload: dict, section: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(payload) - known
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(payload) - set(types)
     if unknown:
         raise ConfigError(f"unknown key(s) in config section '{section}': {sorted(unknown)}")
+    for key, value in payload.items():
+        # an int fits a float; only a bool field takes true or false
+        if not any(isinstance(value, JSON_TYPES[t]) and (t == "bool") == isinstance(value, bool)
+                   for t in types[key].split(" | ")):
+            raise ConfigError(f"config section '{section}' key '{key}' must be "
+                              f"{types[key]}, got {json.dumps(value)}")
     return cls(**payload)
 
 

@@ -169,13 +169,13 @@ def ensemble_predict(
     Members must share the feature-pipeline schema; the first member is the
     reference and any mismatch names the offending member position. The
     sessions are encoded once per distinct fitted pipeline state
-    (``FeaturePipeline.state_key``), not once per member. A non-finite
-    threshold is a :class:`ConfigError`.
+    (``FeaturePipeline.state_key``), not once per member. A threshold outside
+    [0, 1], NaN included, is a :class:`ConfigError`.
     """
     if not members:
         raise EnsembleError("ensemble needs at least one member")
-    if not np.isfinite(threshold):
-        raise ConfigError(f"threshold must be finite, got {threshold}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
     reference = members[0][1].schema_fingerprint()
     for k, (_, pipeline) in enumerate(members[1:], start=1):
         if pipeline.schema_fingerprint() != reference:

@@ -11,16 +11,15 @@ The gates of a GRU step read the previous output state:
     s_t = tanh(W^x x_t + W^s (r_t * o_{t-1}) + b_s)
     o_t = (1 - u_t) * o_{t-1} + u_t * s_t
 
-Each GRU layer is one ``ad.gru`` node over all HALF_LEN steps of the batch,
-laid out position-major (row ``t * batch + b``): the input projections of
-every step are one matmul, only the recurrent products run step by step, and
-the backward pass is one hand-written BPTT sweep. A single step is the
-``steps=1`` case of the same node. Layer 2 reads all of layer 1's output
-rows, since its step t needs only ``o1_t``; ``x_half`` is the last step's
-row of each layer. The context_type slot of a triplet carries a
-vocabulary index; it is swapped for a gathered row of a trainable dense
-embedding before entering the first GRU layer. The whole second half is
-enriched and classified in one pass, in the same position-major row order.
+Each GRU layer projects the input of all HALF_LEN steps of the batch at once
+with ordinary ops (``x [W_ux | W_rx | W_x] + [b_u | b_r | b_s]``, rows laid
+out position-major, ``t * batch + b``); one ``ad.gru`` node then runs only the
+recurrent products step by step, with a hand-written BPTT sweep. Layer 1's
+input is the constant numeric triplet columns beside a trainable embedding
+row gathered for the context_type index; each block is projected by its own
+row block of the input weights, so no gradient is formed for the constant.
+Layer 2 projects layer 1's output rows; ``x_half`` is the last step's row of
+each layer. The whole second half is enriched and classified in one pass.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ CTX_EMBED_WIDTH = 8
 TASK_WEIGHTS = (1.0, 0.2, 0.2, 0.2)
 ACTIVATION_VARIANTS = ("relu", "elu")
 PREDICT_BATCH_SIZE = 256
-GRU_WEIGHTS = ("w_ux", "w_us", "w_rx", "w_rs", "w_x", "w_s", "b_u", "b_r", "b_s")
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -133,12 +131,14 @@ class GruParams:
             b_s=ad.parameter(np.zeros((1, hidden))),
         )
 
-    def weights(self) -> list[ad.Node]:
-        """The nine weights in ``ad.gru`` argument order."""
-        return [getattr(self, name) for name in GRU_WEIGHTS]
+    def input_projection(self) -> tuple[ad.Node, ad.Node]:
+        """The input weights ``[W_ux | W_rx | W_x]`` and biases ``[b_u | b_r | b_s]``
+        whose affine map of a layer's input is ``ad.gru``'s pre-activation."""
+        return (ad.concat_cols([self.w_ux, self.w_rx, self.w_x]),
+                ad.concat_cols([self.b_u, self.b_r, self.b_s]))
 
     def named(self, prefix: str) -> dict[str, ad.Node]:
-        return {f"{prefix}.{name}": getattr(self, name) for name in GRU_WEIGHTS}
+        return {f"{prefix}.{name}": node for name, node in vars(self).items()}
 
 
 class ModelParams:
@@ -233,13 +233,17 @@ def encode_first_half(first_half: np.ndarray, params: ModelParams) -> ad.Node:
                          f"!= d_trip {dims.d_trip}")
     b = first_half.shape[0]
     flat = first_half.transpose(1, 0, 2).reshape(HALF_LEN * b, dims.d_trip)
-    x = ad.concat_cols([
-        ad.constant(np.delete(flat, dims.ctx_col, axis=1)),
-        ad.take_rows(params.ctx_embedding, flat[:, dims.ctx_col].astype(np.int64)),
-    ])
+    ctx = ad.take_rows(params.ctx_embedding, flat[:, dims.ctx_col].astype(np.int64))
+    g1, g2 = params.gru1, params.gru2
+    w1, b1 = g1.input_projection()
+    rows, n_num = np.arange(dims.gru_input), dims.d_trip - 1  # [numeric | ctx] rows of w1
+    pre1 = ad.add(affine(ad.constant(np.delete(flat, dims.ctx_col, axis=1)),
+                         ad.take_rows(w1, rows[:n_num]), b1),
+                  ad.matmul(ctx, ad.take_rows(w1, rows[n_num:])))
     o0 = ad.constant(np.zeros((b, params.variant.hidden_size)))
-    o1 = ad.gru(x, o0, *params.gru1.weights(), steps=HALF_LEN)
-    o2 = ad.gru(o1, o0, *params.gru2.weights(), steps=HALF_LEN)
+    o1 = ad.gru(pre1, o0, g1.w_us, g1.w_rs, g1.w_s, steps=HALF_LEN)
+    o2 = ad.gru(affine(o1, *g2.input_projection()), o0, g2.w_us, g2.w_rs, g2.w_s,
+                steps=HALF_LEN)
     last = np.arange((HALF_LEN - 1) * b, HALF_LEN * b)
     return ad.concat_cols([ad.take_rows(o1, last), ad.take_rows(o2, last)])
 

@@ -328,8 +328,7 @@ def train(
             batch = train_set.batch(order[lo:lo + config.batch_size])
             targets, mask = flatten_position_major(batch)
             try:
-                probs = forward_batch(batch, params, "train")
-                batch_loss = loss(probs, targets, mask)
+                batch_loss = loss(forward_batch(batch, params, "train"), targets, mask)
                 for node in named.values():
                     node.zero_grad()
                 ad.backward(batch_loss)
@@ -342,6 +341,7 @@ def train(
                 clip_gradients(named, config.clip_norm)
             adam_step(named, adam)
             batch_losses.append(float(batch_loss.value[0, 0]))
+            del batch_loss  # free this batch's graph before the next is built
         val_predictions = {
             sid: probs >= 0.5
             for sid, probs in predict_encoded(valid_set, params).items()

@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences, independent of the
-library, a GRU composed step by step from autodiff nodes, a session's halves
-as event lists, the co-occurrence table as a pair dict, and checkpoint
+library, a GRU composed step by step from autodiff nodes, the fused GRU
+behind its input projection, the ``np.add.at`` row scatter, a session's
+halves as event lists, the co-occurrence table as a pair dict, and checkpoint
 writers for the version-1 format and for re-hashed tampered files."""
 
 import hashlib
@@ -68,6 +69,23 @@ def composed_gru(xs, o0, weights):
         o = composed_gru_step(x, o, *weights)
         states.append(o)
     return concat_rows(states)
+
+
+def projected_gru(x, o0, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s, steps):
+    """A whole GRU layer over ``x`` with ``composed_gru_step``'s arguments: the
+    input projection ``x [W_ux | W_rx | W_x] + [b_u | b_r | b_s]`` as ordinary
+    nodes, then the ``ad.gru`` recurrence."""
+    pre = ad.add(ad.matmul(x, ad.concat_cols([w_ux, w_rx, w_x])),
+                 ad.concat_cols([b_u, b_r, b_s]))
+    return ad.gru(pre, o0, w_us, w_rs, w_s, steps=steps)
+
+
+def scatter_rows(shape, idx, g):
+    """``np.add.at`` of ``g``'s rows into zeros of ``shape`` at ``idx``: the
+    ``take_rows`` pull oracle."""
+    out = np.zeros(shape)
+    np.add.at(out, np.asarray(idx, dtype=np.int64), g)
+    return out
 
 
 def split_halves(session):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from skipgru import autodiff as ad
 from skipgru.errors import DegenerateBatchError, NumericError, ShapeError, StateError
 
-from helpers import central_diff, composed_gru, max_rel_err
+from helpers import central_diff, composed_gru, max_rel_err, projected_gru, scatter_rows
 
 
 def loss_of(node):
@@ -245,16 +247,38 @@ class TestTakeRows:
         with pytest.raises(ShapeError):
             ad.take_rows(ad.constant(np.ones((3, 2))), idx)
 
+    @given(idx=st.lists(st.integers(0, 11), max_size=40), spare=st.integers(0, 3),
+           cols=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @example(idx=[], spare=2, cols=3, seed=0)
+    @example(idx=[4, 1, 4, 0, 1, 4], spare=0, cols=2, seed=1)
+    @example(idx=[3, 0, 2], spare=1, cols=2, seed=2)
+    def test_pull_matches_add_at(self, idx, spare, cols, seed):
+        # random, repeated, unsorted and empty indices; spare rows take no gradient
+        rows = max(idx, default=0) + 1 + spare
+        g = np.random.default_rng(seed).normal(size=(len(idx), cols))
+        a = ad.parameter(np.zeros((rows, cols)))
+        ad.backward(ad.sum_all(ad.hadamard(ad.take_rows(a, idx), ad.constant(g))))
+        expected = scatter_rows((rows, cols), idx, g)
+        assert np.max(np.abs(a.grad - expected), initial=0.0) <= 1e-12
+        if len(set(idx)) == len(idx):
+            assert np.array_equal(a.grad, expected)
+
 
 GRU_BATCH, GRU_IN, GRU_HIDDEN = 2, 3, 4
 
 
 def gru_shapes(steps):
-    """Shapes of gru's x, o0 and nine weights, in argument order."""
+    """Shapes of ``projected_gru``'s x, o0 and nine weights, in argument order."""
     i, h = GRU_IN, GRU_HIDDEN
     return [(steps * GRU_BATCH, i), (GRU_BATCH, h),
             (i, h), (h, h), (i, h), (h, h), (i, h), (h, h),
             (1, h), (1, h), (1, h)]
+
+
+def recurrence_shapes(steps):
+    """Shapes of ``ad.gru``'s pre-activation, o0 and three recurrent weights."""
+    h = GRU_HIDDEN
+    return [(steps * GRU_BATCH, 3 * h), (GRU_BATCH, h), (h, h), (h, h), (h, h)]
 
 
 class TestGru:
@@ -266,7 +290,7 @@ class TestGru:
             values = [rng.normal(size=shape) for shape in gru_shapes(steps)]
             head = ad.constant(rng.normal(size=(steps * b, GRU_HIDDEN)))
             fused_in = [ad.parameter(v) for v in values]
-            fused = ad.gru(*fused_in, steps=steps)
+            fused = projected_gru(*fused_in, steps=steps)
             ad.backward(ad.sum_all(ad.hadamard(fused, head)))
 
             xs = [ad.parameter(values[0][t * b:(t + 1) * b]) for t in range(steps)]
@@ -289,14 +313,15 @@ class TestGru:
         def weight_grads(head):
             nodes = [ad.constant(values[0]), ad.constant(values[1])]
             nodes += [ad.parameter(v) for v in values[2:]]
-            ad.backward(ad.sum_all(ad.hadamard(ad.gru(*nodes, steps=3), ad.constant(head))))
+            ad.backward(ad.sum_all(ad.hadamard(projected_gru(*nodes, steps=3),
+                                               ad.constant(head))))
             return [n.grad for n in nodes[2:]]
 
         # a second loss over the same gru node reaches it with head1 alone;
         # the weights, as leaves, accumulate both passes
         nodes = [ad.constant(values[0]), ad.constant(values[1])]
         nodes += [ad.parameter(v) for v in values[2:]]
-        shared = ad.gru(*nodes, steps=3)
+        shared = projected_gru(*nodes, steps=3)
         for head in heads:
             ad.backward(ad.sum_all(ad.hadamard(shared, ad.constant(head))))
         first, second = weight_grads(heads[0]), weight_grads(heads[1])
@@ -309,7 +334,7 @@ class TestGru:
         heads = [rng.normal(size=(3 * GRU_BATCH, GRU_HIDDEN)) for _ in range(2)]
         nodes = [ad.constant(values[0]), ad.constant(values[1])]
         nodes += [ad.parameter(v) for v in values[2:]]
-        shared = ad.gru(*nodes, steps=3)
+        shared = projected_gru(*nodes, steps=3)
         ad.backward(ad.sum_all(ad.hadamard(shared, ad.constant(heads[0]))))
         for node in nodes[2:]:
             node.zero_grad()
@@ -317,22 +342,42 @@ class TestGru:
 
         fresh = [ad.constant(values[0]), ad.constant(values[1])]
         fresh += [ad.parameter(v) for v in values[2:]]
-        ad.backward(ad.sum_all(ad.hadamard(ad.gru(*fresh, steps=3), ad.constant(heads[1]))))
+        ad.backward(ad.sum_all(ad.hadamard(projected_gru(*fresh, steps=3),
+                                           ad.constant(heads[1]))))
         for node, alone in zip(nodes[2:], fresh[2:]):
             assert np.allclose(node.grad, alone.grad, rtol=0.0, atol=1e-12)
 
+    def test_pre_activation_is_not_written(self):
+        values = [np.random.default_rng(6).normal(size=s) for s in recurrence_shapes(3)]
+        nodes = [ad.parameter(v.copy()) for v in values]
+        ad.backward(ad.sum_all(ad.gru(*nodes, steps=3)))
+        assert np.array_equal(nodes[0].value, values[0])
+
+    def test_parents_are_the_recurrence_inputs(self):
+        nodes = [ad.parameter(np.zeros(s)) for s in recurrence_shapes(2)]
+        out = ad.gru(*nodes, steps=2)
+        assert [p for p, _ in out.parents] == nodes
+
     def test_non_finite_pre_activation_rejected(self):
         # the gates saturate to finite outputs, so only the pre-activation shows it
-        values = [np.ones(shape) for shape in gru_shapes(1)]
+        values = [np.ones(shape) for shape in recurrence_shapes(1)]
         values[0][...] = 1e308
+        values[2][...] = 1e308  # o0 @ W_us overflows inside the step
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="gru"):
             ad.gru(*[ad.constant(v) for v in values], steps=1)
 
     def test_input_rows_must_be_steps_of_the_state(self):
-        values = [np.ones(shape) for shape in gru_shapes(3)]
+        values = [np.ones(shape) for shape in recurrence_shapes(3)]
         with pytest.raises(ShapeError):
             ad.gru(*[ad.constant(v) for v in values], steps=2)
+
+    @pytest.mark.parametrize("which, shape", [(0, (6, 11)), (2, (4, 3)), (4, (3, 4))])
+    def test_shapes_checked(self, which, shape):
+        values = [np.ones(s) for s in recurrence_shapes(3)]
+        values[which] = np.ones(shape)
+        with pytest.raises(ShapeError):
+            ad.gru(*[ad.constant(v) for v in values], steps=3)
 
 
 class TestFiniteness:
@@ -471,7 +516,15 @@ class TestGradientsVsFiniteDifferences:
     def test_gru_every_input(self, steps):
         head = np.random.default_rng(steps).normal(size=(steps * GRU_BATCH, GRU_HIDDEN))
         _gradcheck(
-            lambda *a: ad.hadamard(ad.gru(*a, steps=steps), ad.constant(head)),
+            lambda *a: ad.hadamard(projected_gru(*a, steps=steps), ad.constant(head)),
             gru_shapes(steps),
+            n_seeds=5,
+        )
+
+    def test_gru_recurrence_inputs(self):
+        head = np.random.default_rng(7).normal(size=(3 * GRU_BATCH, GRU_HIDDEN))
+        _gradcheck(
+            lambda *a: ad.hadamard(ad.gru(*a, steps=3), ad.constant(head)),
+            recurrence_shapes(3),
             n_seeds=5,
         )

@@ -143,6 +143,34 @@ class TestTrain:
                     str(tmp_path / "x.ckpt")]) == 3
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("embed", "glove", "dims", "8"),
+        ("train", "training", "batch_size", "16"),
+        ("train", "model", "hidden_size", "8"),
+        ("embed", "glove", "seed", 1.5),
+        ("train", "training", "epochs", True),
+        ("train", "training", "lr", "0.1"),
+        ("train", "model", "use_batchnorm", 1),
+        ("train", "paths", "sessions", 3),
+    ])
+    def test_mistyped_config_value_exits_three(self, tmp_path, capsys, command, section,
+                                               key, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{section}'" in err and f"'{key}'" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_int_fits_float_and_null_fits_optional(self, tmp_path):
+        cfg_path = tmp_path / "ok.json"
+        cfg_path.write_text(json.dumps({"glove": {"lr": 1, "x_max": 50},
+                                        "training": {"clip_norm": None, "lr": 1}}))
+        config = cli.load_config(cfg_path)
+        assert config.glove.lr == 1 and config.glove.x_max == 50
+        assert config.training.clip_norm is None and config.training.lr == 1
+
     def test_unknown_config_section_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"optimizer": {}}))
@@ -230,7 +258,7 @@ class TestPredictAndEvaluate:
                     "--out", str(sub)]) == 0
         assert "models=2" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "2", "-0.1"])
     def test_non_finite_threshold_exits_three(self, workspace, trained, tmp_path, capsys,
                                                value):
         sub = tmp_path / "sub.txt"
@@ -241,6 +269,15 @@ class TestPredictAndEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "threshold" in err
         assert "Traceback" not in err and not sub.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_unit_interval_ends_accepted(self, workspace, trained, tmp_path, capsys, value):
+        sub = tmp_path / "sub.txt"
+        assert run(["predict", "--model", str(trained[0]),
+                    "--sessions", str(workspace / "sessions_holdout.csv"),
+                    "--tracks", str(workspace / "tracks.csv"),
+                    "--out", str(sub), f"--threshold={value}"]) == 0
+        assert len(sub.read_text().splitlines()) == 8
 
     def test_malformed_checkpoint(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

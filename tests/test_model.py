@@ -8,7 +8,8 @@ from skipgru import data, metrics, model
 from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
 from skipgru.features import FeaturePipeline
 
-from helpers import central_diff, max_rel_err, split_halves
+from helpers import (central_diff, composed_gru_step, max_rel_err, projected_gru,
+                     split_halves)
 
 
 def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="relu"):
@@ -47,8 +48,9 @@ def hand_gru_step(x, o_prev, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s):
 
 
 def step(x, o_prev, p):
-    """One GRU step: ``ad.gru`` over a single position."""
-    return ad.gru(x, o_prev, *p.weights(), steps=1)
+    """One GRU step: the projected ``ad.gru`` over a single position."""
+    return projected_gru(x, o_prev, p.w_ux, p.w_us, p.w_rx, p.w_rs, p.w_x, p.w_s,
+                         p.b_u, p.b_r, p.b_s, steps=1)
 
 
 class TestGruStep:
@@ -161,6 +163,42 @@ class TestEncodeFirstHalf:
         batch.first_half[0, 0, params.dims.ctx_col] = bad
         with pytest.raises(ShapeError):
             model.encode_first_half(batch.first_half, params)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_projection_matches_full_input_oracle(self, seed):
+        # oracle: each step's whole layer-1 input [numeric | ctx_embedding[idx]]
+        # (the gather as a one-hot matmul) through the primitive-composed GRU
+        tracks, sessions, pipeline, params = tiny_setup(seed=seed, hidden=4)
+        _, _, _, twin = tiny_setup(seed=seed, hidden=4)
+        dims = params.dims
+        assert dims.ctx_col != dims.d_trip - 1
+        batch = data.pad_batch(sessions[:5], pipeline, tracks)
+        b = batch.size
+        head = np.random.default_rng(seed).normal(size=(b, 8))
+
+        out = model.encode_first_half(batch.first_half, params)
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(head))))
+
+        g1 = list(twin.gru1.named("gru1").values())  # composed_gru_step's order
+        g2 = list(twin.gru2.named("gru2").values())
+        o1 = o2 = ad.constant(np.zeros((b, 4)))
+        for t in range(data.HALF_LEN):
+            step_in = batch.first_half[:, t, :]
+            onehot = np.eye(dims.ctx_vocab)[step_in[:, dims.ctx_col].astype(np.int64)]
+            x = ad.concat_cols([
+                ad.constant(np.delete(step_in, dims.ctx_col, axis=1)),
+                ad.matmul(ad.constant(onehot), twin.ctx_embedding),
+            ])
+            assert x.shape == (b, dims.gru_input)
+            o1 = composed_gru_step(x, o1, *g1)
+            o2 = composed_gru_step(o1, o2, *g2)
+        oracle = ad.concat_cols([o1, o2])
+        ad.backward(ad.sum_all(ad.hadamard(oracle, ad.constant(head))))
+
+        assert np.max(np.abs(out.value - oracle.value)) <= 1e-12
+        theirs = twin.named_parameters()
+        for name, node in params.named_parameters().items():
+            assert np.max(np.abs(node.grad - theirs[name].grad)) <= 1e-12, name
 
     def test_bad_shapes(self):
         _, _, _, params = tiny_setup()
