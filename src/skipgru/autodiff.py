@@ -301,13 +301,18 @@ def batchnorm(a: Node, state: BatchNormState, mode: str) -> Node:
     return _result(value, pulls, "batchnorm")
 
 
-def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, steps: int) -> Node:
-    """The recurrence of one GRU layer over ``steps`` position-major blocks, as
-    a single node. ``pre`` is the ``[steps * B, 3H]`` input pre-activation
-    ``[u | r | s]`` (the caller's projection of every step's input,
-    ``x_t [W_ux | W_rx | W_x] + [b_u | b_r | b_s]``), with row ``t * B + b``
-    holding step t of sequence b; ``o0`` is the ``[B, H]`` initial state.
-    Returns every step's output state, ``[steps * B, H]`` in the same order:
+def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, sizes) -> Node:
+    """The recurrence of one GRU layer over packed steps, as a single node.
+
+    ``sizes`` holds each step's count of active rows, ``n_0 >= n_1 >= ...``,
+    with ``n_0`` the batch: step t runs on the first ``n_t`` sequences only, so
+    a batch sorted by decreasing length steps each sequence through its own
+    length and no further. ``pre`` is the ``[sum(n_t), 3H]`` input
+    pre-activation ``[u | r | s]`` (the caller's projection of every real
+    step's input, ``x_t [W_ux | W_rx | W_x] + [b_u | b_r | b_s]``), packed step
+    by step: step t's block of ``n_t`` rows follows step t - 1's. ``o0`` is the
+    ``[B, H]`` initial state. Returns every step's output state, packed the
+    same way:
 
         u_t = sigmoid(pre_u_t + o_{t-1} W_us)
         r_t = sigmoid(pre_r_t + o_{t-1} W_rs)
@@ -320,20 +325,28 @@ def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, steps: int) -> N
     raise :class:`NumericError`, since the saturating gates would hide them.
     """
     batch, h = o0.shape
-    if (steps < 1 or pre.shape != (steps * batch, 3 * h)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes.ndim != 1 or not sizes.size or sizes[0] != batch or sizes[-1] < 1
+            or (np.diff(sizes) > 0).any()):
+        raise ShapeError(f"gru: step sizes {sizes.tolist()} are not a non-increasing "
+                         f"run of row counts from the batch of {batch} down to >= 1")
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    if (pre.shape != (bounds[-1], 3 * h)
             or any(w.shape != (h, h) for w in (w_us, w_rs, w_s))):
         raise ShapeError(f"gru: pre-activation {pre.shape} or recurrent weights "
                          f"{[w.shape for w in (w_us, w_rs, w_s)]} do not fit "
-                         f"{steps} steps of state {o0.shape}")
+                         f"steps of {sizes.tolist()} rows of state {o0.shape}")
+    steps = [(slice(lo, hi), hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
     w_gate = np.concatenate([w_us.value, w_rs.value], axis=1)
     ws = w_s.value
     acts = np.empty_like(pre.value)  # pre plus the recurrent terms, step by step
     gates = np.empty_like(acts)  # [u | r | s]
-    out = np.empty((steps * batch, h))
+    out = np.empty((bounds[-1], h))
+    o_prev = np.empty_like(out)  # each step's incoming state, for the sweep
     o = o0.value
-    for t in range(steps):
-        rows = slice(t * batch, (t + 1) * batch)
-        p, a, gt = pre.value[rows], acts[rows], gates[rows]
+    for rows, n in steps:
+        o_prev[rows] = o[:n]  # the sequences still running keep the first rows
+        p, a, gt, o = pre.value[rows], acts[rows], gates[rows], o_prev[rows]
         np.add(p[:, :2 * h], o @ w_gate, out=a[:, :2 * h])
         gt[:, :2 * h] = _sigmoid(a[:, :2 * h])
         u, r = gt[:, :h], gt[:, h:2 * h]
@@ -342,7 +355,6 @@ def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, steps: int) -> N
         o = out[rows] = (1.0 - u) * o + u * gt[:, 2 * h:]
     if not np.isfinite(acts).all():
         raise NumericError("non-finite pre-activation in 'gru'")
-    o_prev = np.concatenate([o0.value, out[:-batch]], axis=0)
 
     def sweep(g):
         u, r, s = gates[:, :h], gates[:, h:2 * h], gates[:, 2 * h:]
@@ -352,11 +364,11 @@ def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, steps: int) -> N
         dr_local = o_prev * r * (1.0 - r)
         keep = 1.0 - u
         d_pre = np.empty_like(gates)
-        d_o = np.zeros((batch, h))
-        for t in reversed(range(steps)):
-            rows = slice(t * batch, (t + 1) * batch)
+        d_o = np.zeros((0, h))  # dL/d o_t over the rows still active after step t
+        for rows, _ in reversed(steps):
             dp = d_pre[rows]
-            d_o = d_o + g[rows]
+            carried, d_o = d_o, g[rows].copy()
+            d_o[:len(carried)] += carried
             dp[:, 2 * h:] = d_o * ds_local[rows]
             d_ro = dp[:, 2 * h:] @ ws.T
             dp[:, :h] = d_o * du_local[rows]

@@ -286,9 +286,11 @@ class PaddedBatch:
     """Fixed-length feature tensors for a batch of sessions.
 
     ``first_half``/``second_half`` are padded at the tail to HALF_LEN steps;
-    padded slots carry 0.0 in every feature and 1 in the is_pad slot. ``mask``
-    marks real second-half positions; ``targets`` holds the four task labels
-    and is meaningful only where ``mask`` is true.
+    padded slots carry 0.0 in every feature and 1 in the is_pad slot. A
+    session's first ``first_lengths`` first-half slots are real. ``mask``
+    marks real second-half positions, the first ``second_lengths`` of each
+    row; ``targets`` holds the four task labels and is meaningful only where
+    ``mask`` is true.
     """
 
     session_ids: list[str]
@@ -296,6 +298,7 @@ class PaddedBatch:
     second_half: np.ndarray    # [batch, HALF_LEN, d_doub]
     mask: np.ndarray           # bool [batch, HALF_LEN]
     targets: np.ndarray        # float64 [batch, HALF_LEN, 4]
+    first_lengths: list[int]
     second_lengths: list[int]
 
     @property

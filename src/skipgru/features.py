@@ -327,4 +327,6 @@ class EncodedSessions:
         second = np.concatenate([static[:, HALF_LEN:], tail[:, HALF_LEN:]], axis=2)
         mask = track_rows[:, HALF_LEN:] > 0
         return PaddedBatch([self.session_ids[r] for r in rows], first, second, mask,
-                           self.targets[rows], mask.sum(axis=1).tolist())
+                           self.targets[rows],
+                           (track_rows[:, :HALF_LEN] > 0).sum(axis=1).tolist(),
+                           mask.sum(axis=1).tolist())

@@ -2,7 +2,8 @@
 into ``x_half``; each second-half track vector ``x_i`` is enriched as
 ``[x_i ; x_half ; x_half * relu(proj(x_i))]``; a two-layer MLP with four
 sigmoid outputs predicts skip plus three auxiliary interaction flags per
-position. Training minimizes masked, task-weighted binary cross-entropy.
+position. Training minimizes task-weighted binary cross-entropy, averaged
+over the real second-half positions.
 
 The gates of a GRU step read the previous output state:
 
@@ -11,15 +12,21 @@ The gates of a GRU step read the previous output state:
     s_t = tanh(W^x x_t + W^s (r_t * o_{t-1}) + b_s)
     o_t = (1 - u_t) * o_{t-1} + u_t * s_t
 
-Each GRU layer projects the input of all HALF_LEN steps of the batch at once
-with ordinary ops (``x [W_ux | W_rx | W_x] + [b_u | b_r | b_s]``, rows laid
-out position-major, ``t * batch + b``); one ``ad.gru`` node then runs only the
-recurrent products step by step, with a hand-written BPTT sweep. Layer 1's
-input is the constant numeric triplet columns beside a trainable embedding
-row gathered for the context_type index; each block is projected by its own
-row block of the input weights, so no gradient is formed for the constant.
-Layer 2 projects layer 1's output rows; ``x_half`` is the last step's row of
-each layer. The whole second half is enriched and classified in one pass.
+Pad slots are never computed. ``encode_first_half`` packs the batch as
+packed-sequence RNNs do: it sorts the sessions (stably) by decreasing
+first-half length, so the sessions still running at step t are the first
+``n_t``, and gathers only those real steps' input rows, step after step.
+Each GRU layer projects all of them at once with ordinary ops
+(``x [W_ux | W_rx | W_x] + [b_u | b_r | b_s]``); one ``ad.gru`` node then
+runs the recurrent products of step t on its ``n_t`` rows, with a
+hand-written BPTT sweep. Layer 1's input is the constant numeric triplet
+columns beside a trainable embedding row gathered for the context_type
+index; each block is projected by its own row block of the input weights, so
+no gradient is formed for the constant. Layer 2 projects layer 1's output
+rows. ``x_half`` is each layer's state at the session's own last real step,
+gathered back into batch order. The head then enriches and classifies the
+real second-half rows only, session-major (``second_half[mask]``), so
+train-mode batch normalization and the loss see no pads either.
 """
 
 from __future__ import annotations
@@ -222,8 +229,9 @@ class ModelParams:
                 bn.running_var = np.asarray(state[f"{prefix}.running_var"], dtype=np.float64).copy()
 
 
-def encode_first_half(first_half: np.ndarray, params: ModelParams) -> ad.Node:
-    """Run both GRU layers over the padded first half; concat final states."""
+def encode_first_half(first_half: np.ndarray, lengths, params: ModelParams) -> ad.Node:
+    """Run both GRU layers over each session's ``lengths`` real first-half steps;
+    concat the two states at its last real step, ``[batch, 4H]`` in batch order."""
     if first_half.ndim != 3 or first_half.shape[1] != HALF_LEN:
         raise ShapeError(f"first_half must be [batch, {HALF_LEN}, d_trip], "
                          f"got {first_half.shape}")
@@ -232,7 +240,15 @@ def encode_first_half(first_half: np.ndarray, params: ModelParams) -> ad.Node:
         raise ShapeError(f"first_half width {first_half.shape[2]} "
                          f"!= d_trip {dims.d_trip}")
     b = first_half.shape[0]
-    flat = first_half.transpose(1, 0, 2).reshape(HALF_LEN * b, dims.d_trip)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (b,) or ((lengths < 1) | (lengths > HALF_LEN)).any():
+        raise ShapeError(f"first-half lengths must be {b} values in [1, {HALF_LEN}], "
+                         f"got {lengths.tolist()}")
+    order = np.argsort(-lengths, kind="stable")
+    running = lengths[order] > np.arange(lengths.max())[:, None]  # [step, rank]
+    step, rank = np.nonzero(running)  # packed rows, step-major
+    sizes = running.sum(axis=1)
+    flat = first_half[order[rank], step]
     ctx = ad.take_rows(params.ctx_embedding, flat[:, dims.ctx_col].astype(np.int64))
     g1, g2 = params.gru1, params.gru2
     w1, b1 = g1.input_projection()
@@ -241,10 +257,10 @@ def encode_first_half(first_half: np.ndarray, params: ModelParams) -> ad.Node:
                          ad.take_rows(w1, rows[:n_num]), b1),
                   ad.matmul(ctx, ad.take_rows(w1, rows[n_num:])))
     o0 = ad.constant(np.zeros((b, params.variant.hidden_size)))
-    o1 = ad.gru(pre1, o0, g1.w_us, g1.w_rs, g1.w_s, steps=HALF_LEN)
-    o2 = ad.gru(affine(o1, *g2.input_projection()), o0, g2.w_us, g2.w_rs, g2.w_s,
-                steps=HALF_LEN)
-    last = np.arange((HALF_LEN - 1) * b, HALF_LEN * b)
+    o1 = ad.gru(pre1, o0, g1.w_us, g1.w_rs, g1.w_s, sizes)
+    o2 = ad.gru(affine(o1, *g2.input_projection()), o0, g2.w_us, g2.w_rs, g2.w_s, sizes)
+    # each session's last real step: its step's first packed row plus its rank
+    last = np.concatenate([[0], np.cumsum(sizes)])[lengths - 1] + np.argsort(order)
     return ad.concat_cols([ad.take_rows(o1, last), ad.take_rows(o2, last)])
 
 
@@ -271,36 +287,26 @@ def classify(enriched: ad.Node, params: ModelParams, mode: str) -> ad.Node:
     return ad.sigmoid(affine(h2, params.head_w3, params.head_b3))
 
 
-def flatten_position_major(batch: PaddedBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and mask flattened to match forward_batch rows (t * batch + b)."""
-    targets = batch.targets.transpose(1, 0, 2).reshape(-1, batch.targets.shape[2])
-    mask = batch.mask.T.reshape(-1)
-    return targets, mask
-
-
 def forward_batch(batch: PaddedBatch, params: ModelParams, mode: str) -> ad.Node:
-    """Probabilities [HALF_LEN * batch, 4]; row t * batch + b is session b, step t."""
-    x_half = encode_first_half(batch.first_half, params)
-    second = batch.second_half.transpose(1, 0, 2).reshape(-1, batch.second_half.shape[2])
-    tiled = ad.take_rows(x_half, np.tile(np.arange(x_half.shape[0]), HALF_LEN))
-    enriched = enrich(ad.constant(second), tiled, params)
+    """Probabilities ``[mask.sum(), 4]`` of the real second-half positions only,
+    session-major, in the row order of ``batch.second_half[batch.mask]``."""
+    x_half = encode_first_half(batch.first_half, batch.first_lengths, params)
+    session, step = np.nonzero(batch.mask)
+    enriched = enrich(ad.constant(batch.second_half[session, step]),
+                      ad.take_rows(x_half, session), params)
     return classify(enriched, params, mode)
 
 
-def loss(probs: ad.Node, targets: np.ndarray, mask: np.ndarray,
-         task_weights: tuple = TASK_WEIGHTS) -> ad.Node:
-    """Mean over unmasked positions of the task-weighted BCE sum."""
+def loss(probs: ad.Node, targets: np.ndarray, task_weights: tuple = TASK_WEIGHTS) -> ad.Node:
+    """Mean over rows of the task-weighted BCE sum; every row is a real position."""
     targets = np.asarray(targets, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if probs.shape != targets.shape or mask.shape != (probs.shape[0],):
-        raise ShapeError(f"loss: probs {probs.shape}, targets {targets.shape}, "
-                         f"mask {mask.shape} misaligned")
-    n_real = int(mask.sum())
-    if n_real == 0:
-        raise DegenerateBatchError("loss over an all-masked batch")
-    weights = mask[:, None].astype(np.float64) * np.asarray(task_weights)[None, :]
+    if probs.shape != targets.shape:
+        raise ShapeError(f"loss: probs {probs.shape} and targets {targets.shape} misaligned")
+    if probs.shape[0] == 0:
+        raise DegenerateBatchError("loss over a batch with no real positions")
+    weights = ad.constant(np.asarray(task_weights, dtype=np.float64))
     per_entry = ad.bce(probs, targets)
-    return ad.scale(ad.sum_all(ad.hadamard(per_entry, ad.constant(weights))), 1.0 / n_real)
+    return ad.scale(ad.sum_all(ad.hadamard(per_entry, weights)), 1.0 / probs.shape[0])
 
 
 def predict_probs(
@@ -323,8 +329,7 @@ def predict_encoded(encoded: EncodedSessions, params: ModelParams,
     rows = np.arange(len(encoded.session_ids))
     for lo in range(0, len(rows), batch_size):
         batch = encoded.batch(rows[lo:lo + batch_size])
-        probs = forward_batch(batch, params, "infer")
-        values = probs.value.reshape(HALF_LEN, batch.size, len(TASK_WEIGHTS))
-        for b, session_id in enumerate(batch.session_ids):
-            out[session_id] = values[: batch.second_lengths[b], b, 0].copy()
+        skip = forward_batch(batch, params, "infer").value[:, 0].copy()
+        cuts = np.cumsum(batch.second_lengths)[:-1]
+        out.update(zip(batch.session_ids, np.split(skip, cuts)))
     return out

@@ -45,7 +45,6 @@ from .model import (
     ModelDims,
     ModelParams,
     VariantConfig,
-    flatten_position_major,
     forward_batch,
     loss,
     predict_encoded,
@@ -303,9 +302,9 @@ def train(
     """Seeded training run; returns the best-validation-AA checkpoint.
 
     Both session tables are encoded once. Per epoch: shuffle, batch, forward,
-    masked multi-task loss, backward, Adam. Validation mean AA is computed
-    after every epoch and the best parameter snapshot is kept. Fully
-    deterministic given config.seed.
+    multi-task loss over the real positions, backward, Adam. Validation mean
+    AA is computed after every epoch and the best parameter snapshot is kept.
+    Fully deterministic given config.seed.
     """
     if not train_sessions or not valid_sessions:
         raise ConfigError("train and validation session lists must be non-empty")
@@ -326,9 +325,9 @@ def train(
         batch_losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = train_set.batch(order[lo:lo + config.batch_size])
-            targets, mask = flatten_position_major(batch)
             try:
-                batch_loss = loss(forward_batch(batch, params, "train"), targets, mask)
+                batch_loss = loss(forward_batch(batch, params, "train"),
+                                  batch.targets[batch.mask])
                 for node in named.values():
                     node.zero_grad()
                 ad.backward(batch_loss)

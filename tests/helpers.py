@@ -71,13 +71,14 @@ def composed_gru(xs, o0, weights):
     return concat_rows(states)
 
 
-def projected_gru(x, o0, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s, steps):
-    """A whole GRU layer over ``x`` with ``composed_gru_step``'s arguments: the
-    input projection ``x [W_ux | W_rx | W_x] + [b_u | b_r | b_s]`` as ordinary
-    nodes, then the ``ad.gru`` recurrence."""
+def projected_gru(x, o0, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s, sizes):
+    """A whole GRU layer over ``x``, packed in steps of ``sizes`` rows, with
+    ``composed_gru_step``'s arguments: the input projection
+    ``x [W_ux | W_rx | W_x] + [b_u | b_r | b_s]`` as ordinary nodes, then the
+    ``ad.gru`` recurrence."""
     pre = ad.add(ad.matmul(x, ad.concat_cols([w_ux, w_rx, w_x])),
                  ad.concat_cols([b_u, b_r, b_s]))
-    return ad.gru(pre, o0, w_us, w_rs, w_s, steps=steps)
+    return ad.gru(pre, o0, w_us, w_rs, w_s, sizes)
 
 
 def scatter_rows(shape, idx, g):

@@ -115,8 +115,10 @@ OP_CASES = [
     ("batchnorm-infer", _bn_infer, [(4, 3)]),
     ("take-rows", lambda a: ad.hadamard(ad.take_rows(a, [2, 0, 2]), ad.take_rows(a, [1, 2, 2])),
      [(3, 4)]),
-    ("gru", lambda *a: projected_gru(*a, steps=3),
+    ("gru", lambda *a: projected_gru(*a, sizes=[2] * 3),
      [(6, 3), (2, 2), (3, 2), (2, 2), (3, 2), (2, 2), (3, 2), (2, 2), (1, 2), (1, 2), (1, 2)]),
+    ("gru-packed", lambda *a: projected_gru(*a, sizes=[3, 2, 2, 1]),
+     [(8, 3), (3, 2), (3, 2), (2, 2), (3, 2), (2, 2), (3, 2), (2, 2), (1, 2), (1, 2), (1, 2)]),
 ]
 
 
@@ -210,12 +212,11 @@ class TestOverfitSanity:
                                        seed=0)
             named = params.named_parameters()
             batch = data.pad_batch(sessions[:1], pipeline, tracks)
-            targets, mask = model.flatten_position_major(batch)
             adam = training.AdamState(lr=0.03)
             losses = []
             for _ in range(51):
                 probs = model.forward_batch(batch, params, "train")
-                batch_loss = model.loss(probs, targets, mask)
+                batch_loss = model.loss(probs, batch.targets[batch.mask])
                 losses.append(float(batch_loss.value[0, 0]))
                 for node in named.values():
                     node.zero_grad()

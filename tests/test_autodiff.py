@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from skipgru import autodiff as ad
 from skipgru.errors import DegenerateBatchError, NumericError, ShapeError, StateError
 
-from helpers import central_diff, composed_gru, max_rel_err, projected_gru, scatter_rows
+from helpers import (central_diff, composed_gru, composed_gru_step, concat_rows, max_rel_err,
+                     projected_gru, scatter_rows)
 
 
 def loss_of(node):
@@ -290,7 +291,7 @@ class TestGru:
             values = [rng.normal(size=shape) for shape in gru_shapes(steps)]
             head = ad.constant(rng.normal(size=(steps * b, GRU_HIDDEN)))
             fused_in = [ad.parameter(v) for v in values]
-            fused = projected_gru(*fused_in, steps=steps)
+            fused = projected_gru(*fused_in, sizes=[b] * steps)
             ad.backward(ad.sum_all(ad.hadamard(fused, head)))
 
             xs = [ad.parameter(values[0][t * b:(t + 1) * b]) for t in range(steps)]
@@ -313,7 +314,7 @@ class TestGru:
         def weight_grads(head):
             nodes = [ad.constant(values[0]), ad.constant(values[1])]
             nodes += [ad.parameter(v) for v in values[2:]]
-            ad.backward(ad.sum_all(ad.hadamard(projected_gru(*nodes, steps=3),
+            ad.backward(ad.sum_all(ad.hadamard(projected_gru(*nodes, sizes=[GRU_BATCH] * 3),
                                                ad.constant(head))))
             return [n.grad for n in nodes[2:]]
 
@@ -321,7 +322,7 @@ class TestGru:
         # the weights, as leaves, accumulate both passes
         nodes = [ad.constant(values[0]), ad.constant(values[1])]
         nodes += [ad.parameter(v) for v in values[2:]]
-        shared = projected_gru(*nodes, steps=3)
+        shared = projected_gru(*nodes, sizes=[GRU_BATCH] * 3)
         for head in heads:
             ad.backward(ad.sum_all(ad.hadamard(shared, ad.constant(head))))
         first, second = weight_grads(heads[0]), weight_grads(heads[1])
@@ -334,7 +335,7 @@ class TestGru:
         heads = [rng.normal(size=(3 * GRU_BATCH, GRU_HIDDEN)) for _ in range(2)]
         nodes = [ad.constant(values[0]), ad.constant(values[1])]
         nodes += [ad.parameter(v) for v in values[2:]]
-        shared = projected_gru(*nodes, steps=3)
+        shared = projected_gru(*nodes, sizes=[GRU_BATCH] * 3)
         ad.backward(ad.sum_all(ad.hadamard(shared, ad.constant(heads[0]))))
         for node in nodes[2:]:
             node.zero_grad()
@@ -342,7 +343,7 @@ class TestGru:
 
         fresh = [ad.constant(values[0]), ad.constant(values[1])]
         fresh += [ad.parameter(v) for v in values[2:]]
-        ad.backward(ad.sum_all(ad.hadamard(projected_gru(*fresh, steps=3),
+        ad.backward(ad.sum_all(ad.hadamard(projected_gru(*fresh, sizes=[GRU_BATCH] * 3),
                                            ad.constant(heads[1]))))
         for node, alone in zip(nodes[2:], fresh[2:]):
             assert np.allclose(node.grad, alone.grad, rtol=0.0, atol=1e-12)
@@ -350,12 +351,12 @@ class TestGru:
     def test_pre_activation_is_not_written(self):
         values = [np.random.default_rng(6).normal(size=s) for s in recurrence_shapes(3)]
         nodes = [ad.parameter(v.copy()) for v in values]
-        ad.backward(ad.sum_all(ad.gru(*nodes, steps=3)))
+        ad.backward(ad.sum_all(ad.gru(*nodes, [GRU_BATCH] * 3)))
         assert np.array_equal(nodes[0].value, values[0])
 
     def test_parents_are_the_recurrence_inputs(self):
         nodes = [ad.parameter(np.zeros(s)) for s in recurrence_shapes(2)]
-        out = ad.gru(*nodes, steps=2)
+        out = ad.gru(*nodes, [GRU_BATCH] * 2)
         assert [p for p, _ in out.parents] == nodes
 
     def test_non_finite_pre_activation_rejected(self):
@@ -365,19 +366,59 @@ class TestGru:
         values[2][...] = 1e308  # o0 @ W_us overflows inside the step
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="gru"):
-            ad.gru(*[ad.constant(v) for v in values], steps=1)
+            ad.gru(*[ad.constant(v) for v in values], [GRU_BATCH])
 
     def test_input_rows_must_be_steps_of_the_state(self):
         values = [np.ones(shape) for shape in recurrence_shapes(3)]
         with pytest.raises(ShapeError):
-            ad.gru(*[ad.constant(v) for v in values], steps=2)
+            ad.gru(*[ad.constant(v) for v in values], [GRU_BATCH] * 2)
 
     @pytest.mark.parametrize("which, shape", [(0, (6, 11)), (2, (4, 3)), (4, (3, 4))])
     def test_shapes_checked(self, which, shape):
         values = [np.ones(s) for s in recurrence_shapes(3)]
         values[which] = np.ones(shape)
         with pytest.raises(ShapeError):
-            ad.gru(*[ad.constant(v) for v in values], steps=3)
+            ad.gru(*[ad.constant(v) for v in values], [GRU_BATCH] * 3)
+
+    @pytest.mark.parametrize("sizes", [[], [1], [2, 3], [2, 0], [[2]]])
+    def test_step_sizes_checked(self, sizes):
+        # the first step runs the whole batch; a step never adds rows nor runs none
+        h = GRU_HIDDEN
+        rows = int(np.sum(sizes))
+        values = [np.ones((rows, 3 * h)), np.ones((GRU_BATCH, h))] + [np.ones((h, h))] * 3
+        with pytest.raises(ShapeError, match="step sizes"):
+            ad.gru(*[ad.constant(v) for v in values], sizes)
+
+    @pytest.mark.parametrize("sizes", [(4, 3, 3, 1), (4, 4, 2), (4, 1, 1, 1, 1)])
+    def test_packed_steps_match_composed_primitives(self, sizes):
+        # oracle: step t runs composed_gru_step on the first n_t states; the
+        # other rows keep theirs
+        b, h = sizes[0], GRU_HIDDEN
+        bounds = np.cumsum((0,) + sizes)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            shapes = gru_shapes(1)
+            shapes[:2] = [(bounds[-1], GRU_IN), (b, h)]
+            values = [rng.normal(size=shape) for shape in shapes]
+            head = ad.constant(rng.normal(size=(bounds[-1], h)))
+            packed_in = [ad.parameter(v) for v in values]
+            packed = projected_gru(*packed_in, sizes=sizes)
+            ad.backward(ad.sum_all(ad.hadamard(packed, head)))
+
+            oracle_in = [ad.parameter(v) for v in values]
+            x, o, weights = oracle_in[0], oracle_in[1], oracle_in[2:]
+            states = []
+            for t, n in enumerate(sizes):
+                x_t = ad.take_rows(x, np.arange(bounds[t], bounds[t + 1]))
+                o_t = composed_gru_step(x_t, ad.take_rows(o, np.arange(n)), *weights)
+                states.append(o_t)
+                o = concat_rows([o_t, ad.take_rows(o, np.arange(n, b))])
+            oracle = concat_rows(states)
+            ad.backward(ad.sum_all(ad.hadamard(oracle, head)))
+
+            assert np.max(np.abs(packed.value - oracle.value)) <= 1e-12
+            for mine, theirs in zip(packed_in, oracle_in):
+                assert np.max(np.abs(mine.grad - theirs.grad)) <= 1e-12
 
 
 class TestFiniteness:
@@ -516,7 +557,8 @@ class TestGradientsVsFiniteDifferences:
     def test_gru_every_input(self, steps):
         head = np.random.default_rng(steps).normal(size=(steps * GRU_BATCH, GRU_HIDDEN))
         _gradcheck(
-            lambda *a: ad.hadamard(projected_gru(*a, steps=steps), ad.constant(head)),
+            lambda *a: ad.hadamard(projected_gru(*a, sizes=[GRU_BATCH] * steps),
+                                   ad.constant(head)),
             gru_shapes(steps),
             n_seeds=5,
         )
@@ -524,7 +566,7 @@ class TestGradientsVsFiniteDifferences:
     def test_gru_recurrence_inputs(self):
         head = np.random.default_rng(7).normal(size=(3 * GRU_BATCH, GRU_HIDDEN))
         _gradcheck(
-            lambda *a: ad.hadamard(ad.gru(*a, steps=3), ad.constant(head)),
+            lambda *a: ad.hadamard(ad.gru(*a, [GRU_BATCH] * 3), ad.constant(head)),
             recurrence_shapes(3),
             n_seeds=5,
         )

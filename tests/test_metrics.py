@@ -50,6 +50,11 @@ class TestAverageAccuracy:
             truth = rng.integers(0, 2, size=t)
             assert metrics.average_accuracy(pred, truth) == brute_force_aa(pred, truth)
 
+    @given(pairs=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=10))
+    def test_brute_force_property(self, pairs):
+        pred, truth = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        assert metrics.average_accuracy(pred, truth) == brute_force_aa(pred, truth)
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             metrics.average_accuracy([1, 0], [1])

@@ -50,7 +50,7 @@ def hand_gru_step(x, o_prev, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s):
 def step(x, o_prev, p):
     """One GRU step: the projected ``ad.gru`` over a single position."""
     return projected_gru(x, o_prev, p.w_ux, p.w_us, p.w_rx, p.w_rs, p.w_x, p.w_s,
-                         p.b_u, p.b_r, p.b_s, steps=1)
+                         p.b_u, p.b_r, p.b_s, sizes=[o_prev.shape[0]])
 
 
 class TestGruStep:
@@ -138,21 +138,23 @@ class TestEncodeFirstHalf:
         tracks, sessions, pipeline, params = tiny_setup()
         zero_all(params)
         batch = data.pad_batch(sessions[:2], pipeline, tracks)
-        out = model.encode_first_half(batch.first_half, params)
+        out = model.encode_first_half(batch.first_half, batch.first_lengths, params)
         assert not out.value.any()
 
     def test_output_width(self):
         tracks, sessions, pipeline, params = tiny_setup(hidden=5)
         batch = data.pad_batch(sessions[:3], pipeline, tracks)
-        out = model.encode_first_half(batch.first_half, params)
+        out = model.encode_first_half(batch.first_half, batch.first_lengths, params)
         assert out.shape == (3, 10)
 
     def test_order_sensitivity(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=3)
         batch = data.pad_batch(sessions[:1], pipeline, tracks)
-        base = model.encode_first_half(batch.first_half, params).value
-        permuted = batch.first_half[:, ::-1, :].copy()
-        other = model.encode_first_half(permuted, params).value
+        base = model.encode_first_half(batch.first_half, batch.first_lengths, params).value
+        n = batch.first_lengths[0]
+        permuted = batch.first_half.copy()
+        permuted[:, :n] = batch.first_half[:, n - 1::-1]  # the real steps reversed
+        other = model.encode_first_half(permuted, batch.first_lengths, params).value
         assert not np.allclose(base, other)
 
     @pytest.mark.parametrize("past_end", [True, False])
@@ -162,21 +164,25 @@ class TestEncodeFirstHalf:
         bad = params.dims.ctx_vocab if past_end else -1
         batch.first_half[0, 0, params.dims.ctx_col] = bad
         with pytest.raises(ShapeError):
-            model.encode_first_half(batch.first_half, params)
+            model.encode_first_half(batch.first_half, batch.first_lengths, params)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_projection_matches_full_input_oracle(self, seed):
         # oracle: each step's whole layer-1 input [numeric | ctx_embedding[idx]]
-        # (the gather as a one-hot matmul) through the primitive-composed GRU
+        # (the gather as a one-hot matmul) through the primitive-composed GRU,
+        # over every slot of the grid; a session past its last real step keeps
+        # its state
         tracks, sessions, pipeline, params = tiny_setup(seed=seed, hidden=4)
         _, _, _, twin = tiny_setup(seed=seed, hidden=4)
         dims = params.dims
         assert dims.ctx_col != dims.d_trip - 1
         batch = data.pad_batch(sessions[:5], pipeline, tracks)
         b = batch.size
+        lengths = np.array(batch.first_lengths)
+        assert len(set(lengths)) > 1
         head = np.random.default_rng(seed).normal(size=(b, 8))
 
-        out = model.encode_first_half(batch.first_half, params)
+        out = model.encode_first_half(batch.first_half, batch.first_lengths, params)
         ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(head))))
 
         g1 = list(twin.gru1.named("gru1").values())  # composed_gru_step's order
@@ -190,8 +196,12 @@ class TestEncodeFirstHalf:
                 ad.matmul(ad.constant(onehot), twin.ctx_embedding),
             ])
             assert x.shape == (b, dims.gru_input)
-            o1 = composed_gru_step(x, o1, *g1)
-            o2 = composed_gru_step(o1, o2, *g2)
+            real = np.repeat((t < lengths)[:, None], 4, axis=1).astype(np.float64)
+            o1_t = composed_gru_step(x, o1, *g1)
+            o2_t = composed_gru_step(o1_t, o2, *g2)
+            o1, o2 = (ad.add(ad.hadamard(new, ad.constant(real)),
+                             ad.hadamard(old, ad.constant(1.0 - real)))
+                      for new, old in ((o1_t, o1), (o2_t, o2)))
         oracle = ad.concat_cols([o1, o2])
         ad.backward(ad.sum_all(ad.hadamard(oracle, ad.constant(head))))
 
@@ -203,9 +213,17 @@ class TestEncodeFirstHalf:
     def test_bad_shapes(self):
         _, _, _, params = tiny_setup()
         with pytest.raises(ShapeError):
-            model.encode_first_half(np.zeros((2, 9, params.dims.d_trip)), params)
+            model.encode_first_half(np.zeros((2, 9, params.dims.d_trip)), [5, 5], params)
         with pytest.raises(ShapeError):
-            model.encode_first_half(np.zeros((2, 10, params.dims.d_trip + 1)), params)
+            model.encode_first_half(np.zeros((2, 10, params.dims.d_trip + 1)), [5, 5],
+                                    params)
+
+    @pytest.mark.parametrize("lengths", [[5, 0], [11, 5], [5, -1], [5], [5, 5, 5]])
+    def test_bad_lengths(self, lengths):
+        _, _, _, params = tiny_setup()
+        with pytest.raises(ShapeError, match="lengths"):
+            model.encode_first_half(np.zeros((2, data.HALF_LEN, params.dims.d_trip)),
+                                    lengths, params)
 
 
 class TestGraphSize:
@@ -218,10 +236,89 @@ class TestGraphSize:
         counts = []
         for size in (2, 16):
             batch = data.pad_batch(sessions[:size], pipeline, tracks)
-            targets, mask = model.flatten_position_major(batch)
-            graph = model.loss(model.forward_batch(batch, params, "train"), targets, mask)
+            graph = model.loss(model.forward_batch(batch, params, "train"),
+                               batch.targets[batch.mask])
             counts.append(sum(1 for node in ad._topo_order(graph) if node.parents))
         assert counts[0] == counts[1] <= 40
+
+
+class TestPacking:
+    def test_only_real_rows_reach_the_recurrence_and_head(self, monkeypatch):
+        tracks, sessions, pipeline, params = tiny_setup(seed=2, n_sessions=16)
+        batch = data.pad_batch(sessions, pipeline, tracks)
+        rows = {"gru": [], "classify": []}
+        gru, classify = ad.gru, model.classify
+
+        def gru_spy(pre, *args):
+            rows["gru"].append(pre.shape[0])
+            return gru(pre, *args)
+
+        def classify_spy(enriched, *args):
+            rows["classify"].append(enriched.shape[0])
+            return classify(enriched, *args)
+
+        monkeypatch.setattr(ad, "gru", gru_spy)
+        monkeypatch.setattr(model, "classify", classify_spy)
+        model.loss(model.forward_batch(batch, params, "train"), batch.targets[batch.mask])
+        assert rows["gru"] == [sum(batch.first_lengths)] * 2
+        assert rows["classify"] == [batch.mask.sum()]
+        assert sum(batch.first_lengths) < data.HALF_LEN * batch.size
+        assert batch.mask.sum() < data.HALF_LEN * batch.size
+
+    @staticmethod
+    def widened(batch, extra):
+        """The batch on a grid ``extra`` slots wider; the new slots are pads
+        (0.0 in every feature, 1 in the is_pad slot) with zero targets."""
+        def grow(a, fill=0.0):
+            tail = np.full(a.shape[:1] + (extra,) + a.shape[2:], fill, dtype=a.dtype)
+            return np.concatenate([a, tail], axis=1)
+
+        first, second = grow(batch.first_half), grow(batch.second_half)
+        first[:, -extra:, -1] = second[:, -extra:, -1] = 1.0
+        return data.PaddedBatch(batch.session_ids, first, second, grow(batch.mask, False),
+                                grow(batch.targets), batch.first_lengths,
+                                batch.second_lengths)
+
+    @pytest.mark.parametrize("use_batchnorm", [False, True])
+    def test_extra_pad_slots_change_nothing(self, monkeypatch, use_batchnorm):
+        batches = []
+        runs = []
+        for extra in (0, 2):
+            tracks, sessions, pipeline, params = tiny_setup(seed=9, use_batchnorm=use_batchnorm)
+            batch = data.pad_batch(sessions, pipeline, tracks)
+            if extra:
+                monkeypatch.setattr(model, "HALF_LEN", data.HALF_LEN + extra)
+                batch = self.widened(batch, extra)
+            batches.append(batch)
+            infer = model.forward_batch(batch, params, "infer").value
+            batch_loss = model.loss(model.forward_batch(batch, params, "train"),
+                                    batch.targets[batch.mask])
+            ad.backward(batch_loss)
+            state = params.state_dict()  # running statistics included
+            state.update({f"{name}.grad": node.grad
+                          for name, node in params.named_parameters().items()})
+            runs.append((infer, batch_loss.value, state))
+        assert batches[1].first_half.shape[1] == data.HALF_LEN + 2
+        (infer_a, loss_a, state_a), (infer_b, loss_b, state_b) = runs
+        assert np.max(np.abs(infer_a - infer_b)) <= 1e-12
+        assert abs(loss_a[0, 0] - loss_b[0, 0]) <= 1e-12
+        assert state_a.keys() == state_b.keys()
+        assert use_batchnorm == ("bn1.running_mean" in state_a)
+        for name in state_a:
+            assert np.max(np.abs(state_a[name] - state_b[name])) <= 1e-12, name
+
+    def test_row_order_in_batch(self):
+        tracks, sessions, pipeline, params = tiny_setup(seed=10, n_sessions=8)
+        lengths = data.pad_batch(sessions, pipeline, tracks).first_lengths
+        assert len(set(lengths)) > 1
+        base = model.predict_probs(sessions, pipeline, tracks, params)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(sessions))
+            shuffled = model.predict_probs([sessions[k] for k in order], pipeline,
+                                           tracks, params)
+            assert shuffled.keys() == base.keys()
+            for sid in base:
+                assert np.max(np.abs(shuffled[sid] - base[sid])) <= 1e-12
 
 
 class TestEnrich:
@@ -308,30 +405,29 @@ class TestLoss:
     def test_uniform_half_probability(self):
         probs = ad.constant(np.full((6, 4), 0.5))
         targets = np.random.default_rng(0).integers(0, 2, size=(6, 4))
-        mask = np.array([True, True, False, True, False, True])
-        value = model.loss(probs, targets, mask).value[0, 0]
+        value = model.loss(probs, targets).value[0, 0]
         assert value == pytest.approx(1.6 * math.log(2.0), rel=1e-12)
 
     def test_perfect_fit(self):
         targets = np.random.default_rng(1).integers(0, 2, size=(5, 4)).astype(float)
         probs = ad.constant(np.clip(targets, 1e-9, 1 - 1e-9))
-        mask = np.ones(5, dtype=bool)
-        assert model.loss(probs, targets, mask).value[0, 0] < 1e-7
+        assert model.loss(probs, targets).value[0, 0] < 1e-7
 
     def test_masked_targets_ignored(self):
-        rng = np.random.default_rng(2)
-        probs = ad.constant(rng.uniform(0.1, 0.9, size=(6, 4)))
-        targets = rng.integers(0, 2, size=(6, 4)).astype(float)
-        mask = np.array([True, False, True, False, True, False])
-        base = model.loss(probs, targets, mask).value[0, 0]
-        perturbed = targets.copy()
-        perturbed[~mask] = 1.0 - perturbed[~mask]
-        assert model.loss(probs, perturbed, mask).value[0, 0] == base
+        # the training loss reads the targets of real positions only
+        tracks, sessions, pipeline, params = tiny_setup(seed=2)
+        batch = data.pad_batch(sessions[:3], pipeline, tracks)
+        assert not batch.mask.all()
+        base = model.loss(model.forward_batch(batch, params, "infer"),
+                          batch.targets[batch.mask]).value[0, 0]
+        batch.targets[~batch.mask] = 1.0 - batch.targets[~batch.mask]
+        assert model.loss(model.forward_batch(batch, params, "infer"),
+                          batch.targets[batch.mask]).value[0, 0] == base
 
     def test_all_masked_rejected(self):
-        probs = ad.constant(np.full((3, 4), 0.5))
+        probs = ad.constant(np.zeros((0, 4)))
         with pytest.raises(DegenerateBatchError):
-            model.loss(probs, np.zeros((3, 4)), np.zeros(3, dtype=bool))
+            model.loss(probs, np.zeros((0, 4)))
 
 
 class TestPrediction:
@@ -390,9 +486,8 @@ class _KinkWatch:
 def model_loss_value(batch, params, state):
     """Loss as a pure function of a flat parameter state (for FD probing)."""
     params.load_state_dict(state)
-    targets, mask = model.flatten_position_major(batch)
     probs = model.forward_batch(batch, params, "infer")
-    return model.loss(probs, targets, mask).value[0, 0]
+    return model.loss(probs, batch.targets[batch.mask]).value[0, 0]
 
 
 def whole_model_fd(seed, use_batchnorm=False, coords_per_param=None, tol=1e-4):
@@ -412,9 +507,8 @@ def whole_model_fd(seed, use_batchnorm=False, coords_per_param=None, tol=1e-4):
     }
     params.load_state_dict(state)
     batch = data.pad_batch(sessions[seed % 4:seed % 4 + 2], pipeline, tracks)
-    targets, mask = model.flatten_position_major(batch)
     probs = model.forward_batch(batch, params, "infer")
-    ad.backward(model.loss(probs, targets, mask))
+    ad.backward(model.loss(probs, batch.targets[batch.mask]))
     named = params.named_parameters()
     grads = {name: node.grad.copy() for name, node in named.items()}
     state = params.state_dict()

@@ -171,12 +171,11 @@ class TestOverfitSanity:
         params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline), seed=0)
         named = params.named_parameters()
         batch = data.pad_batch(train_s[:1], pipeline, tracks)
-        targets, mask = model.flatten_position_major(batch)
         adam = training.AdamState(lr=0.03)
         losses = []
         for _ in range(51):
             probs = model.forward_batch(batch, params, "train")
-            batch_loss = model.loss(probs, targets, mask)
+            batch_loss = model.loss(probs, batch.targets[batch.mask])
             losses.append(float(batch_loss.value[0, 0]))
             for node in named.values():
                 node.zero_grad()
