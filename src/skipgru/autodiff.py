@@ -8,6 +8,14 @@ order and accumulates gradients into every node that requires them. Only
 parameters (leaves that require a gradient) own a ``grad`` array from the
 start; every other node's ``grad`` is ``None`` until ``backward`` reaches it.
 
+Inside ``with no_grad():`` nothing is recorded: an op's output keeps no
+parents and no pulls, so it does not require a gradient, and each
+intermediate array is freed at its last use instead of living as long as
+the graph. The values, the shape checks and the non-finite check are those
+of the recording path; only the bookkeeping stops. The switch is a
+``contextvars.ContextVar``, so it holds for the current thread (or asyncio
+task) only, and it is restored when the block exits, by an exception too.
+
 Broadcasting is deliberately restricted: the second operand of ``add`` or
 ``hadamard`` may be a 1 x n bias row matched against an m x n left operand,
 nothing else. All other mismatches raise :class:`ShapeError`.
@@ -16,6 +24,8 @@ Any op whose result contains NaN/Inf raises :class:`NumericError`.
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +36,8 @@ ELU_ALPHA = 1.0
 BCE_CLIP = 1e-12
 
 ACTIVATION_KINDS = ("sigmoid", "relu", "elu")
+
+_recording = contextvars.ContextVar("skipgru_autodiff_recording", default=True)
 
 
 def as_matrix(x) -> np.ndarray:
@@ -76,9 +88,20 @@ def parameter(x) -> Node:
     return Node(x, requires_grad=True)
 
 
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: ops return nodes without parents."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _result(value, pulls, op: str) -> Node:
-    """Build an op output; only grad-requiring parents stay in the graph."""
-    parents = [(p, fn) for p, fn in pulls if p.requires_grad]
+    """Build an op output; only grad-requiring parents stay in the graph, and
+    none inside ``no_grad``."""
+    parents = [(p, fn) for p, fn in pulls if p.requires_grad] if _recording.get() else []
     return Node(value, requires_grad=bool(parents), parents=parents, op=op)
 
 

@@ -236,6 +236,11 @@ def export_embeddings(emb: EmbeddingTable, path) -> None:
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
+    """Read 'track_id v_1 .. v_d' lines into a dict of float64 vectors.
+
+    A line's values are parsed by one ``np.array`` call, which reads each
+    token as ``float()`` does; every error names its line.
+    """
     table: dict[str, np.ndarray] = {}
     dims = None
     with open_text(path) as fh:
@@ -252,7 +257,7 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
             if fields[0] in table:
                 raise ValidationError(f"line {line_no}: duplicate track id {fields[0]!r}")
             try:
-                vec = np.array([float(v) for v in fields[1:]])
+                vec = np.array(fields[1:], dtype=np.float64)
             except ValueError:
                 raise ValidationError(f"line {line_no}: non-numeric embedding value") from None
             if not np.isfinite(vec).all():

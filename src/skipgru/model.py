@@ -27,6 +27,10 @@ rows. ``x_half`` is each layer's state at the session's own last real step,
 gathered back into batch order. The head then enriches and classifies the
 real second-half rows only, session-major (``second_half[mask]``), so
 train-mode batch normalization and the loss see no pads either.
+
+Inference is the same ``forward_batch`` in infer mode, run by
+``predict_encoded`` under ``ad.no_grad()``: no graph is recorded, so a
+batch's intermediate arrays do not outlive their last use.
 """
 
 from __future__ import annotations
@@ -324,12 +328,18 @@ def predict_probs(
 
 def predict_encoded(encoded: EncodedSessions, params: ModelParams,
                     batch_size: int = PREDICT_BATCH_SIZE) -> dict[str, np.ndarray]:
-    """``predict_probs`` over sessions already encoded by their pipeline."""
+    """``predict_probs`` over sessions already encoded by their pipeline.
+
+    Every batch runs under ``ad.no_grad()``: the same ``forward_batch`` as
+    training, but no graph is kept, so each intermediate array is freed at
+    its last use. Every inference caller (validation in ``training.train``,
+    ``predict_probs``, ``metrics.ensemble_predict``) comes through here."""
     out: dict[str, np.ndarray] = {}
     rows = np.arange(len(encoded.session_ids))
-    for lo in range(0, len(rows), batch_size):
-        batch = encoded.batch(rows[lo:lo + batch_size])
-        skip = forward_batch(batch, params, "infer").value[:, 0].copy()
-        cuts = np.cumsum(batch.second_lengths)[:-1]
-        out.update(zip(batch.session_ids, np.split(skip, cuts)))
+    with ad.no_grad():
+        for lo in range(0, len(rows), batch_size):
+            batch = encoded.batch(rows[lo:lo + batch_size])
+            skip = forward_batch(batch, params, "infer").value[:, 0].copy()
+            cuts = np.cumsum(batch.second_lengths)[:-1]
+            out.update(zip(batch.session_ids, np.split(skip, cuts)))
     return out

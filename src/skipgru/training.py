@@ -60,7 +60,8 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter moment buffers; lazily sized on first step."""
+    """Per-parameter moment buffers, lazily sized on first step, and one
+    scratch buffer that every parameter's update reuses."""
 
     lr: float = ADAM_LR
     beta1: float = ADAM_BETA1
@@ -69,10 +70,18 @@ class AdamState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def adam_step(params: dict[str, ad.Node], state: AdamState) -> None:
-    """One in-place update from the gradients currently held by the nodes."""
+    """One in-place update from the gradients currently held by the nodes.
+
+    Every operation writes into the moments, the parameter or two
+    parameter-sized views of the shared scratch buffer, in the order of the
+    expressions ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, so the update is bitwise
+    that of the expressions and allocates nothing after the first step.
+    """
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
@@ -86,13 +95,16 @@ def adam_step(params: dict[str, ad.Node], state: AdamState) -> None:
         if name not in state.v:
             state.v[name] = np.zeros_like(node.value)
         m, v = state.m[name], state.v[name]
+        if state.scratch.size < 2 * m.size:
+            state.scratch = np.empty(2 * m.size)
+        step, denom = state.scratch[:2 * m.size].reshape((2,) + m.shape)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=step)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        node.value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=denom), g, out=denom)
+        np.multiply(np.divide(m, bc1, out=step), state.lr, out=step)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), state.eps, out=denom)
+        node.value -= np.divide(step, denom, out=step)
 
 
 def clip_gradients(params: dict[str, ad.Node], max_norm: float) -> float:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -230,6 +232,66 @@ class TestBackward:
         ad.backward(ad.sum_all(y))
         assert c.grad is None
         assert np.array_equal(w.grad, [[1.0, 2.0]])
+
+
+def every_op(w):
+    """One output of every op, each downstream of the parameter ``w`` ([3, 3])."""
+    x = ad.take_rows(ad.scale(w, 0.5), [0, 2, 1, 0])
+    w11 = ad.matmul(ad.take_rows(w, [0]), ad.constant(np.ones((3, 1))))
+    bn = ad.BatchNormState.create(3)
+    return [
+        ad.matmul(x, w), ad.add(x, ad.take_rows(w, [1])), ad.hadamard(x, x),
+        ad.sigmoid(x), ad.relu(x), ad.activation(x, "elu"), ad.concat_cols([x, x]),
+        ad.sum_all(x), ad.bce(ad.sigmoid(x), np.ones((4, 3))),
+        ad.batchnorm(x, bn, "train"), ad.batchnorm(x, bn, "infer"),
+        ad.gru(w, ad.constant(np.zeros((2, 1))), w11, w11, w11, [2, 1]),
+    ]
+
+
+class TestNoGrad:
+    def test_ops_inside_keep_no_parents(self):
+        values = np.random.default_rng(0).normal(size=(3, 3))
+        recorded = every_op(ad.parameter(values))
+        with ad.no_grad():
+            bare = every_op(ad.parameter(values))
+        for kept, out in zip(recorded, bare, strict=True):
+            assert kept.parents and kept.requires_grad
+            assert out.parents == [] and not out.requires_grad and out.grad is None
+            assert np.array_equal(out.value, kept.value)
+
+    def test_recording_resumes_after_an_error_inside(self):
+        w = ad.parameter([[1e308]])
+        with pytest.raises(NumericError), np.errstate(over="ignore"), ad.no_grad():
+            ad.scale(w, 10.0)
+        assert ad.scale(w, 0.5).parents
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        w = ad.parameter([[1.0]])
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.scale(w, 2.0).parents
+        assert ad.scale(w, 2.0).parents
+
+    def test_a_block_in_one_thread_leaves_another_recording(self):
+        w = ad.parameter([[1.0]])
+        entered, built = threading.Event(), threading.Event()
+        parents = {}
+
+        def inside():
+            with ad.no_grad():
+                entered.set()
+                built.wait(timeout=10)
+                parents["inside"] = ad.scale(w, 2.0).parents
+
+        worker = threading.Thread(target=inside)
+        worker.start()
+        assert entered.wait(timeout=10)
+        parents["outside"] = ad.scale(w, 2.0).parents
+        built.set()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert parents["outside"] and parents["inside"] == []
 
 
 class TestTakeRows:

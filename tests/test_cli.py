@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,35 @@ class TestUsage:
 
     def test_unknown_command_exits_two(self, capsys):
         assert run(["frobnicate"]) == 2
+
+
+class TestModuleEntryPoints:
+    """``python -m skipgru`` and ``python -m skipgru.cli`` run the CLI from a
+    checkout, with only the source directory on the import path."""
+
+    @staticmethod
+    def run_module(module, *argv, cwd):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("module", ["skipgru", "skipgru.cli"])
+    def test_usage_error_exits_two(self, module, tmp_path):
+        done = self.run_module(module, "gen-data", "--no-such-flag", cwd=tmp_path)
+        assert done.returncode == 2 and "usage:" in done.stderr
+
+    @pytest.mark.parametrize("module", ["skipgru", "skipgru.cli"])
+    def test_missing_input_exits_three(self, module, tmp_path):
+        done = self.run_module(module, "evaluate", "--truth", "nope", "--submission", "nope",
+                               cwd=tmp_path)
+        assert done.returncode == 3 and "nope" in done.stderr
+
+    def test_gen_data_writes_its_files(self, tmp_path):
+        done = self.run_module("skipgru", "gen-data", "--out-dir", "d", "--sessions", "12",
+                               "--tracks", "50", "--holdout", "3", cwd=tmp_path)
+        assert done.returncode == 0 and "sessions=12" in done.stdout
+        for name in ("tracks.csv", "sessions.csv", "sessions_holdout.csv"):
+            assert (tmp_path / "d" / name).stat().st_size > 0
 
 
 class TestGenData:

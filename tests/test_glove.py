@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from skipgru import data, glove
 from skipgru.data import Event, Session
@@ -339,12 +343,56 @@ class TestExport:
         with pytest.raises(ValidationError, match="line 3.*duplicate"):
             glove.load_embeddings(path)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "-nan", "infinity"])
     def test_non_finite_value_rejected(self, tmp_path, bad):
         path = tmp_path / "emb.txt"
         path.write_text(f"A 1.0 2.0\nB 1.0 {bad}\n")
         with pytest.raises(ValidationError, match="line 2.*non-finite"):
             glove.load_embeddings(path)
+
+    @pytest.mark.parametrize("bad", ["0x10", "abc", "1,0", "nan(1)", "1..0"])
+    def test_non_numeric_value_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"A 1.0 2.0\nB 1.0 2.0\nC {bad} 2.0\nD 1.0 2.0\n")
+        with pytest.raises(ValidationError, match="line 3: non-numeric"):
+            glove.load_embeddings(path)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("A 1.0 2.0\nB x 2.0\nA 1.0 2.0\n", "line 2: non-numeric"),
+        ("A 1.0 2.0\nB inf 2.0\nC 1.0\n", "line 2: non-finite"),
+        ("A 1.0 2.0\nA 1.0 2.0\nB x 2.0\n", "line 2: duplicate"),
+        ("A 1.0 2.0\nB 1.0\nC nan 2.0\n", "line 2: expected 2 values"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, text, expected):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=expected):
+            glove.load_embeddings(path)
+
+    def test_values_parse_as_float_does(self, tmp_path):
+        tokens = ["1_0", "1.5e-400", "-0", "+.5e-3", "4.9e-324", "1e-310", "0.1",
+                  "1.7976931348623157e308", "-2.5E+3", "\u0661\u0662"]
+        rows = [tokens, [repr(float(x)) for x in np.random.default_rng(5).normal(size=len(tokens))]]
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"t{k} " + " ".join(row) + "\n" for k, row in enumerate(rows)),
+                        encoding="utf-8")
+        loaded = glove.load_embeddings(path)
+        for k, row in enumerate(rows):
+            assert loaded[f"t{k}"].tobytes() == np.array([float(v) for v in row]).tobytes()
+
+    @settings(max_examples=30)
+    @given(values=arrays(np.float64, st.tuples(st.just(2), st.integers(1, 8), st.integers(1, 6)),
+                         elements=st.floats(-1e300, 1e300)))
+    def test_export_load_round_trip_is_bit_exact(self, values):
+        main, context = values
+        v = main.shape[0]
+        emb = glove.EmbeddingTable([f"t{k}" for k in range(v)], main, context,
+                                   np.zeros(v), np.zeros(v))
+        with tempfile.TemporaryDirectory() as tmp:
+            glove.export_embeddings(emb, Path(tmp) / "emb.txt")
+            loaded = glove.load_embeddings(Path(tmp) / "emb.txt")
+        assert list(loaded) == emb.track_ids
+        assert np.array(list(loaded.values())).tobytes() == emb.vectors().tobytes()
 
 
 class TestTableInput:

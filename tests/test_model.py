@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from skipgru import autodiff as ad
-from skipgru import data, metrics, model
+from skipgru import data, metrics, model, training
 from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
 from skipgru.features import FeaturePipeline
 
@@ -454,6 +455,67 @@ class TestPrediction:
             single = model.predict_probs([session], pipeline, tracks, params)
             assert np.allclose(single[session.session_id], batched[session.session_id],
                                atol=1e-12)
+
+
+def traced_peak(run):
+    """Bytes ``run()`` holds at its high-water mark, by ``tracemalloc``, which
+    counts every NumPy buffer: the figure is exact and repeats."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInferenceKeepsNoGraph:
+    @pytest.mark.parametrize("activation,use_batchnorm",
+                             [("relu", False), ("elu", False), ("relu", True)])
+    def test_probabilities_match_a_recording_forward_bitwise(self, activation, use_batchnorm):
+        tracks, sessions, pipeline, params = tiny_setup(
+            seed=8, hidden=5, n_sessions=20, activation=activation, use_batchnorm=use_batchnorm)
+        rng = np.random.default_rng(8)
+        for bn in (params.bn1, params.bn2) if use_batchnorm else ():
+            bn.running_mean = rng.normal(size=bn.running_mean.shape)
+            bn.running_var = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+        encoded = pipeline.encode(sessions, tracks)
+        probs = model.predict_encoded(encoded, params, batch_size=8)
+        rows = np.arange(len(sessions))
+        for lo in range(0, len(rows), 8):
+            batch = encoded.batch(rows[lo:lo + 8])
+            recorded = model.forward_batch(batch, params, "infer")
+            assert recorded.parents
+            skip = np.split(recorded.value[:, 0], np.cumsum(batch.second_lengths)[:-1])
+            for sid, expected in zip(batch.session_ids, skip, strict=True):
+                assert np.array_equal(probs[sid], expected)
+
+    def test_every_inference_entry_point_keeps_no_graph(self, monkeypatch):
+        tracks, sessions, pipeline, params = tiny_setup(seed=9, n_sessions=12)
+        calls = []
+        forward = model.forward_batch
+
+        def spy(batch, params, mode):
+            out = forward(batch, params, mode)
+            calls.append((mode, bool(out.parents)))
+            return out
+
+        monkeypatch.setattr(model, "forward_batch", spy)
+        model.predict_probs(sessions, pipeline, tracks, params)
+        metrics.ensemble_predict([(params, pipeline)] * 2, sessions, tracks)
+        training.train(sessions[:8], sessions[8:], tracks, pipeline, params.variant,
+                       training.TrainConfig(batch_size=4, epochs=2))
+        assert calls == [("infer", False)] * 5  # 1 + 2 members + 2 validations
+
+    def test_peak_memory_is_at_most_half_of_a_recording_forward(self):
+        tracks, sessions, pipeline, params = tiny_setup(seed=3, hidden=32, n_sessions=256)
+        encoded = pipeline.encode(sessions, tracks)
+
+        def recording():
+            batch = encoded.batch(np.arange(len(sessions)))
+            return model.forward_batch(batch, params, "infer").value[:, 0].copy()
+
+        inference = traced_peak(lambda: model.predict_encoded(encoded, params))
+        assert inference <= 0.5 * traced_peak(recording)
 
 
 class _KinkWatch:

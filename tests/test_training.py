@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import rewrite_checkpoint, write_v1_checkpoint
 
 from skipgru import autodiff as ad
@@ -342,3 +346,40 @@ class TestCheckpointIO:
                               variant, config)
         log = ckpt.metadata["epoch_log"]
         assert log[-1]["train_loss"] < log[0]["train_loss"]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=20)
+    @given(activation=st.sampled_from(model.ACTIVATION_VARIANTS), use_batchnorm=st.booleans(),
+           hidden=st.integers(1, 6), d_emb=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_save_load_build_reproduces_parameters_and_predictions(
+            self, activation, use_batchnorm, hidden, d_emb, seed):
+        rng = np.random.default_rng(seed)
+        tracks, sessions = data.gen_synthetic(n_sessions=6, n_tracks=50, acoustic_dim=2,
+                                              seed=seed)
+        embeddings = {tid: rng.normal(size=d_emb) for tid in sorted(tracks)[::2]}
+        pipeline = FeaturePipeline(embeddings, d_emb=d_emb).fit(sessions, tracks)
+        variant = model.VariantConfig(activation, hidden, use_batchnorm)
+        params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline))
+        state = {name: rng.normal(size=value.shape)
+                 for name, value in params.state_dict().items()}
+        for name in state:
+            if name.endswith("running_var"):
+                state[name] = np.abs(state[name])
+        params.load_state_dict(state)
+        ckpt = training.Checkpoint(variant, params.dims, params.state_dict(),
+                                   pipeline.to_dict(), None, {"seed": seed})
+        with tempfile.TemporaryDirectory() as tmp:
+            training.save_checkpoint(ckpt, Path(tmp) / "m.ckpt")
+            rebuilt, rebuilt_pipeline = training.load_checkpoint(Path(tmp) / "m.ckpt").build()
+        reloaded = rebuilt.state_dict()
+        assert reloaded.keys() == state.keys()
+        assert all(same_bits(reloaded[name], state[name]) for name in state)
+        expected = model.predict_probs(sessions, pipeline, tracks, params)
+        got = model.predict_probs(sessions, rebuilt_pipeline, tracks, rebuilt)
+        assert got.keys() == expected.keys()
+        assert all(same_bits(got[sid], expected[sid]) for sid in expected)
