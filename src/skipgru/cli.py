@@ -250,7 +250,7 @@ def cmd_train(args) -> int:
         sessions, pick(args.val_fraction, t.val_fraction), train_config.seed
     )
     pipeline = FeaturePipeline(embeddings).fit(train_split, tracks)
-    embedding_ref = {"path": str(embeddings_path), "sha256": _file_sha256(embeddings_path)}
+    embedding_ref = {"sha256": _file_sha256(embeddings_path)}
     checkpoint = training.train(
         train_split, valid_split, tracks, pipeline, variant, train_config,
         embedding_ref=embedding_ref, log=print,

@@ -9,7 +9,16 @@ co-occurrence table; embeddings then minimize
 
 with per-coordinate adaptive (AdaGrad-style) steps over shuffled slices of
 the nonzero entries: within a slice the entries that share a row are summed,
-and each row takes one step. The exported embedding for a track is
+and each row takes one step. The slices run in workspace buffers that
+training allocates once: three float ``[slice, d]`` buffers (the gathered
+``w_i`` and ``w~_j`` rows; their product, then each side's gradients) and
+one intp buffer for the flat ``bincount`` index. Rows are gathered with
+``np.take(..., out=, mode="clip")`` after ``check_table`` has proved every
+index in range, products are formed with ``out=`` ufuncs, and a gathered
+row buffer that is no longer read holds its side's squared gradients and
+touched rows. So a slice allocates nothing of size slice x d, and the
+allocator does not hand freed pages back to the OS only to fault them in
+again on the next slice. The exported embedding for a track is
 ``w + w~``. The table is two arrays: each unordered pair of track indices
 once, as an ``(i, j)`` row with ``i < j`` in sorted order, and its summed
 weight. Training iterates both directions of every pair, which makes the
@@ -125,42 +134,77 @@ class EmbeddingTable:
         return {tid: combined[k] for k, tid in enumerate(self.track_ids)}
 
 
-def _batch_gradients(main, context, main_bias, context_bias, i, j, logx, f):
-    """Per-entry loss and gradients of f * (w_i . w~_j + b_i + b~_j - logx)^2."""
-    wi = main[i]
-    wj = context[j]
-    diff = (wi * wj).sum(axis=1) + main_bias[i] + context_bias[j] - logx
-    loss = f * diff * diff
-    g = 2.0 * f * diff
-    return loss, g[:, None] * wj, g[:, None] * wi, g, g
+def _residual(prod, bias_i, bias_j, logx, f):
+    """Per-entry loss and residual gradient ``g`` of
+    f * (w_i . w~_j + b_i + b~_j - logx)^2, from the rowwise products
+    ``prod = w_i * w~_j``. An entry's gradient is ``g * w~_j`` for w_i,
+    ``g * w_i`` for w~_j and ``g`` for each bias."""
+    diff = prod.sum(axis=1) + bias_i + bias_j - logx
+    return f * diff * diff, 2.0 * f * diff
 
 
-def _adagrad_rows(param, cache, rows, grad, lr):
+def _spread(slot, d, out):
+    """``slot * d + col`` for every column of a slice's ``[m, d]`` vector
+    gradients, built in the intp buffer ``out``: their flat ``bincount``
+    places."""
+    return np.add((slot * d)[:, None], np.arange(d), out=out).reshape(-1)
+
+
+def _adagrad_rows(param, cache, touched, slot, grad, lr, work):
     """One AdaGrad step per row of ``param`` for a slice of entry gradients.
 
-    Only the rows the slice touches are read or written. The gradients and
-    squared gradients of the entries that share a row are summed first (a
-    flat ``bincount`` over ``slot * d + col``, where ``slot`` numbers the
-    touched rows), the squares are added to the cache, and each touched row
-    then moves once by ``-lr * sum / sqrt(cache)``.
+    Only the ``touched`` rows are read or written. ``grad`` is flat, and
+    ``slot`` numbers each value's place among the touched rows: the entry's
+    row for a bias, ``row * d + col`` for a table of vectors (``_spread``).
+    The squared gradients of each place are summed (a flat ``bincount``) and
+    added to the cache, then the gradients are summed, and each touched row
+    moves once by ``-lr * sum / sqrt(cache)``. ``work``, a float buffer of
+    ``grad``'s size, holds the squares and then the touched rows, so the
+    step's only fresh arrays are its two sums, never alive together.
     """
-    touched, slot = np.unique(rows, return_inverse=True)
+    sums = np.bincount(slot, weights=np.multiply(grad, grad, out=work))
     shape = (len(touched),) + param.shape[1:]
-    if grad.ndim == 2:
-        slot = (slot[:, None] * grad.shape[1] + np.arange(grad.shape[1])).ravel()
-        grad = grad.ravel()
-    total = np.bincount(slot, weights=grad).reshape(shape)
-    cache[touched] += np.bincount(slot, weights=grad * grad).reshape(shape)
-    param[touched] -= lr * total / np.sqrt(cache[touched])
+    rows = np.take(cache, touched, axis=0, out=work[:sums.size].reshape(shape), mode="clip")
+    rows += sums.reshape(shape)
+    del sums
+    cache[touched] = rows
+    step = np.bincount(slot, weights=grad).reshape(shape)
+    step *= lr
+    step /= np.sqrt(rows, out=rows)
+    rows = np.take(param, touched, axis=0, out=rows, mode="clip")
+    rows -= step
+    param[touched] = rows
+
+
+def check_table(table: CooccurrenceTable) -> None:
+    """Reject a table that training cannot read: ``pairs`` must be an integer
+    ``[n, 2]`` array with ``0 <= i < j < n_tracks`` and ``values`` a real
+    ``[n]`` array, finite and > 0. The error names the first bad pair's
+    position; no index is ever clamped."""
+    pairs, values = table.pairs, table.values
+    if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"
+            and pairs.ndim == 2 and pairs.shape[1] == 2):
+        raise ValidationError("co-occurrence pairs must be an integer [n, 2] array")
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+            and values.shape == (len(pairs),)):
+        raise ValidationError(f"co-occurrence values must be a real [{len(pairs)}] array")
+    i, j = pairs.T
+    v = table.n_tracks
+    bad = ~((0 <= i) & (i < j) & (j < v) & np.isfinite(values) & (values > 0))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValidationError(
+            f"co-occurrence pair {k}: ({i[k]}, {j[k]}) with weight {float(values[k])!r} "
+            f"needs 0 <= i < j < {v} tracks and a finite weight > 0"
+        )
 
 
 def objective(table: CooccurrenceTable, emb: EmbeddingTable,
               x_max: float = X_MAX, alpha: float = ALPHA) -> float:
+    check_table(table)
     i, j, x = table.directed_entries()
-    f = glove_weights(x, x_max, alpha)
-    loss, *_ = _batch_gradients(
-        emb.main, emb.context, emb.main_bias, emb.context_bias, i, j, np.log(x), f
-    )
+    loss, _ = _residual(emb.main[i] * emb.context[j], emb.main_bias[i], emb.context_bias[j],
+                        np.log(x), glove_weights(x, x_max, alpha))
     return float(loss.sum())
 
 
@@ -175,10 +219,12 @@ def train_glove(
 ) -> EmbeddingTable:
     """Fit embeddings to the table; deterministic given the seed.
 
-    Entries are shuffled every epoch and consumed in vectorized slices of
-    ENTRY_BATCH; each slice moves every row it touches once (see
-    ``_adagrad_rows``). AdaGrad caches start at 1 so early steps are bounded by lr.
-    The loss recorded per epoch is the objective evaluated as each slice is
+    The table is checked first (``check_table``). Entries are shuffled every
+    epoch and consumed in vectorized slices of ENTRY_BATCH; each slice moves
+    every row it touches once (see ``_adagrad_rows``). The slices run in
+    workspace buffers allocated once per call, so a slice allocates nothing of
+    size slice x dims. AdaGrad caches start at 1 so early steps are bounded by
+    lr. The loss recorded per epoch is the objective evaluated as each slice is
     visited, before its update.
     """
     if dims < 1 or epochs < 1:
@@ -187,6 +233,7 @@ def train_glove(
     for name, value in (("lr", lr), ("x_max", x_max), ("alpha", alpha)):
         if not 0.0 < value < np.inf:
             raise ConfigError(f"glove {name} must be finite and positive, got {value}")
+    check_table(table)
     if not len(table.pairs):
         raise TrainingError("cannot train embeddings on an empty co-occurrence table")
     v = table.n_tracks
@@ -208,21 +255,35 @@ def train_glove(
     logx_all = np.log(x_all)
     f_all = glove_weights(x_all, x_max, alpha)
 
+    # Workspace: the gathered w_i and w~_j rows, one buffer for their product
+    # and then each side's entry gradients, and the flat bincount index.
+    n = len(i_all)
+    size = (min(ENTRY_BATCH, n), dims)
+    wi_buf, wj_buf, grad_buf = np.empty(size), np.empty(size), np.empty(size)
+    flat_buf = np.empty(size, dtype=np.intp)
+    sides = ((emb.main, cache_main, emb.main_bias, cache_mb),
+             (emb.context, cache_context, emb.context_bias, cache_cb))
+
     for _ in range(epochs):
-        order = rng.permutation(len(i_all))
+        order = rng.permutation(n)
         epoch_loss = 0.0
-        for lo in range(0, len(order), ENTRY_BATCH):
+        for lo in range(0, n, ENTRY_BATCH):
             sel = order[lo:lo + ENTRY_BATCH]
+            m = len(sel)
             i, j = i_all[sel], j_all[sel]
-            loss, gwi, gwj, gbi, gbj = _batch_gradients(
-                emb.main, emb.context, emb.main_bias, emb.context_bias,
-                i, j, logx_all[sel], f_all[sel],
-            )
+            wi = np.take(emb.main, i, axis=0, out=wi_buf[:m], mode="clip")
+            wj = np.take(emb.context, j, axis=0, out=wj_buf[:m], mode="clip")
+            grad = np.multiply(wi, wj, out=grad_buf[:m])
+            loss, g = _residual(grad, emb.main_bias[i], emb.context_bias[j],
+                                logx_all[sel], f_all[sel])
             epoch_loss += float(loss.sum())
-            _adagrad_rows(emb.main, cache_main, i, gwi, lr)
-            _adagrad_rows(emb.context, cache_context, j, gwj, lr)
-            _adagrad_rows(emb.main_bias, cache_mb, i, gbi, lr)
-            _adagrad_rows(emb.context_bias, cache_cb, j, gbj, lr)
+            for (param, cache, bias, bias_cache), rows, other in zip(sides, (i, j), (wj, wi)):
+                # ``other`` is not read again: it becomes this side's spare buffer
+                touched, slot = np.unique(rows, return_inverse=True)
+                np.multiply(g[:, None], other, out=grad)
+                _adagrad_rows(param, cache, touched, _spread(slot, dims, flat_buf[:m]),
+                              grad.reshape(-1), lr, other.reshape(-1))
+                _adagrad_rows(bias, bias_cache, touched, slot, g, lr, np.empty_like(g))
         emb.epoch_losses.append(epoch_loss)
     return emb
 

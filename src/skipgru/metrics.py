@@ -223,12 +223,17 @@ def score_submission(truth_lines: dict[str, list[bool]], submission_rows: list[l
     """Score ordered submission rows against per-session truth.
 
     Truth keys are consumed in ascending session_id order, matching the
-    documented submission ordering.
+    documented submission ordering. A row-count mismatch names the first
+    truth session with no row, or the first extra row (rows count the
+    submission's non-blank lines).
     """
     truth_ids = sorted(truth_lines)
-    if len(submission_rows) != len(truth_ids):
+    n_rows, n_truth = len(submission_rows), len(truth_ids)
+    if n_rows != n_truth:
+        first = (f"truth session {truth_ids[n_rows]!r} has no row" if n_rows < n_truth
+                 else f"row {n_truth + 1} has no truth session")
         raise AlignmentError(
-            f"submission has {len(submission_rows)} rows, truth has {len(truth_ids)} sessions"
+            f"submission has {n_rows} rows, truth has {n_truth} sessions: {first}"
         )
     predictions = {sid: submission_rows[k] for k, sid in enumerate(truth_ids)}
     return mean_aa(predictions, truth_lines)

@@ -1,8 +1,9 @@
 """Shared test oracles: central finite differences, independent of the
 library, a GRU composed step by step from autodiff nodes, the fused GRU
 behind its input projection, the ``np.add.at`` row scatter, a session's
-halves as event lists, the co-occurrence table as a pair dict, and checkpoint
-writers for the version-1 format and for re-hashed tampered files."""
+halves as event lists, the co-occurrence table as a pair dict, the GloVe slice
+loop as it ran before its workspace buffers, and checkpoint writers for the
+version-1 format and for re-hashed tampered files."""
 
 import hashlib
 import json
@@ -10,7 +11,7 @@ import json
 import numpy as np
 
 from skipgru import autodiff as ad
-from skipgru import data
+from skipgru import data, glove
 
 
 def central_diff(f, x, h=1e-6):
@@ -133,6 +134,64 @@ def scatter_adagrad_step(param, cache, rows, grad, lr):
     slice before any row moves: the ``glove`` row-step oracle."""
     np.add.at(cache, rows, grad * grad)
     np.add.at(param, rows, -lr * grad / np.sqrt(cache[rows]))
+
+
+def batch_gradients(main, context, main_bias, context_bias, i, j, logx, f):
+    """Per-entry loss and gradients of f * (w_i . w~_j + b_i + b~_j - logx)^2,
+    each gathered and formed in fresh arrays."""
+    wi = main[i]
+    wj = context[j]
+    diff = (wi * wj).sum(axis=1) + main_bias[i] + context_bias[j] - logx
+    loss = f * diff * diff
+    g = 2.0 * f * diff
+    return loss, g[:, None] * wj, g[:, None] * wi, g, g
+
+
+def adagrad_rows(param, cache, rows, grad, lr):
+    """One AdaGrad step per touched row, each side's ``np.unique`` and flat
+    ``slot * d + col`` index built afresh for every parameter."""
+    touched, slot = np.unique(rows, return_inverse=True)
+    shape = (len(touched),) + param.shape[1:]
+    if grad.ndim == 2:
+        slot = (slot[:, None] * grad.shape[1] + np.arange(grad.shape[1])).ravel()
+        grad = grad.ravel()
+    total = np.bincount(slot, weights=grad).reshape(shape)
+    cache[touched] += np.bincount(slot, weights=grad * grad).reshape(shape)
+    param[touched] -= lr * total / np.sqrt(cache[touched])
+
+
+def reference_train_glove(table, dims, epochs, lr=glove.LEARNING_RATE, seed=0,
+                          x_max=glove.X_MAX, alpha=glove.ALPHA):
+    """The slice loop with fresh slice x dims temporaries: the bit-identity
+    oracle of ``glove.train_glove``."""
+    v = table.n_tracks
+    rng = np.random.default_rng(seed)
+    span = 0.5 / dims
+    emb = glove.EmbeddingTable(
+        track_ids=list(table.track_ids),
+        main=rng.uniform(-span, span, size=(v, dims)),
+        context=rng.uniform(-span, span, size=(v, dims)),
+        main_bias=rng.uniform(-span, span, size=v),
+        context_bias=rng.uniform(-span, span, size=v),
+    )
+    caches = [np.ones((v, dims)), np.ones((v, dims)), np.ones(v), np.ones(v)]
+    i_all, j_all, x_all = table.directed_entries()
+    logx_all = np.log(x_all)
+    f_all = glove.glove_weights(x_all, x_max, alpha)
+    for _ in range(epochs):
+        order = rng.permutation(len(i_all))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), glove.ENTRY_BATCH):
+            sel = order[lo:lo + glove.ENTRY_BATCH]
+            i, j = i_all[sel], j_all[sel]
+            loss, *grads = batch_gradients(emb.main, emb.context, emb.main_bias,
+                                           emb.context_bias, i, j, logx_all[sel], f_all[sel])
+            epoch_loss += float(loss.sum())
+            params = [emb.main, emb.context, emb.main_bias, emb.context_bias]
+            for param, cache, rows, grad in zip(params, caches, [i, j, i, j], grads):
+                adagrad_rows(param, cache, rows, grad, lr)
+        emb.epoch_losses.append(epoch_loss)
+    return emb
 
 
 def _canonical_sha256(payload, tail=b""):

@@ -142,6 +142,36 @@ class TestTrain:
         loaded = training.load_checkpoint(ckpt)
         assert loaded.metadata["epochs"] == 1
 
+    def test_checkpoint_bytes_do_not_depend_on_the_input_directory(self, workspace, tmp_path):
+        # the same inputs, copied under two differently spelled directories
+        ckpts = []
+        for name in ("a", "b/deeper"):
+            root = tmp_path / name
+            root.mkdir(parents=True)
+            for src in ("sessions.csv", "tracks.csv", "emb.txt"):
+                (root / src).write_bytes((workspace / src).read_bytes())
+            ckpts.append(root / "model.ckpt")
+            assert run(["train", "--sessions", str(root / "sessions.csv"),
+                        "--tracks", str(root / "tracks.csv"),
+                        "--embeddings", str(root / "emb.txt"),
+                        "--out", str(ckpts[-1]), "--epochs", "1", "--batch-size", "16",
+                        "--hidden-size", "4", "--seed", "3"]) == 0
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
+        assert training.load_checkpoint(ckpts[0]).embedding_ref == {
+            "sha256": sha256(workspace / "emb.txt")}
+
+    def test_header_with_an_embeddings_path_still_loads(self, workspace, trained, tmp_path,
+                                                        capsys):
+        old = tmp_path / "old.ckpt"
+        rewrite_checkpoint(trained[0], old, lambda envelope: envelope["payload"][
+            "embedding_ref"].update(path="data/emb.txt"))
+        assert training.load_checkpoint(old).embedding_ref["path"] == "data/emb.txt"
+        sub = tmp_path / "sub.txt"
+        assert run(["predict", "--model", str(old),
+                    "--sessions", str(workspace / "sessions_holdout.csv"),
+                    "--tracks", str(workspace / "tracks.csv"), "--out", str(sub)]) == 0
+        assert len(sub.read_text().splitlines()) == 8
+
     def test_zero_epochs_writes_init_checkpoint(self, workspace, tmp_path):
         ckpt = tmp_path / "init.ckpt"
         assert run(["train", "--sessions", str(workspace / "sessions.csv"),
@@ -354,6 +384,18 @@ class TestPredictAndEvaluate:
         sub.write_text("0101\n")
         assert run(["evaluate", "--truth", str(workspace / "sessions_holdout.csv"),
                     "--submission", str(sub)]) == 3
+
+    @pytest.mark.parametrize("rows, named", [
+        (2, "truth session 'line000003' has no row"), (4, "row 4 has no truth session"),
+    ])
+    def test_evaluate_row_count_mismatch_names_where(self, tmp_path, capsys, rows, named):
+        truth = tmp_path / "truth.txt"
+        truth.write_text("01\n10\n11\n")
+        sub = tmp_path / "sub.txt"
+        sub.write_text("01\n" * rows)
+        assert run(["evaluate", "--truth", str(truth), "--submission", str(sub)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
 
     def test_evaluate_breakdown(self, workspace, trained, tmp_path, capsys):
         sub = tmp_path / "sub.txt"

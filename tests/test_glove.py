@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,13 @@ from skipgru.data import Event, Session
 from skipgru.errors import TrainingError, ValidationError
 
 from helpers import (
+    batch_gradients,
     central_diff,
     loop_cooccurrence_pairs,
     loop_directed_entries,
     max_rel_err,
     pair_dict,
+    reference_train_glove,
     scatter_adagrad_step,
 )
 
@@ -39,6 +42,28 @@ def weight(table, a, b):
     """The table's weight of tracks ``a`` and ``b`` (by id), 0.0 when absent."""
     i, j = sorted((table.track_ids.index(a), table.track_ids.index(b)))
     return pair_dict(table).get((i, j), 0.0)
+
+
+def random_table(n_tracks, n_pairs, seed):
+    """``n_pairs`` distinct random pairs over ``n_tracks`` with weights in (0.1, 8)."""
+    rng = np.random.default_rng(seed)
+    # pair (i, j) has key starts[i] + j - i - 1 in the row-major i < j order
+    starts = np.concatenate([[0], np.cumsum(np.arange(n_tracks - 1, 0, -1))])
+    keys = np.sort(rng.choice(starts[-1], size=n_pairs, replace=False))
+    i = np.searchsorted(starts, keys, side="right") - 1
+    return glove.CooccurrenceTable([f"t{k}" for k in range(n_tracks)],
+                                   np.stack([i, keys - starts[i] + i + 1], axis=1),
+                                   rng.uniform(0.1, 8.0, size=n_pairs))
+
+
+def row_step(param, cache, rows, grad, lr):
+    """``glove._adagrad_rows`` for a slice's row indices and its ``[m]`` or
+    ``[m, d]`` gradients, as the training loop calls it."""
+    touched, slot = np.unique(rows, return_inverse=True)
+    if grad.ndim == 2:
+        slot = glove._spread(slot, grad.shape[1], np.empty(grad.shape, dtype=np.intp))
+    grad = grad.reshape(-1).copy()
+    glove._adagrad_rows(param, cache, touched, slot, grad, lr, np.empty_like(grad))
 
 
 def cluster_corpus(n_clusters=10, tracks_per_cluster=4, n_sessions=200, seed=0):
@@ -208,7 +233,7 @@ class TestTraining:
         param, cache = rng.normal(size=shape), 1.0 + rng.random(size=shape)
         want_param, want_cache = param.copy(), cache.copy()
         scatter_adagrad_step(want_param, want_cache, rows, grad, 0.05)
-        glove._adagrad_rows(param, cache, rows, grad, 0.05)
+        row_step(param, cache, rows, grad, 0.05)
         assert max_rel_err(cache, want_cache) < 1e-12
         assert np.max(np.abs(param - want_param) / np.abs(want_param)) < 1e-12
         assert np.array_equal(param[4], want_param[4])
@@ -220,7 +245,7 @@ class TestTraining:
         param, cache = rng.normal(size=(10_000, 3)), 1.0 + rng.random(size=(10_000, 3))
         want_param, want_cache = param.copy(), cache.copy()
         scatter_adagrad_step(want_param, want_cache, rows, grad, 0.05)
-        glove._adagrad_rows(param, cache, rows, grad, 0.05)
+        row_step(param, cache, rows, grad, 0.05)
         other = np.setdiff1d(np.arange(10_000), rows)
         assert np.array_equal(param[other], want_param[other])
         assert np.array_equal(cache[other], want_cache[other])
@@ -241,7 +266,7 @@ class TestTraining:
         i, j, x = loop_directed_entries(pairs)
         sel = rng.permutation(len(i))
         i, j = i[sel], j[sel]
-        loss, *grads = glove._batch_gradients(
+        loss, *grads = batch_gradients(
             *params, i, j, np.log(x[sel]), glove.glove_weights(x[sel]))
         for param, cache, rows, grad in zip(params, caches, [i, j, i, j], grads):
             scatter_adagrad_step(param, cache, rows, grad, glove.LEARNING_RATE)
@@ -278,13 +303,12 @@ class TestTraining:
         )
         i, j, x = table.directed_entries()
         f = np.array([float(glove.glove_weights(w)) for w in x])
-        _, gwi, gwj, gbi, gbj = glove._batch_gradients(
-            emb.main, emb.context, emb.main_bias, emb.context_bias, i, j, np.log(x), f
-        )
+        wi, wj = emb.main[i], emb.context[j]
+        _, g = glove._residual(wi * wj, emb.main_bias[i], emb.context_bias[j], np.log(x), f)
         analytic_main = np.zeros_like(emb.main)
-        np.add.at(analytic_main, i, gwi)
+        np.add.at(analytic_main, i, g[:, None] * wj)
         analytic_context = np.zeros_like(emb.context)
-        np.add.at(analytic_context, j, gwj)
+        np.add.at(analytic_context, j, g[:, None] * wi)
 
         def total(main):
             probe = glove.EmbeddingTable(
@@ -304,6 +328,113 @@ class TestTraining:
             return glove.objective(table, probe)
 
         assert max_rel_err(analytic_context, central_diff(total_ctx, emb.context)) < 1e-5
+
+
+class TestWorkspaceLoop:
+    """The slice loop runs in reused buffers and matches the loop that formed
+    every slice x dims temporary afresh, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(table, dims, epochs, seed):
+        got = glove.train_glove(table, dims=dims, epochs=epochs, seed=seed)
+        want = reference_train_glove(table, dims, epochs, seed=seed)
+        for name in ("main", "context", "main_bias", "context_bias"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.epoch_losses == want.epoch_losses
+        return got
+
+    def test_multi_slice_table_with_a_short_last_slice(self):
+        table = random_table(300, 5_000, seed=21)
+        assert len(table.pairs) * 2 % glove.ENTRY_BATCH
+        assert len(table.pairs) * 2 > 2 * glove.ENTRY_BATCH
+        self.assert_matches_reference(table, dims=12, epochs=2, seed=4)
+
+    def test_sparse_table_leaves_untouched_rows_bitwise(self):
+        table = random_table(10_000, 600, seed=22)
+        emb = self.assert_matches_reference(table, dims=6, epochs=3, seed=5)
+        rng = np.random.default_rng(5)
+        span = 0.5 / 6
+        initial = [rng.uniform(-span, span, size=size)
+                   for size in [(10_000, 6), (10_000, 6), 10_000, 10_000]]
+        touched = np.unique(table.pairs)
+        untouched = np.setdiff1d(np.arange(10_000), touched)
+        assert len(untouched) > 8_000
+        for got, start in zip([emb.main, emb.context, emb.main_bias, emb.context_bias], initial):
+            assert np.array_equal(got[untouched], start[untouched])
+            assert not np.array_equal(got[touched], start[touched])
+
+    def test_one_dimension(self):
+        self.assert_matches_reference(random_table(40, 500, seed=23), dims=1, epochs=3, seed=6)
+
+    def test_one_epoch_peak_stays_under_four_and_a_half_slices(self):
+        # two full slices and a short one at the default 150 dims; the
+        # parameters, caches and per-entry arrays are the inputs, and what the
+        # slices add above them must stay within 4.5 slice-sized arrays: the
+        # workspace is four, the touched-row sums a fraction of one
+        v, dims = 400, glove.DIMS
+        table = random_table(v, 5_000, seed=24)
+        n_entries = 2 * len(table.pairs)
+        inputs = 2 * (2 * v * dims + 2 * v) * 8 + 6 * n_entries * 8
+        slice_bytes = glove.ENTRY_BATCH * dims * 8
+        tracemalloc.start()
+        try:
+            glove.train_glove(table, dims=dims, epochs=1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - inputs) / slice_bytes <= 4.5
+
+
+class TestTableCheck:
+    """A hand-built table is checked before training: no index is clamped and
+    no weight turns the loss into NaN."""
+
+    @staticmethod
+    def train(pairs, values, n_tracks=5):
+        table = glove.CooccurrenceTable([f"t{k}" for k in range(n_tracks)], pairs, values)
+        return glove.train_glove(table, dims=3, epochs=1)
+
+    @pytest.mark.parametrize("pair", [(1, 5), (1, 9), (-1, 2), (3, 3), (3, 2)])
+    def test_bad_index_names_its_pair(self, pair):
+        pairs = np.array([(0, 1), (1, 2), pair, (2, 4)], dtype=np.int64)
+        with pytest.raises(ValidationError, match=r"pair 2: \(%d, %d\)" % pair):
+            self.train(pairs, np.ones(4))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_weight_names_its_pair(self, value):
+        pairs = np.array([(0, 1), (1, 2), (2, 3)], dtype=np.int64)
+        with pytest.raises(ValidationError, match="pair 1: .*finite weight > 0"):
+            self.train(pairs, np.array([1.0, value, 2.0]))
+
+    def test_first_bad_pair_is_named(self):
+        pairs = np.array([(0, 1), (0, 7), (1, 2), (2, 4)], dtype=np.int64)
+        with pytest.raises(ValidationError, match="pair 1:"):
+            self.train(pairs, np.array([1.0, 1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("pairs", [
+        np.array([[0.0, 1.0]]), np.array([0, 1]), np.array([[0, 1, 2]]), [[0, 1]],
+    ], ids=["float", "flat", "three-columns", "list"])
+    def test_pairs_must_be_an_integer_n_by_2_array(self, pairs):
+        with pytest.raises(ValidationError, match=r"pairs must be an integer \[n, 2\] array"):
+            self.train(pairs, np.ones(1))
+
+    @pytest.mark.parametrize("values", [np.ones(2), np.ones((1, 1)), np.array(["1"]), [1.0]],
+                             ids=["long", "2-d", "text", "list"])
+    def test_values_must_match_the_pairs(self, values):
+        with pytest.raises(ValidationError, match=r"values must be a real \[1\] array"):
+            self.train(np.array([[0, 1]]), values)
+
+    def test_objective_checks_the_table(self):
+        table = glove.CooccurrenceTable(["a", "b"], np.array([[0, 2]]), np.ones(1))
+        emb = glove.EmbeddingTable(["a", "b"], np.zeros((2, 1)), np.zeros((2, 1)),
+                                   np.zeros(2), np.zeros(2))
+        with pytest.raises(ValidationError, match=r"pair 0: \(0, 2\)"):
+            glove.objective(table, emb)
+
+    def test_built_tables_pass(self):
+        _, sessions = cluster_corpus(n_sessions=40, seed=8)
+        glove.check_table(glove.build_cooccurrence(sessions, window=5))
+        glove.check_table(glove.build_cooccurrence([], window=5))
 
 
 class TestExport:

@@ -278,6 +278,17 @@ class TestTruthAndSubmission:
         with pytest.raises(AlignmentError):
             metrics.score_submission({"a": [True]}, [])
 
+    def test_short_submission_names_the_first_session_without_a_row(self):
+        truth = {"c": [True], "a": [True], "b": [False]}
+        with pytest.raises(AlignmentError, match="1 rows, truth has 3 sessions: "
+                                                 "truth session 'b' has no row"):
+            metrics.score_submission(truth, [[True]])
+
+    def test_long_submission_names_the_first_extra_row(self):
+        with pytest.raises(AlignmentError, match="3 rows, truth has 1 sessions: "
+                                                 "row 2 has no truth session"):
+            metrics.score_submission({"a": [True]}, [[True], [False], [True]])
+
     def test_score_submission_length_mismatch(self):
         with pytest.raises(AlignmentError, match="a"):
             metrics.score_submission({"a": [True, False]}, [[True]])
