@@ -156,6 +156,10 @@ def _file_sha256(path) -> str:
 
 
 def cmd_gen_data(args) -> int:
+    if args.sessions < 1:
+        raise ConfigError(f"--sessions must be >= 1, got {args.sessions}")
+    if args.holdout < 0:
+        raise ConfigError(f"--holdout must be >= 0, got {args.holdout}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     total = args.sessions + args.holdout

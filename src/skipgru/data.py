@@ -1,6 +1,6 @@
 """Session/track data model, CSV ingestion into a columnar session table,
-padding, atomic file writes and a synthetic corpus generator with a known
-learnable skip rule.
+atomic file writes and a synthetic corpus generator with a known learnable
+skip rule.
 
 File formats (UTF-8, comma-separated, first row is the header):
 
@@ -279,37 +279,6 @@ def _codes(values) -> tuple[list[str], np.ndarray]:
     index = {value: k for k, value in enumerate(distinct)}
     return distinct, np.fromiter(map(index.__getitem__, values), dtype=np.int64,
                                  count=len(values))
-
-
-@dataclass
-class PaddedBatch:
-    """Fixed-length feature tensors for a batch of sessions.
-
-    ``first_half``/``second_half`` are padded at the tail to HALF_LEN steps;
-    padded slots carry 0.0 in every feature and 1 in the is_pad slot. A
-    session's first ``first_lengths`` first-half slots are real. ``mask``
-    marks real second-half positions, the first ``second_lengths`` of each
-    row; ``targets`` holds the four task labels and is meaningful only where
-    ``mask`` is true.
-    """
-
-    session_ids: list[str]
-    first_half: np.ndarray     # [batch, HALF_LEN, d_trip]
-    second_half: np.ndarray    # [batch, HALF_LEN, d_doub]
-    mask: np.ndarray           # bool [batch, HALF_LEN]
-    targets: np.ndarray        # float64 [batch, HALF_LEN, 4]
-    first_lengths: list[int]
-    second_lengths: list[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.session_ids)
-
-
-def pad_batch(sessions: SessionTable | list[Session], pipeline,
-              tracks: dict[str, TrackRecord]) -> PaddedBatch:
-    """Encode sessions through a fitted pipeline into padded tensors."""
-    return pipeline.encode(sessions, tracks).batch(range(len(sessions)))
 
 
 def _parse_bool(raw: str, column: str, line_no: int) -> bool:
@@ -617,6 +586,8 @@ def gen_synthetic(
         raise ConfigError(f"acoustic_dim must be >= 2, got {acoustic_dim}")
     if n_sessions < 1:
         raise ConfigError(f"n_sessions must be >= 1, got {n_sessions}")
+    if not 0.0 <= label_noise <= 1.0:
+        raise ConfigError(f"label_noise must be in [0, 1], got {label_noise}")
     rng = np.random.default_rng(seed)
     tracks: dict[str, TrackRecord] = {}
     for i in range(n_tracks):

@@ -1,4 +1,4 @@
-"""Columnar featurization of session events into fixed-width tensors.
+"""Columnar featurization of session events into fixed-width rows.
 
 Column layout, frozen and relied upon by the model and the checkpoints:
 
@@ -14,9 +14,10 @@ doublet (second-half event, interactions withheld):
 
 Only this module knows the layout: ``FeaturePipeline.encode`` turns a
 session table (or a hand-built session list, through
-``SessionTable.from_sessions``) into compact arrays once, and
-``EncodedSessions.batch`` gathers padded tensors from them. Pad slots are 0
-except is_pad, which is 1.
+``SessionTable.from_sessions``) into per-event arrays once, and
+``EncodedSessions.batch`` gathers a batch's real rows from them, packed in
+the order the model reads them (see ``EncodedSessions.batch``). No row is a
+pad: is_pad stays in the layout, which checkpoints fix, and is 0 everywhere.
 
 Numeric features are min-max scaled into [0, 1] from training data (values
 outside the training range are clamped). The context_type slot carries the
@@ -33,10 +34,7 @@ import numpy as np
 
 from .data import (
     COUNT_COLUMNS,
-    HALF_LEN,
     MAX_SESSION_LEN,
-    TASK_NAMES,
-    PaddedBatch,
     Session,
     SessionTable,
     TrackRecord,
@@ -79,7 +77,7 @@ def position_feature(position):
 
 @dataclass
 class Vocabulary:
-    """Dense token index with 0 reserved for unknown/pad tokens."""
+    """Dense token index with 0 reserved for unknown tokens."""
 
     index: dict[str, int]
 
@@ -192,46 +190,33 @@ class FeaturePipeline:
 
     def encode(self, sessions: SessionTable | list[Session],
                tracks: dict[str, TrackRecord]) -> "EncodedSessions":
-        """Featurize a session table once; ``batch`` then gathers padded tensors from it.
-
-        Every event lands in slot ``(session, t)`` of ``[n, 2 * HALF_LEN]``
-        arrays by one scatter: first-half events at ``t = rank``, second-half
-        events at ``t = HALF_LEN + rank - first_half_length``.
-        """
+        """Featurize a session table once, on its flat event axis; ``batch``
+        then gathers the real rows of any batch of its sessions."""
         table = as_table(sessions)
         if not table:
             raise EmptyBatchError("cannot encode an empty session list")
         self._require_fitted()
-        n = len(table)
         lengths = table.lengths
-        too_long = np.flatnonzero(lengths > MAX_SESSION_LEN)
-        if too_long.size:
-            raise ValidationError(f"session {table.session_ids[too_long[0]]}: "
-                                  f"longer than {MAX_SESSION_LEN}")
-        used, static_row = _used_tracks(table, tracks)
-        session, rank, first = table.event_layout()
+        bad = np.flatnonzero((lengths < 1) | (lengths > MAX_SESSION_LEN))
+        if bad.size:
+            raise ValidationError(f"session {table.session_ids[bad[0]]}: length "
+                                  f"{lengths[bad[0]]} outside [1, {MAX_SESSION_LEN}]")
+        used, track_row = _used_tracks(table, tracks)
+        session, _, first = table.event_layout()
         unobserved = np.flatnonzero(first & ~table.observed)
         if unobserved.size:
             e = unobserved[0]
             raise ValidationError(f"session {table.session_ids[session[e]]}: missing "
                                   f"interaction at position {table.positions[e]} (first half)")
-        slot = np.where(first, rank, rank - first_half_length(lengths)[session] + HALF_LEN)
-        track_rows = np.zeros((n, 2 * HALF_LEN), dtype=np.int64)
-        track_rows[session, slot] = static_row + 1
-        positions = np.zeros((n, 2 * HALF_LEN))
-        positions[session, slot] = position_feature(table.positions.astype(np.float64))
         raw = self._interaction_values(table, first)
         raw[:, :len(NUMERIC_INTERACTION_FEATURES)] = self._scaled(raw, NUMERIC_INTERACTION_FEATURES)
-        interactions = np.zeros((n, HALF_LEN, INTERACTION_WIDTH))
-        interactions[session[first], slot[first]] = raw
-        labelled = ~first & table.observed
-        targets = np.zeros((n, HALF_LEN, len(TASK_NAMES)))
-        targets[session[labelled], slot[labelled] - HALF_LEN] = table.flags[labelled]
+        interactions = np.zeros((len(first), INTERACTION_WIDTH))
+        interactions[first] = raw
         static = np.hstack([np.stack([self.track_embedding(t.track_id) for t in used]),
                             self._scaled(self._track_values(used), self._track_columns())])
-        return EncodedSessions(list(table.session_ids),
-                               np.vstack([np.zeros(static.shape[1]), static]),
-                               track_rows, positions, interactions, targets)
+        return EncodedSessions(list(table.session_ids), table.offsets, static, track_row,
+                               position_feature(table.positions.astype(np.float64)),
+                               interactions, table.flags)
 
     def schema_fingerprint(self) -> tuple:
         """Stable identity of the feature layout, used for ensemble compatibility."""
@@ -301,32 +286,69 @@ def _used_tracks(table: SessionTable,
 
 
 @dataclass
-class EncodedSessions:
-    """A featurized session list, kept compact until a batch is gathered.
+class Batch:
+    """The real rows of a batch of sessions, packed as ``EncodedSessions.batch``
+    lays them out; no row is a pad."""
 
-    Slots ``0..HALF_LEN-1`` hold a session's first half and ``HALF_LEN..`` its
-    second half, each padded at the tail. ``track_rows`` indexes ``static``,
-    whose row 0 is the all-zero pad row, so a slot is real exactly where its
-    track row is nonzero.
+    session_ids: list[str]
+    first: np.ndarray    # [first-half events, d_trip] triplets, step-major
+    sizes: np.ndarray    # int [longest first half], rows of ``first`` at each step
+    last: np.ndarray     # int [batch], each session's last-step row of ``first``
+    second: np.ndarray   # [second-half events, d_doub] doublets, session-major
+    session: np.ndarray  # int [second-half events], each doublet's session in the batch
+    targets: np.ndarray  # [second-half events, 4] labels of ``second``
+
+
+@dataclass
+class EncodedSessions:
+    """A featurized session list on the session table's flat event axis.
+
+    Session ``k`` holds events ``offsets[k]:offsets[k + 1]``, its first half
+    observed. Per event: a row of ``static`` (one row per used track), the
+    position feature, the scaled interaction block (0 on second-half events)
+    and the four task labels.
     """
 
     session_ids: list[str]
-    static: np.ndarray        # [tracks used + 1, d_doub - 2]
-    track_rows: np.ndarray    # int [n, 2 * HALF_LEN]
-    positions: np.ndarray     # [n, 2 * HALF_LEN] position feature, 0 on pad slots
-    interactions: np.ndarray  # [n, HALF_LEN, INTERACTION_WIDTH] scaled, 0 on pad slots
-    targets: np.ndarray       # [n, HALF_LEN, 4]
+    offsets: np.ndarray       # int [n + 1]
+    static: np.ndarray        # [tracks used, d_doub - 2]
+    track_row: np.ndarray     # int [events], into static
+    positions: np.ndarray     # [events] position feature
+    interactions: np.ndarray  # [events, INTERACTION_WIDTH]
+    labels: np.ndarray        # bool [events, 4], TASK_NAMES order
 
-    def batch(self, rows) -> PaddedBatch:
-        """The sessions at ``rows``, in that order, as padded tensors."""
-        track_rows = self.track_rows[rows]
-        static = self.static[track_rows]
-        tail = np.stack([self.positions[rows], track_rows == 0], axis=2)  # position | is_pad
-        first = np.concatenate(
-            [static[:, :HALF_LEN], self.interactions[rows], tail[:, :HALF_LEN]], axis=2)
-        second = np.concatenate([static[:, HALF_LEN:], tail[:, HALF_LEN:]], axis=2)
-        mask = track_rows[:, HALF_LEN:] > 0
-        return PaddedBatch([self.session_ids[r] for r in rows], first, second, mask,
-                           self.targets[rows],
-                           (track_rows[:, :HALF_LEN] > 0).sum(axis=1).tolist(),
-                           mask.sum(axis=1).tolist())
+    def batch(self, rows) -> Batch:
+        """The sessions at ``rows``, in that order, as packed real rows.
+
+        ``first`` is packed as packed-sequence RNNs read it: the sessions are
+        sorted stably by decreasing first-half length, so the ones still
+        running at step t are the first ``sizes[t]``, and step t's rows follow
+        step t - 1's. ``second`` and ``targets`` hold each session's
+        second-half events in order, one session after another.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        starts, ends = self.offsets[rows], self.offsets[rows + 1]
+        first_lengths = first_half_length(ends - starts)
+        order = np.argsort(-first_lengths, kind="stable")
+        running = first_lengths[order] > np.arange(first_lengths.max())[:, None]  # [step, rank]
+        step, rank = np.nonzero(running)
+        sizes = running.sum(axis=1)
+        # each session's last step: its step's first packed row plus its rank
+        last = np.concatenate([[0], np.cumsum(sizes)])[first_lengths - 1] + np.argsort(order)
+        first = starts[order[rank]] + step
+        second_lengths = ends - starts - first_lengths
+        session = np.repeat(np.arange(len(rows)), second_lengths)
+        # each second-half row: its session's first second-half event plus its rank there
+        within = np.arange(len(session)) - (np.cumsum(second_lengths) - second_lengths)[session]
+        second = (starts + first_lengths)[session] + within
+        return Batch(
+            [self.session_ids[r] for r in rows.tolist()],
+            np.hstack([self.static[self.track_row[first]], self.interactions[first],
+                       self._tail(first)]),
+            sizes, last,
+            np.hstack([self.static[self.track_row[second]], self._tail(second)]),
+            session, self.labels[second].astype(np.float64))
+
+    def _tail(self, events: np.ndarray) -> np.ndarray:
+        """The ``position | is_pad`` columns of ``events``; no row is a pad."""
+        return np.column_stack([self.positions[events], np.zeros(len(events))])

@@ -12,21 +12,21 @@ The gates of a GRU step read the previous output state:
     s_t = tanh(W^x x_t + W^s (r_t * o_{t-1}) + b_s)
     o_t = (1 - u_t) * o_{t-1} + u_t * s_t
 
-Pad slots are never computed. ``encode_first_half`` packs the batch as
-packed-sequence RNNs do: it sorts the sessions (stably) by decreasing
-first-half length, so the sessions still running at step t are the first
-``n_t``, and gathers only those real steps' input rows, step after step.
-Each GRU layer projects all of them at once with ordinary ops
+A batch holds real rows only (``features.EncodedSessions.batch`` gathers
+them), packed as packed-sequence RNNs read them: ``first`` is step-major
+over the sessions sorted stably by decreasing first-half length, so the
+sessions still running at step t are the first ``sizes[t]``. Each GRU layer
+projects all of its input rows at once with ordinary ops
 (``x [W_ux | W_rx | W_x] + [b_u | b_r | b_s]``); one ``ad.gru`` node then
-runs the recurrent products of step t on its ``n_t`` rows, with a
+runs the recurrent products of step t on its ``sizes[t]`` rows, with a
 hand-written BPTT sweep. Layer 1's input is the constant numeric triplet
 columns beside a trainable embedding row gathered for the context_type
 index; each block is projected by its own row block of the input weights, so
 no gradient is formed for the constant. Layer 2 projects layer 1's output
-rows. ``x_half`` is each layer's state at the session's own last real step,
-gathered back into batch order. The head then enriches and classifies the
-real second-half rows only, session-major (``second_half[mask]``), so
-train-mode batch normalization and the loss see no pads either.
+rows. ``x_half`` is each layer's state at the session's own last step
+(``last``), in batch order. The head then enriches and classifies the
+second-half rows (``second``, session-major), so train-mode batch
+normalization and the loss see real positions only.
 
 Inference is the same ``forward_batch`` in infer mode, run by
 ``predict_encoded`` under ``ad.no_grad()``: no graph is recorded, so a
@@ -41,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import HALF_LEN, PaddedBatch, Session, SessionTable, TrackRecord
+from .data import Session, SessionTable, TrackRecord
 from .errors import ConfigError, DegenerateBatchError, ShapeError
-from .features import EncodedSessions, FeaturePipeline
+from .features import Batch, EncodedSessions, FeaturePipeline
 
 CTX_EMBED_WIDTH = 8
 TASK_WEIGHTS = (1.0, 0.2, 0.2, 0.2)
@@ -233,39 +233,25 @@ class ModelParams:
                 bn.running_var = np.asarray(state[f"{prefix}.running_var"], dtype=np.float64).copy()
 
 
-def encode_first_half(first_half: np.ndarray, lengths, params: ModelParams) -> ad.Node:
-    """Run both GRU layers over each session's ``lengths`` real first-half steps;
-    concat the two states at its last real step, ``[batch, 4H]`` in batch order."""
-    if first_half.ndim != 3 or first_half.shape[1] != HALF_LEN:
-        raise ShapeError(f"first_half must be [batch, {HALF_LEN}, d_trip], "
-                         f"got {first_half.shape}")
+def encode_first_half(batch: Batch, params: ModelParams) -> ad.Node:
+    """Run both GRU layers over the batch's packed first-half rows; concat the
+    two states at each session's last step, ``[batch, 4H]`` in batch order."""
     dims = params.dims
-    if first_half.shape[2] != dims.d_trip:
-        raise ShapeError(f"first_half width {first_half.shape[2]} "
-                         f"!= d_trip {dims.d_trip}")
-    b = first_half.shape[0]
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (b,) or ((lengths < 1) | (lengths > HALF_LEN)).any():
-        raise ShapeError(f"first-half lengths must be {b} values in [1, {HALF_LEN}], "
-                         f"got {lengths.tolist()}")
-    order = np.argsort(-lengths, kind="stable")
-    running = lengths[order] > np.arange(lengths.max())[:, None]  # [step, rank]
-    step, rank = np.nonzero(running)  # packed rows, step-major
-    sizes = running.sum(axis=1)
-    flat = first_half[order[rank], step]
-    ctx = ad.take_rows(params.ctx_embedding, flat[:, dims.ctx_col].astype(np.int64))
+    first = batch.first
+    if first.ndim != 2 or first.shape[1] != dims.d_trip:
+        raise ShapeError(f"first-half rows must be [rows, d_trip = {dims.d_trip}], "
+                         f"got {first.shape}")
+    ctx = ad.take_rows(params.ctx_embedding, first[:, dims.ctx_col].astype(np.int64))
     g1, g2 = params.gru1, params.gru2
     w1, b1 = g1.input_projection()
     rows, n_num = np.arange(dims.gru_input), dims.d_trip - 1  # [numeric | ctx] rows of w1
-    pre1 = ad.add(affine(ad.constant(np.delete(flat, dims.ctx_col, axis=1)),
+    pre1 = ad.add(affine(ad.constant(np.delete(first, dims.ctx_col, axis=1)),
                          ad.take_rows(w1, rows[:n_num]), b1),
                   ad.matmul(ctx, ad.take_rows(w1, rows[n_num:])))
-    o0 = ad.constant(np.zeros((b, params.variant.hidden_size)))
-    o1 = ad.gru(pre1, o0, g1.w_us, g1.w_rs, g1.w_s, sizes)
-    o2 = ad.gru(affine(o1, *g2.input_projection()), o0, g2.w_us, g2.w_rs, g2.w_s, sizes)
-    # each session's last real step: its step's first packed row plus its rank
-    last = np.concatenate([[0], np.cumsum(sizes)])[lengths - 1] + np.argsort(order)
-    return ad.concat_cols([ad.take_rows(o1, last), ad.take_rows(o2, last)])
+    o0 = ad.constant(np.zeros((len(batch.last), params.variant.hidden_size)))
+    o1 = ad.gru(pre1, o0, g1.w_us, g1.w_rs, g1.w_s, batch.sizes)
+    o2 = ad.gru(affine(o1, *g2.input_projection()), o0, g2.w_us, g2.w_rs, g2.w_s, batch.sizes)
+    return ad.concat_cols([ad.take_rows(o1, batch.last), ad.take_rows(o2, batch.last)])
 
 
 def enrich(x_i: ad.Node, x_half: ad.Node, params: ModelParams) -> ad.Node:
@@ -291,13 +277,10 @@ def classify(enriched: ad.Node, params: ModelParams, mode: str) -> ad.Node:
     return ad.sigmoid(affine(h2, params.head_w3, params.head_b3))
 
 
-def forward_batch(batch: PaddedBatch, params: ModelParams, mode: str) -> ad.Node:
-    """Probabilities ``[mask.sum(), 4]`` of the real second-half positions only,
-    session-major, in the row order of ``batch.second_half[batch.mask]``."""
-    x_half = encode_first_half(batch.first_half, batch.first_lengths, params)
-    session, step = np.nonzero(batch.mask)
-    enriched = enrich(ad.constant(batch.second_half[session, step]),
-                      ad.take_rows(x_half, session), params)
+def forward_batch(batch: Batch, params: ModelParams, mode: str) -> ad.Node:
+    """Probabilities ``[second-half rows, 4]`` in the row order of ``batch.second``."""
+    x_half = encode_first_half(batch, params)
+    enriched = enrich(ad.constant(batch.second), ad.take_rows(x_half, batch.session), params)
     return classify(enriched, params, mode)
 
 
@@ -320,7 +303,7 @@ def predict_probs(
     params: ModelParams,
     batch_size: int = PREDICT_BATCH_SIZE,
 ) -> dict[str, np.ndarray]:
-    """Per-session skip probabilities for the real (unpadded) second half."""
+    """Per-session skip probabilities of the second-half positions."""
     if not sessions:
         return {}
     return predict_encoded(pipeline.encode(sessions, tracks), params, batch_size)
@@ -340,6 +323,6 @@ def predict_encoded(encoded: EncodedSessions, params: ModelParams,
         for lo in range(0, len(rows), batch_size):
             batch = encoded.batch(rows[lo:lo + batch_size])
             skip = forward_batch(batch, params, "infer").value[:, 0].copy()
-            cuts = np.cumsum(batch.second_lengths)[:-1]
-            out.update(zip(batch.session_ids, np.split(skip, cuts)))
+            counts = np.bincount(batch.session, minlength=len(batch.session_ids))
+            out.update(zip(batch.session_ids, np.split(skip, np.cumsum(counts)[:-1])))
     return out

@@ -338,8 +338,7 @@ def train(
         for lo in range(0, len(order), config.batch_size):
             batch = train_set.batch(order[lo:lo + config.batch_size])
             try:
-                batch_loss = loss(forward_batch(batch, params, "train"),
-                                  batch.targets[batch.mask])
+                batch_loss = loss(forward_batch(batch, params, "train"), batch.targets)
                 for node in named.values():
                     node.zero_grad()
                 ad.backward(batch_loss)

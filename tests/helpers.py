@@ -1,9 +1,10 @@
 """Shared test oracles: central finite differences, independent of the
 library, a GRU composed step by step from autodiff nodes, the fused GRU
 behind its input projection, the ``np.add.at`` row scatter, a session's
-halves as event lists, the co-occurrence table as a pair dict, the GloVe slice
-loop as it ran before its workspace buffers, and checkpoint writers for the
-version-1 format and for re-hashed tampered files."""
+halves as event lists, the packed row order of a batch and each session's
+rows read back out of one, the co-occurrence table as a pair dict, the GloVe
+slice loop as it ran before its workspace buffers, and checkpoint writers for
+the version-1 format and for re-hashed tampered files."""
 
 import hashlib
 import json
@@ -94,6 +95,33 @@ def split_halves(session):
     """A hand-built session's observed first half and prediction half, as event lists."""
     cut = data.first_half_length(len(session.events))
     return session.events[:cut], session.events[cut:]
+
+
+def one_batch(sessions, pipeline, tracks):
+    """Every session of the list, encoded by ``pipeline`` and gathered as one batch."""
+    return pipeline.encode(sessions, tracks).batch(range(len(sessions)))
+
+
+def packed_order(first_lengths):
+    """``(session, step)`` of every packed first-half row: step after step,
+    and within a step the sessions still running, sorted stably by decreasing
+    first-half length."""
+    ranked = sorted(range(len(first_lengths)), key=lambda k: -first_lengths[k])
+    return [(k, t) for t in range(max(first_lengths)) for k in ranked if t < first_lengths[k]]
+
+
+def unpack(batch):
+    """Per session of a packed batch, in batch order: its first-half rows in
+    step order, its second-half rows and their targets. A session's last row
+    gives its length (the step it lies in) and its rank within each step."""
+    bounds = np.concatenate([[0], np.cumsum(batch.sizes)])
+    sessions = []
+    for k, last in enumerate(batch.last.tolist()):
+        length = int(np.searchsorted(bounds, last, side="right"))
+        own = batch.session == k
+        sessions.append((batch.first[bounds[:length] + last - bounds[length - 1]],
+                         batch.second[own], batch.targets[own]))
+    return sessions
 
 
 def loop_cooccurrence_pairs(sessions, window):

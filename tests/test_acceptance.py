@@ -18,7 +18,7 @@ from skipgru import autodiff as ad
 from skipgru import cli, data, glove, metrics, model, training
 from skipgru.features import FeaturePipeline
 
-from helpers import central_diff, max_rel_err, projected_gru
+from helpers import central_diff, max_rel_err, one_batch, projected_gru
 from test_model import hand_gru_step, step, tiny_setup, whole_model_fd
 
 
@@ -211,12 +211,12 @@ class TestOverfitSanity:
             params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline),
                                        seed=0)
             named = params.named_parameters()
-            batch = data.pad_batch(sessions[:1], pipeline, tracks)
+            batch = one_batch(sessions[:1], pipeline, tracks)
             adam = training.AdamState(lr=0.03)
             losses = []
             for _ in range(51):
                 probs = model.forward_batch(batch, params, "train")
-                batch_loss = model.loss(probs, batch.targets[batch.mask])
+                batch_loss = model.loss(probs, batch.targets)
                 losses.append(float(batch_loss.value[0, 0]))
                 for node in named.values():
                     node.zero_grad()

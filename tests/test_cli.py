@@ -83,6 +83,26 @@ class TestGenData:
         assert run(["gen-data", "--out-dir", str(tmp_path), "--tracks", "10"]) == 3
         assert "50" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--sessions", "0"], "--sessions must be >= 1"),
+        (["--sessions", "0", "--holdout", "5"], "--sessions must be >= 1"),
+        (["--sessions", "100", "--holdout", "-5"], "--holdout must be >= 0"),
+        (["--noise", "3"], "label_noise must be in [0, 1]"),
+        (["--noise", "-0.5"], "label_noise must be in [0, 1]"),
+    ])
+    def test_bad_counts_exit_three_and_write_nothing(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "d"
+        assert run(["gen-data", "--out-dir", str(out), "--tracks", "50", *flags]) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_noise_endpoints_accepted(self, tmp_path, capsys):
+        for noise in ("0", "1"):
+            out = tmp_path / noise
+            assert run(["gen-data", "--out-dir", str(out), "--sessions", "3", "--tracks", "50",
+                        "--noise", noise]) == 0
+            assert (out / "sessions.csv").stat().st_size > 0
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -494,3 +514,67 @@ class TestPipelineComposition:
         assert run(["evaluate", "--truth", str(root / "sessions_holdout.csv"),
                     "--submission", str(root / "sub.txt")]) == 0
         assert "mean_aa=" in capsys.readouterr().out
+
+
+PROBS_SCRIPT = """
+import sys
+import numpy as np
+from skipgru import data, model, training
+ckpt, sessions, tracks, out = sys.argv[1:]
+params, pipeline = training.load_checkpoint(ckpt).build()
+tracks = data.load_tracks(tracks)
+table = data.load_sessions(sessions, tracks, mode="infer")
+np.savez(out, **model.predict_probs(table, pipeline, tracks, params))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS on two threads needs two CPUs")
+class TestBlasThreadCount:
+    """``train`` and ``predict`` at one and at two BLAS threads, each in a fresh
+    process. Bit-equality is not claimed: a multi-threaded product may sum in
+    another order. Parameters and probabilities agree within ``TOLERANCE``
+    (on this fixture the largest difference measured was 1.1e-16 for both, on
+    OpenBLAS 0.3.31), and every decision further than that from the 0.5
+    threshold is the same."""
+
+    TOLERANCE = 1e-12
+
+    def run_at(self, threads, root, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        ckpt, sub, probs = (tmp_path / f"{name}{threads}" for name in ("model", "sub", "probs"))
+        holdout, tracks = str(root / "sessions_holdout.csv"), str(root / "tracks.csv")
+        for argv in (["-m", "skipgru", "train", "--sessions", str(root / "sessions.csv"),
+                      "--tracks", tracks, "--embeddings", str(root / "emb.txt"),
+                      "--out", str(ckpt), "--epochs", "2", "--batch-size", "64",
+                      "--hidden-size", "32", "--seed", "4"],
+                     ["-m", "skipgru", "predict", "--model", str(ckpt), "--sessions", holdout,
+                      "--tracks", tracks, "--out", str(sub)],
+                     ["-c", PROBS_SCRIPT, str(ckpt), holdout, tracks, f"{probs}.npz"]):
+            done = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        with np.load(f"{probs}.npz") as saved:
+            probabilities = dict(saved)
+        return (training.load_checkpoint(ckpt).state, probabilities,
+                sub.read_text().splitlines())
+
+    def test_train_and_predict_agree_within_tolerance(self, tmp_path_factory, tmp_path):
+        root = tmp_path_factory.mktemp("threads")
+        assert run(["gen-data", "--out-dir", str(root), "--sessions", "240", "--tracks", "60",
+                    "--seed", "8", "--holdout", "40"]) == 0
+        assert run(["embed", "--sessions", str(root / "sessions.csv"),
+                    "--out", str(root / "emb.txt"), "--dims", "16", "--epochs", "2"]) == 0
+        (state_1, probs_1, sub_1), (state_2, probs_2, sub_2) = (
+            self.run_at(threads, root, tmp_path) for threads in (1, 2))
+        assert state_1.keys() == state_2.keys()
+        for name in state_1:
+            assert np.max(np.abs(state_1[name] - state_2[name])) <= self.TOLERANCE, name
+        assert sorted(probs_1) == sorted(probs_2) and len(sub_1) == len(probs_1) == 40
+        for sid, line_1, line_2 in zip(sorted(probs_1), sub_1, sub_2, strict=True):
+            p_1, p_2 = probs_1[sid], probs_2[sid]
+            assert np.max(np.abs(p_1 - p_2)) <= self.TOLERANCE, sid
+            clear = np.abs(p_1 - 0.5) > self.TOLERANCE
+            decisions = [np.array([c == "1" for c in line]) for line in (line_1, line_2)]
+            assert np.array_equal(decisions[0], p_1 >= 0.5)
+            assert np.array_equal(decisions[0][clear], decisions[1][clear]), sid

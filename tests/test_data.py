@@ -17,7 +17,7 @@ from skipgru.errors import (
 )
 from skipgru.features import FeaturePipeline
 
-from helpers import split_halves
+from helpers import one_batch, split_halves
 
 
 def make_interaction(skip=False, context_type="playlist", **over):
@@ -190,59 +190,51 @@ class TestCsvRoundTrip:
 
 
 class TestPadBatch:
+    """``EncodedSessions.batch`` holds each session's real rows only."""
+
     def test_full_length_session_all_true(self, corpus, fitted_pipeline):
         tracks, _ = corpus
         session = make_session("s", 20, sorted(tracks)[:3])
-        batch = data.pad_batch([session], fitted_pipeline, tracks)
-        assert batch.mask.all()
-        assert batch.first_half.shape == (1, 10, fitted_pipeline.d_trip)
-        assert batch.second_half.shape == (1, 10, fitted_pipeline.d_doub)
+        batch = one_batch([session], fitted_pipeline, tracks)
+        assert batch.session.tolist() == [0] * 10
+        assert batch.first.shape == (10, fitted_pipeline.d_trip)
+        assert batch.second.shape == (10, fitted_pipeline.d_doub)
 
     def test_min_length_session_half_mask(self, corpus, fitted_pipeline):
         tracks, _ = corpus
-        batch = data.pad_batch([make_session("s", 10, sorted(tracks)[:3])],
-                               fitted_pipeline, tracks)
-        assert batch.mask[0].tolist() == [True] * 5 + [False] * 5
+        batch = one_batch([make_session("s", 10, sorted(tracks)[:3])], fitted_pipeline, tracks)
+        assert batch.sizes.tolist() == [1] * 5
+        assert batch.session.tolist() == [0] * 5
 
     def test_two_session_masks(self, corpus, fitted_pipeline):
         tracks, _ = corpus
-        batch = data.pad_batch(
+        batch = one_batch(
             [make_session("a", 20, sorted(tracks)[:3]), make_session("b", 12, sorted(tracks)[:3])],
             fitted_pipeline, tracks,
         )
-        assert batch.mask[0].sum() == 10
-        assert batch.mask[1].tolist() == [True] * 6 + [False] * 4
-
-    def test_pad_slots_are_pad_constant(self, corpus, fitted_pipeline):
-        tracks, _ = corpus
-        batch = data.pad_batch([make_session("s", 10, sorted(tracks)[:3])],
-                               fitted_pipeline, tracks)
-        for arr in (batch.first_half, batch.second_half):
-            pad = np.zeros(arr.shape[2])
-            pad[-1] = 1.0
-            for t in range(5, 10):
-                assert np.array_equal(arr[0, t], pad)
+        assert batch.sizes.tolist() == [2] * 6 + [1] * 4
+        assert batch.session.tolist() == [0] * 10 + [1] * 6
 
     def test_mask_has_at_least_five_true_entries_per_row(self, corpus, fitted_pipeline):
         tracks, sessions = corpus
-        batch = data.pad_batch(sessions, fitted_pipeline, tracks)
-        assert batch.mask.sum(axis=1).min() >= 5
+        batch = one_batch(sessions, fitted_pipeline, tracks)
+        assert np.bincount(batch.session, minlength=len(sessions)).min() >= 5
 
     def test_mask_filter_round_trip(self, corpus, fitted_pipeline):
         tracks, sessions = corpus
-        batch = data.pad_batch(sessions[:8], fitted_pipeline, tracks)
+        batch = one_batch(sessions[:8], fitted_pipeline, tracks)
         for i, session in enumerate(sessions[:8]):
             _, second = split_halves(session)
-            kept = batch.second_half[i][batch.mask[i]]
-            alone = data.pad_batch([session], fitted_pipeline, tracks).second_half[0]
-            assert np.array_equal(kept, alone[:len(second)])
+            kept = batch.second[batch.session == i]
+            alone = one_batch([session], fitted_pipeline, tracks).second
+            assert np.array_equal(kept, alone) and len(alone) == len(second)
             assert kept[:, -2].tolist() == [e.position / data.MAX_SESSION_LEN for e in second]
             assert not kept[:, -1].any()
 
     def test_empty_batch(self, corpus, fitted_pipeline):
         tracks, _ = corpus
         with pytest.raises(EmptyBatchError):
-            data.pad_batch([], fitted_pipeline, tracks)
+            fitted_pipeline.encode([], tracks)
 
 
 class TestSyntheticGenerator:
@@ -281,6 +273,11 @@ class TestSyntheticGenerator:
             data.gen_synthetic(n_sessions=5, n_tracks=50, acoustic_dim=1)
         with pytest.raises(ConfigError):
             data.gen_synthetic(n_sessions=0, n_tracks=50)
+
+    @pytest.mark.parametrize("noise", [-0.01, 1.5, float("nan")])
+    def test_label_noise_outside_unit_interval(self, noise):
+        with pytest.raises(ConfigError, match="label_noise must be in"):
+            data.gen_synthetic(n_sessions=5, n_tracks=50, label_noise=noise)
 
     def test_sessions_valid(self):
         tracks, sessions = data.gen_synthetic(n_sessions=25, n_tracks=50, seed=1)

@@ -12,7 +12,7 @@ from skipgru.features import (
     position_feature,
 )
 
-from helpers import split_halves
+from helpers import one_batch, packed_order, split_halves, unpack
 from test_data import make_interaction
 
 
@@ -116,8 +116,8 @@ class TestAssembly:
     def test_triplet_layout(self, corpus, pipeline):
         tracks, _ = corpus
         track_id = sorted(tracks)[0]
-        batch = data.pad_batch([one_session([track_id], context_type="radio")], pipeline, tracks)
-        vec = batch.first_half[0, 4]  # position 5
+        batch = one_batch([one_session([track_id], context_type="radio")], pipeline, tracks)
+        vec = batch.first[4]  # position 5
         assert vec.shape == (pipeline.d_trip,)
         assert np.array_equal(vec[:5], pipeline.track_embedding(track_id))
         assert vec[pipeline.triplet_ctx_col] == pipeline.context_vocab.lookup("radio")
@@ -138,64 +138,52 @@ class TestAssembly:
         # in fit and "b" has no embedding
         session = one_session(["c", "b"], length=11, skip=True, context_type="radio",
                               seek_fwd_count=9, hour_of_day=15)
-        batch = data.pad_batch([session], pipeline, tracks)
+        batch = one_batch([session], pipeline, tracks)
         # emb | duration | year | acoustic_0 | acoustic_1 (constant -> 0) | ...
         c_static = [8.0, 0.5, 0.5, 0.5, 0.0]
         b_static = [0.0, 1.0, 1.0, 1.0, 0.0]
         # seek_fwd (clamped) | seek_back (constant -> 0) | hour | 4 flags | ctx (unknown)
         inter = [1.0, 0.0, 0.5, 1.0, 0.0, 1.0, 0.0, 0.0]
-        assert batch.first_half[0, 0].tolist() == c_static + inter + [0.05, 0.0]
-        assert batch.first_half[0, 5].tolist() == b_static + inter + [0.3, 0.0]
-        assert batch.second_half[0, 0].tolist() == c_static + [0.35, 0.0]
-        assert batch.second_half[0, 3].tolist() == b_static + [0.5, 0.0]
-        assert batch.first_half[0, 6].tolist() == [0.0] * 14 + [1.0]
-        assert batch.second_half[0, 5].tolist() == [0.0] * 6 + [1.0]
-        assert batch.mask[0].tolist() == [True] * 5 + [False] * 5
-        assert batch.targets[0, :5].tolist() == [[1.0, 0.0, 1.0, 0.0]] * 5
-        assert batch.second_lengths == [5]
+        assert batch.first.shape == (6, 15) and batch.second.shape == (5, 7)
+        assert batch.first[0].tolist() == c_static + inter + [0.05, 0.0]
+        assert batch.first[5].tolist() == b_static + inter + [0.3, 0.0]
+        assert batch.second[0].tolist() == c_static + [0.35, 0.0]
+        assert batch.second[3].tolist() == b_static + [0.5, 0.0]
+        assert batch.sizes.tolist() == [1] * 6 and batch.last.tolist() == [5]
+        assert batch.session.tolist() == [0] * 5
+        assert batch.targets.tolist() == [[1.0, 0.0, 1.0, 0.0]] * 5
 
     def test_doublet_differs_only_in_position(self, corpus, pipeline):
         tracks, _ = corpus
-        batch = data.pad_batch([one_session([sorted(tracks)[1]])], pipeline, tracks)
-        a, b = batch.second_half[0, 0], batch.second_half[0, 1]
+        batch = one_batch([one_session([sorted(tracks)[1]])], pipeline, tracks)
+        a, b = batch.second[0], batch.second[1]
         diff = np.nonzero(a != b)[0]
         assert diff.tolist() == [pipeline.d_doub - 2]
 
     def test_assembly_pure(self, corpus, pipeline):
         tracks, sessions = corpus
-        a = data.pad_batch(sessions[:4], pipeline, tracks)
-        b = data.pad_batch(sessions[:4], pipeline, tracks)
-        for x, y in [(a.first_half, b.first_half), (a.second_half, b.second_half),
-                     (a.mask, b.mask), (a.targets, b.targets)]:
-            assert np.array_equal(x, y)
-
-    def test_pad_vectors(self, corpus, pipeline):
-        tracks, _ = corpus
-        batch = data.pad_batch([one_session(sorted(tracks)[:3])], pipeline, tracks)
-        for arr in (batch.first_half[0, 5:], batch.second_half[0, 5:]):
-            assert (arr[:, -1] == 1.0).all()
-            assert not arr[:, :-1].any()
-        assert not batch.first_half[0, :5, -1].any()
-        assert not batch.second_half[0, :5, -1].any()
+        a = one_batch(sessions[:4], pipeline, tracks)
+        b = one_batch(sessions[:4], pipeline, tracks)
+        assert batch_bytes(a) == batch_bytes(b)
 
     def test_unknown_context_type_never_crashes(self, corpus, pipeline):
         tracks, _ = corpus
         session = one_session(sorted(tracks)[:1], context_type="martian")
-        batch = data.pad_batch([session], pipeline, tracks)
-        assert not batch.first_half[0, :, pipeline.triplet_ctx_col].any()
+        batch = one_batch([session], pipeline, tracks)
+        assert not batch.first[:, pipeline.triplet_ctx_col].any()
 
     def test_unknown_track_embedding_is_zero(self, pipeline):
         assert not pipeline.track_embedding("no-such-track").any()
         stranger = data.TrackRecord("no-such-track", 200.0, 2000, np.zeros(3))
         session = one_session(["no-such-track"])
-        batch = data.pad_batch([session], pipeline, {"no-such-track": stranger})
-        assert not batch.first_half[0, :5, :pipeline.d_emb].any()
-        assert not batch.second_half[0, :5, :pipeline.d_emb].any()
+        batch = one_batch([session], pipeline, {"no-such-track": stranger})
+        assert not batch.first[:, :pipeline.d_emb].any()
+        assert not batch.second[:, :pipeline.d_emb].any()
 
     def test_values_in_unit_interval(self, corpus, pipeline):
         tracks, sessions = corpus
-        batch = data.pad_batch(sessions[:10], pipeline, tracks)
-        numeric = batch.second_half[..., pipeline.d_emb:]
+        batch = one_batch(sessions[:10], pipeline, tracks)
+        numeric = batch.second[:, pipeline.d_emb:]
         assert numeric.min() >= 0.0 and numeric.max() <= 1.0
 
     def test_matches_per_event_reference(self, corpus):
@@ -204,15 +192,24 @@ class TestAssembly:
         emb = {tid: np.full(4, k * 0.3 - 2.0) for k, tid in enumerate(ids) if k % 4}
         pipeline = FeaturePipeline(emb).fit(sessions[:20], tracks)
         unseen = one_session(ids[:7], length=13, context_type="martian", seek_back_count=50)
-        batch = data.pad_batch(sessions[20:] + [unseen], pipeline, tracks)
-        for i, session in enumerate(sessions[20:] + [unseen]):
-            first, second = split_halves(session)
-            for t, ev in enumerate(first):
-                want = reference_vector(pipeline, tracks[ev.track_id], ev.position, ev.interaction)
-                assert batch.first_half[i, t].tolist() == want
-            for t, ev in enumerate(second):
-                want = reference_vector(pipeline, tracks[ev.track_id], ev.position)
-                assert batch.second_half[i, t].tolist() == want
+        chosen = sessions[20:] + [unseen]
+        batch = one_batch(chosen, pipeline, tracks)
+        halves = [split_halves(session) for session in chosen]
+        lengths = [len(first) for first, _ in halves]
+        assert len(set(lengths)) > 1
+        order = packed_order(lengths)
+        assert len(batch.first) == len(order)
+        for row, (k, t) in zip(batch.first, order):
+            ev = halves[k][0][t]
+            want = reference_vector(pipeline, tracks[ev.track_id], ev.position, ev.interaction)
+            assert row.tolist() == want
+        assert batch.sizes.tolist() == [sum(n > t for n in lengths) for t in range(max(lengths))]
+        assert batch.last.tolist() == [order.index((k, n - 1)) for k, n in enumerate(lengths)]
+        seconds = [(k, ev) for k, (_, second) in enumerate(halves) for ev in second]
+        assert batch.session.tolist() == [k for k, _ in seconds]
+        for row, target, (_, ev) in zip(batch.second, batch.targets, seconds, strict=True):
+            assert row.tolist() == reference_vector(pipeline, tracks[ev.track_id], ev.position)
+            assert target.tolist() == [float(flag) for flag in ev.interaction.targets()]
 
     def test_batch_composition_invariance(self, corpus, pipeline):
         tracks, sessions = corpus
@@ -223,17 +220,14 @@ class TestAssembly:
         batches += [pipeline.encode(chosen[::-1], tracks).batch(range(6))]
         orders += [[5, 4, 3, 2, 1, 0]]
         for k, session in enumerate(chosen):
-            alone = data.pad_batch([session], pipeline, tracks)
+            (alone,) = unpack(one_batch([session], pipeline, tracks))
             for order, batch in zip(orders, batches):
                 if k not in order:
                     continue
                 row = order.index(k)
                 assert batch.session_ids[row] == session.session_id
-                assert batch.second_lengths[row] == alone.second_lengths[0]
-                for got, want in [(batch.first_half, alone.first_half),
-                                  (batch.second_half, alone.second_half),
-                                  (batch.mask, alone.mask), (batch.targets, alone.targets)]:
-                    assert np.array_equal(got[row], want[0])
+                for got, want in zip(unpack(batch)[row], alone, strict=True):
+                    assert np.array_equal(got, want)
 
 
 class TestPipelineState:
@@ -241,7 +235,7 @@ class TestPipelineState:
         tracks, sessions = corpus
         p = FeaturePipeline({}, d_emb=3)
         with pytest.raises(StateError):
-            data.pad_batch(sessions[:1], p, tracks)
+            p.encode(sessions[:1], tracks)
 
     def test_fit_empty_raises(self, corpus):
         tracks, _ = corpus
@@ -252,10 +246,9 @@ class TestPipelineState:
         tracks, sessions = corpus
         clone = FeaturePipeline.from_dict(pipeline.to_dict())
         assert clone.schema_fingerprint() == pipeline.schema_fingerprint()
-        a = data.pad_batch(sessions[:5], clone, tracks)
-        b = data.pad_batch(sessions[:5], pipeline, tracks)
-        assert np.array_equal(a.first_half, b.first_half)
-        assert np.array_equal(a.second_half, b.second_half)
+        a = one_batch(sessions[:5], clone, tracks)
+        b = one_batch(sessions[:5], pipeline, tracks)
+        assert batch_bytes(a) == batch_bytes(b)
 
     def test_fingerprint_detects_schema_change(self, corpus, pipeline):
         tracks, sessions = corpus
@@ -264,10 +257,10 @@ class TestPipelineState:
 
 
 def batch_bytes(batch):
-    """Every array of a PaddedBatch with its dtype and shape, plus its id lists."""
-    arrays = (batch.first_half, batch.second_half, batch.mask, batch.targets)
-    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
-            batch.session_ids, batch.second_lengths)
+    """Every array of a Batch with its dtype and shape, plus its session ids."""
+    fields = vars(batch).copy()
+    return fields.pop("session_ids"), {name: (a.dtype.str, a.shape, a.tobytes())
+                                       for name, a in fields.items()}
 
 
 class TestTableInput:
@@ -306,6 +299,13 @@ class TestTableInput:
         stranger = one_session(["t00001", "never-listed"])
         with pytest.raises(DataError, match="^session s: unknown track_id 'never-listed'$"):
             pipeline.encode(sessions[:3] + [stranger], tracks)
+
+    @pytest.mark.parametrize("before,after", [(0, 0), (0, 3), (2, 1)])
+    def test_session_without_events_is_named(self, corpus, pipeline, before, after):
+        tracks, sessions = corpus
+        chosen = sessions[:before] + [data.Session("hollow", [])] + sessions[5:5 + after]
+        with pytest.raises(ValidationError, match=r"^session hollow: length 0 outside \[1, 20\]$"):
+            pipeline.encode(chosen, tracks)
 
     def test_encode_needs_first_half_interactions(self, corpus, pipeline):
         tracks, sessions = corpus

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from skipgru import data, metrics, model, training
 from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
 from skipgru.features import FeaturePipeline
 
-from helpers import (central_diff, composed_gru_step, max_rel_err, projected_gru,
-                     split_halves)
+from helpers import (central_diff, composed_gru_step, max_rel_err, one_batch, projected_gru,
+                     split_halves, unpack)
 
 
 def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="relu"):
@@ -138,59 +139,61 @@ class TestEncodeFirstHalf:
     def test_zero_weights_give_zero(self):
         tracks, sessions, pipeline, params = tiny_setup()
         zero_all(params)
-        batch = data.pad_batch(sessions[:2], pipeline, tracks)
-        out = model.encode_first_half(batch.first_half, batch.first_lengths, params)
+        out = model.encode_first_half(one_batch(sessions[:2], pipeline, tracks), params)
         assert not out.value.any()
 
     def test_output_width(self):
         tracks, sessions, pipeline, params = tiny_setup(hidden=5)
-        batch = data.pad_batch(sessions[:3], pipeline, tracks)
-        out = model.encode_first_half(batch.first_half, batch.first_lengths, params)
+        out = model.encode_first_half(one_batch(sessions[:3], pipeline, tracks), params)
         assert out.shape == (3, 10)
 
     def test_order_sensitivity(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=3)
-        batch = data.pad_batch(sessions[:1], pipeline, tracks)
-        base = model.encode_first_half(batch.first_half, batch.first_lengths, params).value
-        n = batch.first_lengths[0]
-        permuted = batch.first_half.copy()
-        permuted[:, :n] = batch.first_half[:, n - 1::-1]  # the real steps reversed
-        other = model.encode_first_half(permuted, batch.first_lengths, params).value
+        batch = one_batch(sessions[:1], pipeline, tracks)
+        base = model.encode_first_half(batch, params).value
+        # one session's packed rows are its steps in order: reverse them
+        other = model.encode_first_half(replace(batch, first=batch.first[::-1]), params).value
         assert not np.allclose(base, other)
 
     @pytest.mark.parametrize("past_end", [True, False])
     def test_context_index_outside_vocabulary(self, past_end):
         tracks, sessions, pipeline, params = tiny_setup()
-        batch = data.pad_batch(sessions[:2], pipeline, tracks)
+        batch = one_batch(sessions[:2], pipeline, tracks)
         bad = params.dims.ctx_vocab if past_end else -1
-        batch.first_half[0, 0, params.dims.ctx_col] = bad
+        batch.first[0, params.dims.ctx_col] = bad
         with pytest.raises(ShapeError):
-            model.encode_first_half(batch.first_half, batch.first_lengths, params)
+            model.encode_first_half(batch, params)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_projection_matches_full_input_oracle(self, seed):
         # oracle: each step's whole layer-1 input [numeric | ctx_embedding[idx]]
         # (the gather as a one-hot matmul) through the primitive-composed GRU,
-        # over every slot of the grid; a session past its last real step keeps
-        # its state
+        # over every slot of a [batch, HALF_LEN] grid rebuilt from the packed
+        # rows (pad slots 0.0 in every feature, 1 in is_pad); a session past
+        # its last real step keeps its state
         tracks, sessions, pipeline, params = tiny_setup(seed=seed, hidden=4)
         _, _, _, twin = tiny_setup(seed=seed, hidden=4)
         dims = params.dims
         assert dims.ctx_col != dims.d_trip - 1
-        batch = data.pad_batch(sessions[:5], pipeline, tracks)
-        b = batch.size
-        lengths = np.array(batch.first_lengths)
+        batch = one_batch(sessions[:5], pipeline, tracks)
+        b = len(batch.session_ids)
+        grid = np.zeros((b, data.HALF_LEN, dims.d_trip))
+        grid[..., -1] = 1.0
+        lengths = np.zeros(b, dtype=np.int64)
+        for k, (first, _, _) in enumerate(unpack(batch)):
+            grid[k, :len(first)] = first
+            lengths[k] = len(first)
         assert len(set(lengths)) > 1
         head = np.random.default_rng(seed).normal(size=(b, 8))
 
-        out = model.encode_first_half(batch.first_half, batch.first_lengths, params)
+        out = model.encode_first_half(batch, params)
         ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(head))))
 
         g1 = list(twin.gru1.named("gru1").values())  # composed_gru_step's order
         g2 = list(twin.gru2.named("gru2").values())
         o1 = o2 = ad.constant(np.zeros((b, 4)))
         for t in range(data.HALF_LEN):
-            step_in = batch.first_half[:, t, :]
+            step_in = grid[:, t, :]
             onehot = np.eye(dims.ctx_vocab)[step_in[:, dims.ctx_col].astype(np.int64)]
             x = ad.concat_cols([
                 ad.constant(np.delete(step_in, dims.ctx_col, axis=1)),
@@ -212,19 +215,12 @@ class TestEncodeFirstHalf:
             assert np.max(np.abs(node.grad - theirs[name].grad)) <= 1e-12, name
 
     def test_bad_shapes(self):
-        _, _, _, params = tiny_setup()
-        with pytest.raises(ShapeError):
-            model.encode_first_half(np.zeros((2, 9, params.dims.d_trip)), [5, 5], params)
-        with pytest.raises(ShapeError):
-            model.encode_first_half(np.zeros((2, 10, params.dims.d_trip + 1)), [5, 5],
-                                    params)
-
-    @pytest.mark.parametrize("lengths", [[5, 0], [11, 5], [5, -1], [5], [5, 5, 5]])
-    def test_bad_lengths(self, lengths):
-        _, _, _, params = tiny_setup()
-        with pytest.raises(ShapeError, match="lengths"):
-            model.encode_first_half(np.zeros((2, data.HALF_LEN, params.dims.d_trip)),
-                                    lengths, params)
+        tracks, sessions, pipeline, params = tiny_setup()
+        batch = one_batch(sessions[:2], pipeline, tracks)
+        rows, d_trip = batch.first.shape
+        for first in (np.zeros((rows, d_trip + 1)), np.zeros((rows, 1, d_trip))):
+            with pytest.raises(ShapeError, match="d_trip"):
+                model.encode_first_half(replace(batch, first=first), params)
 
 
 class TestGraphSize:
@@ -236,9 +232,8 @@ class TestGraphSize:
         )
         counts = []
         for size in (2, 16):
-            batch = data.pad_batch(sessions[:size], pipeline, tracks)
-            graph = model.loss(model.forward_batch(batch, params, "train"),
-                               batch.targets[batch.mask])
+            batch = one_batch(sessions[:size], pipeline, tracks)
+            graph = model.loss(model.forward_batch(batch, params, "train"), batch.targets)
             counts.append(sum(1 for node in ad._topo_order(graph) if node.parents))
         assert counts[0] == counts[1] <= 40
 
@@ -246,7 +241,7 @@ class TestGraphSize:
 class TestPacking:
     def test_only_real_rows_reach_the_recurrence_and_head(self, monkeypatch):
         tracks, sessions, pipeline, params = tiny_setup(seed=2, n_sessions=16)
-        batch = data.pad_batch(sessions, pipeline, tracks)
+        batch = one_batch(sessions, pipeline, tracks)
         rows = {"gru": [], "classify": []}
         gru, classify = ad.gru, model.classify
 
@@ -260,57 +255,17 @@ class TestPacking:
 
         monkeypatch.setattr(ad, "gru", gru_spy)
         monkeypatch.setattr(model, "classify", classify_spy)
-        model.loss(model.forward_batch(batch, params, "train"), batch.targets[batch.mask])
-        assert rows["gru"] == [sum(batch.first_lengths)] * 2
-        assert rows["classify"] == [batch.mask.sum()]
-        assert sum(batch.first_lengths) < data.HALF_LEN * batch.size
-        assert batch.mask.sum() < data.HALF_LEN * batch.size
-
-    @staticmethod
-    def widened(batch, extra):
-        """The batch on a grid ``extra`` slots wider; the new slots are pads
-        (0.0 in every feature, 1 in the is_pad slot) with zero targets."""
-        def grow(a, fill=0.0):
-            tail = np.full(a.shape[:1] + (extra,) + a.shape[2:], fill, dtype=a.dtype)
-            return np.concatenate([a, tail], axis=1)
-
-        first, second = grow(batch.first_half), grow(batch.second_half)
-        first[:, -extra:, -1] = second[:, -extra:, -1] = 1.0
-        return data.PaddedBatch(batch.session_ids, first, second, grow(batch.mask, False),
-                                grow(batch.targets), batch.first_lengths,
-                                batch.second_lengths)
-
-    @pytest.mark.parametrize("use_batchnorm", [False, True])
-    def test_extra_pad_slots_change_nothing(self, monkeypatch, use_batchnorm):
-        batches = []
-        runs = []
-        for extra in (0, 2):
-            tracks, sessions, pipeline, params = tiny_setup(seed=9, use_batchnorm=use_batchnorm)
-            batch = data.pad_batch(sessions, pipeline, tracks)
-            if extra:
-                monkeypatch.setattr(model, "HALF_LEN", data.HALF_LEN + extra)
-                batch = self.widened(batch, extra)
-            batches.append(batch)
-            infer = model.forward_batch(batch, params, "infer").value
-            batch_loss = model.loss(model.forward_batch(batch, params, "train"),
-                                    batch.targets[batch.mask])
-            ad.backward(batch_loss)
-            state = params.state_dict()  # running statistics included
-            state.update({f"{name}.grad": node.grad
-                          for name, node in params.named_parameters().items()})
-            runs.append((infer, batch_loss.value, state))
-        assert batches[1].first_half.shape[1] == data.HALF_LEN + 2
-        (infer_a, loss_a, state_a), (infer_b, loss_b, state_b) = runs
-        assert np.max(np.abs(infer_a - infer_b)) <= 1e-12
-        assert abs(loss_a[0, 0] - loss_b[0, 0]) <= 1e-12
-        assert state_a.keys() == state_b.keys()
-        assert use_batchnorm == ("bn1.running_mean" in state_a)
-        for name in state_a:
-            assert np.max(np.abs(state_a[name] - state_b[name])) <= 1e-12, name
+        model.loss(model.forward_batch(batch, params, "train"), batch.targets)
+        first, second = (sum(len(half) for half in halves)
+                         for halves in zip(*map(split_halves, sessions)))
+        assert rows["gru"] == [first] * 2
+        assert rows["classify"] == [second]
+        assert first < data.HALF_LEN * len(sessions)
+        assert second < data.HALF_LEN * len(sessions)
 
     def test_row_order_in_batch(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=10, n_sessions=8)
-        lengths = data.pad_batch(sessions, pipeline, tracks).first_lengths
+        lengths = [len(split_halves(session)[0]) for session in sessions]
         assert len(set(lengths)) > 1
         base = model.predict_probs(sessions, pipeline, tracks, params)
         for seed in range(3):
@@ -414,17 +369,6 @@ class TestLoss:
         probs = ad.constant(np.clip(targets, 1e-9, 1 - 1e-9))
         assert model.loss(probs, targets).value[0, 0] < 1e-7
 
-    def test_masked_targets_ignored(self):
-        # the training loss reads the targets of real positions only
-        tracks, sessions, pipeline, params = tiny_setup(seed=2)
-        batch = data.pad_batch(sessions[:3], pipeline, tracks)
-        assert not batch.mask.all()
-        base = model.loss(model.forward_batch(batch, params, "infer"),
-                          batch.targets[batch.mask]).value[0, 0]
-        batch.targets[~batch.mask] = 1.0 - batch.targets[~batch.mask]
-        assert model.loss(model.forward_batch(batch, params, "infer"),
-                          batch.targets[batch.mask]).value[0, 0] == base
-
     def test_all_masked_rejected(self):
         probs = ad.constant(np.zeros((0, 4)))
         with pytest.raises(DegenerateBatchError):
@@ -447,6 +391,25 @@ class TestPrediction:
         for session in sessions:
             probs = model.predict_probs([session], pipeline, tracks, params)
             assert len(probs[session.session_id]) == len(split_halves(session)[1])
+
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_one_event_session_keeps_its_own_probabilities(self, at):
+        # a one-event session has no second half: it gets no probabilities, and
+        # each neighbour keeps its own, bit for bit as in the batch without it
+        # (a session predicted alone runs 1-row matmuls, whose low bits differ)
+        tracks, sessions, pipeline, params = tiny_setup(seed=12)
+        lone = data.Session("lone", sessions[0].events[:1])
+        with_lone = model.predict_probs(sessions[:at] + [lone] + sessions[at:],
+                                        pipeline, tracks, params)
+        without = model.predict_probs(sessions, pipeline, tracks, params)
+        assert with_lone.pop("lone").shape == (0,)
+        assert model.predict_probs([lone], pipeline, tracks, params)["lone"].shape == (0,)
+        assert with_lone.keys() == without.keys()
+        for session in sessions:
+            sid = session.session_id
+            assert np.array_equal(with_lone[sid], without[sid])
+            alone = model.predict_probs([session], pipeline, tracks, params)[sid]
+            assert np.max(np.abs(with_lone[sid] - alone)) <= 1e-12
 
     def test_batched_equals_single(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=7)
@@ -485,7 +448,8 @@ class TestInferenceKeepsNoGraph:
             batch = encoded.batch(rows[lo:lo + 8])
             recorded = model.forward_batch(batch, params, "infer")
             assert recorded.parents
-            skip = np.split(recorded.value[:, 0], np.cumsum(batch.second_lengths)[:-1])
+            counts = np.bincount(batch.session, minlength=len(batch.session_ids))
+            skip = np.split(recorded.value[:, 0], np.cumsum(counts)[:-1])
             for sid, expected in zip(batch.session_ids, skip, strict=True):
                 assert np.array_equal(probs[sid], expected)
 
@@ -549,7 +513,7 @@ def model_loss_value(batch, params, state):
     """Loss as a pure function of a flat parameter state (for FD probing)."""
     params.load_state_dict(state)
     probs = model.forward_batch(batch, params, "infer")
-    return model.loss(probs, batch.targets[batch.mask]).value[0, 0]
+    return model.loss(probs, batch.targets).value[0, 0]
 
 
 def whole_model_fd(seed, use_batchnorm=False, coords_per_param=None, tol=1e-4):
@@ -568,9 +532,9 @@ def whole_model_fd(seed, use_batchnorm=False, coords_per_param=None, tol=1e-4):
         for k, v in params.state_dict().items()
     }
     params.load_state_dict(state)
-    batch = data.pad_batch(sessions[seed % 4:seed % 4 + 2], pipeline, tracks)
+    batch = one_batch(sessions[seed % 4:seed % 4 + 2], pipeline, tracks)
     probs = model.forward_batch(batch, params, "infer")
-    ad.backward(model.loss(probs, batch.targets[batch.mask]))
+    ad.backward(model.loss(probs, batch.targets))
     named = params.named_parameters()
     grads = {name: node.grad.copy() for name, node in named.items()}
     state = params.state_dict()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import rewrite_checkpoint, write_v1_checkpoint
+from helpers import one_batch, rewrite_checkpoint, write_v1_checkpoint
 
 from skipgru import autodiff as ad
 from skipgru import data, metrics, model, training
@@ -174,12 +174,12 @@ class TestOverfitSanity:
         variant = model.VariantConfig(hidden_size=24)
         params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline), seed=0)
         named = params.named_parameters()
-        batch = data.pad_batch(train_s[:1], pipeline, tracks)
+        batch = one_batch(train_s[:1], pipeline, tracks)
         adam = training.AdamState(lr=0.03)
         losses = []
         for _ in range(51):
             probs = model.forward_batch(batch, params, "train")
-            batch_loss = model.loss(probs, batch.targets[batch.mask])
+            batch_loss = model.loss(probs, batch.targets)
             losses.append(float(batch_loss.value[0, 0]))
             for node in named.values():
                 node.zero_grad()
