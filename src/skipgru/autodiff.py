@@ -20,6 +20,12 @@ Broadcasting is deliberately restricted: the second operand of ``add`` or
 ``hadamard`` may be a 1 x n bias row matched against an m x n left operand,
 nothing else. All other mismatches raise :class:`ShapeError`.
 Any op whose result contains NaN/Inf raises :class:`NumericError`.
+
+Two ops stand for compositions of the others, as fewer nodes:
+``affine(x, w, b)`` is ``add(matmul(x, w), b)`` bit for bit, with no
+``x @ w`` node left in the graph; ``enrich_affine`` is an affine map of
+enriched rows ``[x ; h[idx] ; h[idx] * gate]`` that never forms them and
+projects each row of ``h`` once. ``gru`` is one layer's recurrence.
 """
 
 from __future__ import annotations
@@ -131,6 +137,22 @@ def add(a: Node, b: Node) -> Node:
     return _result(a.value + b.value, [(a, lambda g: g), (b, reduce_b)], "add")
 
 
+def affine(x: Node, w: Node, b: Node) -> Node:
+    """``x @ w + b`` for a 1 x n bias row ``b``, as one node: the bias is added
+    into the product in place, so the value and the pulls are those of
+    ``add(matmul(x, w), b)`` bit for bit."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(f"affine: {x.shape} x {w.shape} + {b.shape} do not fit")
+    xv, wv = x.value, w.value
+    out = xv @ wv
+    out += b.value
+    return _result(out, [
+        (x, lambda g: g @ wv.T),
+        (w, lambda g: xv.T @ g),
+        (b, lambda g: g.sum(axis=0, keepdims=True)),
+    ], "affine")
+
+
 def hadamard(a: Node, b: Node) -> Node:
     reduce_b = _bias_reducer(a, b, "hadamard")
     av, bv = a.value, b.value
@@ -189,26 +211,91 @@ def concat_cols(parts: list[Node]) -> Node:
     return _result(value, pulls, "concat_cols")
 
 
-def take_rows(a: Node, idx) -> Node:
-    """Rows ``a[idx]`` in the order given; a repeated index sums its gradients,
-    as one ``np.add.reduceat`` segment of the index's stable sort."""
+def _row_index(idx, rows: int, op: str) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeError(f"take_rows needs a 1-D index, got shape {idx.shape}")
-    rows = a.shape[0]
+        raise ShapeError(f"{op} needs a 1-D index, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ShapeError(f"take_rows: row index outside [0, {rows})")
-    av = a.value
+        raise ShapeError(f"{op}: row index outside [0, {rows})")
+    return idx
+
+
+def _row_summer(idx: np.ndarray, rows: int):
+    """The map of a ``[len(idx), n]`` gradient to ``[rows, n]`` that sums the
+    rows sharing an index, as one ``np.add.reduceat`` segment of the index's
+    stable sort; a row no index names gets zeros."""
     order = np.argsort(idx, kind="stable")
     starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
     hit = idx[order[starts]]
 
-    def pull(g):
-        out = np.zeros_like(av)
+    def sum_rows(g):
+        out = np.zeros((rows, g.shape[1]))
         out[hit] = np.add.reduceat(g[order], starts, axis=0)
         return out
 
-    return _result(av[idx], [(a, pull)], "take_rows")
+    return sum_rows
+
+
+def take_rows(a: Node, idx) -> Node:
+    """Rows ``a[idx]`` in the order given; a repeated index sums its gradients."""
+    idx = _row_index(idx, a.shape[0], "take_rows")
+    return _result(a.value[idx], [(a, _row_summer(idx, a.shape[0]))], "take_rows")
+
+
+def enrich_affine(x: Node, h: Node, idx, gate: Node, w: Node, b: Node) -> Node:
+    """``[x ; h[idx] ; h[idx] * gate] @ w + b`` as one node, never forming the
+    enriched rows.
+
+    Row i of ``x`` and ``gate`` reads row ``idx[i]`` of ``h``. The three row
+    blocks ``[w_x ; w_h ; w_g]`` of ``w`` multiply the three column blocks,
+    and the middle one is projected once per row of ``h``, as
+    ``(h @ w_h)[idx]``: its pull sums the output gradient by ``idx`` before it
+    multiplies by ``w_h.T``, and a row of ``h`` no index names gets zeros. The
+    sum runs in another order than one product of the enriched rows, so
+    values and gradients differ from that composition in the last bits only.
+    The pulls share one memo per ``backward``, as ``gru``'s do.
+    """
+    rows, d = x.shape
+    k = h.shape[1]
+    idx = _row_index(idx, h.shape[0], "enrich_affine")
+    if (len(idx) != rows or gate.shape != (rows, k) or w.shape[0] != d + 2 * k
+            or b.shape != (1, w.shape[1])):
+        raise ShapeError(f"enrich_affine: rows {x.shape}, h {h.shape}, index "
+                         f"{idx.shape}, gate {gate.shape}, weights {w.shape} and "
+                         f"bias {b.shape} do not fit")
+    xv, hv, gv, wv = x.value, h.value, gate.value, w.value
+    w_x, w_h, w_g = wv[:d], wv[d:d + k], wv[d + k:]
+    h_rows = hv[idx]
+    gated = h_rows * gv
+    out = xv @ w_x
+    out += (hv @ w_h)[idx]
+    out += gated @ w_g
+    out += b.value
+
+    sum_rows = _row_summer(idx, h.shape[0])
+    memo: dict = {}
+
+    def pulled(g):
+        """``(g summed by row of h, dL/d gated)``, once per ``backward``."""
+        if memo.get("g") is not g:
+            memo["g"], memo["pulled"] = g, (sum_rows(g), g @ w_g.T)
+        return memo["pulled"]
+
+    def pull_h(g):
+        g_h, d_gated = pulled(g)
+        return g_h @ w_h.T + sum_rows(d_gated * gv)
+
+    def pull_w(g):
+        g_h = pulled(g)[0]
+        return np.concatenate([xv.T @ g, hv.T @ g_h, gated.T @ g])
+
+    return _result(out, [
+        (x, lambda g: g @ w_x.T),
+        (h, pull_h),
+        (gate, lambda g: pulled(g)[1] * h_rows),
+        (w, pull_w),
+        (b, lambda g: g.sum(axis=0, keepdims=True)),
+    ], "enrich_affine")
 
 
 def sum_all(a: Node) -> Node:

@@ -588,6 +588,8 @@ def gen_synthetic(
         raise ConfigError(f"n_sessions must be >= 1, got {n_sessions}")
     if not 0.0 <= label_noise <= 1.0:
         raise ConfigError(f"label_noise must be in [0, 1], got {label_noise}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     tracks: dict[str, TrackRecord] = {}
     for i in range(n_tracks):

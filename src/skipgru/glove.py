@@ -230,6 +230,8 @@ def train_glove(
     if dims < 1 or epochs < 1:
         raise ConfigError(f"glove dims and epochs must be >= 1, got dims={dims}, "
                           f"epochs={epochs}")
+    if seed < 0:
+        raise ConfigError(f"glove seed must be >= 0, got {seed}")
     for name, value in (("lr", lr), ("x_max", x_max), ("alpha", alpha)):
         if not 0.0 < value < np.inf:
             raise ConfigError(f"glove {name} must be finite and positive, got {value}")

@@ -26,7 +26,11 @@ no gradient is formed for the constant. Layer 2 projects layer 1's output
 rows. ``x_half`` is each layer's state at the session's own last step
 (``last``), in batch order. The head then enriches and classifies the
 second-half rows (``second``, session-major), so train-mode batch
-normalization and the loss see real positions only.
+normalization and the loss see real positions only. Every affine map is one
+``ad.affine`` node. The enrichment is never formed: one ``ad.enrich_affine``
+node multiplies its three blocks by the matching row blocks of ``head.w1``,
+projecting ``x_half`` once per session rather than once per second-half
+row, and forms no gradient for the constant ``x_i`` block.
 
 Inference is the same ``forward_batch`` in infer mode, run by
 ``predict_encoded`` under ``ad.no_grad()``: no graph is recorded, so a
@@ -54,10 +58,6 @@ PREDICT_BATCH_SIZE = 256
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     span = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-span, span, size=(rows, cols))
-
-
-def affine(x: ad.Node, w: ad.Node, b: ad.Node) -> ad.Node:
-    return ad.add(ad.matmul(x, w), b)
 
 
 @dataclass
@@ -245,43 +245,43 @@ def encode_first_half(batch: Batch, params: ModelParams) -> ad.Node:
     g1, g2 = params.gru1, params.gru2
     w1, b1 = g1.input_projection()
     rows, n_num = np.arange(dims.gru_input), dims.d_trip - 1  # [numeric | ctx] rows of w1
-    pre1 = ad.add(affine(ad.constant(np.delete(first, dims.ctx_col, axis=1)),
-                         ad.take_rows(w1, rows[:n_num]), b1),
+    pre1 = ad.add(ad.affine(ad.constant(np.delete(first, dims.ctx_col, axis=1)),
+                            ad.take_rows(w1, rows[:n_num]), b1),
                   ad.matmul(ctx, ad.take_rows(w1, rows[n_num:])))
     o0 = ad.constant(np.zeros((len(batch.last), params.variant.hidden_size)))
     o1 = ad.gru(pre1, o0, g1.w_us, g1.w_rs, g1.w_s, batch.sizes)
-    o2 = ad.gru(affine(o1, *g2.input_projection()), o0, g2.w_us, g2.w_rs, g2.w_s, batch.sizes)
+    o2 = ad.gru(ad.affine(o1, *g2.input_projection()), o0, g2.w_us, g2.w_rs, g2.w_s, batch.sizes)
     return ad.concat_cols([ad.take_rows(o1, batch.last), ad.take_rows(o2, batch.last)])
 
 
-def enrich(x_i: ad.Node, x_half: ad.Node, params: ModelParams) -> ad.Node:
-    if x_i.shape[1] != params.dims.d_doub:
-        raise ShapeError(f"enrich: doublet width {x_i.shape[1]} "
-                         f"!= d_doub {params.dims.d_doub}")
-    gate = ad.relu(affine(x_i, params.proj_w, params.proj_b))
-    return ad.concat_cols([x_i, x_half, ad.hadamard(x_half, gate)])
+def head(x_i: ad.Node, x_half: ad.Node, session, params: ModelParams, mode: str) -> ad.Node:
+    """Probabilities ``[rows, 4]`` of the second-half rows ``x_i``, row i
+    enriched by its session's summary ``x_half[session[i]]``.
 
-
-def classify(enriched: ad.Node, params: ModelParams, mode: str) -> ad.Node:
+    The enrichment ``[x_i ; x_half ; x_half * relu(proj(x_i))]`` and the first
+    layer's affine map are one ``ad.enrich_affine`` node."""
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if x_i.shape[1] != params.dims.d_doub:
+        raise ShapeError(f"head: doublet width {x_i.shape[1]} "
+                         f"!= d_doub {params.dims.d_doub}")
     act = params.variant.activation
-    a1 = affine(enriched, params.head_w1, params.head_b1)
+    gate = ad.relu(ad.affine(x_i, params.proj_w, params.proj_b))
+    a1 = ad.enrich_affine(x_i, x_half, session, gate, params.head_w1, params.head_b1)
     if params.bn1 is not None:
         a1 = ad.batchnorm(a1, params.bn1, mode)
     h1 = ad.activation(a1, act)
-    a2 = affine(h1, params.head_w2, params.head_b2)
+    a2 = ad.affine(h1, params.head_w2, params.head_b2)
     if params.bn2 is not None:
         a2 = ad.batchnorm(a2, params.bn2, mode)
     h2 = ad.activation(a2, act)
-    return ad.sigmoid(affine(h2, params.head_w3, params.head_b3))
+    return ad.sigmoid(ad.affine(h2, params.head_w3, params.head_b3))
 
 
 def forward_batch(batch: Batch, params: ModelParams, mode: str) -> ad.Node:
     """Probabilities ``[second-half rows, 4]`` in the row order of ``batch.second``."""
-    x_half = encode_first_half(batch, params)
-    enriched = enrich(ad.constant(batch.second), ad.take_rows(x_half, batch.session), params)
-    return classify(enriched, params, mode)
+    return head(ad.constant(batch.second), encode_first_half(batch, params), batch.session,
+                params, mode)
 
 
 def loss(probs: ad.Node, targets: np.ndarray, task_weights: tuple = TASK_WEIGHTS) -> ad.Node:

@@ -133,6 +133,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.clip_norm is not None and not 0.0 < self.clip_norm < np.inf:

@@ -83,6 +83,28 @@ def projected_gru(x, o0, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s, sizes)
     return ad.gru(pre, o0, w_us, w_rs, w_s, sizes)
 
 
+def enrich_reference(x_i, x_half, params):
+    """The enriched rows ``[x_i ; x_half ; x_half * relu(proj(x_i))]``, formed
+    as one concat of ordinary nodes: what ``model.head``'s fused first layer
+    multiplies by ``head.w1`` without forming it."""
+    gate = ad.relu(ad.affine(x_i, params.proj_w, params.proj_b))
+    return ad.concat_cols([x_i, x_half, ad.hadamard(x_half, gate)])
+
+
+def head_reference(x_i, x_half, session, params, mode):
+    """``model.head`` unfused: each session's summary gathered per row, the
+    enrichment materialized, then one ``ad.affine`` per layer."""
+    enriched = enrich_reference(x_i, ad.take_rows(x_half, session), params)
+    act = params.variant.activation
+    a1 = ad.affine(enriched, params.head_w1, params.head_b1)
+    if params.bn1 is not None:
+        a1 = ad.batchnorm(a1, params.bn1, mode)
+    a2 = ad.affine(ad.activation(a1, act), params.head_w2, params.head_b2)
+    if params.bn2 is not None:
+        a2 = ad.batchnorm(a2, params.bn2, mode)
+    return ad.sigmoid(ad.affine(ad.activation(a2, act), params.head_w3, params.head_b3))
+
+
 def scatter_rows(shape, idx, g):
     """``np.add.at`` of ``g``'s rows into zeros of ``shape`` at ``idx``: the
     ``take_rows`` pull oracle."""

@@ -18,7 +18,7 @@ from skipgru import autodiff as ad
 from skipgru import cli, data, glove, metrics, model, training
 from skipgru.features import FeaturePipeline
 
-from helpers import central_diff, max_rel_err, one_batch, projected_gru
+from helpers import central_diff, enrich_reference, max_rel_err, one_batch, projected_gru
 from test_model import hand_gru_step, step, tiny_setup, whole_model_fd
 
 
@@ -103,6 +103,9 @@ def _bn_infer(a):
 OP_CASES = [
     ("matmul", lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)]),
     ("add", lambda a, b: ad.add(a, b), [(3, 4), (3, 4)]),
+    ("affine", lambda a, w, b: ad.affine(a, w, b), [(3, 4), (4, 2), (1, 2)]),
+    ("enrich-affine", lambda x, h, gate, w, b: ad.enrich_affine(x, h, [1, 0, 1, 1], gate, w, b),
+     [(4, 3), (3, 2), (4, 2), (7, 2), (1, 2)]),
     ("hadamard", lambda a, b: ad.hadamard(a, b), [(3, 4), (3, 4)]),
     ("bias-broadcast", lambda a, b: ad.add(a, b), [(4, 3), (1, 3)]),
     ("sigmoid", lambda a: ad.sigmoid(a), [(3, 4)]),
@@ -197,10 +200,16 @@ class TestEnrichmentStructure:
             rng = np.random.default_rng(0)
             x_i = ad.constant(rng.normal(size=(6, d)))
             x_half = ad.constant(rng.normal(size=(6, 2 * h)))
-            out = model.enrich(x_i, x_half, params)
-            assert out.shape == (6, d + 4 * h)
+            out = enrich_reference(x_i, x_half, params)
+            assert out.shape == (6, d + 4 * h) == (6, params.head_w1.shape[0])
             third = out.value[:, d + 2 * h:]
             assert np.array_equal(third, np.zeros_like(third))
+            # the fused head never forms the enrichment: with the gate at zero,
+            # the rows of head.w1 that multiply the third block change nothing
+            session = np.arange(6)
+            probs = model.head(x_i, x_half, session, params, "infer").value
+            params.head_w1.value[d + 2 * h:] = rng.normal(size=(2 * h, 2 * h))
+            assert np.array_equal(model.head(x_i, x_half, session, params, "infer").value, probs)
 
 
 class TestOverfitSanity:

@@ -327,6 +327,106 @@ class TestTakeRows:
             assert np.array_equal(a.grad, expected)
 
 
+class TestAffine:
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_value_and_grads_equal_add_of_matmul_bitwise(self, rows):
+        rng = np.random.default_rng(rows)
+        values = [rng.normal(size=(rows, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
+        head = ad.constant(rng.normal(size=(rows, 3)))
+        results = []
+        for build in (ad.affine, lambda x, w, b: ad.add(ad.matmul(x, w), b)):
+            nodes = [ad.parameter(v) for v in values]
+            out = build(*nodes)
+            ad.backward(ad.sum_all(ad.hadamard(out, head)))
+            results.append([out.value] + [n.grad for n in nodes])
+        for fused, composed in zip(*results, strict=True):
+            assert np.array_equal(fused, composed)
+
+    def test_is_one_node(self):
+        x, w, b = (ad.parameter(np.ones(shape)) for shape in [(2, 3), (3, 4), (1, 4)])
+        out = ad.affine(x, w, b)
+        assert [parent for parent, _ in out.parents] == [x, w, b]
+
+    @pytest.mark.parametrize("shapes", [[(2, 3), (4, 4), (1, 4)], [(2, 3), (3, 4), (2, 4)],
+                                        [(2, 3), (3, 4), (1, 3)]])
+    def test_shapes_checked(self, shapes):
+        with pytest.raises(ShapeError, match="affine"):
+            ad.affine(*(ad.constant(np.ones(shape)) for shape in shapes))
+
+
+ENRICH_INDEX = [1, 1, 3, 0, 3, 1]  # row 2 of the four h rows is never read
+
+
+def enrich_shapes(d=3, k=2, n=4):
+    """Shapes of ``enrich_affine``'s x, h, gate, w and b over ``ENRICH_INDEX``."""
+    rows = len(ENRICH_INDEX)
+    return [(rows, d), (4, k), (rows, k), (d + 2 * k, n), (1, n)]
+
+
+def fused_enrichment(x, h, gate, w, b):
+    return ad.enrich_affine(x, h, ENRICH_INDEX, gate, w, b)
+
+
+def composed_enrichment(x, h, gate, w, b):
+    """The oracle: the enriched rows materialized, then one affine map."""
+    h_rows = ad.take_rows(h, ENRICH_INDEX)
+    return ad.affine(ad.concat_cols([x, h_rows, ad.hadamard(h_rows, gate)]), w, b)
+
+
+class TestEnrichAffine:
+    def test_matches_the_materialized_composition(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            values = [rng.normal(size=shape) for shape in enrich_shapes()]
+            head = ad.constant(rng.normal(size=(len(ENRICH_INDEX), 4)))
+            results = []
+            for build in (fused_enrichment, composed_enrichment):
+                nodes = [ad.parameter(v) for v in values]
+                out = build(*nodes)
+                ad.backward(ad.sum_all(ad.hadamard(out, head)))
+                results.append([out.value] + [n.grad for n in nodes])
+            for fused, composed in zip(*results, strict=True):
+                assert np.max(np.abs(fused - composed)) <= 1e-12 * np.max(np.abs(composed))
+
+    def test_unread_row_of_h_gets_no_gradient(self):
+        nodes = [ad.parameter(np.ones(shape)) for shape in enrich_shapes()]
+        ad.backward(loss_of(fused_enrichment(*nodes)))
+        h = nodes[1]
+        assert np.array_equal(h.grad[2], [0.0, 0.0])
+        assert np.delete(h.grad, 2, axis=0).all()
+
+    def test_constant_rows_stay_out_of_the_graph(self):
+        x, *rest = enrich_shapes()
+        nodes = [ad.constant(np.ones(x))] + [ad.parameter(np.ones(s)) for s in rest]
+        out = fused_enrichment(*nodes)
+        assert [parent for parent, _ in out.parents] == nodes[1:]
+
+    def test_each_backward_pulls_its_own_gradient(self):
+        # the pulls share one memo; a second backward through the same node
+        # must not reuse the first one's summed gradient
+        values = [np.random.default_rng(3).normal(size=s) for s in enrich_shapes()]
+        nodes = [ad.parameter(v) for v in values]
+        out = fused_enrichment(*nodes)
+        ad.backward(loss_of(out))
+        first = [n.grad.copy() for n in nodes]
+        ad.backward(ad.scale(loss_of(out), 3.0))
+        for node, grad in zip(nodes, first):
+            assert np.max(np.abs(node.grad - 4.0 * grad)) <= 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("which,shape", [(0, (5, 3)), (2, (6, 3)), (3, (6, 4)), (4, (2, 4))])
+    def test_shapes_checked(self, which, shape):
+        shapes = enrich_shapes()
+        shapes[which] = shape
+        with pytest.raises(ShapeError, match="enrich_affine"):
+            fused_enrichment(*(ad.constant(np.ones(s)) for s in shapes))
+
+    @pytest.mark.parametrize("idx", [[4], [-1], [[0]]])
+    def test_bad_index(self, idx):
+        x, h, gate, w, b = (ad.constant(np.ones(s)) for s in enrich_shapes())
+        with pytest.raises(ShapeError):
+            ad.enrich_affine(x, h, idx, gate, w, b)
+
+
 GRU_BATCH, GRU_IN, GRU_HIDDEN = 2, 3, 4
 
 
@@ -523,6 +623,12 @@ class TestGradientsVsFiniteDifferences:
 
     def test_add(self):
         _gradcheck(ad.add, [(3, 4), (3, 4)], n_seeds=100)
+
+    def test_affine(self):
+        _gradcheck(ad.affine, [(3, 4), (4, 2), (1, 2)], n_seeds=100)
+
+    def test_enrich_affine(self):
+        _gradcheck(fused_enrichment, enrich_shapes(), n_seeds=100)
 
     def test_hadamard(self):
         _gradcheck(ad.hadamard, [(3, 4), (3, 4)], n_seeds=100)

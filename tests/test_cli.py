@@ -89,6 +89,7 @@ class TestGenData:
         (["--sessions", "100", "--holdout", "-5"], "--holdout must be >= 0"),
         (["--noise", "3"], "label_noise must be in [0, 1]"),
         (["--noise", "-0.5"], "label_noise must be in [0, 1]"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_bad_counts_exit_three_and_write_nothing(self, tmp_path, capsys, flags, named):
         out = tmp_path / "d"
@@ -140,6 +141,7 @@ class TestEmbed:
     @pytest.mark.parametrize("flag, value", [
         ("--dims", "0"), ("--dims", "-3"), ("--epochs", "0"), ("--lr", "-1"),
         ("--lr", "nan"), ("--x-max", "0"), ("--x-max", "inf"), ("--alpha", "-0.5"),
+        ("--seed", "-1"),
     ])
     def test_bad_flag_exits_three(self, workspace, tmp_path, capsys, flag, value):
         out = tmp_path / "e.txt"
@@ -279,7 +281,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value", [
         ("--clip-norm", "0"), ("--clip-norm", "-1"), ("--clip-norm", "nan"),
-        ("--lr", "nan"), ("--lr", "inf"),
+        ("--lr", "nan"), ("--lr", "inf"), ("--seed", "-1"),
     ])
     def test_bad_flag_exits_three(self, workspace, tmp_path, capsys, flag, value):
         ckpt = tmp_path / "x.ckpt"

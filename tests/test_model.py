@@ -10,8 +10,8 @@ from skipgru import data, metrics, model, training
 from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
 from skipgru.features import FeaturePipeline
 
-from helpers import (central_diff, composed_gru_step, max_rel_err, one_batch, projected_gru,
-                     split_halves, unpack)
+from helpers import (central_diff, composed_gru_step, enrich_reference, head_reference,
+                     max_rel_err, one_batch, projected_gru, split_halves, unpack)
 
 
 def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="relu"):
@@ -226,7 +226,10 @@ class TestEncodeFirstHalf:
 class TestGraphSize:
     @pytest.mark.parametrize("use_batchnorm", [False, True])
     def test_training_batch_graph_is_small_and_batch_independent(self, use_batchnorm):
-        """Op nodes one training batch adds to the loss graph (parameters excluded)."""
+        """Op nodes one training batch adds to the loss graph (parameters
+        excluded): 16 for the GRUs, 8 for the head, 4 for the loss, and one
+        batchnorm per head layer in that variant."""
+        nodes = 30 if use_batchnorm else 28
         tracks, sessions, pipeline, params = tiny_setup(
             seed=2, n_sessions=16, use_batchnorm=use_batchnorm
         )
@@ -235,31 +238,31 @@ class TestGraphSize:
             batch = one_batch(sessions[:size], pipeline, tracks)
             graph = model.loss(model.forward_batch(batch, params, "train"), batch.targets)
             counts.append(sum(1 for node in ad._topo_order(graph) if node.parents))
-        assert counts[0] == counts[1] <= 40
+        assert counts[0] == counts[1] <= nodes
 
 
 class TestPacking:
     def test_only_real_rows_reach_the_recurrence_and_head(self, monkeypatch):
         tracks, sessions, pipeline, params = tiny_setup(seed=2, n_sessions=16)
         batch = one_batch(sessions, pipeline, tracks)
-        rows = {"gru": [], "classify": []}
-        gru, classify = ad.gru, model.classify
+        rows = {"gru": [], "head": []}
+        gru, head = ad.gru, model.head
 
         def gru_spy(pre, *args):
             rows["gru"].append(pre.shape[0])
             return gru(pre, *args)
 
-        def classify_spy(enriched, *args):
-            rows["classify"].append(enriched.shape[0])
-            return classify(enriched, *args)
+        def head_spy(x_i, *args):
+            rows["head"].append(x_i.shape[0])
+            return head(x_i, *args)
 
         monkeypatch.setattr(ad, "gru", gru_spy)
-        monkeypatch.setattr(model, "classify", classify_spy)
+        monkeypatch.setattr(model, "head", head_spy)
         model.loss(model.forward_batch(batch, params, "train"), batch.targets)
         first, second = (sum(len(half) for half in halves)
                          for halves in zip(*map(split_halves, sessions)))
         assert rows["gru"] == [first] * 2
-        assert rows["classify"] == [second]
+        assert rows["head"] == [second]
         assert first < data.HALF_LEN * len(sessions)
         assert second < data.HALF_LEN * len(sessions)
 
@@ -278,6 +281,10 @@ class TestPacking:
 
 
 class TestEnrich:
+    """The enrichment's structure, on the materialized oracle that
+    ``model.head``'s fused first layer stands for; the fused node is checked
+    against the oracle bit for bit under identity weights."""
+
     def test_zero_proj_zeroes_third_block(self):
         tracks, sessions, pipeline, params = tiny_setup()
         params.proj_w.value[...] = 0.0
@@ -285,24 +292,25 @@ class TestEnrich:
         d, h = params.dims.d_doub, params.variant.hidden_size
         x_i = ad.constant(np.random.default_rng(0).normal(size=(4, d)))
         x_half = ad.constant(np.random.default_rng(1).normal(size=(4, 2 * h)))
-        out = model.enrich(x_i, x_half, params).value
+        out = enrich_reference(x_i, x_half, params).value
         assert np.array_equal(out[:, d + 2 * h:], np.zeros((4, 2 * h)))
 
     def test_zero_x_half(self):
         tracks, sessions, pipeline, params = tiny_setup()
         d, h = params.dims.d_doub, params.variant.hidden_size
         x_i_val = np.random.default_rng(2).normal(size=(3, d))
-        out = model.enrich(ad.constant(x_i_val),
-                           ad.constant(np.zeros((3, 2 * h))), params).value
+        out = enrich_reference(ad.constant(x_i_val),
+                               ad.constant(np.zeros((3, 2 * h))), params).value
         assert np.array_equal(out[:, :d], x_i_val)
         assert not out[:, d:].any()
 
     def test_output_width(self):
         _, _, _, params = tiny_setup(hidden=4)
         d, h = params.dims.d_doub, 4
-        out = model.enrich(ad.constant(np.zeros((2, d))),
-                           ad.constant(np.zeros((2, 2 * h))), params)
+        out = enrich_reference(ad.constant(np.zeros((2, d))),
+                               ad.constant(np.zeros((2, 2 * h))), params)
         assert out.shape == (2, d + 4 * h)
+        assert params.head_w1.shape[0] == d + 4 * h
 
     def test_blockwise_linear_in_x_half(self):
         _, _, _, params = tiny_setup(seed=8)
@@ -313,48 +321,121 @@ class TestEnrich:
         b = rng.normal(size=(2, 2 * h))
 
         def tail(x_half):
-            out = model.enrich(ad.constant(x_i), ad.constant(x_half), params).value
+            out = enrich_reference(ad.constant(x_i), ad.constant(x_half), params).value
             return out[:, d:]
 
         residual = tail(a + b) - tail(a) - tail(b) + tail(np.zeros_like(a))
         assert np.max(np.abs(residual)) < 1e-12
+
+    def test_fused_node_under_identity_weights_is_the_enrichment(self):
+        _, _, _, params = tiny_setup(seed=5, hidden=4)
+        d, h = params.dims.d_doub, params.variant.hidden_size
+        rng = np.random.default_rng(6)
+        x_i = ad.constant(rng.normal(size=(7, d)))
+        x_half = ad.constant(rng.normal(size=(3, 2 * h)))
+        session = np.array([0, 0, 2, 2, 2, 0, 1])
+        gate = ad.relu(ad.affine(x_i, params.proj_w, params.proj_b))
+        width = params.d_enriched
+        fused = ad.enrich_affine(x_i, x_half, session, gate, ad.constant(np.eye(width)),
+                                 ad.constant(np.zeros((1, width))))
+        expected = enrich_reference(x_i, ad.take_rows(x_half, session), params)
+        assert np.array_equal(fused.value, expected.value)
+
+
+def head_inputs(params, rows=6, sessions=3, seed=3):
+    """Random second-half rows, session summaries and each row's session."""
+    rng = np.random.default_rng(seed)
+    return (ad.constant(rng.normal(size=(rows, params.dims.d_doub))),
+            ad.constant(rng.normal(size=(sessions, 2 * params.variant.hidden_size))),
+            np.arange(rows) % sessions)
 
 
 class TestClassify:
     def test_zero_weights_give_half(self):
         tracks, sessions, pipeline, params = tiny_setup()
         zero_all(params)
-        x = ad.constant(np.random.default_rng(3).normal(size=(6, params.d_enriched)))
-        out = model.classify(x, params, "infer").value
+        out = model.head(*head_inputs(params), params, "infer").value
         assert np.array_equal(out, np.full((6, 4), 0.5))
 
     def test_outputs_in_open_unit_interval(self):
         _, _, _, params = tiny_setup(seed=1)
-        x = ad.constant(np.random.default_rng(9).normal(size=(8, params.d_enriched)))
-        out = model.classify(x, params, "infer").value
+        out = model.head(*head_inputs(params, rows=8, seed=9), params, "infer").value
         assert ((out > 0.0) & (out < 1.0)).all()
 
     def test_infer_deterministic_bitwise(self):
         _, _, _, params = tiny_setup(seed=2, use_batchnorm=True)
-        x = np.random.default_rng(7).normal(size=(5, params.d_enriched))
-        a = model.classify(ad.constant(x), params, "infer").value
-        b = model.classify(ad.constant(x), params, "infer").value
+        inputs = head_inputs(params, rows=5, seed=7)
+        a = model.head(*inputs, params, "infer").value
+        b = model.head(*inputs, params, "infer").value
         assert np.array_equal(a, b)
 
     def test_elu_variant_runs(self):
         _, _, _, params = tiny_setup(activation="elu")
-        x = ad.constant(np.random.default_rng(0).normal(size=(3, params.d_enriched)))
-        out = model.classify(x, params, "infer").value
+        out = model.head(*head_inputs(params, rows=3, seed=0), params, "infer").value
         assert out.shape == (3, 4)
 
     def test_bad_mode(self):
         _, _, _, params = tiny_setup()
         with pytest.raises(ConfigError):
-            model.classify(ad.constant(np.zeros((2, params.d_enriched))), params, "test")
+            model.head(*head_inputs(params, rows=2), params, "test")
+
+    def test_bad_doublet_width(self):
+        _, _, _, params = tiny_setup()
+        x_i, x_half, session = head_inputs(params)
+        with pytest.raises(ShapeError, match="d_doub"):
+            model.head(ad.constant(np.zeros((6, params.dims.d_doub + 1))), x_half, session,
+                       params, "infer")
 
     def test_bad_variant(self):
         with pytest.raises(ConfigError):
             model.VariantConfig(activation="gelu")
+
+
+FUSED_HEAD_BOUND = 1e-12  # relative to each compared quantity's largest entry
+
+
+class TestFusedHead:
+    """``model.head`` against ``head_reference``, the same head with the
+    enrichment materialized: the fused first layer sums in another order, so
+    the two agree within ``FUSED_HEAD_BOUND``, not bit for bit."""
+
+    @staticmethod
+    def run(head, batch, params, mode):
+        """Probabilities, gradients (every parameter, then ``x_half``) and the
+        batchnorm running statistics of one forward and backward."""
+        x_half = ad.parameter(model.encode_first_half(batch, params).value)
+        probs = head(ad.constant(batch.second), x_half, batch.session, params, mode)
+        ad.backward(model.loss(probs, batch.targets))
+        grads = [node.grad for node in params.named_parameters().values()] + [x_half.grad]
+        stats = [stat for bn in (params.bn1, params.bn2) if bn is not None
+                 for stat in (bn.running_mean, bn.running_var)]
+        return probs.value, np.concatenate([g.ravel() for g in grads]), stats
+
+    @pytest.mark.parametrize("activation,use_batchnorm",
+                             [("relu", False), ("elu", False), ("relu", True)])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_matches_the_materialized_enrichment(self, activation, use_batchnorm, mode):
+        tracks, sessions, pipeline, params = tiny_setup(
+            seed=4, hidden=5, n_sessions=12, activation=activation, use_batchnorm=use_batchnorm)
+        batch = one_batch(sessions, pipeline, tracks)
+        state = params.state_dict()
+        probs, grads, stats = self.run(model.head, batch, params, mode)
+        params.load_state_dict(state)
+        ref_probs, ref_grads, ref_stats = self.run(head_reference, batch, params, mode)
+        for got, ref in [(probs, ref_probs), (grads, ref_grads), *zip(stats, ref_stats)]:
+            assert np.max(np.abs(got - ref)) <= FUSED_HEAD_BOUND * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_one_event_session_gets_no_head_gradient(self, at):
+        tracks, sessions, pipeline, params = tiny_setup(seed=12)
+        lone = data.Session("lone", sessions[0].events[:1])
+        batch = one_batch(sessions[:at] + [lone] + sessions[at:], pipeline, tracks)
+        assert at not in batch.session
+        x_half = ad.parameter(model.encode_first_half(batch, params).value)
+        probs = model.head(ad.constant(batch.second), x_half, batch.session, params, "train")
+        ad.backward(model.loss(probs, batch.targets))
+        assert np.array_equal(x_half.grad[at], np.zeros(x_half.shape[1]))
+        assert np.delete(x_half.grad, at, axis=0).any(axis=1).all()
 
 
 class TestLoss:
