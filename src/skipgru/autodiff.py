@@ -223,14 +223,23 @@ def _row_index(idx, rows: int, op: str) -> np.ndarray:
 def _row_summer(idx: np.ndarray, rows: int):
     """The map of a ``[len(idx), n]`` gradient to ``[rows, n]`` that sums the
     rows sharing an index, as one ``np.add.reduceat`` segment of the index's
-    stable sort; a row no index names gets zeros."""
-    order = np.argsort(idx, kind="stable")
-    starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
-    hit = idx[order[starts]]
+    stable sort; a row no index names gets zeros. The sort is made at the
+    first call, so an op that is never pulled (under ``no_grad``, say) sorts
+    nothing, and when no index repeats the map is a plain scatter."""
+    segments = []
 
     def sum_rows(g):
+        if not segments:
+            order = np.argsort(idx, kind="stable")
+            starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
+            segments.append((order, starts, idx[order[starts]])
+                            if len(starts) < len(idx) else None)
         out = np.zeros((rows, g.shape[1]))
-        out[hit] = np.add.reduceat(g[order], starts, axis=0)
+        if segments[0] is None:
+            out[idx] = g
+        else:
+            order, starts, hit = segments[0]
+            out[hit] = np.add.reduceat(g[order], starts, axis=0)
         return out
 
     return sum_rows

@@ -9,7 +9,8 @@ sessions.csv
     no_pause_before_play, short_pause_before_play, seek_fwd_count,
     seek_back_count, hour_of_day, context_type
     Booleans are serialized as 0/1. In inference files the eight interaction
-    columns are empty for second-half rows.
+    columns are empty for second-half rows. Fields may be quoted as ``csv``
+    quotes them, and lines may end in CR LF.
 
 tracks.csv
     track_id, duration, release_year, acoustic_0 .. acoustic_{d-1}
@@ -28,6 +29,15 @@ integer index gives a ``Session`` view. ``Session``, ``Event`` and
 ``InteractionRecord`` remain for sessions built by hand (``gen_synthetic``,
 ``write_sessions``, tests); ``SessionTable.from_sessions`` turns a list of
 them into a table, keeping its order.
+
+A sessions.csv is read by one of two parsers, and the file alone decides
+which. ``_parse_plain`` cuts a plain file (no quotes, canonical numerals,
+every row valid; see its docstring) into fields from its bytes with array
+code: the separators are found with ``np.flatnonzero``, numerals are summed
+digit by digit, and the string columns are coded with ``np.unique`` over
+NUL-padded byte keys. Any other file goes to ``_read_csv``, the ``csv``
+reader in blocks of BLOCK_ROWS, which is the only source of the per-row
+error messages. Both give the same table.
 """
 
 from __future__ import annotations
@@ -240,8 +250,8 @@ class SessionTable:
         return cls._build(
             [session.session_id for session in sessions],
             np.array([len(session.events) for session in sessions], dtype=np.int64),
-            [ev.track_id for ev in events],
-            [a.context_type for a in records],
+            _codes([ev.track_id for ev in events]),
+            _codes([a.context_type for a in records]),
             np.array([ev.position for ev in events], dtype=np.int64),
             np.array([a.targets() for a in records], dtype=bool).reshape(-1, len(TASK_NAMES)),
             np.array([(a.seek_fwd_count, a.seek_back_count, a.hour_of_day) for a in records],
@@ -250,12 +260,12 @@ class SessionTable:
         )
 
     @classmethod
-    def _build(cls, session_ids, lengths, track_column, context_column, positions, flags,
-               counts, observed, order=slice(None)) -> "SessionTable":
-        """A table from per-event columns, the string ones coded against their
-        sorted distinct values and every one taken in ``order``."""
-        track_ids, track_index = _codes(track_column)
-        context_types, context_index = _codes(context_column)
+    def _build(cls, session_ids, lengths, tracks, contexts, positions, flags, counts,
+               observed, order=slice(None)) -> "SessionTable":
+        """A table from per-event columns, every one taken in ``order``; the
+        string columns come coded, as ``(sorted distinct values, index)``
+        pairs (``tracks``, ``contexts``) such as ``_codes`` returns."""
+        (track_ids, track_index), (context_types, context_index) = tracks, contexts
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         return cls(session_ids, offsets, track_ids, context_types, track_index[order],
@@ -345,14 +355,31 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> Ses
     """Load and validate sessions; the table is sorted by session_id then position.
 
     ``tracks=None`` skips track-id resolution (used when only the interaction
-    labels matter, e.g. loading a truth file for scoring). Rows are parsed in
-    blocks of BLOCK_ROWS into columns and checked with array code; a block
-    that fails a check is rescanned row by row with ``_check_row``, so the
-    error names the first bad row in file order. Session-level checks follow
-    once every row has parsed, in session_id order.
+    labels matter, e.g. loading a truth file for scoring). A plain file is
+    parsed from its bytes by ``_parse_plain``; a file it declines (quoted
+    fields, a bad row, anything it cannot read with certainty) goes to
+    ``_read_csv``, which words every row error. The input alone decides the
+    path, and both give the same table. Session-level checks follow once
+    every row has parsed, in session_id order.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    table = _parse_plain(raw, tracks)
+    if table is None:
+        table = _read_csv(path, tracks)
+    _check_sessions(table, mode)
+    return table
+
+
+def _read_csv(path, tracks) -> SessionTable:
+    """The unchecked table of a sessions.csv read with ``csv``.
+
+    Rows are parsed in blocks of BLOCK_ROWS into columns and checked with
+    array code; a block that fails a check is rescanned row by row with
+    ``_check_row``, so the error names the first bad row in file order.
+    """
     strings: tuple[list, list, list] = ([], [], [])  # session_id, track_id, context_type
     blocks = []
     with open_text(path, newline="") as fh:
@@ -374,11 +401,133 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> Ses
         return SessionTable.from_sessions([])
     session_ids, session = _codes(strings[0])
     positions, flags, counts, observed = map(np.concatenate, zip(*blocks))
-    table = SessionTable._build(session_ids, np.bincount(session, minlength=len(session_ids)),
-                                strings[1], strings[2], positions, flags, counts, observed,
-                                order=np.lexsort((positions, session)))
-    _check_sessions(table, mode)
-    return table
+    return SessionTable._build(session_ids, np.bincount(session, minlength=len(session_ids)),
+                               _codes(strings[1]), _codes(strings[2]), positions, flags,
+                               counts, observed, order=np.lexsort((positions, session)))
+
+
+_HEADER = ",".join(SESSION_COLUMNS).encode()
+_COMMA, _NEWLINE, _CR = b",\n\r"
+# the longest numeral _parse_plain reads: 18 decimal digits always fit in int64
+_MAX_DIGITS = 18
+# the widest string field _parse_plain codes, in 8-byte words; a wider one
+# goes to the csv reader
+_MAX_KEY_WORDS = 8
+# _WORD_MASKS[w] keeps the first w bytes of a big-endian 8-byte word
+_WORD_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * w)) for w in range(9)], dtype=np.uint64)
+
+
+def _parse_plain(raw: bytes, tracks) -> SessionTable | None:
+    r"""The unchecked table of a plain sessions.csv from its bytes, parsed with
+    array code, or None (declined) for a file it cannot read with certainty.
+
+    Plain means: UTF-8 with no ``"`` or NUL byte; lines end in ``\n`` or
+    ``\r\n``; the first is exactly the header and every other has exactly
+    ten commas; numerals are 1 to _MAX_DIGITS ASCII digits and flags ``0``
+    or ``1``; the eight interaction fields are all blank or all present;
+    ``hour_of_day`` is below HOURS_PER_DAY; every track id is in ``tracks``
+    (when given); no string field is wider than _MAX_KEY_WORDS words. The
+    ``csv`` reader accepts every row of such a file and reads the same
+    fields, so both paths give equal tables. Fields are cut at the commas
+    and newlines, 11 per row.
+    """
+    if b'"' in raw or b"\0" in raw:
+        return None
+    if not (raw.startswith(_HEADER + b"\n") or raw.startswith(_HEADER + b"\r\n")):
+        return None
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    # the bytes, a final newline, then room for a key window at any field start
+    size = len(raw) + (not raw.endswith(b"\n"))
+    padded = np.zeros(size + 8 * _MAX_KEY_WORDS, dtype=np.uint8)
+    padded[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    padded[size - 1] = _NEWLINE
+    text = padded[:size]
+    sep = np.flatnonzero((text == _COMMA) | (text == _NEWLINE))
+    columns = len(SESSION_COLUMNS)
+    if len(sep) % columns or len(sep) == columns:
+        return None
+    sep = sep.reshape(-1, columns)
+    if (text[sep[:, -1]] != _NEWLINE).any() or (text[sep[:, :-1]] != _COMMA).any():
+        return None
+    # a CR is only allowed as the last byte of a line, where it is not data
+    crlf = text[sep[:, -1] - 1] == _CR
+    if np.count_nonzero(crlf) != raw.count(b"\r"):
+        return None
+    # field k of row r is text[ends[r, k] - widths[r, k]:ends[r, k]]
+    widths = sep.reshape(-1)[columns:] - sep.reshape(-1)[columns - 1:-1]
+    widths -= 1
+    widths = widths.reshape(-1, columns)
+    ends = sep[1:]
+    ends[:, -1] -= crlf[1:]
+    widths[:, -1] -= crlf[1:]
+    blank = widths[:, 3:] == 0
+    observed = ~blank[:, 0]
+    if (blank[:, 1:] != blank[:, :1]).any() or (widths[:, 1] == 0).any():
+        return None
+    # a blank flag's last byte is the comma before it, which reads as False
+    flag_bytes = text[ends[:, 3:7] - 1]
+    if (widths[:, 3:7] > 1).any() or ((flag_bytes - ord("0") > 1) & observed[:, None]).any():
+        return None
+    positions = _numerals(text, ends[:, 1], widths[:, 1])
+    counts = _numerals(text, ends[:, 7:10], widths[:, 7:10])
+    if positions is None or counts is None or (counts[:, 2] >= HOURS_PER_DAY).any():
+        return None
+    coded = [_byte_codes(padded, ends[:, k] - widths[:, k], widths[:, k]) for k in (0, 2, 10)]
+    if None in coded:
+        return None
+    (session_ids, session), track_codes, context_codes = coded
+    if tracks is not None and not tracks.keys() >= set(track_codes[0]):
+        return None
+    return SessionTable._build(session_ids, np.bincount(session, minlength=len(session_ids)),
+                               track_codes, context_codes, positions, flag_bytes == ord("1"),
+                               counts, observed, order=np.lexsort((positions, session)))
+
+
+def _numerals(text: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the ASCII digit fields ending at ``ends`` (any
+    shape), a blank field reading 0, or None when a field is not digits or
+    has more than _MAX_DIGITS of them."""
+    value = np.zeros(ends.shape, dtype=np.int64)
+    longest = int(widths.max())
+    if longest > _MAX_DIGITS:
+        return None
+    for k in range(longest):  # the k-th digit from the right
+        digit = text[ends - 1 - k] - ord("0")  # uint8: bytes below "0" wrap past 9
+        present = widths > k
+        if (present & (digit > 9)).any():
+            return None
+        value += np.where(present, digit, 0) * np.int64(10) ** k
+    return value
+
+
+def _byte_codes(text: np.ndarray, starts: np.ndarray, widths: np.ndarray):
+    """``(sorted distinct strings, index)`` of the fields at ``starts``, as
+    ``_codes`` gives them, or None when one is wider than _MAX_KEY_WORDS words.
+
+    A key is the field's bytes NUL-padded to whole big-endian 8-byte words;
+    keys sort as the bytes do, and UTF-8 bytes sort in code-point order.
+    """
+    words = max(-(-int(widths.max()) // 8), 1)
+    if words > _MAX_KEY_WORDS:
+        return None
+    keys = np.lib.stride_tricks.sliding_window_view(text, 8 * words)[starts].view(">u8")
+    keys = keys & _WORD_MASKS[np.clip(widths[:, None] - 8 * np.arange(words), 0, 8)]
+    if words == 1:
+        distinct, index = np.unique(keys[:, 0], return_inverse=True)
+    else:  # np.unique over the keys as byte strings is 2-3 times slower
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        first = np.ones(len(keys), dtype=bool)  # each distinct key's first row in order
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        index = np.empty(len(keys), dtype=np.int64)
+        index[order] = np.cumsum(first) - 1
+        distinct = ranked[first]
+    distinct = distinct.astype(">u8").view(f"S{8 * words}").reshape(-1)
+    return [key.decode("utf-8") for key in distinct.tolist()], index
 
 
 def _parse_block(rows: list[list[str]], first_line: int, tracks):

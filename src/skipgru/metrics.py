@@ -7,8 +7,9 @@ Average Accuracy for one session rewards early correct predictions:
 
 where L(i) says whether prediction i was correct and A(i) is the running
 accuracy over the first i predictions. Over booleans the value is an exact
-rational, so it is accumulated with Fraction and converted to float once at
-the end; the result is the correctly rounded float of the true value.
+rational: the sum is kept in integers over the common denominator
+lcm(1..T) * T and divided once at the end, and Python's int / int is
+correctly rounded, so the result is the nearest float to the true value.
 
 Ensemble combination is the arithmetic mean of member skip probabilities;
 per position the member values are sorted before summing, which makes the
@@ -18,8 +19,8 @@ resolve to a skip (the >= rule).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,13 +50,14 @@ def average_accuracy(pred, truth) -> float:
         )
     if not pred:
         raise ValidationError("average_accuracy needs at least one prediction")
+    scale = math.lcm(*range(1, len(pred) + 1))  # every A(i) is a multiple of 1 / scale
     correct = 0
-    total = Fraction(0)
+    total = 0
     for i, (p, t) in enumerate(zip(pred, truth), start=1):
         if p == t:
             correct += 1
-            total += Fraction(correct, i)
-    return float(total / len(pred))
+            total += correct * (scale // i)
+    return total / (scale * len(pred))
 
 
 @dataclass

@@ -326,6 +326,22 @@ class TestTakeRows:
         if len(set(idx)) == len(idx):
             assert np.array_equal(a.grad, expected)
 
+    @pytest.mark.parametrize("idx", [[4, 0, 2, 5], [4, 1, 4, 0, 1, 4, 4]],
+                             ids=["unique", "repeated"])
+    def test_pull_equals_the_summed_reference(self, idx):
+        # the reference sums each index's rows as one np.add.reduceat segment of
+        # the stable sort; with no repeat that is the plain scatter
+        g = np.random.default_rng(len(idx)).normal(size=(len(idx), 3))
+        order = np.argsort(idx, kind="stable")
+        starts = np.flatnonzero(np.diff(np.take(idx, order), prepend=-1))
+        expected = np.zeros((6, 3))
+        expected[np.take(idx, order[starts])] = np.add.reduceat(g[order], starts, axis=0)
+        a = ad.parameter(np.zeros((6, 3)))
+        ad.backward(ad.sum_all(ad.hadamard(ad.take_rows(a, idx), ad.constant(g))))
+        assert np.array_equal(a.grad, expected)
+        if len(set(idx)) == len(idx):
+            assert np.array_equal(a.grad, scatter_rows((6, 3), idx, g))
+
 
 class TestAffine:
     @pytest.mark.parametrize("rows", [0, 1, 5])
