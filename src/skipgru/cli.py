@@ -80,7 +80,7 @@ class GloveSection:
     x_max: float = glove.X_MAX
     alpha: float = glove.ALPHA
     lr: float = glove.LEARNING_RATE
-    seed: int = 0
+    seed: int = glove.SEED
 
 
 @dataclass
@@ -332,11 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--sessions", type=int, default=2000)
     p.add_argument("--tracks", type=int, default=500)
-    p.add_argument("--acoustic-dim", type=int, default=2)
+    p.add_argument("--acoustic-dim", type=int, default=data.ACOUSTIC_DIM)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--holdout", type=int, default=0,
                    help="also write sessions_holdout.csv with this many sessions")
-    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--noise", type=float, default=data.LABEL_NOISE)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("embed", help="train track embeddings from sessions")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions")
     p.add_argument("--tracks")
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=metrics.THRESHOLD)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a submission against the truth")

@@ -35,20 +35,18 @@ which. ``_parse_plain`` cuts a plain file (no quotes, canonical numerals,
 every row valid; see its docstring) into fields from its bytes with array
 code: the separators are found with ``np.flatnonzero``, numerals are summed
 digit by digit, and the string columns are coded with ``np.unique`` over
-NUL-padded byte keys. Any other file goes to ``_read_csv``, the ``csv``
-reader in blocks of BLOCK_ROWS, which is the only source of the per-row
-error messages. Both give the same table.
+NUL-padded byte keys. Any other file goes to ``_read_csv``, which reads it
+with the ``csv`` reader one row at a time; its row parser ``_parse_row`` is
+the only source of the per-row error messages. Both give the same table.
 """
 
 from __future__ import annotations
 
 import csv
-import operator
 import os
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import compress, islice
 
 import numpy as np
 
@@ -76,9 +74,10 @@ HOURS_PER_DAY = 24
 
 CONTEXT_TYPES = ("playlist", "radio", "album", "artist_page", "search", "charts")
 
-# sessions.csv rows parsed at a time; only one block's row lists are held at once
-BLOCK_ROWS = 8192
-_FLAG_VALUES = {"0": False, "1": True}
+# gen_synthetic defaults: acoustic vector width and skip-label flip probability
+ACOUSTIC_DIM = 2
+LABEL_NOISE = 0.05
+
 _INT64 = np.iinfo(np.int64)
 
 
@@ -299,15 +298,11 @@ def _parse_bool(raw: str, column: str, line_no: int) -> bool:
     raise ParseError(f"line {line_no}: column '{column}' must be 0 or 1, got {raw!r}")
 
 
-def _parse_int(raw: str, column: str, line_no: int) -> int:
+def _parse_int64(raw: str, column: str, line_no: int) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ParseError(f"line {line_no}: column '{column}' is not an integer: {raw!r}") from None
-
-
-def _parse_int64(raw: str, column: str, line_no: int) -> int:
-    value = _parse_int(raw, column, line_no)
     if not _INT64.min <= value <= _INT64.max:
         raise ParseError(f"line {line_no}: column '{column}' does not fit in 64 bits: {raw!r}")
     return value
@@ -321,8 +316,7 @@ def _parse_float(raw: str, column: str, line_no: int) -> float:
 
 
 def load_tracks(path) -> dict[str, TrackRecord]:
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -341,7 +335,7 @@ def load_tracks(path) -> dict[str, TrackRecord]:
             if track_id in tracks:
                 raise ValidationError(f"line {line_no}: duplicate track_id {track_id!r}")
             duration = _parse_float(row[1], "duration", line_no)
-            release_year = _parse_int(row[2], "release_year", line_no)
+            release_year = _parse_int64(row[2], "release_year", line_no)
             acoustic = [_parse_float(v, c, line_no) for v, c in zip(row[3:], acoustic_cols)]
             try:
                 tracks[track_id] = TrackRecord(track_id, duration, release_year,
@@ -358,9 +352,10 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> Ses
     labels matter, e.g. loading a truth file for scoring). A plain file is
     parsed from its bytes by ``_parse_plain``; a file it declines (quoted
     fields, a bad row, anything it cannot read with certainty) goes to
-    ``_read_csv``, which words every row error. The input alone decides the
-    path, and both give the same table. Session-level checks follow once
-    every row has parsed, in session_id order.
+    ``_read_csv``, which parses it row by row and words every row error.
+    The input alone decides the path, and both give the same table.
+    Session-level checks follow once every row has parsed, in session_id
+    order.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -374,35 +369,28 @@ def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> Ses
 
 
 def _read_csv(path, tracks) -> SessionTable:
-    """The unchecked table of a sessions.csv read with ``csv``.
-
-    Rows are parsed in blocks of BLOCK_ROWS into columns and checked with
-    array code; a block that fails a check is rescanned row by row with
-    ``_check_row``, so the error names the first bad row in file order.
-    """
-    strings: tuple[list, list, list] = ([], [], [])  # session_id, track_id, context_type
-    blocks = []
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+    """The unchecked table of a sessions.csv read with ``csv``, one row at a
+    time; ``_parse_row`` raises the first bad row's error, in file order."""
+    session_ids, track_ids, context_types = [], [], []
+    values = []  # _parse_row's nine values per row, row after row
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty session file") from None
         if tuple(header) != SESSION_COLUMNS:
             raise ParseError(f"{path}: unexpected header {header}, want {list(SESSION_COLUMNS)}")
-        line_no = 2
-        while rows := list(islice(reader, BLOCK_ROWS)):
-            block_strings, block_arrays = _parse_block(rows, line_no, tracks)
-            for column, values in zip(strings, block_strings):
-                column.extend(values)
-            blocks.append(block_arrays)
-            line_no += len(rows)
-    if not blocks:
-        return SessionTable.from_sessions([])
-    session_ids, session = _codes(strings[0])
-    positions, flags, counts, observed = map(np.concatenate, zip(*blocks))
-    return SessionTable._build(session_ids, np.bincount(session, minlength=len(session_ids)),
-                               _codes(strings[1]), _codes(strings[2]), positions, flags,
+        for line_no, row in enumerate(reader, start=2):
+            values.extend(_parse_row(row, line_no, tracks))
+            session_ids.append(row[0])
+            track_ids.append(row[2])
+            context_types.append(row[10])
+    values = np.array(values, dtype=np.int64).reshape(-1, 9)
+    positions, observed, flags, counts = (values[:, 0], values[:, 1].astype(bool),
+                                          values[:, 2:6].astype(bool), values[:, 6:])
+    distinct, session = _codes(session_ids)
+    return SessionTable._build(distinct, np.bincount(session, minlength=len(distinct)),
+                               _codes(track_ids), _codes(context_types), positions, flags,
                                counts, observed, order=np.lexsort((positions, session)))
 
 
@@ -530,51 +518,10 @@ def _byte_codes(text: np.ndarray, starts: np.ndarray, widths: np.ndarray):
     return [key.decode("utf-8") for key in distinct.tolist()], index
 
 
-def _parse_block(rows: list[list[str]], first_line: int, tracks):
-    """The string and array columns of a block of rows whose first is line
-    ``first_line``; a bad row raises its error instead."""
-    try:
-        columns = _block_columns(rows, tracks)
-    except (KeyError, ValueError, OverflowError):
-        columns = None
-    if columns is None:
-        for line_no, row in enumerate(rows, start=first_line):
-            _check_row(row, line_no, tracks)
-        raise ParseError(f"lines {first_line}..{first_line + len(rows) - 1}: rejected rows")
-    return columns
-
-
-def _block_columns(rows: list[list[str]], tracks):
-    """Array-checked columns of a block, or None (or a conversion error) when
-    some row is bad."""
-    if set(map(len, rows)) != {len(SESSION_COLUMNS)}:
-        return None
-    session_ids, positions, track_ids, *interaction = zip(*rows)
-    if tracks is not None and not tracks.keys() >= set(track_ids):
-        return None
-    observed = np.ones(len(rows), dtype=bool)
-    if any("" in column for column in interaction):
-        blank = np.array([list(map(operator.not_, column)) for column in interaction])
-        if (blank != blank[0]).any():
-            return None
-        observed = ~blank[0]
-    keep = observed.tolist()
-    flags = np.zeros((len(rows), len(TASK_NAMES)), dtype=bool)
-    flags[observed] = np.column_stack([
-        np.fromiter(map(_FLAG_VALUES.__getitem__, compress(column, keep)), dtype=bool)
-        for column in interaction[:len(TASK_NAMES)]])
-    counts = np.zeros((len(rows), len(COUNT_COLUMNS)), dtype=np.int64)
-    counts[observed] = np.column_stack([
-        np.fromiter(map(int, compress(column, keep)), dtype=np.int64)
-        for column in interaction[len(TASK_NAMES):-1]])
-    if (counts < 0).any() or (counts[:, 2] >= HOURS_PER_DAY).any():
-        return None
-    positions = np.fromiter(map(int, positions), dtype=np.int64, count=len(rows))
-    return (session_ids, track_ids, interaction[-1]), (positions, flags, counts, observed)
-
-
-def _check_row(row: list[str], line_no: int, tracks) -> None:
-    """Raise the error of one sessions.csv row, if it has one.
+def _parse_row(row: list[str], line_no: int, tracks) -> tuple[int, ...]:
+    """One sessions.csv row's values: position, observed bit, the four flags
+    and the three counts; blank interaction columns read as unobserved, with
+    flags and counts 0. A bad row raises its error instead.
 
     The single source of the loader's per-row error text. Checks run in
     column order, so a row with several faults reports its leftmost: column
@@ -583,7 +530,7 @@ def _check_row(row: list[str], line_no: int, tracks) -> None:
     """
     if len(row) != len(SESSION_COLUMNS):
         raise ParseError(f"line {line_no}: expected {len(SESSION_COLUMNS)} columns, got {len(row)}")
-    _parse_int64(row[1], "position", line_no)
+    position = _parse_int64(row[1], "position", line_no)
     if tracks is not None and row[2] not in tracks:
         raise DataError(f"line {line_no}: unknown track_id {row[2]!r}")
     interaction = row[3:]
@@ -592,14 +539,14 @@ def _check_row(row: list[str], line_no: int, tracks) -> None:
             raise ParseError(
                 f"line {line_no}: interaction columns must be all present or all empty"
             )
-        return
-    for raw, column in zip(interaction, TASK_NAMES):
-        _parse_bool(raw, column, line_no)
+        return position, 0, 0, 0, 0, 0, 0, 0, 0
+    flags = [_parse_bool(raw, column, line_no) for raw, column in zip(interaction, TASK_NAMES)]
     counts = [_parse_int64(raw, column, line_no)
               for raw, column in zip(interaction[len(TASK_NAMES):], COUNT_COLUMNS)]
     fault = _range_fault(*counts)
     if fault:
         raise ValidationError(f"line {line_no}: {fault}")
+    return position, 1, *flags, *counts
 
 
 def _check_sessions(table: SessionTable, mode: str) -> None:
@@ -626,6 +573,18 @@ def open_text(path, newline: str | None = None):
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: line {_first_undecodable_line(path)}: "
                          f"not UTF-8 text ({err.reason})") from None
+
+
+@contextmanager
+def _csv_reader(path):
+    """A ``csv`` reader over UTF-8 ``path``; a ``csv.Error`` (such as a field
+    over the reader's size limit) raises ParseError naming the line."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as err:
+            raise ParseError(f"{path}: line {reader.line_num}: {err}") from None
 
 
 def _first_undecodable_line(path) -> int:
@@ -710,9 +669,9 @@ TASTE_CONCENTRATION = 3.0
 def gen_synthetic(
     n_sessions: int,
     n_tracks: int,
-    acoustic_dim: int = 2,
+    acoustic_dim: int = ACOUSTIC_DIM,
     seed: int = 0,
-    label_noise: float = 0.05,
+    label_noise: float = LABEL_NOISE,
 ) -> tuple[dict[str, TrackRecord], list[Session]]:
     """Deterministic synthetic corpus with a learnable skip rule.
 

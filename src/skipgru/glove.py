@@ -40,6 +40,7 @@ WINDOW = 5
 LEARNING_RATE = 0.05
 DIMS = 150
 EPOCHS = 25
+SEED = 0
 ENTRY_BATCH = 4096
 
 
@@ -213,7 +214,7 @@ def train_glove(
     dims: int = DIMS,
     epochs: int = EPOCHS,
     lr: float = LEARNING_RATE,
-    seed: int = 0,
+    seed: int = SEED,
     x_max: float = X_MAX,
     alpha: float = ALPHA,
 ) -> EmbeddingTable:

@@ -20,7 +20,6 @@ resolve to a skip (the >= rule).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,9 @@ from .data import (
     open_text,
 )
 from .errors import AlignmentError, ConfigError, EnsembleError, ParseError, ValidationError
+
+# the ensemble's default skip threshold on the mean probability
+THRESHOLD = 0.5
 
 
 def _as_bools(values) -> list[bool]:
@@ -60,27 +62,6 @@ def average_accuracy(pred, truth) -> float:
     return total / (scale * len(pred))
 
 
-@dataclass
-class SessionScore:
-    """Per-position breakdown of one session's Average Accuracy."""
-
-    t: int
-    correct: list[bool]     # L(i)
-    running: list[float]    # A(i)
-    aa: float
-
-
-def session_score(pred, truth) -> SessionScore:
-    aa = average_accuracy(pred, truth)
-    correct = [bool(p) == bool(t) for p, t in zip(pred, truth)]
-    running = []
-    seen = 0
-    for i, l in enumerate(correct, start=1):
-        seen += l
-        running.append(seen / i)
-    return SessionScore(t=len(correct), correct=correct, running=running, aa=aa)
-
-
 def mean_aa(predictions: dict, truths: dict) -> tuple[float, dict]:
     """Unweighted mean of per-session AA plus a positional report."""
     missing = sorted(set(truths) - set(predictions))
@@ -98,21 +79,20 @@ def mean_aa(predictions: dict, truths: dict) -> tuple[float, dict]:
     if bad_lengths:
         raise AlignmentError(f"prediction length mismatch for sessions {bad_lengths[:5]}")
     per_session: dict[str, float] = {}
-    first_correct = 0
     position_hits: dict[int, int] = {}
     position_counts: dict[int, int] = {}
     for sid in sorted(truths):
-        score = session_score(predictions[sid], truths[sid])
-        per_session[sid] = score.aa
-        first_correct += score.correct[0]
-        for i, l in enumerate(score.correct, start=1):
-            position_hits[i] = position_hits.get(i, 0) + l
+        pred, truth = predictions[sid], truths[sid]
+        per_session[sid] = average_accuracy(pred, truth)
+        for i, (p, t) in enumerate(zip(pred, truth), start=1):
+            position_hits[i] = position_hits.get(i, 0) + (bool(p) == bool(t))
             position_counts[i] = position_counts.get(i, 0) + 1
     mean = sum(per_session.values()) / len(per_session)
     report = {
         "sessions": len(per_session),
         "mean_aa": mean,
-        "first_position_accuracy": first_correct / len(per_session),
+        # every session has a first position, so its count is the session count
+        "first_position_accuracy": position_hits[1] / len(per_session),
         "per_session": per_session,
         "per_position": [
             (i, position_hits[i] / position_counts[i], position_counts[i])
@@ -164,7 +144,7 @@ def ensemble_predict(
     members: list[tuple],
     sessions: SessionTable | list[Session],
     tracks: dict[str, TrackRecord],
-    threshold: float = 0.5,
+    threshold: float = THRESHOLD,
 ) -> dict[str, np.ndarray]:
     """Mean-probability ensemble over (params, pipeline) members; >= threshold skips.
 

@@ -308,6 +308,39 @@ class TestTrain:
                     "--out", str(tmp_path / "x.ckpt"), "--epochs", "1"]) == 4
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, flag, line_no", [("sessions.csv", "--sessions", 40),
+                                                      ("tracks.csv", "--tracks", 7)])
+    def test_field_over_the_csv_size_limit_exits_three(self, workspace, tmp_path, capsys,
+                                                       name, flag, line_no):
+        bad = _with_field(workspace / name, tmp_path / name, line_no, 0, "x" * 200_000)
+        argv = ["train", "--sessions", str(workspace / "sessions.csv"),
+                "--tracks", str(workspace / "tracks.csv"),
+                "--embeddings", str(workspace / "emb.txt"),
+                "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]
+        argv[argv.index(flag) + 1] = str(bad)
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line {line_no}: field larger than field limit")
+        assert "Traceback" not in err
+
+    def test_release_year_over_64_bits_exits_three(self, workspace, tmp_path, capsys):
+        tracks = _with_field(workspace / "tracks.csv", tmp_path / "tracks.csv", 5, 2, "9" * 400)
+        assert run(["train", "--sessions", str(workspace / "sessions.csv"),
+                    "--tracks", str(tracks), "--embeddings", str(workspace / "emb.txt"),
+                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 5: column 'release_year' does not fit in 64 bits")
+
+
+def _with_field(src, dst, line_no, column, value):
+    """Copy a csv file whose fields hold no comma, setting one field of one line."""
+    lines = src.read_text().splitlines()
+    parts = lines[line_no - 1].split(",")
+    parts[column] = value
+    lines[line_no - 1] = ",".join(parts)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
 
 @pytest.fixture(scope="module")
 def trained(workspace, tmp_path_factory):

@@ -443,14 +443,6 @@ class TestSessionTable:
         shuffled = sessions[::-1]
         assert list(data.SessionTable.from_sessions(shuffled)) == shuffled
 
-    def test_blocks_do_not_change_the_table(self, tmp_path, corpus, monkeypatch):
-        tracks, sessions = corpus
-        spath = tmp_path / "s.csv"
-        data.write_sessions(spath, sessions, mode="infer")
-        whole = data.load_sessions(spath, tracks, mode="infer")
-        monkeypatch.setattr(data, "BLOCK_ROWS", 7)
-        assert_tables_equal(data._read_csv(spath, tracks), whole)
-
     def test_header_only_file_is_empty(self, tmp_path):
         spath = tmp_path / "s.csv"
         data.write_sessions(spath, [], mode="train")
@@ -507,17 +499,22 @@ class TestRowErrors:
             data.load_sessions(spath, tracks, mode="train")
         assert type(info.value) is error and str(info.value) == message
 
-    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 5])
-    def test_first_bad_row_in_file_order(self, tmp_path, corpus, monkeypatch, block_rows):
+    @pytest.mark.parametrize("first_bad", [5, 8192])
+    def test_first_bad_row_in_file_order(self, tmp_path, corpus, first_bad):
         tracks, sessions = corpus
         spath = tmp_path / "s.csv"
-        monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
-        # the later row fails a check the array code runs earlier
-        write_edited(spath, sessions[:3], {12: {9: "24"}, 30: {1: "x"}, 31: {2: "zzz"}})
-        with pytest.raises(ValidationError, match="^line 12: column 'hour_of_day'"):
+        # enough copies of the corpus, under fresh ids, to hold every edited line
+        rows_per_copy = sum(len(s.events) for s in sessions)
+        copies = -(-(first_bad + 19) // rows_per_copy)
+        many = [data.Session(f"{s.session_id}-{k}", s.events)
+                for k in range(copies) for s in sessions]
+        # the later rows fail checks that come earlier within a row
+        later = {first_bad + 18: {1: "x"}, first_bad + 19: {2: "zzz"}}
+        write_edited(spath, many, {first_bad: {9: "24"}, **later})
+        with pytest.raises(ValidationError, match=rf"^line {first_bad}: column 'hour_of_day'"):
             data.load_sessions(spath, tracks, mode="train")
-        write_edited(spath, sessions[:3], {30: {1: "x"}, 31: {2: "zzz"}})
-        with pytest.raises(ParseError, match="^line 30: column 'position'"):
+        write_edited(spath, many, later)
+        with pytest.raises(ParseError, match=rf"^line {first_bad + 18}: column 'position'"):
             data.load_sessions(spath, tracks, mode="train")
 
     def test_row_faults_come_before_session_faults(self, tmp_path, corpus):
@@ -725,18 +722,36 @@ class TestByteParser:
 
     def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
         # about 30k rows; measured at 9.76 times the file's size (the csv
-        # reader's peak is 8.74 times). An [events, 11, width] int64 gather
+        # reader's peak is 8.72 times). An [events, 11, width] int64 gather
         # would add more than 8 times the file for each byte of width.
         tracks, sessions = data.gen_synthetic(n_sessions=2000, n_tracks=50, seed=1)
         path = tmp_path / "s.csv"
         data.write_sessions(path, sessions, mode="train")
-        tracemalloc.start()
-        try:
-            data.load_sessions(path, tracks, mode="train")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / os.path.getsize(path) <= 11.0
+        assert peak_over_size(path, tracks) <= 11.0
+
+    def test_quoted_copy_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        # the same rows with every field quoted, so the csv reader parses
+        # them; measured at 6.66 times the file's size
+        tracks, sessions = data.gen_synthetic(n_sessions=2000, n_tracks=50, seed=1)
+        path = tmp_path / "s.csv"
+        data.write_sessions(path, sessions, mode="train")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+        assert data._parse_plain(path.read_bytes(), tracks) is None
+        assert peak_over_size(path, tracks) <= 11.0
+
+
+def peak_over_size(path, tracks) -> float:
+    """The tracemalloc peak of loading ``path``, over the file's size."""
+    tracemalloc.start()
+    try:
+        data.load_sessions(path, tracks, mode="train")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / os.path.getsize(path)
 
 
 def edit_row(raw: bytes, line_no: int, fields: dict) -> bytes:

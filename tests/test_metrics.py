@@ -90,12 +90,13 @@ class TestAverageAccuracy:
             fixed[k] = truth[k]
             assert metrics.average_accuracy(fixed, truth) >= base
 
-    def test_session_score_fields(self):
-        score = metrics.session_score([1, 0, 1], [1, 1, 1])
-        assert score.t == 3
-        assert score.correct == [True, False, True]
-        assert score.running == [1.0, 0.5, 2 / 3]
-        assert score.aa == 5 / 9
+    def test_hand_checked_session_and_its_report(self):
+        assert metrics.average_accuracy([1, 0, 1], [1, 1, 1]) == 5 / 9
+        _, report = metrics.mean_aa({"a": [1, 0, 1]}, {"a": [1, 1, 1]})
+        assert report["per_session"] == {"a": 5 / 9}
+        # one session, so each position's accuracy is its correct bit
+        assert report["per_position"] == [(1, 1.0, 1), (2, 0.0, 1), (3, 1.0, 1)]
+        assert report["first_position_accuracy"] == 1.0
 
 
 class TestMeanAA:
