@@ -178,8 +178,7 @@ def cmd_gen_data(args) -> int:
         data.write_sessions(out_dir / "sessions_holdout.csv",
                             sessions[args.sessions:], mode="train")
         print(f"holdout_sessions={args.holdout}")
-    events = sum(len(s.events) for s in sessions[: args.sessions])
-    print(f"events={events}")
+    print(f"events={int(sessions.lengths[: args.sessions].sum())}")
     return EXIT_OK
 
 

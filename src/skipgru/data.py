@@ -23,12 +23,12 @@ starts. Per event the table holds a track index into its sorted
 int block of seek_fwd_count, seek_back_count and hour_of_day, a context-type
 index into its sorted ``context_types``, and an ``observed`` bit that is
 false where the interaction columns were blank. Featurization, co-occurrence
-counting and truth extraction read these arrays directly. A table behaves as
-a sequence of sessions: ``len``, slicing and ``take`` give tables, and an
-integer index gives a ``Session`` view. ``Session``, ``Event`` and
-``InteractionRecord`` remain for sessions built by hand (``gen_synthetic``,
-``write_sessions``, tests); ``SessionTable.from_sessions`` turns a list of
-them into a table, keeping its order.
+counting, truth extraction, ``write_sessions`` and the session checks read
+these arrays directly, and ``gen_synthetic`` builds its corpus as one. A
+table behaves as a sequence of sessions: ``len``, slicing and ``take`` give
+tables, and an integer index gives a ``Session`` built from the columns, a
+copy that writes nothing back (``Session``, ``Event`` and
+``InteractionRecord`` are built nowhere else).
 
 A sessions.csv is read by one of two parsers, and the file alone decides
 which. ``_parse_plain`` cuts a plain file (no quotes, canonical numerals,
@@ -79,6 +79,10 @@ ACOUSTIC_DIM = 2
 LABEL_NOISE = 0.05
 
 _INT64 = np.iinfo(np.int64)
+# the most digits an int64 numeral has, leading zeros aside
+_INT64_DIGITS = len(str(_INT64.max))
+# the longest field an error message repeats in full
+_ECHO_CHARS = 32
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,6 @@ class InteractionRecord:
         fault = _range_fault(self.seek_fwd_count, self.seek_back_count, self.hour_of_day)
         if fault:
             raise ValidationError(fault)
-
-    def targets(self) -> tuple[bool, bool, bool, bool]:
-        return (self.skipped, self.context_switch,
-                self.no_pause_before_play, self.short_pause_before_play)
 
 
 def _range_fault(seek_fwd_count: int, seek_back_count: int, hour_of_day: int) -> str | None:
@@ -143,28 +143,6 @@ class Session:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def validate(self, mode: str) -> None:
-        n = len(self.events)
-        if not MIN_SESSION_LEN <= n <= MAX_SESSION_LEN:
-            raise ValidationError(
-                f"session {self.session_id}: length {n} outside "
-                f"[{MIN_SESSION_LEN}, {MAX_SESSION_LEN}]"
-            )
-        for i, ev in enumerate(self.events, start=1):
-            if ev.position != i:
-                raise ValidationError(
-                    f"session {self.session_id}: positions not contiguous 1..{n} "
-                    f"(found {ev.position} at slot {i})"
-                )
-        first_len = first_half_length(n)
-        for ev in self.events:
-            required = mode == "train" or ev.position <= first_len
-            if required and ev.interaction is None:
-                raise ValidationError(
-                    f"session {self.session_id}: missing interaction at position "
-                    f"{ev.position} ({mode} mode)"
-                )
 
 
 def first_half_length(session_len):
@@ -242,23 +220,6 @@ class SessionTable:
         return (self[k] for k in range(len(self)))
 
     @classmethod
-    def from_sessions(cls, sessions: list[Session]) -> "SessionTable":
-        """The table of a hand-built session list, sessions and events in list order."""
-        events = [ev for session in sessions for ev in session.events]
-        records = [_UNOBSERVED if ev.interaction is None else ev.interaction for ev in events]
-        return cls._build(
-            [session.session_id for session in sessions],
-            np.array([len(session.events) for session in sessions], dtype=np.int64),
-            _codes([ev.track_id for ev in events]),
-            _codes([a.context_type for a in records]),
-            np.array([ev.position for ev in events], dtype=np.int64),
-            np.array([a.targets() for a in records], dtype=bool).reshape(-1, len(TASK_NAMES)),
-            np.array([(a.seek_fwd_count, a.seek_back_count, a.hour_of_day) for a in records],
-                     dtype=np.int64).reshape(-1, len(COUNT_COLUMNS)),
-            np.array([ev.interaction is not None for ev in events], dtype=bool),
-        )
-
-    @classmethod
     def _build(cls, session_ids, lengths, tracks, contexts, positions, flags, counts,
                observed, order=slice(None)) -> "SessionTable":
         """A table from per-event columns, every one taken in ``order``; the
@@ -272,16 +233,6 @@ class SessionTable:
                    observed[order])
 
 
-_UNOBSERVED = InteractionRecord(False, False, False, False, 0, 0, 0, "")
-
-
-def as_table(sessions: SessionTable | list[Session]) -> SessionTable:
-    """``sessions`` itself if it is a table, else the table of the Session list."""
-    if isinstance(sessions, SessionTable):
-        return sessions
-    return SessionTable.from_sessions(sessions)
-
-
 def _codes(values) -> tuple[list[str], np.ndarray]:
     """The sorted distinct strings of ``values`` and each value's index among them."""
     distinct = sorted(set(values))
@@ -290,29 +241,44 @@ def _codes(values) -> tuple[list[str], np.ndarray]:
                                  count=len(values))
 
 
+def _echo(raw: str) -> str:
+    """A field quoted for an error message, cut after _ECHO_CHARS characters."""
+    if len(raw) <= _ECHO_CHARS:
+        return repr(raw)
+    return f"{raw[:_ECHO_CHARS]!r}... ({len(raw)} characters)"
+
+
 def _parse_bool(raw: str, column: str, line_no: int) -> bool:
     if raw == "0":
         return False
     if raw == "1":
         return True
-    raise ParseError(f"line {line_no}: column '{column}' must be 0 or 1, got {raw!r}")
+    raise ParseError(f"line {line_no}: column '{column}' must be 0 or 1, got {_echo(raw)}")
 
 
 def _parse_int64(raw: str, column: str, line_no: int) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"line {line_no}: column '{column}' is not an integer: {raw!r}") from None
-    if not _INT64.min <= value <= _INT64.max:
-        raise ParseError(f"line {line_no}: column '{column}' does not fit in 64 bits: {raw!r}")
-    return value
+    """An int64 field. A decimal numeral, signed or not, with more than
+    _INT64_DIGITS digits after its leading zeros is out of range; it is
+    worded so before ``int()``, whose 4,300-digit limit would call it no
+    integer. An echoed field is cut to _ECHO_CHARS characters."""
+    digits = (raw[1:] if raw[:1] in ("+", "-") else raw).lstrip("0")
+    if len(digits) <= _INT64_DIGITS or not digits.isdecimal():
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ParseError(f"line {line_no}: column '{column}' is not an integer: "
+                             f"{_echo(raw)}") from None
+        if _INT64.min <= value <= _INT64.max:
+            return value
+    raise ParseError(f"line {line_no}: column '{column}' does not fit in 64 bits: {_echo(raw)}")
 
 
 def _parse_float(raw: str, column: str, line_no: int) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ParseError(f"line {line_no}: column '{column}' is not a number: {raw!r}") from None
+        raise ParseError(f"line {line_no}: column '{column}' is not a number: "
+                         f"{_echo(raw)}") from None
 
 
 def load_tracks(path) -> dict[str, TrackRecord]:
@@ -551,16 +517,30 @@ def _parse_row(row: list[str], line_no: int, tracks) -> tuple[int, ...]:
 
 def _check_sessions(table: SessionTable, mode: str) -> None:
     """Raise the first bad session's error, in table order: a length outside
-    [MIN_SESSION_LEN, MAX_SESSION_LEN], positions other than 1..L, or a missing
-    interaction the mode requires. ``Session.validate`` words the error."""
+    [MIN_SESSION_LEN, MAX_SESSION_LEN], else the first slot whose position is
+    not its 1-based slot number, else the first missing interaction the mode
+    requires (every one in train mode, the first half's in infer mode)."""
     lengths = table.lengths
     session, rank, first = table.event_layout()
-    required = first | (mode == "train")
-    faults = (table.positions != rank + 1) | (required & ~table.observed)
+    gap = table.positions != rank + 1
+    missing = ~table.observed & (first | (mode == "train"))
     bad = ((lengths < MIN_SESSION_LEN) | (lengths > MAX_SESSION_LEN)
-           | (np.bincount(session, weights=faults, minlength=len(table)) > 0))
-    if bad.any():
-        table[int(np.argmax(bad))].validate(mode)
+           | (np.bincount(session, weights=gap | missing, minlength=len(table)) > 0))
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    n, name = int(lengths[k]), f"session {table.session_ids[k]}"
+    if not MIN_SESSION_LEN <= n <= MAX_SESSION_LEN:
+        raise ValidationError(f"{name}: length {n} outside [{MIN_SESSION_LEN}, {MAX_SESSION_LEN}]")
+    span = slice(table.offsets[k], table.offsets[k + 1])
+    positions, gap = table.positions[span], gap[span]
+    if gap.any():
+        slot = int(np.argmax(gap))
+        raise ValidationError(f"{name}: positions not contiguous 1..{n} "
+                              f"(found {positions[slot]} at slot {slot + 1})")
+    event = int(np.argmax(missing[span]))
+    raise ValidationError(f"{name}: missing interaction at position {positions[event]} "
+                          f"({mode} mode)")
 
 
 @contextmanager
@@ -635,25 +615,23 @@ def write_tracks(path, tracks: dict[str, TrackRecord]) -> None:
                             + [repr(float(v)) for v in t.acoustic])
 
 
-def write_sessions(path, sessions: list[Session], mode: str = "train") -> None:
-    """Serialize sessions; infer mode blanks second-half interaction columns."""
+def write_sessions(path, table: SessionTable, mode: str = "train") -> None:
+    """Serialize a table in its order. The interaction columns are blank for
+    unobserved events and, in infer mode, for events past the first half."""
+    session = np.repeat(np.arange(len(table)), table.lengths)
+    shown = table.observed & ((mode != "infer")
+                              | (table.positions <= first_half_length(table.lengths)[session]))
+    blank = [""] * len(INTERACTION_COLUMNS)
+    columns = (session, table.positions, table.track_index, shown, table.flags.astype(np.int64),
+               table.counts, table.context_index)
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SESSION_COLUMNS)
-        for session in sessions:
-            cut = first_half_length(len(session.events))
-            for ev in session.events:
-                hidden = mode == "infer" and ev.position > cut
-                if hidden or ev.interaction is None:
-                    inter = [""] * len(INTERACTION_COLUMNS)
-                else:
-                    a = ev.interaction
-                    inter = [
-                        int(a.skipped), int(a.context_switch),
-                        int(a.no_pause_before_play), int(a.short_pause_before_play),
-                        a.seek_fwd_count, a.seek_back_count, a.hour_of_day, a.context_type,
-                    ]
-                writer.writerow([session.session_id, ev.position, ev.track_id] + inter)
+        writer.writerows(
+            [table.session_ids[k], position, table.track_ids[track],
+             *([*flags, *counts, table.context_types[context]] if show else blank)]
+            for k, position, track, show, flags, counts, context
+            in zip(*(column.tolist() for column in columns)))
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -672,7 +650,7 @@ def gen_synthetic(
     acoustic_dim: int = ACOUSTIC_DIM,
     seed: int = 0,
     label_noise: float = LABEL_NOISE,
-) -> tuple[dict[str, TrackRecord], list[Session]]:
+) -> tuple[dict[str, TrackRecord], SessionTable]:
     """Deterministic synthetic corpus with a learnable skip rule.
 
     Each session draws a latent unit preference vector u; a track is skipped
@@ -687,6 +665,10 @@ def gen_synthetic(
     that sound alike tend to be co-listened and session co-occurrence carries
     acoustic information. The taste direction is independent of u, which
     keeps the marginal skip rate at one half.
+
+    The sessions come as a table in generation order, ids ``s000000`` on;
+    every event is observed. The draws are scalar and in a fixed order, which
+    the written files depend on.
     """
     if n_tracks < 50:
         raise ConfigError(f"n_tracks must be >= 50, got {n_tracks}")
@@ -710,8 +692,9 @@ def gen_synthetic(
         )
     track_ids = sorted(tracks)
     acoustic_matrix = np.stack([tracks[tid].acoustic for tid in track_ids])
-    sessions = []
-    for k in range(n_sessions):
+    lengths, events, contexts = [], [], []
+    values = []  # per event: position, the four flags, the three counts
+    for _ in range(n_sessions):
         length = int(rng.integers(MIN_SESSION_LEN, MAX_SESSION_LEN + 1))
         u = _unit_vector(rng, acoustic_dim)
         taste = _unit_vector(rng, acoustic_dim)
@@ -720,25 +703,19 @@ def gen_synthetic(
         chosen = rng.choice(n_tracks, size=length, p=affinity)
         hour = int(rng.integers(0, 24))
         context = CONTEXT_TYPES[rng.integers(0, len(CONTEXT_TYPES))]
-        events = []
-        for pos in range(1, length + 1):
-            track = tracks[track_ids[chosen[pos - 1]]]
-            skip = bool(float(u @ track.acoustic) < 0.0)
+        for pos, track in enumerate(chosen.tolist(), start=1):
+            skip = bool(float(u @ acoustic_matrix[track]) < 0.0)
             if rng.random() < label_noise:
                 skip = not skip
-            events.append(Event(
-                track_id=track.track_id,
-                position=pos,
-                interaction=InteractionRecord(
-                    skipped=skip,
-                    context_switch=skip ^ (rng.random() < 0.15),
-                    no_pause_before_play=(not skip) ^ (rng.random() < 0.2),
-                    short_pause_before_play=skip ^ (rng.random() < 0.25),
-                    seek_fwd_count=int(rng.poisson(1.5 if skip else 0.3)),
-                    seek_back_count=int(rng.poisson(0.8 if skip else 0.2)),
-                    hour_of_day=hour,
-                    context_type=context,
-                ),
-            ))
-        sessions.append(Session(session_id=f"s{k:06d}", events=events))
-    return tracks, sessions
+            values += (pos, skip, skip ^ (rng.random() < 0.15),
+                       (not skip) ^ (rng.random() < 0.2), skip ^ (rng.random() < 0.25),
+                       rng.poisson(1.5 if skip else 0.3), rng.poisson(0.8 if skip else 0.2), hour)
+        lengths.append(length)
+        events += (track_ids[track] for track in chosen.tolist())
+        contexts += [context] * length
+    values = np.array(values, dtype=np.int64).reshape(-1, 8)
+    table = SessionTable._build(
+        [f"s{k:06d}" for k in range(n_sessions)], np.array(lengths, dtype=np.int64),
+        _codes(events), _codes(contexts), values[:, 0], values[:, 1:5].astype(bool),
+        values[:, 5:], np.ones(len(values), dtype=bool))
+    return tracks, table

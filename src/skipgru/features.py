@@ -13,11 +13,12 @@ doublet (second-half event, interactions withheld):
      position | is_pad]
 
 Only this module knows the layout: ``FeaturePipeline.encode`` turns a
-session table (or a hand-built session list, through
-``SessionTable.from_sessions``) into per-event arrays once, and
-``EncodedSessions.batch`` gathers a batch's real rows from them, packed in
-the order the model reads them (see ``EncodedSessions.batch``). No row is a
-pad: is_pad stays in the layout, which checkpoints fix, and is 0 everywhere.
+session table into per-event arrays once, and ``EncodedSessions.batch``
+gathers a batch's real rows from them, packed in the order the model reads
+them (see ``EncodedSessions.batch``). No row is a pad: is_pad stays in the
+layout, which checkpoints fix, and is 0 everywhere. The track embeddings
+are one matrix: a used track's row is gathered from it, or is zero for a
+track without an embedding.
 
 Numeric features are min-max scaled into [0, 1] from training data (values
 outside the training range are clamped). The context_type slot carries the
@@ -35,10 +36,8 @@ import numpy as np
 from .data import (
     COUNT_COLUMNS,
     MAX_SESSION_LEN,
-    Session,
     SessionTable,
     TrackRecord,
-    as_table,
     first_half_length,
 )
 from .errors import DataError, EmptyBatchError, StateError, ValidationError
@@ -98,8 +97,10 @@ class FeaturePipeline:
     """Scalers, vocabularies and the pretrained track-embedding table.
 
     Construct with the embedding table (track_id -> vector), then ``fit`` on
-    training sessions before any ``encode`` call. Fitted pipelines are
-    immutable in use and safe to share across threads.
+    training sessions before any ``encode`` call. The vectors are kept as
+    one read-only ``[n, d_emb]`` matrix, ``embedding_table``, whose rows
+    follow the sorted ``embedding_ids``. Fitted pipelines are immutable in
+    use and safe to share across threads.
     """
 
     def __init__(self, embeddings: dict[str, np.ndarray], d_emb: int | None = None):
@@ -107,21 +108,24 @@ class FeaturePipeline:
             if not embeddings:
                 raise ValidationError("d_emb is required when the embedding table is empty")
             d_emb = len(next(iter(embeddings.values())))
-        self.embeddings = {k: np.asarray(v, dtype=np.float64) for k, v in embeddings.items()}
-        for track_id, vec in self.embeddings.items():
+        vectors = {k: np.asarray(v, dtype=np.float64) for k, v in embeddings.items()}
+        for track_id, vec in vectors.items():
             if vec.shape != (d_emb,):
                 raise ValidationError(
                     f"embedding for {track_id!r} has shape {vec.shape}, want ({d_emb},)"
                 )
         self.d_emb = int(d_emb)
+        self.embedding_ids = sorted(vectors)
+        self.embedding_table = np.array([vectors[k] for k in self.embedding_ids],
+                                        dtype=np.float64).reshape(len(vectors), self.d_emb)
+        self.embedding_table.flags.writeable = False
+        self._embedding_row = {k: row for row, k in enumerate(self.embedding_ids)}
         self.acoustic_dim: int | None = None
         self.scalers: dict[str, Scaler] = {}
         self.context_vocab: Vocabulary | None = None
         self.fitted = False
 
-    def fit(self, sessions: SessionTable | list[Session],
-            tracks: dict[str, TrackRecord]) -> "FeaturePipeline":
-        table = as_table(sessions)
+    def fit(self, table: SessionTable, tracks: dict[str, TrackRecord]) -> "FeaturePipeline":
         if not table:
             raise EmptyBatchError("cannot fit the feature pipeline on an empty session list")
         used, _ = _used_tracks(table, tracks)
@@ -159,9 +163,13 @@ class FeaturePipeline:
         self._require_fitted()
         return self.context_vocab.size
 
-    def track_embedding(self, track_id: str) -> np.ndarray:
-        vec = self.embeddings.get(track_id)
-        return np.zeros(self.d_emb) if vec is None else vec
+    def _embedding_rows(self, used: list[TrackRecord]) -> np.ndarray:
+        """The embedding rows of the ``used`` tracks, zeros for a track without one."""
+        rows = np.array([self._embedding_row.get(t.track_id, -1) for t in used], dtype=np.int64)
+        known = rows >= 0
+        out = np.zeros((len(used), self.d_emb))
+        out[known] = self.embedding_table[rows[known]]
+        return out
 
     def _track_columns(self) -> list[str]:
         return ["duration", "release_year", *(f"acoustic_{k}" for k in range(self.acoustic_dim))]
@@ -188,11 +196,9 @@ class FeaturePipeline:
         return np.column_stack([self.scalers[name].transform(column)
                                 for name, column in zip(names, values.T)])
 
-    def encode(self, sessions: SessionTable | list[Session],
-               tracks: dict[str, TrackRecord]) -> "EncodedSessions":
+    def encode(self, table: SessionTable, tracks: dict[str, TrackRecord]) -> "EncodedSessions":
         """Featurize a session table once, on its flat event axis; ``batch``
         then gathers the real rows of any batch of its sessions."""
-        table = as_table(sessions)
         if not table:
             raise EmptyBatchError("cannot encode an empty session list")
         self._require_fitted()
@@ -212,7 +218,7 @@ class FeaturePipeline:
         raw[:, :len(NUMERIC_INTERACTION_FEATURES)] = self._scaled(raw, NUMERIC_INTERACTION_FEATURES)
         interactions = np.zeros((len(first), INTERACTION_WIDTH))
         interactions[first] = raw
-        static = np.hstack([np.stack([self.track_embedding(t.track_id) for t in used]),
+        static = np.hstack([self._embedding_rows(used),
                             self._scaled(self._track_values(used), self._track_columns())])
         return EncodedSessions(list(table.session_ids), table.offsets, static, track_row,
                                position_feature(table.positions.astype(np.float64)),
@@ -238,18 +244,16 @@ class FeaturePipeline:
         return json.dumps(state, sort_keys=True), table.tobytes()
 
     def to_dict(self) -> dict:
-        """The fitted state; ``embeddings`` is one ``[n, d_emb]`` table whose
-        rows follow the sorted ``embedding_ids``."""
+        """The fitted state; ``embeddings`` is the read-only ``embedding_table``
+        itself, not a copy."""
         self._require_fitted()
-        ids = sorted(self.embeddings)
         return {
             "d_emb": self.d_emb,
             "acoustic_dim": self.acoustic_dim,
             "scalers": {k: [s.lo, s.hi] for k, s in sorted(self.scalers.items())},
             "context_vocab": dict(sorted(self.context_vocab.index.items())),
-            "embedding_ids": ids,
-            "embeddings": np.array([self.embeddings[k] for k in ids],
-                                   dtype=np.float64).reshape(len(ids), self.d_emb),
+            "embedding_ids": list(self.embedding_ids),
+            "embeddings": self.embedding_table,
         }
 
     @classmethod

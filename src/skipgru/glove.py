@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Session, SessionTable, as_table, atomic_write, open_text
+from .data import SessionTable, atomic_write, open_text
 from .errors import ConfigError, TrainingError, ValidationError
 
 X_MAX = 100.0
@@ -67,8 +67,7 @@ class CooccurrenceTable:
         return self.pairs.ravel(), self.pairs[:, ::-1].ravel(), np.repeat(self.values, 2)
 
 
-def build_cooccurrence(sessions: SessionTable | list[Session],
-                       window: int = WINDOW) -> CooccurrenceTable:
+def build_cooccurrence(sessions: SessionTable, window: int = WINDOW) -> CooccurrenceTable:
     """Sum 1/distance over every pair of distinct tracks within ``window``
     of each other in a session.
 
@@ -81,12 +80,11 @@ def build_cooccurrence(sessions: SessionTable | list[Session],
     """
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
-    table = as_table(sessions)
-    played, seq = np.unique(table.track_index, return_inverse=True)
-    track_ids = [table.track_ids[k] for k in played.tolist()]
-    lengths = table.lengths
+    played, seq = np.unique(sessions.track_index, return_inverse=True)
+    track_ids = [sessions.track_ids[k] for k in played.tolist()]
+    lengths = sessions.lengths
     n = len(seq)
-    session_end = np.repeat(table.offsets[1:], lengths)
+    session_end = np.repeat(sessions.offsets[1:], lengths)
     width = min(window, int(lengths.max(initial=1)) - 1)
     offsets = np.arange(1, width + 1)
     partner = np.arange(n)[:, None] + offsets

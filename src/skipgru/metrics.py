@@ -25,10 +25,8 @@ import numpy as np
 
 from . import model as model_mod
 from .data import (
-    Session,
     SessionTable,
     TrackRecord,
-    as_table,
     atomic_write,
     first_half_length,
     open_text,
@@ -102,20 +100,19 @@ def mean_aa(predictions: dict, truths: dict) -> tuple[float, dict]:
     return mean, report
 
 
-def second_half_truth(sessions: SessionTable | list[Session]) -> dict[str, list[bool]]:
+def second_half_truth(sessions: SessionTable) -> dict[str, list[bool]]:
     """Skip labels of each session's prediction half (requires train-mode data)."""
-    table = as_table(sessions)
-    session, _, first = table.event_layout()
-    unlabelled = np.flatnonzero(~first & ~table.observed)
+    session, _, first = sessions.event_layout()
+    unlabelled = np.flatnonzero(~first & ~sessions.observed)
     if unlabelled.size:
         raise ValidationError(
-            f"session {table.session_ids[session[unlabelled[0]]]}: second-half "
+            f"session {sessions.session_ids[session[unlabelled[0]]]}: second-half "
             "interactions missing, cannot derive truth"
         )
-    skipped = table.flags[:, 0].tolist()
-    cuts = (table.offsets[:-1] + first_half_length(table.lengths)).tolist()
+    skipped = sessions.flags[:, 0].tolist()
+    cuts = (sessions.offsets[:-1] + first_half_length(sessions.lengths)).tolist()
     return {sid: skipped[lo:hi]
-            for sid, lo, hi in zip(table.session_ids, cuts, table.offsets[1:].tolist())}
+            for sid, lo, hi in zip(sessions.session_ids, cuts, sessions.offsets[1:].tolist())}
 
 
 def ensemble_probs(member_probs: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -142,7 +139,7 @@ def ensemble_probs(member_probs: list[dict[str, np.ndarray]]) -> dict[str, np.nd
 
 def ensemble_predict(
     members: list[tuple],
-    sessions: SessionTable | list[Session],
+    sessions: SessionTable,
     tracks: dict[str, TrackRecord],
     threshold: float = THRESHOLD,
 ) -> dict[str, np.ndarray]:
@@ -164,15 +161,14 @@ def ensemble_predict(
             raise EnsembleError(
                 f"member {k}: feature pipeline schema differs from member 0"
             )
-    table = as_table(sessions)
-    if not table:
+    if not sessions:
         return {}
     encoded = {}
     member_probs = []
     for params, pipeline in members:
         key = pipeline.state_key()
         if key not in encoded:
-            encoded[key] = pipeline.encode(table, tracks)
+            encoded[key] = pipeline.encode(sessions, tracks)
         member_probs.append(model_mod.predict_encoded(encoded[key], params))
     combined = ensemble_probs(member_probs)
     return {sid: probs >= threshold for sid, probs in combined.items()}

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import Session, SessionTable, TrackRecord
+from .data import SessionTable, TrackRecord
 from .errors import ConfigError, DegenerateBatchError, ShapeError
 from .features import Batch, EncodedSessions, FeaturePipeline
 
@@ -297,7 +297,7 @@ def loss(probs: ad.Node, targets: np.ndarray, task_weights: tuple = TASK_WEIGHTS
 
 
 def predict_probs(
-    sessions: SessionTable | list[Session],
+    sessions: SessionTable,
     pipeline: FeaturePipeline,
     tracks: dict[str, TrackRecord],
     params: ModelParams,

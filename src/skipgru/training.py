@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics
-from .data import Session, SessionTable, TrackRecord, as_table, atomic_write
+from .data import SessionTable, TrackRecord, atomic_write
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -304,8 +304,8 @@ def _v1_arrays(path, payload: dict):
 
 
 def train(
-    train_sessions: SessionTable | list[Session],
-    valid_sessions: SessionTable | list[Session],
+    train_sessions: SessionTable,
+    valid_sessions: SessionTable,
     tracks: dict[str, TrackRecord],
     pipeline: FeaturePipeline,
     variant: VariantConfig,
@@ -322,7 +322,6 @@ def train(
     """
     if not train_sessions or not valid_sessions:
         raise ConfigError("train and validation session lists must be non-empty")
-    train_sessions, valid_sessions = as_table(train_sessions), as_table(valid_sessions)
     params = ModelParams(variant, ModelDims.from_pipeline(pipeline), seed=config.seed)
     named = params.named_parameters()
     adam = AdamState(lr=config.lr)
@@ -355,7 +354,7 @@ def train(
             batch_losses.append(float(batch_loss.value[0, 0]))
             del batch_loss  # free this batch's graph before the next is built
         val_predictions = {
-            sid: probs >= 0.5
+            sid: probs >= metrics.THRESHOLD
             for sid, probs in predict_encoded(valid_set, params).items()
         }
         val_aa, _ = metrics.mean_aa(val_predictions, valid_truth)

@@ -1,10 +1,11 @@
 """Shared test oracles: central finite differences, independent of the
 library, a GRU composed step by step from autodiff nodes, the fused GRU
-behind its input projection, the ``np.add.at`` row scatter, a session's
-halves as event lists, the packed row order of a batch and each session's
-rows read back out of one, the co-occurrence table as a pair dict, the GloVe
-slice loop as it ran before its workspace buffers, and checkpoint writers for
-the version-1 format and for re-hashed tampered files."""
+behind its input projection, the ``np.add.at`` row scatter, the session
+table of a list of sessions, a session's halves as event lists, the packed
+row order of a batch and each session's rows read back out of one, the
+co-occurrence table as a pair dict, the GloVe slice loop as it ran before
+its workspace buffers, and checkpoint writers for the version-1 format and
+for re-hashed tampered files."""
 
 import hashlib
 import json
@@ -113,6 +114,31 @@ def scatter_rows(shape, idx, g):
     return out
 
 
+def session_table(sessions):
+    """The ``SessionTable`` of ``sessions``, in list order and unchecked.
+
+    Each session is a ``data.Session``: a table's view or one built by hand,
+    whose events may break the loader's rules (a short session, a gap in the
+    positions, an interaction left out as None). The tests build every
+    table that does not come from a file or ``gen_synthetic`` through here.
+    """
+    events = [ev for session in sessions for ev in session.events]
+    observed = np.array([ev.interaction is not None for ev in events], dtype=bool)
+    unobserved = data.InteractionRecord(False, False, False, False, 0, 0, 0, "")
+    records = [ev.interaction or unobserved for ev in events]
+    return data.SessionTable._build(
+        [session.session_id for session in sessions],
+        np.array([len(session.events) for session in sessions], dtype=np.int64),
+        data._codes([ev.track_id for ev in events]),
+        data._codes([record.context_type for record in records]),
+        np.array([ev.position for ev in events], dtype=np.int64),
+        np.array([[getattr(r, name) for name in data.TASK_NAMES] for r in records],
+                 dtype=bool).reshape(-1, len(data.TASK_NAMES)),
+        np.array([[getattr(r, name) for name in data.COUNT_COLUMNS] for r in records],
+                 dtype=np.int64).reshape(-1, len(data.COUNT_COLUMNS)),
+        observed)
+
+
 def split_halves(session):
     """A hand-built session's observed first half and prediction half, as event lists."""
     cut = data.first_half_length(len(session.events))
@@ -120,7 +146,10 @@ def split_halves(session):
 
 
 def one_batch(sessions, pipeline, tracks):
-    """Every session of the list, encoded by ``pipeline`` and gathered as one batch."""
+    """Every session of a table or list, encoded by ``pipeline`` and gathered
+    as one batch."""
+    if not isinstance(sessions, data.SessionTable):
+        sessions = session_table(sessions)
     return pipeline.encode(sessions, tracks).batch(range(len(sessions)))
 
 

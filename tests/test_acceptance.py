@@ -18,7 +18,8 @@ from skipgru import autodiff as ad
 from skipgru import cli, data, glove, metrics, model, training
 from skipgru.features import FeaturePipeline
 
-from helpers import central_diff, enrich_reference, max_rel_err, one_batch, projected_gru
+from helpers import (central_diff, enrich_reference, max_rel_err, one_batch, projected_gru,
+                     session_table)
 from test_model import hand_gru_step, step, tiny_setup, whole_model_fd
 
 
@@ -246,7 +247,7 @@ class TestGloveCriterion:
                 sessions.append(data.Session(
                     f"s{k}", [data.Event(t, p + 1, None) for p, t in enumerate(seq)]
                 ))
-            table = glove.build_cooccurrence(sessions, window=5)
+            table = glove.build_cooccurrence(session_table(sessions), window=5)
             emb = glove.train_glove(table, dims=32, epochs=60, seed=0)
             assert emb.epoch_losses[-1] < 0.1 * emb.epoch_losses[0], (
                 f"{emb.epoch_losses[0]} -> {emb.epoch_losses[-1]}"

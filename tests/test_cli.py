@@ -71,6 +71,19 @@ class TestGenData:
         assert sha256(a / "sessions.csv") == sha256(b / "sessions.csv")
         assert sha256(a / "tracks.csv") == sha256(b / "tracks.csv")
 
+    def test_files_match_their_pinned_digests(self, tmp_path, capsys):
+        # pinned digests: a change to the generator's draw order or to the
+        # file format changes them
+        assert run(["gen-data", "--out-dir", str(tmp_path), "--sessions", "30", "--tracks", "50",
+                    "--seed", "7", "--holdout", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "events=450"
+        assert {name: sha256(tmp_path / name) for name in sorted(os.listdir(tmp_path))} == {
+            "sessions.csv": "e2b2109588486ff32158e3f9bc5dc0091621f1d66e31a956a47f6781c3212431",
+            "sessions_holdout.csv":
+                "07845a677ffb16de4fec2889dedef969d28f70bd07ad834e89c625fd411edfb3",
+            "tracks.csv": "f38343453a691e92b2e617483a528bbb3a0d8f2bce6207cd6fd989b6bfd3ace1",
+        }
+
     def test_summary_counts(self, tmp_path, capsys):
         assert run(["gen-data", "--out-dir", str(tmp_path / "d"), "--sessions", "25",
                     "--tracks", "50", "--holdout", "5"]) == 0
@@ -330,6 +343,24 @@ class TestTrain:
                     "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: line 5: column 'release_year' does not fit in 64 bits")
+
+    @pytest.mark.parametrize("name, flag, line_no, column", [
+        ("tracks.csv", "--tracks", 5, 2), ("sessions.csv", "--sessions", 12, 1)])
+    def test_numeral_past_the_int_digit_limit_exits_three(self, workspace, tmp_path, capsys,
+                                                          name, flag, line_no, column):
+        # 5,000 digits is past the digit limit of Python's int(); a quoted
+        # field sends sessions.csv to the csv reader
+        value = '"' + "9" * 5000 + '"' if name == "sessions.csv" else "9" * 5000
+        bad = _with_field(workspace / name, tmp_path / name, line_no, column, value)
+        argv = ["train", "--sessions", str(workspace / "sessions.csv"),
+                "--tracks", str(workspace / "tracks.csv"),
+                "--embeddings", str(workspace / "emb.txt"),
+                "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]
+        argv[argv.index(flag) + 1] = str(bad)
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_no}: column ") and "does not fit in 64 bits" in err
+        assert len(err) < 200 and "Traceback" not in err
 
 
 def _with_field(src, dst, line_no, column, value):

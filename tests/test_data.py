@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import tempfile
 import tracemalloc
@@ -18,7 +19,7 @@ from skipgru.errors import (
 )
 from skipgru.features import FeaturePipeline
 
-from helpers import one_batch, split_halves
+from helpers import one_batch, session_table, split_halves
 
 
 def make_interaction(skip=False, context_type="playlist", **over):
@@ -59,7 +60,7 @@ def fitted_pipeline(corpus):
 
 def table_halves(session):
     """First- and second-half event counts of a session as the table lays it out."""
-    _, _, first = data.SessionTable.from_sessions([session]).event_layout()
+    _, _, first = session_table([session]).event_layout()
     return int(first.sum()), int((~first).sum())
 
 
@@ -76,24 +77,55 @@ class TestSplitHalves:
             assert f >= s >= 5
 
 
+def check(session, mode="train"):
+    """The loader's session checks on a table of one hand-built session."""
+    data._check_sessions(session_table([session]), mode)
+
+
 class TestValidation:
     def test_length_bounds(self):
         session = make_session("s", 10, ["a"])
         session.events = session.events[:9]
         with pytest.raises(ValidationError, match="length 9"):
-            session.validate("train")
+            check(session)
 
     def test_contiguous_positions(self):
         session = make_session("s", 10, ["a"])
         session.events[3] = data.Event("a", 9, session.events[3].interaction)
         with pytest.raises(ValidationError, match="contiguous"):
-            session.validate("train")
+            check(session)
 
     def test_train_requires_all_interactions(self):
         session = make_session("s", 12, ["a"], with_second_half=False)
         with pytest.raises(ValidationError, match="missing interaction"):
-            session.validate("train")
-        session.validate("infer")
+            check(session)
+        check(session, mode="infer")
+
+    @pytest.mark.parametrize("length,edits,mode,message", [
+        (9, {2: 5, 4: None}, "train", "session s: length 9 outside [10, 20]"),
+        (21, {}, "infer", "session s: length 21 outside [10, 20]"),
+        (12, {7: 9, 3: None}, "train", "session s: positions not contiguous 1..12 "
+                                       "(found 9 at slot 8)"),
+        (12, {1: 0, 5: 5}, "infer", "session s: positions not contiguous 1..12 "
+                                    "(found 0 at slot 2)"),
+        (12, {9: None, 4: None}, "train", "session s: missing interaction at position 5 "
+                                          "(train mode)"),
+        (11, {8: None, 5: None}, "infer", "session s: missing interaction at position 6 "
+                                          "(infer mode)"),
+    ])
+    def test_error_text_and_precedence(self, length, edits, mode, message):
+        # ``edits`` maps a 0-based slot to a new position, or to None to drop
+        # the slot's interaction; a length fault comes before a position
+        # fault, which comes before a missing interaction
+        session = make_session("s", length, ["a"])
+        for slot, edit in edits.items():
+            ev = session.events[slot]
+            session.events[slot] = (data.Event("a", ev.position, None) if edit is None
+                                    else data.Event("a", edit, ev.interaction))
+        with pytest.raises(ValidationError) as info:
+            check(session, mode=mode)
+        assert str(info.value) == message
+
 
     def test_hour_of_day_range(self):
         with pytest.raises(ValidationError):
@@ -233,9 +265,9 @@ class TestPadBatch:
             assert not kept[:, -1].any()
 
     def test_empty_batch(self, corpus, fitted_pipeline):
-        tracks, _ = corpus
+        tracks, sessions = corpus
         with pytest.raises(EmptyBatchError):
-            fitted_pipeline.encode([], tracks)
+            fitted_pipeline.encode(sessions[:0], tracks)
 
 
 class TestSyntheticGenerator:
@@ -246,7 +278,7 @@ class TestSyntheticGenerator:
         for ta, tb in zip(a[0].values(), b[0].values()):
             assert np.array_equal(ta.acoustic, tb.acoustic)
             assert ta.duration == tb.duration
-        assert [s.events for s in a[1]] == [s.events for s in b[1]]
+        assert_tables_equal(a[1], b[1])
 
     def test_noise_free_rule(self):
         tracks, sessions = data.gen_synthetic(
@@ -282,8 +314,18 @@ class TestSyntheticGenerator:
 
     def test_sessions_valid(self):
         tracks, sessions = data.gen_synthetic(n_sessions=25, n_tracks=50, seed=1)
-        for s in sessions:
-            s.validate("train")
+        data._check_sessions(sessions, "train")
+        assert sessions.session_ids == [f"s{k:06d}" for k in range(25)]
+        assert sessions.observed.all() and set(sessions.track_ids) <= set(tracks)
+
+    def test_infer_file_matches_its_pinned_digest(self, tmp_path):
+        # a pinned digest: a change to the generator's draw order or to the
+        # file format changes it
+        _, sessions = data.gen_synthetic(35, 50, seed=7)
+        path = tmp_path / "s.csv"
+        data.write_sessions(path, sessions[30:], mode="infer")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "178e2d6a30eedf5526b2ca3d4111a51f59803239c39fc276d0fd95c0787315e2")
 
 
 class _FailingFile:
@@ -420,14 +462,15 @@ class TestSessionTable:
         assert table.flags.shape == (table.offsets[-1], 4) and table.flags.dtype == bool
         assert table.counts.shape == (table.offsets[-1], 3) and table.counts.dtype == np.int64
         assert table.observed.all()
-        assert list(table) == sessions
+        assert_tables_equal(table, sessions)
 
     def test_sequence_protocol(self, corpus):
-        _, sessions = corpus
-        table = data.SessionTable.from_sessions(sessions)
+        _, table = corpus
+        sessions = list(table)
         assert len(table) == len(sessions) and table
-        assert not data.SessionTable.from_sessions([])
+        assert not table[:0] and not session_table([])
         assert table[3] == sessions[3] and table[-1] == sessions[-1]
+        assert [e.position for e in table[3].events] == list(range(1, len(table[3]) + 1))
         with pytest.raises(IndexError):
             table[len(sessions)]
         for part, want in [(table[:-7], sessions[:-7]), (table[-7:], sessions[-7:]),
@@ -438,14 +481,19 @@ class TestSessionTable:
         reordered = table.take([4, 0, 2])
         assert [s.session_id for s in reordered] == [sessions[k].session_id for k in (4, 0, 2)]
 
-    def test_from_sessions_keeps_list_order(self, corpus):
+    def test_writer_keeps_table_order(self, tmp_path, corpus):
         _, sessions = corpus
-        shuffled = sessions[::-1]
-        assert list(data.SessionTable.from_sessions(shuffled)) == shuffled
-
-    def test_header_only_file_is_empty(self, tmp_path):
         spath = tmp_path / "s.csv"
-        data.write_sessions(spath, [], mode="train")
+        shuffled = sessions.take([7, 2, 30, 0])
+        data.write_sessions(spath, shuffled, mode="train")
+        with open(spath, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        want = [(s.session_id, str(e.position), e.track_id) for s in shuffled for e in s.events]
+        assert [tuple(row[:3]) for row in rows] == want
+
+    def test_header_only_file_is_empty(self, tmp_path, corpus):
+        spath = tmp_path / "s.csv"
+        data.write_sessions(spath, corpus[1][:0], mode="train")
         table = data.load_sessions(spath, {}, mode="train")
         assert len(table) == 0 and list(table) == []
 
@@ -499,6 +547,54 @@ class TestRowErrors:
             data.load_sessions(spath, tracks, mode="train")
         assert type(info.value) is error and str(info.value) == message
 
+    @pytest.mark.parametrize("raw,message", [
+        ("9" * 5000, "does not fit in 64 bits: '" + "9" * 32 + "'... (5000 characters)"),
+        ("-" + "1" * 20, "does not fit in 64 bits: '-" + "1" * 20 + "'"),
+        ("+" + "0" * 40 + "9223372036854775808", "does not fit in 64 bits: "),
+        ("9" * 5000 + "x", "is not an integer: '" + "9" * 32 + "'... (5001 characters)"),
+        ("12a", "is not an integer: '12a'"),
+    ], ids=["5000-digits", "signed-20-digits", "zero-padded-2**63", "5000-digits-and-x",
+            "short-non-integer"])
+    def test_long_numeral_is_worded_and_clipped(self, raw, message):
+        with pytest.raises(ParseError) as info:
+            data._parse_int64(raw, "position", 7)
+        text = str(info.value)
+        assert text.startswith("line 7: column 'position' " + message) and len(text) < 200
+
+    def test_long_flag_and_number_are_clipped(self):
+        for parse, wording in [(data._parse_bool, "must be 0 or 1, got"),
+                               (data._parse_float, "is not a number:")]:
+            with pytest.raises(ParseError) as info:
+                parse("x" * 200_000, "c", 7)
+            assert str(info.value) == (f"line 7: column 'c' {wording} '{'x' * 32}'... "
+                                       "(200000 characters)")
+
+    @pytest.mark.parametrize("raw,value", [("0" * 40 + "7", 7), ("-" + "0" * 30, 0),
+                                           ("-9223372036854775808", -2 ** 63),
+                                           ("0009223372036854775807", 2 ** 63 - 1)],
+                             ids=["zero-padded-7", "minus-zeros", "int64-min", "int64-max"])
+    def test_leading_zeros_do_not_count(self, raw, value):
+        assert data._parse_int64(raw, "position", 7) == value
+
+    def test_quoted_file_with_a_long_position(self, tmp_path, corpus):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        write_edited(spath, sessions[:2], {4: {1: '"' + "9" * 5000 + '"'}})
+        with pytest.raises(ParseError) as info:
+            data.load_sessions(spath, tracks, mode="train")
+        assert str(info.value).startswith("line 4: column 'position' does not fit in 64 bits")
+        assert len(str(info.value)) < 200
+
+    def test_long_release_year(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("track_id,duration,release_year,acoustic_0\n"
+                        "a,200.0,2000,0.5\n"
+                        f"b,200.0,{'9' * 5000},0.5\n")
+        with pytest.raises(ParseError) as info:
+            data.load_tracks(path)
+        assert str(info.value).startswith("line 3: column 'release_year' does not fit in 64 bits")
+        assert len(str(info.value)) < 200
+
     @pytest.mark.parametrize("first_bad", [5, 8192])
     def test_first_bad_row_in_file_order(self, tmp_path, corpus, first_bad):
         tracks, sessions = corpus
@@ -506,8 +602,8 @@ class TestRowErrors:
         # enough copies of the corpus, under fresh ids, to hold every edited line
         rows_per_copy = sum(len(s.events) for s in sessions)
         copies = -(-(first_bad + 19) // rows_per_copy)
-        many = [data.Session(f"{s.session_id}-{k}", s.events)
-                for k in range(copies) for s in sessions]
+        many = session_table([data.Session(f"{s.session_id}-{k}", s.events)
+                              for k in range(copies) for s in sessions])
         # the later rows fail checks that come earlier within a row
         later = {first_bad + 18: {1: "x"}, first_bad + 19: {2: "zzz"}}
         write_edited(spath, many, {first_bad: {9: "24"}, **later})
@@ -534,10 +630,10 @@ class TestRowErrors:
         short = data.Session("b", sessions[1].events[:9])
         gap = data.Session("a", [data.Event(e.track_id, e.position + (e.position > 4),
                                             e.interaction) for e in sessions[0].events])
-        data.write_sessions(spath, [short, gap], mode="train")
+        data.write_sessions(spath, session_table([short, gap]), mode="train")
         with pytest.raises(ValidationError, match=r"^session a: positions not contiguous"):
             data.load_sessions(spath, tracks, mode="train")
-        data.write_sessions(spath, [short, sessions[2]], mode="train")
+        data.write_sessions(spath, session_table([short, sessions[2]]), mode="train")
         with pytest.raises(ValidationError, match=r"^session b: length 9 outside \[10, 20\]$"):
             data.load_sessions(spath, tracks, mode="train")
 
@@ -584,7 +680,7 @@ class TestCsvProperties:
         tracks = {t: data.TrackRecord(t, 200.0, 2000, np.zeros(2)) for t in TRACK_POOL}
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.csv")
-            data.write_sessions(path, sessions, mode=mode)
+            data.write_sessions(path, session_table(sessions), mode=mode)
             with open(path, newline="", encoding="utf-8") as fh:
                 header, *rows = list(csv.reader(fh))
             rng.shuffle(rows)  # the loader sorts by session_id, then position
@@ -593,7 +689,7 @@ class TestCsvProperties:
             loaded = data.load_sessions(path, tracks, mode=mode)
             assert_tables_equal(data.load_sessions(path, None, mode=mode), loaded)
         assert list(loaded) == want
-        assert_tables_equal(data.SessionTable.from_sessions(want), loaded)
+        assert_tables_equal(session_table(want), loaded)
 
 
 PLAIN_TRACKS = [f"t{k:02d}" for k in range(6)] + ["tü", "a track id of 21 bytes"]
@@ -651,7 +747,7 @@ class TestByteParser:
                   if known else None)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.csv")
-            data.write_sessions(path, sessions, mode=mode)
+            data.write_sessions(path, session_table(sessions), mode=mode)
             with open(path, encoding="utf-8", newline="") as fh:
                 header, *rows = fh.read().splitlines()
             rng.shuffle(rows)

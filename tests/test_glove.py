@@ -21,14 +21,16 @@ from helpers import (
     pair_dict,
     reference_train_glove,
     scatter_adagrad_step,
+    session_table,
 )
 
 
 def sessions_of(*seqs):
-    return [
+    """A table of one session per track-id sequence, interactions left out."""
+    return session_table([
         Session(f"s{k}", [Event(t, p + 1, None) for p, t in enumerate(seq)])
         for k, seq in enumerate(seqs)
-    ]
+    ])
 
 
 def table_of(track_ids, pairs):
@@ -108,7 +110,7 @@ class TestCooccurrence:
         assert (table.pairs[:, 0] < table.pairs[:, 1]).all()
         assert np.array_equal(np.lexsort(table.pairs.T[::-1]), np.arange(len(table.pairs)))
         backwards = glove.build_cooccurrence(
-            [Session(s.session_id, s.events[::-1]) for s in sessions], window=5)
+            session_table([Session(s.session_id, s.events[::-1]) for s in sessions]), window=5)
         assert backwards.track_ids == table.track_ids
         assert np.array_equal(backwards.pairs, table.pairs)
         assert np.allclose(backwards.values, table.values, rtol=1e-12, atol=0.0)
@@ -123,7 +125,7 @@ class TestCooccurrence:
         # short sessions, one-event sessions and tracks repeated back to back
         odd = sessions_of(["A"], ["A", "A"], ["A", "B"], ["B", "A", "B", "A", "A", "C"],
                           ["C", "C", "C"], ["D", "A", "D", "B", "D"])
-        sessions = clustered + odd
+        sessions = session_table([*clustered, *odd])
         table = glove.build_cooccurrence(sessions, window=window)
         track_ids, pairs = loop_cooccurrence_pairs(sessions, window)
         assert table.track_ids == track_ids
@@ -131,7 +133,7 @@ class TestCooccurrence:
         assert list(pair_dict(table)) == sorted(pairs)
 
     def test_no_sessions(self):
-        table = glove.build_cooccurrence([], window=5)
+        table = glove.build_cooccurrence(sessions_of(), window=5)
         assert table.track_ids == []
         assert table.pairs.shape == (0, 2) and table.values.shape == (0,)
 
@@ -434,7 +436,7 @@ class TestTableCheck:
     def test_built_tables_pass(self):
         _, sessions = cluster_corpus(n_sessions=40, seed=8)
         glove.check_table(glove.build_cooccurrence(sessions, window=5))
-        glove.check_table(glove.build_cooccurrence([], window=5))
+        glove.check_table(glove.build_cooccurrence(sessions_of(), window=5))
 
 
 class TestExport:

@@ -14,7 +14,7 @@ from skipgru.errors import (
 )
 from skipgru.features import FeaturePipeline
 
-from helpers import split_halves
+from helpers import session_table, split_halves
 
 
 def brute_force_aa(pred, truth):
@@ -206,8 +206,8 @@ class TestEnsemblePredict:
         tracks, sessions, pipeline, members = small_models(1)
         params, _ = members[0]
         combined = metrics.ensemble_predict(members, sessions, tracks)
-        for session in sessions:
-            direct = model.predict_probs([session], pipeline, tracks,
+        for k, session in enumerate(sessions):
+            direct = model.predict_probs(sessions[k:k + 1], pipeline, tracks,
                                          params)[session.session_id] >= 0.5
             assert np.array_equal(combined[session.session_id], direct)
 
@@ -253,7 +253,7 @@ class TestTruthAndSubmission:
             for e in session.events
         ]
         with pytest.raises(ValidationError):
-            metrics.second_half_truth([session])
+            metrics.second_half_truth(session_table([session]))
 
     def test_submission_round_trip(self, tmp_path):
         preds = {"b": [True, False], "a": [False, False, True]}

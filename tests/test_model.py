@@ -11,7 +11,8 @@ from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
 from skipgru.features import FeaturePipeline
 
 from helpers import (central_diff, composed_gru_step, enrich_reference, head_reference,
-                     max_rel_err, one_batch, projected_gru, split_halves, unpack)
+                     max_rel_err, one_batch, projected_gru, session_table, split_halves,
+                     unpack)
 
 
 def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="relu"):
@@ -273,8 +274,7 @@ class TestPacking:
         base = model.predict_probs(sessions, pipeline, tracks, params)
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(sessions))
-            shuffled = model.predict_probs([sessions[k] for k in order], pipeline,
-                                           tracks, params)
+            shuffled = model.predict_probs(sessions.take(order), pipeline, tracks, params)
             assert shuffled.keys() == base.keys()
             for sid in base:
                 assert np.max(np.abs(shuffled[sid] - base[sid])) <= 1e-12
@@ -429,7 +429,7 @@ class TestFusedHead:
     def test_one_event_session_gets_no_head_gradient(self, at):
         tracks, sessions, pipeline, params = tiny_setup(seed=12)
         lone = data.Session("lone", sessions[0].events[:1])
-        batch = one_batch(sessions[:at] + [lone] + sessions[at:], pipeline, tracks)
+        batch = one_batch([*sessions[:at], lone, *sessions[at:]], pipeline, tracks)
         assert at not in batch.session
         x_half = ad.parameter(model.encode_first_half(batch, params).value)
         probs = model.head(ad.constant(batch.second), x_half, batch.session, params, "train")
@@ -459,18 +459,18 @@ class TestLoss:
 class TestPrediction:
     def test_threshold_rule(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=4)
-        session = sessions[0]
-        probs = model.predict_probs([session], pipeline, tracks, params)[session.session_id]
+        session, sid = sessions[:1], sessions.session_ids[0]
+        probs = model.predict_probs(session, pipeline, tracks, params)[sid]
         members = [(params, pipeline)]
         for threshold in (0.0, 0.5):
-            pred = metrics.ensemble_predict(members, [session], tracks, threshold)
-            assert np.array_equal(pred[session.session_id], probs >= threshold)
-        assert metrics.ensemble_predict(members, [session], tracks, 0.0)[session.session_id].all()
+            pred = metrics.ensemble_predict(members, session, tracks, threshold)
+            assert np.array_equal(pred[sid], probs >= threshold)
+        assert metrics.ensemble_predict(members, session, tracks, 0.0)[sid].all()
 
     def test_output_length_matches_second_half(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=6)
         for session in sessions:
-            probs = model.predict_probs([session], pipeline, tracks, params)
+            probs = model.predict_probs(session_table([session]), pipeline, tracks, params)
             assert len(probs[session.session_id]) == len(split_halves(session)[1])
 
     @pytest.mark.parametrize("at", [0, 3])
@@ -480,23 +480,24 @@ class TestPrediction:
         # (a session predicted alone runs 1-row matmuls, whose low bits differ)
         tracks, sessions, pipeline, params = tiny_setup(seed=12)
         lone = data.Session("lone", sessions[0].events[:1])
-        with_lone = model.predict_probs(sessions[:at] + [lone] + sessions[at:],
+        with_lone = model.predict_probs(session_table([*sessions[:at], lone, *sessions[at:]]),
                                         pipeline, tracks, params)
         without = model.predict_probs(sessions, pipeline, tracks, params)
         assert with_lone.pop("lone").shape == (0,)
-        assert model.predict_probs([lone], pipeline, tracks, params)["lone"].shape == (0,)
+        lone_probs = model.predict_probs(session_table([lone]), pipeline, tracks, params)
+        assert lone_probs["lone"].shape == (0,)
         assert with_lone.keys() == without.keys()
         for session in sessions:
             sid = session.session_id
             assert np.array_equal(with_lone[sid], without[sid])
-            alone = model.predict_probs([session], pipeline, tracks, params)[sid]
+            alone = model.predict_probs(session_table([session]), pipeline, tracks, params)[sid]
             assert np.max(np.abs(with_lone[sid] - alone)) <= 1e-12
 
     def test_batched_equals_single(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=7)
         batched = model.predict_probs(sessions, pipeline, tracks, params, batch_size=4)
         for session in sessions:
-            single = model.predict_probs([session], pipeline, tracks, params)
+            single = model.predict_probs(session_table([session]), pipeline, tracks, params)
             assert np.allclose(single[session.session_id], batched[session.session_id],
                                atol=1e-12)
 

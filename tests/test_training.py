@@ -144,9 +144,9 @@ class TestTrainLoop:
         tracks, train_s, valid_s, pipeline, variant = tiny_training_setup()
         config = training.TrainConfig(epochs=1)
         with pytest.raises(ConfigError):
-            training.train([], valid_s, tracks, pipeline, variant, config)
+            training.train(train_s[:0], valid_s, tracks, pipeline, variant, config)
         with pytest.raises(ConfigError):
-            training.train(train_s, [], tracks, pipeline, variant, config)
+            training.train(train_s, valid_s[:0], tracks, pipeline, variant, config)
 
     def test_numeric_failure_aborts_with_diagnostics(self, monkeypatch):
         tracks, train_s, valid_s, pipeline, variant = tiny_training_setup()
