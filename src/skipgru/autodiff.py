@@ -363,17 +363,6 @@ class BatchNormState:
         if (self.running_var < 0.0).any():
             raise ValueError("running_var entries must be non-negative")
 
-    @classmethod
-    def create(cls, width: int, momentum: float = 0.1, epsilon: float = 1e-5) -> "BatchNormState":
-        return cls(
-            gamma=parameter(np.ones((1, width))),
-            beta=parameter(np.zeros((1, width))),
-            running_mean=np.zeros(width),
-            running_var=np.ones(width),
-            momentum=momentum,
-            epsilon=epsilon,
-        )
-
 
 def batchnorm(a: Node, state: BatchNormState, mode: str) -> Node:
     if mode not in ("train", "infer"):

@@ -257,19 +257,17 @@ def _parse_bool(raw: str, column: str, line_no: int) -> bool:
 
 
 def _parse_int64(raw: str, column: str, line_no: int) -> int:
-    """An int64 field. A decimal numeral, signed or not, with more than
+    """An int64 field: an optional ``-`` and ASCII digits, the file format's
+    numerals, and nothing else (no ``+``, blanks, ``_`` or other scripts'
+    digits, which ``int()`` would read). A numeral with more than
     _INT64_DIGITS digits after its leading zeros is out of range; it is
     worded so before ``int()``, whose 4,300-digit limit would call it no
     integer. An echoed field is cut to _ECHO_CHARS characters."""
-    digits = (raw[1:] if raw[:1] in ("+", "-") else raw).lstrip("0")
-    if len(digits) <= _INT64_DIGITS or not digits.isdecimal():
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParseError(f"line {line_no}: column '{column}' is not an integer: "
-                             f"{_echo(raw)}") from None
-        if _INT64.min <= value <= _INT64.max:
-            return value
+    digits = raw[1:] if raw[:1] == "-" else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"line {line_no}: column '{column}' is not an integer: {_echo(raw)}")
+    if len(digits.lstrip("0")) <= _INT64_DIGITS and _INT64.min <= int(raw) <= _INT64.max:
+        return int(raw)
     raise ParseError(f"line {line_no}: column '{column}' does not fit in 64 bits: {_echo(raw)}")
 
 

@@ -16,14 +16,14 @@ A batch holds real rows only (``features.EncodedSessions.batch`` gathers
 them), packed as packed-sequence RNNs read them: ``first`` is step-major
 over the sessions sorted stably by decreasing first-half length, so the
 sessions still running at step t are the first ``sizes[t]``. Each GRU layer
-projects all of its input rows at once with ordinary ops
-(``x [W_ux | W_rx | W_x] + [b_u | b_r | b_s]``); one ``ad.gru`` node then
-runs the recurrent products of step t on its ``sizes[t]`` rows, with a
-hand-written BPTT sweep. Layer 1's input is the constant numeric triplet
-columns beside a trainable embedding row gathered for the context_type
-index; each block is projected by its own row block of the input weights, so
-no gradient is formed for the constant. Layer 2 projects layer 1's output
-rows. ``x_half`` is each layer's state at the session's own last step
+projects all of its input rows at once by its stored input block
+``[W_ux | W_rx | W_x]`` and bias block ``[b_u | b_r | b_s]`` (one
+``ad.affine``); one ``ad.gru`` node then runs the recurrent products of step
+t on its ``sizes[t]`` rows, with a hand-written BPTT sweep. Layer 1's input
+is the constant numeric triplet columns beside a trainable embedding row
+gathered for the context_type index; each is projected by its own row view
+of the input block, so no gradient is formed for the constant. Layer 2
+projects layer 1's output rows. ``x_half`` is each layer's state at the session's own last step
 (``last``), in batch order. The head then enriches and classifies the
 second-half rows (``second``, session-major), so train-mode batch
 normalization and the loss see real positions only. Every affine map is one
@@ -118,119 +118,138 @@ class ModelDims:
 
 @dataclass
 class GruParams:
-    w_ux: ad.Node
+    """One GRU layer's parameter nodes. ``w_in`` holds the input weights
+    ``[W_ux | W_rx | W_x]`` as row blocks, one per block of input columns the
+    layer projects; ``b`` is the biases ``[b_u | b_r | b_s]``."""
+
+    w_in: tuple[ad.Node, ...]
+    b: ad.Node
     w_us: ad.Node
-    w_rx: ad.Node
     w_rs: ad.Node
-    w_x: ad.Node
     w_s: ad.Node
-    b_u: ad.Node
-    b_r: ad.Node
-    b_s: ad.Node
 
-    @classmethod
-    def create(cls, rng: np.random.Generator, input_dim: int, hidden: int) -> "GruParams":
-        return cls(
-            w_ux=ad.parameter(glorot(rng, input_dim, hidden)),
-            w_us=ad.parameter(glorot(rng, hidden, hidden)),
-            w_rx=ad.parameter(glorot(rng, input_dim, hidden)),
-            w_rs=ad.parameter(glorot(rng, hidden, hidden)),
-            w_x=ad.parameter(glorot(rng, input_dim, hidden)),
-            w_s=ad.parameter(glorot(rng, hidden, hidden)),
-            b_u=ad.parameter(np.zeros((1, hidden))),
-            b_r=ad.parameter(np.zeros((1, hidden))),
-            b_s=ad.parameter(np.zeros((1, hidden))),
-        )
 
-    def input_projection(self) -> tuple[ad.Node, ad.Node]:
-        """The input weights ``[W_ux | W_rx | W_x]`` and biases ``[b_u | b_r | b_s]``
-        whose affine map of a layer's input is ``ad.gru``'s pre-activation."""
-        return (ad.concat_cols([self.w_ux, self.w_rx, self.w_x]),
-                ad.concat_cols([self.b_u, self.b_r, self.b_s]))
-
-    def named(self, prefix: str) -> dict[str, ad.Node]:
-        return {f"{prefix}.{name}": node for name, node in vars(self).items()}
+# checkpoint names of the column thirds of each GRU layer's two stored blocks
+_GRU_COLUMNS = {f"{layer}.{block}": [f"{layer}.{part}" for part in parts]
+                for layer in ("gru1", "gru2") for block, parts
+                in (("w_in", ("w_ux", "w_rx", "w_x")), ("b", ("b_u", "b_r", "b_s")))}
 
 
 class ModelParams:
-    """All trainable weights plus the frozen architecture configuration."""
+    """All trainable weights plus the frozen architecture configuration.
+
+    Every weight is a view of one float64 vector ``values`` and its gradient
+    the same view of ``grads``, so an optimizer step, a gradient norm or a
+    zeroing is one operation on the whole vector. Each GRU layer stores its
+    input weights as one ``[I, 3H]`` block and its biases as one ``[1, 3H]``
+    block; layer 1's block is two row-view nodes, its numeric rows and its
+    context rows. ``views`` maps each checkpoint name to its view, so
+    ``gru1.w_ux`` is a column third of ``gru1``'s input block.
+    """
 
     def __init__(self, variant: VariantConfig, dims: ModelDims, seed: int = 0):
         self.variant = variant
         self.dims = dims
-        rng = np.random.default_rng(seed)
-        h = variant.hidden_size
-        self.gru1 = GruParams.create(rng, dims.gru_input, h)
-        self.gru2 = GruParams.create(rng, h, h)
-        self.proj_w = ad.parameter(glorot(rng, dims.d_doub, 2 * h))
-        self.proj_b = ad.parameter(np.zeros((1, 2 * h)))
-        self.head_w1 = ad.parameter(glorot(rng, self.d_enriched, 2 * h))
-        self.head_b1 = ad.parameter(np.zeros((1, 2 * h)))
-        self.head_w2 = ad.parameter(glorot(rng, 2 * h, 2 * h))
-        self.head_b2 = ad.parameter(np.zeros((1, 2 * h)))
-        self.head_w3 = ad.parameter(glorot(rng, 2 * h, len(TASK_WEIGHTS)))
-        self.head_b3 = ad.parameter(np.zeros((1, len(TASK_WEIGHTS))))
-        self.ctx_embedding = ad.parameter(glorot(rng, dims.ctx_vocab, dims.ctx_width))
+        h, h2, n_num = variant.hidden_size, 2 * variant.hidden_size, dims.d_trip - 1
+        self._shapes = {}  # every stored block, in storage order
+        for layer, width in (("gru1", dims.gru_input), ("gru2", h)):
+            self._shapes.update({f"{layer}.w_in": (width, 3 * h), f"{layer}.b": (1, 3 * h),
+                                 f"{layer}.w_us": (h, h), f"{layer}.w_rs": (h, h),
+                                 f"{layer}.w_s": (h, h)})
+        self._shapes.update({
+            "proj.w": (dims.d_doub, h2), "proj.b": (1, h2),
+            "head.w1": (self.d_enriched, h2), "head.b1": (1, h2),
+            "head.w2": (h2, h2), "head.b2": (1, h2),
+            "head.w3": (h2, len(TASK_WEIGHTS)), "head.b3": (1, len(TASK_WEIGHTS)),
+            "ctx_embedding": (dims.ctx_vocab, dims.ctx_width),
+        })
         if variant.use_batchnorm:
-            self.bn1 = ad.BatchNormState.create(2 * h)
-            self.bn2 = ad.BatchNormState.create(2 * h)
-        else:
-            self.bn1 = self.bn2 = None
+            self._shapes.update({f"{bn}.{p}": (1, h2) for bn in ("bn1", "bn2")
+                                 for p in ("gamma", "beta")})
+        size = sum(rows * cols for rows, cols in self._shapes.values())
+        self.values, self.grads = np.zeros(size), np.zeros(size)
+        rng = np.random.default_rng(seed)
+        init = self.views(self.values)
+        for name in (*(f"{layer}.{w}" for layer in ("gru1", "gru2")
+                       for w in ("w_ux", "w_us", "w_rx", "w_rs", "w_x", "w_s")),
+                     "proj.w", "head.w1", "head.w2", "head.w3", "ctx_embedding"):
+            init[name][...] = glorot(rng, *init[name].shape)
+        for name in (name for name in init if name.endswith(".gamma")):
+            init[name][...] = 1.0
+        values, grads = self._blocks(self.values), self._blocks(self.grads)
+
+        def node(name, rows=slice(None)):
+            param = ad.parameter(values[name][rows])
+            param.grad = grads[name][rows]
+            return param
+
+        def gru(layer, w_in):
+            return GruParams(w_in, node(f"{layer}.b"), node(f"{layer}.w_us"),
+                             node(f"{layer}.w_rs"), node(f"{layer}.w_s"))
+
+        self.gru1 = gru("gru1", (node("gru1.w_in", slice(n_num)),
+                                 node("gru1.w_in", slice(n_num, None))))
+        self.gru2 = gru("gru2", (node("gru2.w_in"),))
+        self.proj_w, self.proj_b = node("proj.w"), node("proj.b")
+        self.head_w1, self.head_b1 = node("head.w1"), node("head.b1")
+        self.head_w2, self.head_b2 = node("head.w2"), node("head.b2")
+        self.head_w3, self.head_b3 = node("head.w3"), node("head.b3")
+        self.ctx_embedding = node("ctx_embedding")
+        self.bn1 = self.bn2 = None
+        if variant.use_batchnorm:
+            self.bn1, self.bn2 = (ad.BatchNormState(node(f"{bn}.gamma"), node(f"{bn}.beta"),
+                                                    np.zeros(h2), np.ones(h2))
+                                  for bn in ("bn1", "bn2"))
 
     @property
     def d_enriched(self) -> int:
         return self.dims.d_doub + 4 * self.variant.hidden_size
 
-    def named_parameters(self) -> dict[str, ad.Node]:
-        params = {}
-        params.update(self.gru1.named("gru1"))
-        params.update(self.gru2.named("gru2"))
-        params.update({
-            "proj.w": self.proj_w, "proj.b": self.proj_b,
-            "head.w1": self.head_w1, "head.b1": self.head_b1,
-            "head.w2": self.head_w2, "head.b2": self.head_b2,
-            "head.w3": self.head_w3, "head.b3": self.head_b3,
-            "ctx_embedding": self.ctx_embedding,
-        })
-        if self.bn1 is not None:
-            params.update({
-                "bn1.gamma": self.bn1.gamma, "bn1.beta": self.bn1.beta,
-                "bn2.gamma": self.bn2.gamma, "bn2.beta": self.bn2.beta,
-            })
-        return params
+    def _blocks(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The stored blocks of a parameter-sized flat vector, by block name."""
+        bounds = np.cumsum([0, *(rows * cols for rows, cols in self._shapes.values())])
+        return {name: flat[lo:hi].reshape(shape) for (name, shape), lo, hi
+                in zip(self._shapes.items(), bounds[:-1], bounds[1:])}
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each checkpoint name's view of a parameter-sized flat vector:
+        ``values``, ``grads`` or an optimizer moment."""
+        views = {}
+        for name, block in self._blocks(flat).items():
+            parts = _GRU_COLUMNS.get(name, [name])
+            views.update(zip(parts, np.split(block, len(parts), axis=1)))
+        return views
+
+    def _running_stats(self) -> dict[str, ad.BatchNormState]:
+        return {} if self.bn1 is None else {"bn1": self.bn1, "bn2": self.bn2}
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Every array needed to reproduce inference, running stats included."""
-        state = {name: node.value.copy() for name, node in self.named_parameters().items()}
-        if self.bn1 is not None:
-            state["bn1.running_mean"] = self.bn1.running_mean.copy()
-            state["bn1.running_var"] = self.bn1.running_var.copy()
-            state["bn2.running_mean"] = self.bn2.running_mean.copy()
-            state["bn2.running_var"] = self.bn2.running_var.copy()
+        """Copies of every array needed to reproduce inference, running stats included."""
+        state = {name: view.copy() for name, view in self.views(self.values).items()}
+        for prefix, bn in self._running_stats().items():
+            state[f"{prefix}.running_mean"] = bn.running_mean.copy()
+            state[f"{prefix}.running_var"] = bn.running_var.copy()
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        expected = set(params)
-        if self.bn1 is not None:
-            expected |= {"bn1.running_mean", "bn1.running_var",
-                         "bn2.running_mean", "bn2.running_var"}
+        """Write ``state`` into the parameter views in place; gradients are untouched."""
+        views = self.views(self.values)
+        expected = set(views) | {f"{prefix}.{stat}" for prefix in self._running_stats()
+                                 for stat in ("running_mean", "running_var")}
         if set(state) != expected:
             missing = expected - set(state)
             extra = set(state) - expected
             raise ShapeError(f"state mismatch: missing {sorted(missing)}, "
                              f"unexpected {sorted(extra)}")
-        for name, node in params.items():
+        for name, view in views.items():
             arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != node.value.shape:
+            if arr.shape != view.shape:
                 raise ShapeError(f"parameter {name}: shape {arr.shape} "
-                                 f"!= expected {node.value.shape}")
-            node.value = arr.copy()
-            node.grad = np.zeros_like(arr)
-        if self.bn1 is not None:
-            for bn, prefix in ((self.bn1, "bn1"), (self.bn2, "bn2")):
-                bn.running_mean = np.asarray(state[f"{prefix}.running_mean"], dtype=np.float64).copy()
-                bn.running_var = np.asarray(state[f"{prefix}.running_var"], dtype=np.float64).copy()
+                                 f"!= expected {view.shape}")
+            view[...] = arr
+        for prefix, bn in self._running_stats().items():
+            bn.running_mean = np.asarray(state[f"{prefix}.running_mean"], dtype=np.float64).copy()
+            bn.running_var = np.asarray(state[f"{prefix}.running_var"], dtype=np.float64).copy()
 
 
 def encode_first_half(batch: Batch, params: ModelParams) -> ad.Node:
@@ -243,14 +262,12 @@ def encode_first_half(batch: Batch, params: ModelParams) -> ad.Node:
                          f"got {first.shape}")
     ctx = ad.take_rows(params.ctx_embedding, first[:, dims.ctx_col].astype(np.int64))
     g1, g2 = params.gru1, params.gru2
-    w1, b1 = g1.input_projection()
-    rows, n_num = np.arange(dims.gru_input), dims.d_trip - 1  # [numeric | ctx] rows of w1
-    pre1 = ad.add(ad.affine(ad.constant(np.delete(first, dims.ctx_col, axis=1)),
-                            ad.take_rows(w1, rows[:n_num]), b1),
-                  ad.matmul(ctx, ad.take_rows(w1, rows[n_num:])))
+    w_num, w_ctx = g1.w_in
+    pre1 = ad.add(ad.affine(ad.constant(np.delete(first, dims.ctx_col, axis=1)), w_num, g1.b),
+                  ad.matmul(ctx, w_ctx))
     o0 = ad.constant(np.zeros((len(batch.last), params.variant.hidden_size)))
     o1 = ad.gru(pre1, o0, g1.w_us, g1.w_rs, g1.w_s, batch.sizes)
-    o2 = ad.gru(ad.affine(o1, *g2.input_projection()), o0, g2.w_us, g2.w_rs, g2.w_s, batch.sizes)
+    o2 = ad.gru(ad.affine(o1, *g2.w_in, g2.b), o0, g2.w_us, g2.w_rs, g2.w_s, batch.sizes)
     return ad.concat_cols([ad.take_rows(o1, batch.last), ad.take_rows(o2, batch.last)])
 
 

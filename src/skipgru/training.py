@@ -14,10 +14,9 @@ embedding table. ``sha256`` is the digest of the canonical (sorted-keys,
 no-whitespace) JSON dump of the payload followed by those array bytes.
 
 Loading re-verifies the version, the hash, and every shape; reloaded models
-reproduce the saved model's predictions bit for bit. Version-1 files, one
-JSON line whose payload holds the arrays as float lists and whose hash
-covers the canonical dump of that payload alone, are still read; they are
-no longer written.
+reproduce the saved model's predictions bit for bit. Any other version,
+version 1 (one JSON line whose payload held the arrays as float lists)
+included, is a ``CheckpointVersionError``.
 """
 
 from __future__ import annotations
@@ -60,63 +59,53 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter moment buffers, lazily sized on first step, and one
-    scratch buffer that every parameter's update reuses."""
+    """The moment vectors, flat as ``ModelParams.values`` and allocated at the
+    first step, and the two scratch rows that every update reuses."""
 
     lr: float = ADAM_LR
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.empty(0))
+    v: np.ndarray = field(default_factory=lambda: np.empty(0))
     scratch: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def adam_step(params: dict[str, ad.Node], state: AdamState) -> None:
-    """One in-place update from the gradients currently held by the nodes.
+def adam_step(params: ModelParams, state: AdamState) -> None:
+    """One in-place update of ``params.values`` from ``params.grads``.
 
-    Every operation writes into the moments, the parameter or two
-    parameter-sized views of the shared scratch buffer, in the order of the
+    The whole flat vector is updated at once. Every operation writes into the
+    moments, the values or a row of the scratch buffer, in the order of the
     expressions ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
     ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, so the update is bitwise
-    that of the expressions and allocates nothing after the first step.
+    that of the expressions, element by element, and allocates nothing after
+    the first step. A non-finite gradient is named by its parameter.
     """
+    w, g = params.values, params.grads
+    if not np.isfinite(g).all():
+        name = next(name for name, view in params.views(g).items() if not np.isfinite(view).all())
+        raise TrainingError(f"non-finite gradient for parameter {name!r}")
+    if not state.t:
+        state.m, state.v, state.scratch = np.zeros_like(w), np.zeros_like(w), np.empty((2, w.size))
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name in sorted(params):
-        node = params[name]
-        g = node.grad
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(node.value)
-        if name not in state.v:
-            state.v[name] = np.zeros_like(node.value)
-        m, v = state.m[name], state.v[name]
-        if state.scratch.size < 2 * m.size:
-            state.scratch = np.empty(2 * m.size)
-        step, denom = state.scratch[:2 * m.size].reshape((2,) + m.shape)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=step)
-        v *= state.beta2
-        v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=denom), g, out=denom)
-        np.multiply(np.divide(m, bc1, out=step), state.lr, out=step)
-        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), state.eps, out=denom)
-        node.value -= np.divide(step, denom, out=step)
+    m, v, (step, denom) = state.m, state.v, state.scratch
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=step)
+    v *= state.beta2
+    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=denom), g, out=denom)
+    np.multiply(np.divide(m, bc1, out=step), state.lr, out=step)
+    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), state.eps, out=denom)
+    w -= np.divide(step, denom, out=step)
 
 
-def clip_gradients(params: dict[str, ad.Node], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    total = 0.0
-    for node in params.values():
-        total += float((node.grad * node.grad).sum())
-    norm = total ** 0.5
+def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient vector in place so its L2 norm is at most max_norm."""
+    norm = float(np.linalg.norm(grads))
     if norm > max_norm > 0.0:
-        factor = max_norm / norm
-        for node in params.values():
-            node.grad *= factor
+        grads *= max_norm / norm
     return norm
 
 
@@ -198,8 +187,7 @@ def _canonical(payload: dict) -> bytes:
 
 
 def _content_hash(payload: dict, arrays) -> str:
-    """sha256 of the canonical payload followed by the array bytes; a version-1
-    payload holds its arrays itself, so its hash covers the payload alone."""
+    """sha256 of the canonical payload followed by the array bytes."""
     digest = hashlib.sha256(_canonical(payload))
     for arr in arrays:
         digest.update(arr)
@@ -232,26 +220,22 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(envelope, dict) or "schema_version" not in envelope:
         raise CheckpointIntegrityError(f"{path}: not a checkpoint file")
     version = envelope["schema_version"]
-    if version not in (1, SCHEMA_VERSION):
+    if version != SCHEMA_VERSION:
         raise CheckpointVersionError(
-            f"{path}: schema version {version} unsupported "
-            f"(want {SCHEMA_VERSION}, or 1 read-only)"
+            f"{path}: schema version {version} unsupported (want {SCHEMA_VERSION})"
         )
     payload = envelope.get("payload")
     recorded = envelope.get("sha256")
     if payload is None or recorded is None:
         raise CheckpointIntegrityError(f"{path}: missing payload or hash")
-    if version == 1 and body.strip():
-        raise CheckpointIntegrityError(f"{path}: data after a version-1 checkpoint")
-    actual = _content_hash(payload, [body] if version == SCHEMA_VERSION else [])
+    actual = _content_hash(payload, [body])
     if actual != recorded:
         raise CheckpointIntegrityError(
             f"{path}: content hash mismatch (stored {recorded[:12]}.., "
             f"computed {actual[:12]}..)"
         )
     with _payload_schema(path):
-        state, pipeline = _v1_arrays(path, payload) if version == 1 else \
-            _v2_arrays(path, payload, body)
+        state, pipeline = _read_arrays(path, payload, body)
         return Checkpoint(
             variant=VariantConfig.from_dict(payload["variant"]),
             dims=ModelDims.from_dict(payload["dims"]),
@@ -262,7 +246,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
 
 
-def _v2_arrays(path, payload: dict, body: bytes):
+def _read_arrays(path, payload: dict, body: bytes):
     """The parameter arrays and the pipeline payload, its table cut from the array bytes."""
     params = payload["params"]
     names = sorted(params)
@@ -285,24 +269,6 @@ def _shape(raw) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def _v1_arrays(path, payload: dict):
-    """The parameter arrays and the pipeline payload from a version-1 payload's float lists."""
-    state = {}
-    for name, entry in payload["params"].items():
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape)):
-            raise CheckpointIntegrityError(
-                f"{path}: parameter {name} has {data.size} values for shape {shape}"
-            )
-        state[name] = data.reshape(shape)
-    pipeline = payload["pipeline"]
-    ids = sorted(pipeline["embeddings"])
-    table = np.array([pipeline["embeddings"][k] for k in ids], dtype=np.float64)
-    return state, {**pipeline, "embedding_ids": ids,
-                   "embeddings": table.reshape(len(ids), pipeline["d_emb"])}
-
-
 def train(
     train_sessions: SessionTable,
     valid_sessions: SessionTable,
@@ -323,7 +289,6 @@ def train(
     if not train_sessions or not valid_sessions:
         raise ConfigError("train and validation session lists must be non-empty")
     params = ModelParams(variant, ModelDims.from_pipeline(pipeline), seed=config.seed)
-    named = params.named_parameters()
     adam = AdamState(lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     valid_truth = metrics.second_half_truth(valid_sessions)
@@ -340,8 +305,7 @@ def train(
             batch = train_set.batch(order[lo:lo + config.batch_size])
             try:
                 batch_loss = loss(forward_batch(batch, params, "train"), batch.targets)
-                for node in named.values():
-                    node.zero_grad()
+                params.grads.fill(0.0)
                 ad.backward(batch_loss)
             except NumericError as err:
                 raise TrainingError(
@@ -349,8 +313,8 @@ def train(
                     f"batch starting at {lo} ({err})"
                 ) from err
             if config.clip_norm is not None:
-                clip_gradients(named, config.clip_norm)
-            adam_step(named, adam)
+                clip_gradients(params.grads, config.clip_norm)
+            adam_step(params, adam)
             batch_losses.append(float(batch_loss.value[0, 0]))
             del batch_loss  # free this batch's graph before the next is built
         val_predictions = {

@@ -4,8 +4,8 @@ behind its input projection, the ``np.add.at`` row scatter, the session
 table of a list of sessions, a session's halves as event lists, the packed
 row order of a batch and each session's rows read back out of one, the
 co-occurrence table as a pair dict, the GloVe slice loop as it ran before
-its workspace buffers, and checkpoint writers for the version-1 format and
-for re-hashed tampered files."""
+its workspace buffers, a fresh batchnorm state, and a checkpoint writer for
+re-hashed tampered files."""
 
 import hashlib
 import json
@@ -104,6 +104,13 @@ def head_reference(x_i, x_half, session, params, mode):
     if params.bn2 is not None:
         a2 = ad.batchnorm(a2, params.bn2, mode)
     return ad.sigmoid(ad.affine(ad.activation(a2, act), params.head_w3, params.head_b3))
+
+
+def batchnorm_state(width, momentum=0.1, epsilon=1e-5):
+    """A norm layer of ``width`` columns at its initial scale 1, shift 0 and
+    running statistics, with its own parameter nodes."""
+    return ad.BatchNormState(ad.parameter(np.ones((1, width))), ad.parameter(np.zeros((1, width))),
+                             np.zeros(width), np.ones(width), momentum, epsilon)
 
 
 def scatter_rows(shape, idx, g):
@@ -273,31 +280,9 @@ def reference_train_glove(table, dims, epochs, lr=glove.LEARNING_RATE, seed=0,
     return emb
 
 
-def _canonical_sha256(payload, tail=b""):
+def _canonical_sha256(payload, tail):
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8") + tail).hexdigest()
-
-
-def write_v1_checkpoint(checkpoint, path):
-    """The version-1 writer: one JSON line whose payload holds every array as a
-    float list, under the sha256 of the payload's canonical dump."""
-    pipeline = dict(checkpoint.pipeline_payload)
-    ids, table = pipeline.pop("embedding_ids"), pipeline.pop("embeddings")
-    pipeline["embeddings"] = {k: list(map(float, row)) for k, row in zip(ids, table)}
-    payload = {
-        "variant": checkpoint.variant.to_dict(),
-        "dims": checkpoint.dims.to_dict(),
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            for name, arr in sorted(checkpoint.state.items())
-        },
-        "pipeline": pipeline,
-        "embedding_ref": checkpoint.embedding_ref,
-        "metadata": checkpoint.metadata,
-    }
-    envelope = {"schema_version": 1, "sha256": _canonical_sha256(payload), "payload": payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(envelope, fh)
 
 
 def rewrite_checkpoint(src, dst, tamper):

@@ -20,7 +20,7 @@ from skipgru.features import FeaturePipeline
 
 from helpers import (central_diff, enrich_reference, max_rel_err, one_batch, projected_gru,
                      session_table)
-from test_model import hand_gru_step, step, tiny_setup, whole_model_fd
+from test_model import gru_params, hand_gru_step, step, tiny_setup, whole_model_fd
 
 
 @contextlib.contextmanager
@@ -162,7 +162,7 @@ class TestGruOracle:
                 ("w_x", (2, 2)), ("w_s", (2, 2)),
                 ("b_u", (1, 2)), ("b_r", (1, 2)), ("b_s", (1, 2)),
             ]}
-            p = model.GruParams(**{k: ad.parameter(v) for k, v in zeros.items()})
+            p = gru_params(**zeros)
             o = ad.constant([[0.9, -1.7]])
             o0 = o.value.copy()
             for t in range(1, 16):
@@ -181,10 +181,8 @@ class TestGruOracle:
                 o_hand = hand_gru_step(x, o_hand, w["w_ux"], w["w_us"], w["w_rx"],
                                        w["w_rs"], w["w_x"], w["w_s"],
                                        b["b_u"], b["b_r"], b["b_s"])
-            p = model.GruParams(
-                **{k: ad.parameter(np.array(v)) for k, v in w.items()},
-                **{k: ad.parameter(np.array([v])) for k, v in b.items()},
-            )
+            p = gru_params(**{k: np.array(v) for k, v in w.items()},
+                           **{k: np.array([v]) for k, v in b.items()})
             o = ad.constant([[0.0, 0.0]])
             for x in xs:
                 o = step(ad.constant([x]), o, p)
@@ -220,7 +218,6 @@ class TestOverfitSanity:
             variant = model.VariantConfig(hidden_size=24)
             params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline),
                                        seed=0)
-            named = params.named_parameters()
             batch = one_batch(sessions[:1], pipeline, tracks)
             adam = training.AdamState(lr=0.03)
             losses = []
@@ -228,10 +225,9 @@ class TestOverfitSanity:
                 probs = model.forward_batch(batch, params, "train")
                 batch_loss = model.loss(probs, batch.targets)
                 losses.append(float(batch_loss.value[0, 0]))
-                for node in named.values():
-                    node.zero_grad()
+                params.grads.fill(0.0)
                 ad.backward(batch_loss)
-                training.adam_step(named, adam)
+                training.adam_step(params, adam)
             assert losses[50] < 0.1 * losses[0], f"{losses[0]} -> {losses[50]}"
 
 

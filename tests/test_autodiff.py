@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from skipgru import autodiff as ad
 from skipgru.errors import DegenerateBatchError, NumericError, ShapeError, StateError
 
-from helpers import (central_diff, composed_gru, composed_gru_step, concat_rows, max_rel_err,
-                     projected_gru, scatter_rows)
+from helpers import (batchnorm_state, central_diff, composed_gru, composed_gru_step, concat_rows,
+                     max_rel_err, projected_gru, scatter_rows)
 
 
 def loss_of(node):
@@ -130,45 +130,45 @@ class TestConcat:
 
 class TestBatchNorm:
     def test_hand_normalization(self):
-        state = ad.BatchNormState.create(1, epsilon=1e-12)
+        state = batchnorm_state(1, epsilon=1e-12)
         out = ad.batchnorm(ad.constant([[1.0], [3.0]]), state, "train")
         assert np.allclose(out.value, [[-1.0], [1.0]], atol=1e-6)
 
     def test_already_normalized_unchanged(self):
         x = np.array([[-1.0], [1.0]])
-        state = ad.BatchNormState.create(1, epsilon=1e-12)
+        state = batchnorm_state(1, epsilon=1e-12)
         out = ad.batchnorm(ad.constant(x), state, "train")
         assert np.allclose(out.value, x, atol=1e-6)
 
     def test_infer_identity_running_stats(self):
-        state = ad.BatchNormState.create(3, epsilon=1e-12)
+        state = batchnorm_state(3, epsilon=1e-12)
         x = np.random.default_rng(0).normal(size=(4, 3))
         out = ad.batchnorm(ad.constant(x), state, "infer")
         assert np.allclose(out.value, x, atol=1e-6)
 
     def test_degenerate_batch(self):
-        state = ad.BatchNormState.create(2)
+        state = batchnorm_state(2)
         with pytest.raises(DegenerateBatchError):
             ad.batchnorm(ad.constant(np.ones((1, 2))), state, "train")
 
     def test_train_columns_standardized(self):
         rng = np.random.default_rng(3)
         x = rng.normal(loc=5.0, scale=3.0, size=(64, 4))
-        state = ad.BatchNormState.create(4, epsilon=1e-14)
+        state = batchnorm_state(4, epsilon=1e-14)
         out = ad.batchnorm(ad.constant(x), state, "train").value
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
     def test_running_stats_update(self):
         x = np.array([[0.0, 10.0], [2.0, 14.0]])
-        state = ad.BatchNormState.create(2, momentum=0.5)
+        state = batchnorm_state(2, momentum=0.5)
         ad.batchnorm(ad.constant(x), state, "train")
         assert np.allclose(state.running_mean, [0.5, 6.0])
         assert np.allclose(state.running_var, [1.0, 2.5])
 
     def test_momentum_bounds(self):
         with pytest.raises(ValueError):
-            ad.BatchNormState.create(2, momentum=1.0)
+            batchnorm_state(2, momentum=1.0)
 
 
 class TestBackward:
@@ -238,7 +238,7 @@ def every_op(w):
     """One output of every op, each downstream of the parameter ``w`` ([3, 3])."""
     x = ad.take_rows(ad.scale(w, 0.5), [0, 2, 1, 0])
     w11 = ad.matmul(ad.take_rows(w, [0]), ad.constant(np.ones((3, 1))))
-    bn = ad.BatchNormState.create(3)
+    bn = batchnorm_state(3)
     return [
         ad.matmul(x, w), ad.add(x, ad.take_rows(w, [1])), ad.hadamard(x, x),
         ad.sigmoid(x), ad.relu(x), ad.activation(x, "elu"), ad.concat_cols([x, x]),

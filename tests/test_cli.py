@@ -344,6 +344,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: line 5: column 'release_year' does not fit in 64 bits")
 
+    def test_release_year_with_a_plus_sign_exits_three(self, workspace, tmp_path, capsys):
+        tracks = _with_field(workspace / "tracks.csv", tmp_path / "tracks.csv", 5, 2, "+1999")
+        assert run(["train", "--sessions", str(workspace / "sessions.csv"),
+                    "--tracks", str(tracks), "--embeddings", str(workspace / "emb.txt"),
+                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: line 5: column 'release_year' is not an integer: '+1999'\n"
+
     @pytest.mark.parametrize("name, flag, line_no, column", [
         ("tracks.csv", "--tracks", 5, 2), ("sessions.csv", "--sessions", 12, 1)])
     def test_numeral_past_the_int_digit_limit_exits_three(self, workspace, tmp_path, capsys,

@@ -432,6 +432,12 @@ def assert_tables_equal(a, b):
         assert np.array_equal(x, y), name
 
 
+# numerals Python's int() reads but the file format does not: the byte parser
+# declines them, and so must the csv fallback
+LOOSE_NUMERALS = {"underscore": "1_000", "blanks": " 7 ", "plus": "+3", "arabic-indic": "\u0662"}
+each_loose_numeral = pytest.mark.parametrize("raw", LOOSE_NUMERALS.values(), ids=LOOSE_NUMERALS)
+
+
 def write_edited(path, sessions, edits):
     """Write ``sessions`` in train mode, then set fields of chosen file lines:
     ``edits`` maps a 1-based line number to {column index: value}; the key
@@ -550,11 +556,12 @@ class TestRowErrors:
     @pytest.mark.parametrize("raw,message", [
         ("9" * 5000, "does not fit in 64 bits: '" + "9" * 32 + "'... (5000 characters)"),
         ("-" + "1" * 20, "does not fit in 64 bits: '-" + "1" * 20 + "'"),
-        ("+" + "0" * 40 + "9223372036854775808", "does not fit in 64 bits: "),
+        ("0" * 40 + "9223372036854775808", "does not fit in 64 bits: "),
         ("9" * 5000 + "x", "is not an integer: '" + "9" * 32 + "'... (5001 characters)"),
         ("12a", "is not an integer: '12a'"),
+        *((raw, f"is not an integer: {raw!r}") for raw in LOOSE_NUMERALS.values()),
     ], ids=["5000-digits", "signed-20-digits", "zero-padded-2**63", "5000-digits-and-x",
-            "short-non-integer"])
+            "short-non-integer", *LOOSE_NUMERALS])
     def test_long_numeral_is_worded_and_clipped(self, raw, message):
         with pytest.raises(ParseError) as info:
             data._parse_int64(raw, "position", 7)
@@ -584,6 +591,33 @@ class TestRowErrors:
             data.load_sessions(spath, tracks, mode="train")
         assert str(info.value).startswith("line 4: column 'position' does not fit in 64 bits")
         assert len(str(info.value)) < 200
+
+    @each_loose_numeral
+    def test_loose_numeral_in_a_quoted_file(self, tmp_path, corpus, raw):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        write_edited(spath, sessions[:2], {4: {1: f'"{raw}"'}})
+        assert data._parse_plain(spath.read_bytes(), tracks) is None
+        with pytest.raises(ParseError) as info:
+            data.load_sessions(spath, tracks, mode="train")
+        assert str(info.value) == f"line 4: column 'position' is not an integer: {raw!r}"
+
+    def test_negative_count_in_a_quoted_file_reaches_the_range_check(self, tmp_path, corpus):
+        tracks, sessions = corpus
+        spath = tmp_path / "s.csv"
+        write_edited(spath, sessions[:2], {4: {7: '"-4"'}})
+        with pytest.raises(ValidationError) as info:
+            data.load_sessions(spath, tracks, mode="train")
+        assert str(info.value) == "line 4: column 'seek_fwd_count' must be non-negative, got -4"
+
+    @each_loose_numeral
+    def test_loose_release_year(self, tmp_path, raw):
+        path = tmp_path / "t.csv"
+        path.write_text("track_id,duration,release_year,acoustic_0\n"
+                        f"a,200.0,2000,0.5\nb,200.0,{raw},0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            data.load_tracks(path)
+        assert str(info.value) == f"line 3: column 'release_year' is not an integer: {raw!r}"
 
     def test_long_release_year(self, tmp_path):
         path = tmp_path / "t.csv"

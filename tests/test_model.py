@@ -11,8 +11,7 @@ from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
 from skipgru.features import FeaturePipeline
 
 from helpers import (central_diff, composed_gru_step, enrich_reference, head_reference,
-                     max_rel_err, one_batch, projected_gru, session_table, split_halves,
-                     unpack)
+                     max_rel_err, one_batch, session_table, split_halves, unpack)
 
 
 def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="relu"):
@@ -29,8 +28,7 @@ def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="
 
 
 def zero_all(params):
-    for node in params.named_parameters().values():
-        node.value[...] = 0.0
+    params.values[...] = 0.0
     return params
 
 
@@ -50,15 +48,27 @@ def hand_gru_step(x, o_prev, w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s):
     return [(1.0 - u[j]) * o_prev[j] + u[j] * s[j] for j in range(n)]
 
 
+# one layer's checkpoint names in composed_gru_step's argument order
+GRU_ORDER = ("w_ux", "w_us", "w_rx", "w_rs", "w_x", "w_s", "b_u", "b_r", "b_s")
+
+
+def gru_params(w_ux, w_us, w_rx, w_rs, w_x, w_s, b_u, b_r, b_s):
+    """One layer's ``model.GruParams`` from its nine checkpoint arrays: the
+    input weights and the biases each as one block, as the model stores them."""
+    return model.GruParams((ad.parameter(np.concatenate([w_ux, w_rx, w_x], axis=1)),),
+                           ad.parameter(np.concatenate([b_u, b_r, b_s], axis=1)),
+                           *(ad.parameter(w) for w in (w_us, w_rs, w_s)))
+
+
 def step(x, o_prev, p):
-    """One GRU step: the projected ``ad.gru`` over a single position."""
-    return projected_gru(x, o_prev, p.w_ux, p.w_us, p.w_rx, p.w_rs, p.w_x, p.w_s,
-                         p.b_u, p.b_r, p.b_s, sizes=[o_prev.shape[0]])
+    """One GRU step: the input block's affine map of ``x``, then the
+    ``ad.gru`` recurrence over a single position."""
+    return ad.gru(ad.affine(x, *p.w_in, p.b), o_prev, p.w_us, p.w_rs, p.w_s, [o_prev.shape[0]])
 
 
 class TestGruStep:
     def make_params(self, arrays):
-        return model.GruParams(**{k: ad.parameter(v) for k, v in arrays.items()})
+        return gru_params(**arrays)
 
     def zero_gru(self, d_in=2, h=2):
         return self.make_params({
@@ -190,8 +200,9 @@ class TestEncodeFirstHalf:
         out = model.encode_first_half(batch, params)
         ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(head))))
 
-        g1 = list(twin.gru1.named("gru1").values())  # composed_gru_step's order
-        g2 = list(twin.gru2.named("gru2").values())
+        start = twin.views(twin.values)
+        g1, g2 = ([ad.parameter(start[f"{layer}.{name}"].copy()) for name in GRU_ORDER]
+                  for layer in ("gru1", "gru2"))
         o1 = o2 = ad.constant(np.zeros((b, 4)))
         for t in range(data.HALF_LEN):
             step_in = grid[:, t, :]
@@ -211,9 +222,11 @@ class TestEncodeFirstHalf:
         ad.backward(ad.sum_all(ad.hadamard(oracle, ad.constant(head))))
 
         assert np.max(np.abs(out.value - oracle.value)) <= 1e-12
-        theirs = twin.named_parameters()
-        for name, node in params.named_parameters().items():
-            assert np.max(np.abs(node.grad - theirs[name].grad)) <= 1e-12, name
+        theirs = twin.views(twin.grads)
+        for layer, nodes in (("gru1", g1), ("gru2", g2)):
+            theirs.update({f"{layer}.{name}": node.grad for name, node in zip(GRU_ORDER, nodes)})
+        for name, grad in params.views(params.grads).items():
+            assert np.max(np.abs(grad - theirs[name])) <= 1e-12, name
 
     def test_bad_shapes(self):
         tracks, sessions, pipeline, params = tiny_setup()
@@ -228,9 +241,9 @@ class TestGraphSize:
     @pytest.mark.parametrize("use_batchnorm", [False, True])
     def test_training_batch_graph_is_small_and_batch_independent(self, use_batchnorm):
         """Op nodes one training batch adds to the loss graph (parameters
-        excluded): 16 for the GRUs, 8 for the head, 4 for the loss, and one
+        excluded): 10 for the GRUs, 8 for the head, 4 for the loss, and one
         batchnorm per head layer in that variant."""
-        nodes = 30 if use_batchnorm else 28
+        nodes = 24 if use_batchnorm else 22
         tracks, sessions, pipeline, params = tiny_setup(
             seed=2, n_sessions=16, use_batchnorm=use_batchnorm
         )
@@ -240,6 +253,28 @@ class TestGraphSize:
             graph = model.loss(model.forward_batch(batch, params, "train"), batch.targets)
             counts.append(sum(1 for node in ad._topo_order(graph) if node.parents))
         assert counts[0] == counts[1] <= nodes
+
+    @pytest.mark.parametrize("mode,nodes", [("train", 26), ("infer", 21)])
+    def test_nodes_built_per_batch(self, monkeypatch, mode, nodes):
+        """Every ``Node`` one batch constructs, constants included, counted at
+        ``Node.__init__``: the forward, plus the loss when training. The
+        parameters are built once with the model and are not counted."""
+        tracks, sessions, pipeline, params = tiny_setup(seed=2, n_sessions=16)
+        batch = one_batch(sessions, pipeline, tracks)
+        built = []
+        init = ad.Node.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Node, "__init__", counted)
+        if mode == "train":
+            model.loss(model.forward_batch(batch, params, mode), batch.targets)
+        else:
+            with ad.no_grad():
+                model.forward_batch(batch, params, mode)
+        assert len(built) == nodes
 
 
 class TestPacking:
@@ -403,10 +438,11 @@ class TestFusedHead:
     def run(head, batch, params, mode):
         """Probabilities, gradients (every parameter, then ``x_half``) and the
         batchnorm running statistics of one forward and backward."""
+        params.grads.fill(0.0)
         x_half = ad.parameter(model.encode_first_half(batch, params).value)
         probs = head(ad.constant(batch.second), x_half, batch.session, params, mode)
         ad.backward(model.loss(probs, batch.targets))
-        grads = [node.grad for node in params.named_parameters().values()] + [x_half.grad]
+        grads = [params.grads, x_half.grad]
         stats = [stat for bn in (params.bn1, params.bn2) if bn is not None
                  for stat in (bn.running_mean, bn.running_var)]
         return probs.value, np.concatenate([g.ravel() for g in grads]), stats
@@ -617,13 +653,12 @@ def whole_model_fd(seed, use_batchnorm=False, coords_per_param=None, tol=1e-4):
     batch = one_batch(sessions[seed % 4:seed % 4 + 2], pipeline, tracks)
     probs = model.forward_batch(batch, params, "infer")
     ad.backward(model.loss(probs, batch.targets))
-    named = params.named_parameters()
-    grads = {name: node.grad.copy() for name, node in named.items()}
+    grads = {name: grad.copy() for name, grad in params.views(params.grads).items()}
     state = params.state_dict()
     rng = np.random.default_rng(seed + 1)
     h = 1e-6
     checked = skipped = 0
-    for name, base in [(n, state[n]) for n in sorted(named)]:
+    for name, base in [(n, state[n]) for n in sorted(grads)]:
         flat = base.reshape(-1)
         n_coords = flat.size if coords_per_param is None else min(coords_per_param, flat.size)
         coords = rng.choice(flat.size, size=n_coords, replace=False)
@@ -663,8 +698,8 @@ class TestStateDict:
         state = params.state_dict()
         clone = model.ModelParams(params.variant, params.dims, seed=99)
         clone.load_state_dict(state)
-        for name, node in clone.named_parameters().items():
-            assert np.array_equal(node.value, state[name])
+        for name, view in clone.views(clone.values).items():
+            assert np.array_equal(view, state[name])
 
     def test_shape_check(self):
         _, _, _, params = tiny_setup(seed=5)
@@ -679,3 +714,49 @@ class TestStateDict:
         state["mystery"] = np.zeros(1)
         with pytest.raises(ShapeError, match="mystery"):
             params.load_state_dict(state)
+
+
+class TestParameterViews:
+    """Every weight is a view of ``ModelParams.values``; what leaves or enters
+    through ``state_dict`` and ``load_state_dict`` is copied."""
+
+    def test_state_dict_returns_copies(self):
+        _, _, _, params = tiny_setup(seed=5, use_batchnorm=True)
+        before = params.values.copy()
+        for name, arr in params.state_dict().items():
+            assert not np.shares_memory(arr, params.values), name
+            arr[...] = 7.0
+        assert np.array_equal(params.values, before)
+        assert not params.bn1.running_mean.any()
+
+    def test_checkpoint_state_survives_build_and_an_adam_step(self):
+        tracks, sessions, pipeline, params = tiny_setup(seed=6)
+        ckpt = training.Checkpoint(params.variant, params.dims, params.state_dict(),
+                                   pipeline.to_dict(), None, {})
+        saved = {name: arr.copy() for name, arr in ckpt.state.items()}
+        built, _ = ckpt.build()
+        batch = one_batch(sessions, pipeline, tracks)
+        ad.backward(model.loss(model.forward_batch(batch, built, "train"), batch.targets))
+        training.adam_step(built, training.AdamState())
+        assert not np.array_equal(built.values, params.values)
+        assert ckpt.state.keys() == saved.keys()
+        assert all(np.array_equal(ckpt.state[name], saved[name]) for name in saved)
+
+    def test_two_models_share_no_memory(self):
+        _, _, _, params = tiny_setup(seed=5, use_batchnorm=True)
+        other = model.ModelParams(params.variant, params.dims, seed=5)
+        assert np.array_equal(other.values, params.values)
+        for mine, theirs in [(params.values, other.values), (params.grads, other.grads),
+                             (params.values, params.grads)]:
+            assert not np.shares_memory(mine, theirs)
+
+    def test_loading_a_gru_column_block_writes_only_that_block(self):
+        _, _, _, params = tiny_setup(seed=5, hidden=3)
+        state, before = params.state_dict(), params.values.copy()
+        state["gru1.w_ux"] = np.full_like(state["gru1.w_ux"], 9.0)
+        params.load_state_dict(state)
+        marked = np.zeros(params.values.shape, dtype=bool)
+        params.views(marked)["gru1.w_ux"][...] = True
+        assert np.array_equal(params.values != before, marked)
+        numeric, context = (node.value for node in params.gru1.w_in)
+        assert (np.concatenate([numeric, context])[:, :3] == 9.0).all()
