@@ -77,10 +77,6 @@ class Node:
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         r, c = self.shape
         return f"Node({r}x{c}, requires_grad={self.requires_grad})"
@@ -343,9 +339,10 @@ class BatchNormState:
     """Running statistics plus the trainable scale/shift of one norm layer.
 
     Train mode normalizes with the current batch's per-column mean and biased
-    variance and folds them into the running statistics
-    (``running = (1 - momentum) * running + momentum * batch``); infer mode
-    uses the running statistics only.
+    variance and folds them into the running statistics in place
+    (``running = (1 - momentum) * running + momentum * batch``, the same
+    products and sum), so the arrays keep their identity; infer mode uses the
+    running statistics only.
     """
 
     gamma: Node
@@ -384,8 +381,9 @@ def batchnorm(a: Node, state: BatchNormState, mode: str) -> Node:
         var = x.var(axis=0)
         inv = 1.0 / np.sqrt(var + state.epsilon)
         xhat = (x - mu) * inv
-        state.running_mean = (1.0 - state.momentum) * state.running_mean + state.momentum * mu
-        state.running_var = (1.0 - state.momentum) * state.running_var + state.momentum * var
+        for running, batch in ((state.running_mean, mu), (state.running_var, var)):
+            running *= 1.0 - state.momentum
+            running += state.momentum * batch
 
         def pull_a(g):
             dxhat = g * gval
@@ -524,10 +522,10 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(loss: Node) -> None:
     """Populate grads of every reachable requires_grad node with dLoss/dNode.
 
-    Leaf grads accumulate across calls until ``zero_grad``. Every intermediate
-    node's grad is reset to ``None`` first and starts at the first contribution
-    it receives, so a node shared with an earlier graph passes on only this
-    loss's gradient. A contribution may be a view of the child's gradient
+    Leaf grads accumulate across calls until the caller zeroes them. Every
+    intermediate node's grad is reset to ``None`` first and starts at the first
+    contribution it receives, so a node shared with an earlier graph passes on
+    only this loss's gradient. A contribution may be a view of the child's gradient
     (``add`` passes it through, ``concat_cols`` slices it), so an intermediate
     grad is never added to in place.
     """

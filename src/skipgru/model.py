@@ -75,14 +75,6 @@ class VariantConfig:
         if self.hidden_size < 1:
             raise ConfigError(f"hidden_size must be positive, got {self.hidden_size}")
 
-    def to_dict(self) -> dict:
-        return {"activation": self.activation, "hidden_size": self.hidden_size,
-                "use_batchnorm": self.use_batchnorm}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VariantConfig":
-        return cls(**d)
-
 
 @dataclass
 class ModelDims:
@@ -106,14 +98,6 @@ class ModelDims:
             ctx_col=pipeline.triplet_ctx_col,
             ctx_vocab=pipeline.context_vocab_size,
         )
-
-    def to_dict(self) -> dict:
-        return {"d_trip": self.d_trip, "d_doub": self.d_doub, "ctx_col": self.ctx_col,
-                "ctx_vocab": self.ctx_vocab, "ctx_width": self.ctx_width}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelDims":
-        return cls(**d)
 
 
 @dataclass
@@ -145,9 +129,14 @@ class ModelParams:
     block; layer 1's block is two row-view nodes, its numeric rows and its
     context rows. ``views`` maps each checkpoint name to its view, so
     ``gru1.w_ux`` is a column third of ``gru1``'s input block.
+
+    The constructor only allocates: every weight starts at zero and the
+    running statistics at mean 0, variance 1. ``initialize`` draws the
+    starting weights of a training run; a loaded checkpoint writes its
+    arrays through ``arrays`` instead.
     """
 
-    def __init__(self, variant: VariantConfig, dims: ModelDims, seed: int = 0):
+    def __init__(self, variant: VariantConfig, dims: ModelDims):
         self.variant = variant
         self.dims = dims
         h, h2, n_num = variant.hidden_size, 2 * variant.hidden_size, dims.d_trip - 1
@@ -168,14 +157,6 @@ class ModelParams:
                                  for p in ("gamma", "beta")})
         size = sum(rows * cols for rows, cols in self._shapes.values())
         self.values, self.grads = np.zeros(size), np.zeros(size)
-        rng = np.random.default_rng(seed)
-        init = self.views(self.values)
-        for name in (*(f"{layer}.{w}" for layer in ("gru1", "gru2")
-                       for w in ("w_ux", "w_us", "w_rx", "w_rs", "w_x", "w_s")),
-                     "proj.w", "head.w1", "head.w2", "head.w3", "ctx_embedding"):
-            init[name][...] = glorot(rng, *init[name].shape)
-        for name in (name for name in init if name.endswith(".gamma")):
-            init[name][...] = 1.0
         values, grads = self._blocks(self.values), self._blocks(self.grads)
 
         def node(name, rows=slice(None)):
@@ -205,6 +186,18 @@ class ModelParams:
     def d_enriched(self) -> int:
         return self.dims.d_doub + 4 * self.variant.hidden_size
 
+    def initialize(self, seed: int) -> None:
+        """The starting point of a training run: glorot weights drawn from
+        ``seed`` in a fixed name order, and every norm scale set to 1."""
+        rng = np.random.default_rng(seed)
+        init = self.views(self.values)
+        for name in (*(f"{layer}.{w}" for layer in ("gru1", "gru2")
+                       for w in ("w_ux", "w_us", "w_rx", "w_rs", "w_x", "w_s")),
+                     "proj.w", "head.w1", "head.w2", "head.w3", "ctx_embedding"):
+            init[name][...] = glorot(rng, *init[name].shape)
+        for name in (name for name in init if name.endswith(".gamma")):
+            init[name][...] = 1.0
+
     def _blocks(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """The stored blocks of a parameter-sized flat vector, by block name."""
         bounds = np.cumsum([0, *(rows * cols for rows, cols in self._shapes.values())])
@@ -220,36 +213,16 @@ class ModelParams:
             views.update(zip(parts, np.split(block, len(parts), axis=1)))
         return views
 
-    def _running_stats(self) -> dict[str, ad.BatchNormState]:
-        return {} if self.bn1 is None else {"bn1": self.bn1, "bn2": self.bn2}
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copies of every array needed to reproduce inference, running stats included."""
-        state = {name: view.copy() for name, view in self.views(self.values).items()}
-        for prefix, bn in self._running_stats().items():
-            state[f"{prefix}.running_mean"] = bn.running_mean.copy()
-            state[f"{prefix}.running_var"] = bn.running_var.copy()
-        return state
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Write ``state`` into the parameter views in place; gradients are untouched."""
-        views = self.views(self.values)
-        expected = set(views) | {f"{prefix}.{stat}" for prefix in self._running_stats()
-                                 for stat in ("running_mean", "running_var")}
-        if set(state) != expected:
-            missing = expected - set(state)
-            extra = set(state) - expected
-            raise ShapeError(f"state mismatch: missing {sorted(missing)}, "
-                             f"unexpected {sorted(extra)}")
-        for name, view in views.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != view.shape:
-                raise ShapeError(f"parameter {name}: shape {arr.shape} "
-                                 f"!= expected {view.shape}")
-            view[...] = arr
-        for prefix, bn in self._running_stats().items():
-            bn.running_mean = np.asarray(state[f"{prefix}.running_mean"], dtype=np.float64).copy()
-            bn.running_var = np.asarray(state[f"{prefix}.running_var"], dtype=np.float64).copy()
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array a checkpoint stores, live and in name order: the views
+        of ``values`` and the batch-norm running statistics. Writing into one
+        writes the model."""
+        arrays = self.views(self.values)
+        for prefix, bn in (("bn1", self.bn1), ("bn2", self.bn2)):
+            if bn is not None:
+                arrays.update({f"{prefix}.running_mean": bn.running_mean,
+                               f"{prefix}.running_var": bn.running_var})
+        return dict(sorted(arrays.items()))
 
 
 def encode_first_half(batch: Batch, params: ModelParams) -> ad.Node:

@@ -13,18 +13,26 @@ little-endian float64, back to back: the parameters in name order, then the
 embedding table. ``sha256`` is the digest of the canonical (sorted-keys,
 no-whitespace) JSON dump of the payload followed by those array bytes.
 
-Loading re-verifies the version, the hash, and every shape; reloaded models
-reproduce the saved model's predictions bit for bit. Any other version,
-version 1 (one JSON line whose payload held the arrays as float lists)
-included, is a ``CheckpointVersionError``.
+A ``Checkpoint`` holds its model's own ``ModelParams`` and
+``FeaturePipeline``. Saving reads the live arrays (``ModelParams.arrays``)
+in name order; loading builds the pipeline once, allocates one store from
+the header and copies the bytes straight into it. Past the
+version and the hash, loading rejects a file no trained model could have
+written, naming the first ``dims`` field or array at fault: ``dims`` that
+differ from what the stored pipeline gives, a name -> shape table that
+differs from the store's, a non-finite array or a negative running
+variance. Reloaded models reproduce the saved model's predictions bit for
+bit. Any other version, version 1 (one JSON line whose payload held the
+arrays as float lists) included, is a ``CheckpointVersionError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -132,34 +140,32 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    variant: VariantConfig
-    dims: ModelDims
-    state: dict[str, np.ndarray]
-    pipeline_payload: dict
+    params: ModelParams
+    pipeline: FeaturePipeline
     embedding_ref: dict | None
     metadata: dict
 
     def build(self) -> tuple[ModelParams, FeaturePipeline]:
-        with _payload_schema("checkpoint"):
-            params = ModelParams(self.variant, self.dims, seed=0)
-            params.load_state_dict(self.state)
-            return params, FeaturePipeline.from_dict(self.pipeline_payload)
+        """The stored model and its feature pipeline. Both are this
+        checkpoint's own objects, not copies: training the model, or a
+        train-mode forward that moves its running statistics, changes what
+        the checkpoint saves."""
+        return self.params, self.pipeline
 
     def arrays(self) -> list[np.ndarray]:
         """The float arrays in file order: parameters by name, then the embedding table."""
         return [np.ascontiguousarray(a, dtype="<f8") for a in
-                [*(self.state[name] for name in sorted(self.state)),
-                 self.pipeline_payload["embeddings"]]]
+                [*self.params.arrays().values(), self.pipeline.embedding_table]]
 
     def payload(self) -> dict:
         """The header payload: the arrays appear as their shapes."""
-        table = self.pipeline_payload["embeddings"]
+        pipeline = self.pipeline.to_dict()
         return {
-            "variant": self.variant.to_dict(),
-            "dims": self.dims.to_dict(),
+            "variant": asdict(self.params.variant),
+            "dims": asdict(self.params.dims),
             "params": {name: {"shape": list(arr.shape)}
-                       for name, arr in sorted(self.state.items())},
-            "pipeline": {**self.pipeline_payload, "embeddings": {"shape": list(table.shape)}},
+                       for name, arr in self.params.arrays().items()},
+            "pipeline": {**pipeline, "embeddings": {"shape": list(pipeline["embeddings"].shape)}},
             "embedding_ref": self.embedding_ref,
             "metadata": self.metadata,
         }
@@ -235,32 +241,44 @@ def load_checkpoint(path) -> Checkpoint:
             f"computed {actual[:12]}..)"
         )
     with _payload_schema(path):
-        state, pipeline = _read_arrays(path, payload, body)
-        return Checkpoint(
-            variant=VariantConfig.from_dict(payload["variant"]),
-            dims=ModelDims.from_dict(payload["dims"]),
-            state=state,
-            pipeline_payload=pipeline,
-            embedding_ref=payload.get("embedding_ref"),
-            metadata=payload.get("metadata", {}),
-        )
+        shapes = {name: _shape(entry["shape"]) for name, entry in payload["params"].items()}
+        table_shape = _shape(payload["pipeline"]["embeddings"]["shape"])
+        n_params = sum(math.prod(shape) for shape in shapes.values())
+        if len(body) != 8 * (n_params + math.prod(table_shape)):
+            raise CheckpointIntegrityError(f"{path}: {len(body)} array bytes, but the header "
+                                           f"lists {n_params + math.prod(table_shape)} floats")
+        values = np.frombuffer(body, dtype="<f8")
+        table = values[n_params:].reshape(table_shape)
+        _check_array(path, "pipeline.embeddings", table)
+        pipeline = FeaturePipeline.from_dict({**payload["pipeline"], "embeddings": table})
+        dims = ModelDims(**payload["dims"])
+        _check_header(path, "dims.%s", asdict(dims), asdict(ModelDims.from_pipeline(pipeline)))
+        params = ModelParams(VariantConfig(**payload["variant"]), dims)
+        arrays = params.arrays()
+        _check_header(path, "the shape of %r", shapes,
+                      {name: arr.shape for name, arr in arrays.items()})
+        bounds = np.cumsum([0, *(arr.size for arr in arrays.values())])
+        for (name, arr), lo, hi in zip(arrays.items(), bounds[:-1], bounds[1:]):
+            _check_array(path, name, values[lo:hi])
+            arr[...] = values[lo:hi].reshape(arr.shape)
+        return Checkpoint(params, pipeline, payload.get("embedding_ref"),
+                          payload.get("metadata", {}))
 
 
-def _read_arrays(path, payload: dict, body: bytes):
-    """The parameter arrays and the pipeline payload, its table cut from the array bytes."""
-    params = payload["params"]
-    names = sorted(params)
-    shapes = [_shape(params[name]["shape"]) for name in names]
-    shapes.append(_shape(payload["pipeline"]["embeddings"]["shape"]))
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    if len(body) != 8 * sum(sizes):
-        raise CheckpointIntegrityError(
-            f"{path}: {len(body)} array bytes, but the header lists {sum(sizes)} floats"
-        )
-    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    arrays = [part.reshape(shape) for part, shape
-              in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
-    return dict(zip(names, arrays[:-1])), {**payload["pipeline"], "embeddings": arrays[-1]}
+def _check_header(path, what: str, header: dict, want: dict) -> None:
+    """Name the first entry, in key order, where the header differs from the
+    model it describes."""
+    if header != want:
+        key = min(k for k in header.keys() | want.keys() if header.get(k) != want.get(k))
+        raise CheckpointIntegrityError(f"{path}: {what % key} is {header.get(key)} in the "
+                                       f"header, but {want.get(key)} in the model it describes")
+
+
+def _check_array(path, name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise CheckpointIntegrityError(f"{path}: array {name!r} holds a non-finite value")
+    if name.endswith(".running_var") and (arr < 0.0).any():
+        raise CheckpointIntegrityError(f"{path}: array {name!r} holds a negative variance")
 
 
 def _shape(raw) -> tuple[int, ...]:
@@ -283,19 +301,21 @@ def train(
 
     Both session tables are encoded once. Per epoch: shuffle, batch, forward,
     multi-task loss over the real positions, backward, Adam. Validation mean
-    AA is computed after every epoch and the best parameter snapshot is kept.
-    Fully deterministic given config.seed.
+    AA is computed after every epoch; the best epoch's arrays are copied and,
+    at the end, written back into the model the checkpoint returns. Fully
+    deterministic given config.seed.
     """
     if not train_sessions or not valid_sessions:
         raise ConfigError("train and validation session lists must be non-empty")
-    params = ModelParams(variant, ModelDims.from_pipeline(pipeline), seed=config.seed)
+    params = ModelParams(variant, ModelDims.from_pipeline(pipeline))
+    params.initialize(config.seed)
     adam = AdamState(lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     valid_truth = metrics.second_half_truth(valid_sessions)
     train_set = pipeline.encode(train_sessions, tracks)
     valid_set = pipeline.encode(valid_sessions, tracks)
 
-    best_state = params.state_dict()
+    best = [arr.copy() for arr in params.arrays().values()]
     best_aa = None
     epoch_log: list[dict] = []
     for epoch in range(1, config.epochs + 1):
@@ -328,8 +348,10 @@ def train(
             log(f"epoch {epoch}: train_loss={train_loss:.6f} val_aa={val_aa:.4f}")
         if best_aa is None or val_aa > best_aa:
             best_aa = val_aa
-            best_state = params.state_dict()
+            best = [arr.copy() for arr in params.arrays().values()]
 
+    for arr, saved in zip(params.arrays().values(), best, strict=True):
+        arr[...] = saved
     metadata = {
         "epochs": config.epochs,
         "batch_size": config.batch_size,
@@ -339,11 +361,4 @@ def train(
         "best_val_aa": best_aa,
         "epoch_log": epoch_log,
     }
-    return Checkpoint(
-        variant=variant,
-        dims=params.dims,
-        state=best_state,
-        pipeline_payload=pipeline.to_dict(),
-        embedding_ref=embedding_ref,
-        metadata=metadata,
-    )
+    return Checkpoint(params, pipeline, embedding_ref, metadata)

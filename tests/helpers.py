@@ -4,16 +4,17 @@ behind its input projection, the ``np.add.at`` row scatter, the session
 table of a list of sessions, a session's halves as event lists, the packed
 row order of a batch and each session's rows read back out of one, the
 co-occurrence table as a pair dict, the GloVe slice loop as it ran before
-its workspace buffers, a fresh batchnorm state, and a checkpoint writer for
-re-hashed tampered files."""
+its workspace buffers, a fresh batchnorm state, a fresh model at a seed, and
+a checkpoint writer for re-hashed tampered files."""
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
 from skipgru import autodiff as ad
-from skipgru import data, glove
+from skipgru import data, glove, model
 
 
 def central_diff(f, x, h=1e-6):
@@ -111,6 +112,14 @@ def batchnorm_state(width, momentum=0.1, epsilon=1e-5):
     running statistics, with its own parameter nodes."""
     return ad.BatchNormState(ad.parameter(np.ones((1, width))), ad.parameter(np.zeros((1, width))),
                              np.zeros(width), np.ones(width), momentum, epsilon)
+
+
+def fresh_params(variant, dims, seed=0):
+    """A fresh model at ``seed``: the store ``model.ModelParams`` allocates,
+    then the glorot draw that ``training.train`` starts from."""
+    params = model.ModelParams(variant, dims)
+    params.initialize(seed)
+    return params
 
 
 def scatter_rows(shape, idx, g):
@@ -285,12 +294,23 @@ def _canonical_sha256(payload, tail):
     return hashlib.sha256(canonical.encode("utf-8") + tail).hexdigest()
 
 
-def rewrite_checkpoint(src, dst, tamper):
-    """Copy a version-2 checkpoint, applying ``tamper`` to its header envelope and
-    re-hashing the payload with the unchanged array bytes, so only the schema
-    checks can catch the change."""
+def rewrite_checkpoint(src, dst, tamper, arrays=None):
+    """Copy a version-2 checkpoint, applying ``tamper`` to its header envelope
+    and ``arrays``, if given, to its arrays, then re-hash, so only the schema
+    and value checks can catch the change. ``arrays`` gets every array of the
+    file by name (the parameters, then ``pipeline.embeddings``) as a writable
+    view of a copy of the array bytes."""
     header, _, body = src.read_bytes().partition(b"\n")
     envelope = json.loads(header)
     tamper(envelope)
+    if arrays is not None:
+        payload = envelope["payload"]
+        shapes = [(name, payload["params"][name]["shape"]) for name in sorted(payload["params"])]
+        shapes.append(("pipeline.embeddings", payload["pipeline"]["embeddings"]["shape"]))
+        values = np.frombuffer(body, dtype="<f8").copy()
+        bounds = np.cumsum([0, *(math.prod(shape) for _, shape in shapes)])
+        arrays({name: values[lo:hi].reshape(shape)
+                for (name, shape), lo, hi in zip(shapes, bounds[:-1], bounds[1:])})
+        body = values.tobytes()
     envelope["sha256"] = _canonical_sha256(envelope["payload"], body)
     dst.write_bytes(json.dumps(envelope).encode("utf-8") + b"\n" + body)

@@ -18,8 +18,8 @@ from skipgru import autodiff as ad
 from skipgru import cli, data, glove, metrics, model, training
 from skipgru.features import FeaturePipeline
 
-from helpers import (central_diff, enrich_reference, max_rel_err, one_batch, projected_gru,
-                     session_table)
+from helpers import (central_diff, enrich_reference, fresh_params, max_rel_err, one_batch,
+                     projected_gru, session_table)
 from test_model import gru_params, hand_gru_step, step, tiny_setup, whole_model_fd
 
 
@@ -216,8 +216,7 @@ class TestOverfitSanity:
         with criterion("overfit-sanity"):
             tracks, sessions, pipeline, _ = tiny_setup(seed=0, n_sessions=24)
             variant = model.VariantConfig(hidden_size=24)
-            params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline),
-                                       seed=0)
+            params = fresh_params(variant, model.ModelDims.from_pipeline(pipeline), seed=0)
             batch = one_batch(sessions[:1], pipeline, tracks)
             adam = training.AdamState(lr=0.03)
             losses = []

@@ -630,7 +630,7 @@ class TestBlasThreadCount:
             assert done.returncode == 0, done.stderr
         with np.load(f"{probs}.npz") as saved:
             probabilities = dict(saved)
-        return (training.load_checkpoint(ckpt).state, probabilities,
+        return (training.load_checkpoint(ckpt).params.arrays(), probabilities,
                 sub.read_text().splitlines())
 
     def test_train_and_predict_agree_within_tolerance(self, tmp_path_factory, tmp_path):

@@ -361,8 +361,7 @@ def _save_checkpoint(path):
     from test_model import tiny_setup
 
     _, _, pipeline, params = tiny_setup()
-    checkpoint = training.Checkpoint(params.variant, params.dims, params.state_dict(),
-                                     pipeline.to_dict(), None, {})
+    checkpoint = training.Checkpoint(params, pipeline, None, {})
     training.save_checkpoint(checkpoint, path)
 
 

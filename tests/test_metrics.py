@@ -14,7 +14,7 @@ from skipgru.errors import (
 )
 from skipgru.features import FeaturePipeline
 
-from helpers import session_table, split_halves
+from helpers import fresh_params, session_table, split_halves
 
 
 def brute_force_aa(pred, truth):
@@ -195,7 +195,7 @@ def small_models(n_members=2, hidden=3, seed=0):
     pipeline = FeaturePipeline({}, d_emb=3).fit(sessions, tracks)
     dims = model.ModelDims.from_pipeline(pipeline)
     members = [
-        (model.ModelParams(model.VariantConfig(hidden_size=hidden), dims, seed=s), pipeline)
+        (fresh_params(model.VariantConfig(hidden_size=hidden), dims, seed=s), pipeline)
         for s in range(n_members)
     ]
     return tracks, sessions, pipeline, members
@@ -230,8 +230,7 @@ class TestEnsemblePredict:
         tracks, sessions, pipeline, members = small_models(1)
         other_pipeline = FeaturePipeline({}, d_emb=5).fit(sessions, tracks)
         dims = model.ModelDims.from_pipeline(other_pipeline)
-        bad = (model.ModelParams(model.VariantConfig(hidden_size=3), dims, seed=7),
-               other_pipeline)
+        bad = (fresh_params(model.VariantConfig(hidden_size=3), dims, seed=7), other_pipeline)
         with pytest.raises(EnsembleError, match="member 1"):
             metrics.ensemble_predict([members[0], bad], sessions, tracks)
 
@@ -321,9 +320,8 @@ class TestEnsembleEncoding:
         loaded = []
         for k, (params, _) in enumerate(members):
             path = tmp_path / f"member{k}.ckpt"
-            training.save_checkpoint(training.Checkpoint(
-                params.variant, params.dims, params.state_dict(), pipeline.to_dict(), None, {}),
-                path)
+            training.save_checkpoint(training.Checkpoint(params, pipeline, None, {}),
+                                     path)
             loaded.append(training.load_checkpoint(path).build())
         assert len({id(p) for _, p in loaded}) == 3
         calls = count_encodes(monkeypatch)

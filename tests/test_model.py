@@ -7,11 +7,13 @@ import pytest
 
 from skipgru import autodiff as ad
 from skipgru import data, metrics, model, training
-from skipgru.errors import ConfigError, DegenerateBatchError, ShapeError
+from skipgru.errors import (CheckpointIntegrityError, ConfigError, DegenerateBatchError,
+                            ShapeError)
 from skipgru.features import FeaturePipeline
 
-from helpers import (central_diff, composed_gru_step, enrich_reference, head_reference,
-                     max_rel_err, one_batch, session_table, split_halves, unpack)
+from helpers import (central_diff, composed_gru_step, enrich_reference, fresh_params,
+                     head_reference, max_rel_err, one_batch, rewrite_checkpoint, session_table,
+                     split_halves, unpack)
 
 
 def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="relu"):
@@ -23,8 +25,19 @@ def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="
     variant = model.VariantConfig(
         activation=activation, hidden_size=hidden, use_batchnorm=use_batchnorm
     )
-    params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline), seed=seed)
+    params = fresh_params(variant, model.ModelDims.from_pipeline(pipeline), seed)
     return tracks, sessions, pipeline, params
+
+
+def snapshot(params):
+    """Copies of every array a checkpoint stores, by name."""
+    return {name: arr.copy() for name, arr in params.arrays().items()}
+
+
+def restore(params, saved):
+    """Write ``snapshot``'s copies back into the live arrays."""
+    for name, arr in params.arrays().items():
+        arr[...] = saved[name]
 
 
 def zero_all(params):
@@ -443,7 +456,7 @@ class TestFusedHead:
         probs = head(ad.constant(batch.second), x_half, batch.session, params, mode)
         ad.backward(model.loss(probs, batch.targets))
         grads = [params.grads, x_half.grad]
-        stats = [stat for bn in (params.bn1, params.bn2) if bn is not None
+        stats = [stat.copy() for bn in (params.bn1, params.bn2) if bn is not None
                  for stat in (bn.running_mean, bn.running_var)]
         return probs.value, np.concatenate([g.ravel() for g in grads]), stats
 
@@ -454,9 +467,9 @@ class TestFusedHead:
         tracks, sessions, pipeline, params = tiny_setup(
             seed=4, hidden=5, n_sessions=12, activation=activation, use_batchnorm=use_batchnorm)
         batch = one_batch(sessions, pipeline, tracks)
-        state = params.state_dict()
+        state = snapshot(params)
         probs, grads, stats = self.run(model.head, batch, params, mode)
-        params.load_state_dict(state)
+        restore(params, state)
         ref_probs, ref_grads, ref_stats = self.run(head_reference, batch, params, mode)
         for got, ref in [(probs, ref_probs), (grads, ref_grads), *zip(stats, ref_stats)]:
             assert np.max(np.abs(got - ref)) <= FUSED_HEAD_BOUND * np.max(np.abs(ref))
@@ -557,8 +570,8 @@ class TestInferenceKeepsNoGraph:
             seed=8, hidden=5, n_sessions=20, activation=activation, use_batchnorm=use_batchnorm)
         rng = np.random.default_rng(8)
         for bn in (params.bn1, params.bn2) if use_batchnorm else ():
-            bn.running_mean = rng.normal(size=bn.running_mean.shape)
-            bn.running_var = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+            bn.running_mean[...] = rng.normal(size=bn.running_mean.shape)
+            bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
         encoded = pipeline.encode(sessions, tracks)
         probs = model.predict_encoded(encoded, params, batch_size=8)
         rows = np.arange(len(sessions))
@@ -628,8 +641,8 @@ class _KinkWatch:
 
 
 def model_loss_value(batch, params, state):
-    """Loss as a pure function of a flat parameter state (for FD probing)."""
-    params.load_state_dict(state)
+    """Loss as a pure function of a named parameter state (for FD probing)."""
+    restore(params, state)
     probs = model.forward_batch(batch, params, "infer")
     return model.loss(probs, batch.targets).value[0, 0]
 
@@ -647,14 +660,14 @@ def whole_model_fd(seed, use_batchnorm=False, coords_per_param=None, tol=1e-4):
     jitter = np.random.default_rng(seed + 5000)
     state = {
         k: v + jitter.uniform(-0.05, 0.05, size=v.shape)
-        for k, v in params.state_dict().items()
+        for k, v in snapshot(params).items()
     }
-    params.load_state_dict(state)
+    restore(params, state)
     batch = one_batch(sessions[seed % 4:seed % 4 + 2], pipeline, tracks)
     probs = model.forward_batch(batch, params, "infer")
     ad.backward(model.loss(probs, batch.targets))
     grads = {name: grad.copy() for name, grad in params.views(params.grads).items()}
-    state = params.state_dict()
+    state = snapshot(params)
     rng = np.random.default_rng(seed + 1)
     h = 1e-6
     checked = skipped = 0
@@ -677,7 +690,7 @@ def whole_model_fd(seed, use_batchnorm=False, coords_per_param=None, tol=1e-4):
             analytic = grads[name].reshape(-1)[c]
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
             assert err < tol, f"{name}[{c}]: analytic {analytic} vs numeric {numeric}"
-    params.load_state_dict(state)
+    restore(params, state)
     return checked, skipped
 
 
@@ -692,71 +705,117 @@ class TestWholeModelGradients:
         assert checked > 0
 
 
+def saved_checkpoint(path, params, pipeline):
+    """Save ``params`` with ``pipeline`` as a checkpoint at ``path``."""
+    training.save_checkpoint(training.Checkpoint(params, pipeline, None, {}), path)
+    return path
+
+
 class TestStateDict:
-    def test_round_trip(self):
-        _, _, _, params = tiny_setup(seed=5, use_batchnorm=True)
-        state = params.state_dict()
-        clone = model.ModelParams(params.variant, params.dims, seed=99)
-        clone.load_state_dict(state)
-        for name, view in clone.views(clone.values).items():
-            assert np.array_equal(view, state[name])
+    """The checkpoint's name -> array table: ``ModelParams.arrays`` writes it
+    and ``load_checkpoint`` checks it against a fresh store and reads it back."""
 
-    def test_shape_check(self):
-        _, _, _, params = tiny_setup(seed=5)
-        state = params.state_dict()
-        state["proj.w"] = np.zeros((1, 1))
-        with pytest.raises(ShapeError, match="proj.w"):
-            params.load_state_dict(state)
+    def test_round_trip(self, tmp_path):
+        _, _, pipeline, params = tiny_setup(seed=5, use_batchnorm=True)
+        params.bn1.running_var[...] = np.linspace(0.5, 2.0, params.bn1.running_var.size)
+        path = saved_checkpoint(tmp_path / "m.ckpt", params, pipeline)
+        clone = training.load_checkpoint(path).params
+        assert clone.arrays().keys() == params.arrays().keys()
+        for name, arr in clone.arrays().items():
+            assert np.array_equal(arr, params.arrays()[name]), name
 
-    def test_name_check(self):
-        _, _, _, params = tiny_setup(seed=5)
-        state = params.state_dict()
-        state["mystery"] = np.zeros(1)
-        with pytest.raises(ShapeError, match="mystery"):
-            params.load_state_dict(state)
+    def test_shape_check(self, tmp_path):
+        _, _, pipeline, params = tiny_setup(seed=5)
+        path = saved_checkpoint(tmp_path / "m.ckpt", params, pipeline)
+        # the transposed shape keeps the byte count, so only the table check sees it
+        rewrite_checkpoint(path, tmp_path / "bad.ckpt",
+                           lambda envelope: envelope["payload"]["params"]["proj.w"]["shape"]
+                           .reverse())
+        rows, cols = params.proj_w.shape
+        with pytest.raises(CheckpointIntegrityError,
+                           match=rf"shape of 'proj\.w' is \({cols}, {rows}\) in the header"):
+            training.load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_name_check(self, tmp_path):
+        _, _, pipeline, params = tiny_setup(seed=5)
+        path = saved_checkpoint(tmp_path / "m.ckpt", params, pipeline)
+
+        def rename(envelope):
+            table = envelope["payload"]["params"]
+            table["mystery"] = table.pop("proj.b")
+
+        rewrite_checkpoint(path, tmp_path / "bad.ckpt", rename)
+        with pytest.raises(CheckpointIntegrityError, match="shape of 'mystery' is"):
+            training.load_checkpoint(tmp_path / "bad.ckpt")
 
 
 class TestParameterViews:
-    """Every weight is a view of ``ModelParams.values``; what leaves or enters
-    through ``state_dict`` and ``load_state_dict`` is copied."""
+    """Every weight is a view of ``ModelParams.values``; ``arrays`` hands out
+    the live arrays, and a checkpoint holds its model's own store."""
 
-    def test_state_dict_returns_copies(self):
+    def test_arrays_are_the_live_store(self):
         _, _, _, params = tiny_setup(seed=5, use_batchnorm=True)
-        before = params.values.copy()
-        for name, arr in params.state_dict().items():
-            assert not np.shares_memory(arr, params.values), name
+        arrays = params.arrays()
+        assert list(arrays) == sorted(arrays)
+        assert arrays["bn1.running_mean"] is params.bn1.running_mean
+        assert arrays["bn2.running_var"] is params.bn2.running_var
+        for name, arr in arrays.items():
             arr[...] = 7.0
-        assert np.array_equal(params.values, before)
-        assert not params.bn1.running_mean.any()
+        assert (params.values == 7.0).all()
+        assert (params.bn1.running_mean == 7.0).all() and (params.bn2.running_var == 7.0).all()
 
-    def test_checkpoint_state_survives_build_and_an_adam_step(self):
+    def test_build_returns_the_checkpoints_own_store(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=6)
-        ckpt = training.Checkpoint(params.variant, params.dims, params.state_dict(),
-                                   pipeline.to_dict(), None, {})
-        saved = {name: arr.copy() for name, arr in ckpt.state.items()}
-        built, _ = ckpt.build()
+        ckpt = training.Checkpoint(params, pipeline, None, {})
+        built, built_pipeline = ckpt.build()
+        assert built is params and built_pipeline is pipeline
+        assert ckpt.build()[0] is built and ckpt.build()[1] is built_pipeline
         batch = one_batch(sessions, pipeline, tracks)
         ad.backward(model.loss(model.forward_batch(batch, built, "train"), batch.targets))
+        before = ckpt.content_hash()
         training.adam_step(built, training.AdamState())
-        assert not np.array_equal(built.values, params.values)
-        assert ckpt.state.keys() == saved.keys()
-        assert all(np.array_equal(ckpt.state[name], saved[name]) for name in saved)
+        assert ckpt.content_hash() != before
 
     def test_two_models_share_no_memory(self):
         _, _, _, params = tiny_setup(seed=5, use_batchnorm=True)
-        other = model.ModelParams(params.variant, params.dims, seed=5)
+        other = fresh_params(params.variant, params.dims, seed=5)
         assert np.array_equal(other.values, params.values)
         for mine, theirs in [(params.values, other.values), (params.grads, other.grads),
-                             (params.values, params.grads)]:
+                             (params.values, params.grads),
+                             (params.bn1.running_mean, other.bn1.running_mean)]:
             assert not np.shares_memory(mine, theirs)
 
     def test_loading_a_gru_column_block_writes_only_that_block(self):
         _, _, _, params = tiny_setup(seed=5, hidden=3)
-        state, before = params.state_dict(), params.values.copy()
-        state["gru1.w_ux"] = np.full_like(state["gru1.w_ux"], 9.0)
-        params.load_state_dict(state)
+        before = params.values.copy()
+        params.arrays()["gru1.w_ux"][...] = 9.0
         marked = np.zeros(params.values.shape, dtype=bool)
         params.views(marked)["gru1.w_ux"][...] = True
         assert np.array_equal(params.values != before, marked)
         numeric, context = (node.value for node in params.gru1.w_in)
         assert (np.concatenate([numeric, context])[:, :3] == 9.0).all()
+
+
+def no_draw(*args):
+    raise AssertionError("glorot drawn")
+
+
+class TestFreshModel:
+    def test_constructor_allocates_and_draws_nothing(self, monkeypatch):
+        _, _, _, params = tiny_setup(seed=5, use_batchnorm=True)
+        monkeypatch.setattr(model, "glorot", no_draw)
+        empty = model.ModelParams(params.variant, params.dims)
+        assert not empty.values.any() and not empty.grads.any()
+        assert not empty.bn1.running_mean.any() and (empty.bn1.running_var == 1.0).all()
+
+    def test_loading_and_predicting_draw_nothing(self, tmp_path, monkeypatch):
+        tracks, sessions, pipeline, params = tiny_setup(seed=7, use_batchnorm=True)
+        path = saved_checkpoint(tmp_path / "m.ckpt", params, pipeline)
+        expected = model.predict_probs(sessions, pipeline, tracks, params)
+        monkeypatch.setattr(model, "glorot", no_draw)
+        loaded = training.load_checkpoint(path)
+        built, built_pipeline = loaded.build()
+        assert built is loaded.params and built_pipeline is loaded.pipeline
+        got = model.predict_probs(sessions, built_pipeline, tracks, built)
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[sid], expected[sid]) for sid in expected)

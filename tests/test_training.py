@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import one_batch, rewrite_checkpoint
+from helpers import fresh_params, one_batch, rewrite_checkpoint
 
 from skipgru import autodiff as ad
 from skipgru import cli, data, metrics, model, training
@@ -114,8 +115,8 @@ class TestAdamStep:
         # the flat norm sums in another order than a sum of per-parameter
         # sums, so --clip-norm runs may move in the last bits, within this bound
         tracks, train_s, valid_s, pipeline, _ = tiny_training_setup(seed=seed)
-        params = model.ModelParams(model.VariantConfig(hidden_size=8, use_batchnorm=True),
-                                   model.ModelDims.from_pipeline(pipeline), seed=seed)
+        params = fresh_params(model.VariantConfig(hidden_size=8, use_batchnorm=True),
+                              model.ModelDims.from_pipeline(pipeline), seed)
         rng = np.random.default_rng(seed)
         params.grads[...] = rng.normal(size=params.grads.shape) * 10 ** rng.uniform(
             -3, 3, size=params.grads.shape)
@@ -149,9 +150,10 @@ class TestTrainLoop:
         tracks, train_s, valid_s, pipeline, variant = tiny_training_setup()
         config = training.TrainConfig(batch_size=8, epochs=0, seed=3)
         ckpt = training.train(train_s, valid_s, tracks, pipeline, variant, config)
-        init = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline), seed=3)
-        for name, arr in init.state_dict().items():
-            assert np.array_equal(ckpt.state[name], arr)
+        init = fresh_params(variant, model.ModelDims.from_pipeline(pipeline), seed=3)
+        assert ckpt.params.arrays().keys() == init.arrays().keys()
+        for name, arr in init.arrays().items():
+            assert np.array_equal(ckpt.params.arrays()[name], arr)
         assert ckpt.metadata["best_val_aa"] is None
 
     def test_best_checkpoint_is_max_logged(self):
@@ -193,7 +195,7 @@ class TestOverfitSanity:
     def test_fifty_adam_steps_crush_micro_batch_loss(self):
         tracks, train_s, valid_s, pipeline, _ = tiny_training_setup(seed=0)
         variant = model.VariantConfig(hidden_size=24)
-        params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline), seed=0)
+        params = fresh_params(variant, model.ModelDims.from_pipeline(pipeline), seed=0)
         batch = one_batch(train_s[:1], pipeline, tracks)
         adam = training.AdamState(lr=0.03)
         losses = []
@@ -239,7 +241,7 @@ class TestCheckpointIO:
         tracks, sessions, ckpt = self.make_checkpoint(seed=2)
         payload = {**ckpt.payload(), "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in sorted(ckpt.state.items())}}
+            for name, arr in ckpt.params.arrays().items()}}
         path = tmp_path / "v1.ckpt"
         path.write_text(json.dumps({"schema_version": 1, "sha256": "0" * 64, "payload": payload}))
         with pytest.raises(CheckpointVersionError, match="schema version 1 unsupported"):
@@ -353,8 +355,35 @@ class TestCheckpointIO:
         training.save_checkpoint(ckpt, path)
         loaded = training.load_checkpoint(path)
         assert loaded.metadata == ckpt.metadata
-        assert loaded.variant == ckpt.variant
-        assert loaded.dims == ckpt.dims
+        assert loaded.params.variant == ckpt.params.variant
+        assert loaded.params.dims == ckpt.params.dims
+
+    def test_reloaded_store_equals_the_trained_one_bitwise(self, tmp_path):
+        tracks, train_s, valid_s, pipeline, _ = tiny_training_setup(seed=3)
+        variant = model.VariantConfig(hidden_size=4, use_batchnorm=True)
+        config = training.TrainConfig(batch_size=8, epochs=3, seed=2)
+        ckpt = training.train(train_s, valid_s, tracks, pipeline, variant, config)
+        training.save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        trained, loaded = ckpt.params, training.load_checkpoint(tmp_path / "m.ckpt").params
+        assert same_bits(loaded.values, trained.values)
+        for bn, other in [(loaded.bn1, trained.bn1), (loaded.bn2, trained.bn2)]:
+            assert same_bits(bn.running_mean, other.running_mean)
+            assert same_bits(bn.running_var, other.running_var)
+        assert (trained.bn1.running_var != 1.0).any()
+
+    def test_returned_model_is_the_best_epoch(self):
+        # at this seed the best epoch is not the last, so train must write its
+        # snapshot back
+        tracks, train_s, valid_s, pipeline, variant = tiny_training_setup(seed=0)
+        config = training.TrainConfig(batch_size=8, epochs=4, lr=0.01, seed=0)
+        ckpt = training.train(train_s, valid_s, tracks, pipeline, variant, config)
+        logged = [entry["val_aa"] for entry in ckpt.metadata["epoch_log"]]
+        assert logged[-1] < max(logged)
+        params, pipeline = ckpt.build()
+        predictions = {sid: probs >= metrics.THRESHOLD for sid, probs
+                       in model.predict_probs(valid_s, pipeline, tracks, params).items()}
+        aa, _ = metrics.mean_aa(predictions, metrics.second_half_truth(valid_s))
+        assert aa == ckpt.metadata["best_val_aa"] == max(logged)
 
     def test_validation_aa_improves_over_training(self):
         # not a tight bound, just the qualitative sanity that the loop learns
@@ -367,6 +396,63 @@ class TestCheckpointIO:
                               variant, config)
         log = ckpt.metadata["epoch_log"]
         assert log[-1]["train_loss"] < log[0]["train_loss"]
+
+
+class TestTamperedCheckpoint:
+    """A re-hashed checkpoint that no trained model could have written is a
+    bad file: ``load_checkpoint`` names the ``dims`` field or the array, and
+    ``skipgru predict`` exits 3 before it reads any session."""
+
+    @staticmethod
+    def rejected(tmp_path, capsys, match, tamper=lambda envelope: None, arrays=None):
+        tracks, train_s, valid_s, _, _ = tiny_training_setup(seed=1)
+        rng = np.random.default_rng(1)
+        pipeline = FeaturePipeline({tid: rng.normal(size=3) for tid in sorted(tracks)[::3]})
+        pipeline.fit(train_s, tracks)
+        variant = model.VariantConfig(hidden_size=4, use_batchnorm=True)
+        ckpt = training.train(train_s, valid_s, tracks, pipeline, variant,
+                              training.TrainConfig(batch_size=8, epochs=1))
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        training.save_checkpoint(ckpt, good)
+        rewrite_checkpoint(good, bad, tamper, arrays)
+        with pytest.raises(CheckpointIntegrityError, match=match):
+            training.load_checkpoint(bad)
+        data.write_tracks(tmp_path / "tracks.csv", tracks)
+        data.write_sessions(tmp_path / "sessions.csv", valid_s)
+        assert cli.main(["predict", "--model", str(bad),
+                         "--sessions", str(tmp_path / "sessions.csv"),
+                         "--tracks", str(tmp_path / "tracks.csv"),
+                         "--out", str(tmp_path / "sub.txt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(match, err) and "Traceback" not in err
+        assert not (tmp_path / "sub.txt").exists()
+
+    @pytest.mark.parametrize("field,shift", [("ctx_col", -4), ("ctx_vocab", 1)])
+    def test_dims_that_disagree_with_the_pipeline(self, tmp_path, capsys, field, shift):
+        def move(envelope):
+            envelope["payload"]["dims"][field] += shift
+
+        self.rejected(tmp_path, capsys, rf"dims\.{field} is", move)
+
+    def test_negative_running_variance(self, tmp_path, capsys):
+        def negate(arrays):
+            arrays["bn1.running_var"][0] = -0.5
+
+        self.rejected(tmp_path, capsys, "'bn1.running_var' holds a negative variance",
+                      arrays=negate)
+
+    def test_nan_weight(self, tmp_path, capsys):
+        def poison(arrays):
+            arrays["head.w3"][1, 2] = np.nan
+
+        self.rejected(tmp_path, capsys, "'head.w3' holds a non-finite value", arrays=poison)
+
+    def test_inf_in_the_embedding_table(self, tmp_path, capsys):
+        def poison(arrays):
+            arrays["pipeline.embeddings"][0, 1] = np.inf
+
+        self.rejected(tmp_path, capsys, "'pipeline.embeddings' holds a non-finite value",
+                      arrays=poison)
 
 
 def same_bits(a, b):
@@ -386,18 +472,16 @@ class TestCheckpointProperties:
         pipeline = FeaturePipeline(embeddings, d_emb=d_emb).fit(sessions, tracks)
         variant = model.VariantConfig(activation, hidden, use_batchnorm)
         params = model.ModelParams(variant, model.ModelDims.from_pipeline(pipeline))
-        state = {name: rng.normal(size=value.shape)
-                 for name, value in params.state_dict().items()}
-        for name in state:
+        for name, arr in params.arrays().items():
+            arr[...] = rng.normal(size=arr.shape)
             if name.endswith("running_var"):
-                state[name] = np.abs(state[name])
-        params.load_state_dict(state)
-        ckpt = training.Checkpoint(variant, params.dims, params.state_dict(),
-                                   pipeline.to_dict(), None, {"seed": seed})
+                np.abs(arr, out=arr)
+        state = {name: arr.copy() for name, arr in params.arrays().items()}
+        ckpt = training.Checkpoint(params, pipeline, None, {"seed": seed})
         with tempfile.TemporaryDirectory() as tmp:
             training.save_checkpoint(ckpt, Path(tmp) / "m.ckpt")
             rebuilt, rebuilt_pipeline = training.load_checkpoint(Path(tmp) / "m.ckpt").build()
-        reloaded = rebuilt.state_dict()
+        reloaded = rebuilt.arrays()
         assert reloaded.keys() == state.keys()
         assert all(same_bits(reloaded[name], state[name]) for name in state)
         expected = model.predict_probs(sessions, pipeline, tracks, params)
