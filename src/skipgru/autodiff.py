@@ -21,11 +21,13 @@ Broadcasting is deliberately restricted: the second operand of ``add`` or
 nothing else. All other mismatches raise :class:`ShapeError`.
 Any op whose result contains NaN/Inf raises :class:`NumericError`.
 
-Two ops stand for compositions of the others, as fewer nodes:
+Three ops stand for compositions of the others, as fewer nodes:
 ``affine(x, w, b)`` is ``add(matmul(x, w), b)`` bit for bit, with no
 ``x @ w`` node left in the graph; ``enrich_affine`` is an affine map of
 enriched rows ``[x ; h[idx] ; h[idx] * gate]`` that never forms them and
-projects each row of ``h`` once. ``gru`` is one layer's recurrence.
+projects each row of ``h`` once; ``gru`` is one layer's recurrence, with
+tanh-form gates. The last two are not bit-identical to their compositions:
+their values and gradients are within 1e-12 of the largest entry of each.
 """
 
 from __future__ import annotations
@@ -407,6 +409,18 @@ def batchnorm(a: Node, state: BatchNormState, mode: str) -> Node:
     return _result(value, pulls, "batchnorm")
 
 
+def _gate(half_a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The logistic function of ``2 * half_a``, written into ``out`` as
+    ``1/2 + tanh(half_a) / 2``: one ``tanh`` and one multiply-add. It is
+    within 4.5e-16 of ``_sigmoid`` in absolute terms (2.2e-16, one ulp at 1,
+    on a grid over [-800, 800]), but near 0 it keeps no relative precision,
+    so only the GRU gates use it."""
+    np.tanh(half_a, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
 def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, sizes) -> Node:
     """The recurrence of one GRU layer over packed steps, as a single node.
 
@@ -423,12 +437,20 @@ def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, sizes) -> Node:
         u_t = sigmoid(pre_u_t + o_{t-1} W_us)
         r_t = sigmoid(pre_r_t + o_{t-1} W_rs)
         s_t = tanh(pre_s_t + (r_t * o_{t-1}) W_s)
-        o_t = (1 - u_t) * o_{t-1} + u_t * s_t
+        o_t = o_{t-1} + u_t * (s_t - o_{t-1})
 
-    Only the recurrent products run per step; ``pre.value`` is not written.
-    The gradient is one backpropagation-through-time sweep, shared by the
-    pulls of all parents of one ``backward``. Non-finite pre-activations
-    raise :class:`NumericError`, since the saturating gates would hide them.
+    The gates are computed as ``1/2 + tanh(a / 2) / 2`` (``_gate``), with the
+    halving folded into one copy of the gate pre-activations and of
+    ``[W_us | W_rs]`` per call, which is exact. ``pre`` is copied once, in two
+    contiguous column blocks, and every per-step array is a contiguous row
+    block of a buffer allocated once per call, so the step loop runs only the
+    recurrent products and in-place passes; ``pre.value`` is not written.
+    Values and gradients are within 1e-12 of the largest entry of each from
+    the same recurrence composed of ``sigmoid``, ``add``, ``matmul`` and
+    ``hadamard`` nodes, not bit-identical to it. The gradient is one
+    backpropagation-through-time sweep, shared by the pulls of all parents of
+    one ``backward``. Non-finite pre-activations raise :class:`NumericError`,
+    since the saturating gates would hide them.
     """
     batch, h = o0.shape
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -442,44 +464,64 @@ def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, sizes) -> Node:
         raise ShapeError(f"gru: pre-activation {pre.shape} or recurrent weights "
                          f"{[w.shape for w in (w_us, w_rs, w_s)]} do not fit "
                          f"steps of {sizes.tolist()} rows of state {o0.shape}")
-    steps = [(slice(lo, hi), hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    steps = list(zip(bounds[:-1], bounds[1:]))
     w_gate = np.concatenate([w_us.value, w_rs.value], axis=1)
-    ws = w_s.value
-    acts = np.empty_like(pre.value)  # pre plus the recurrent terms, step by step
-    gates = np.empty_like(acts)  # [u | r | s]
-    out = np.empty((bounds[-1], h))
-    o_prev = np.empty_like(out)  # each step's incoming state, for the sweep
+    w_half, ws = 0.5 * w_gate, w_s.value
+    # the activations, step by step: half those of the gates, and the candidate's
+    a_gate, a_s = 0.5 * pre.value[:, :2 * h], pre.value[:, 2 * h:].copy()
+    gates = np.empty_like(a_gate)  # [u | r]
+    s = np.empty_like(a_s)
+    o_prev = np.empty_like(a_s)  # each step's incoming state, for the sweep
+    ro = np.empty_like(a_s)  # r * o_prev, the candidate's recurrent input
+    out = np.empty_like(a_s)
     o = o0.value
-    for rows, n in steps:
-        o_prev[rows] = o[:n]  # the sequences still running keep the first rows
-        p, a, gt, o = pre.value[rows], acts[rows], gates[rows], o_prev[rows]
-        np.add(p[:, :2 * h], o @ w_gate, out=a[:, :2 * h])
-        gt[:, :2 * h] = _sigmoid(a[:, :2 * h])
-        u, r = gt[:, :h], gt[:, h:2 * h]
-        np.add(p[:, 2 * h:], (r * o) @ ws, out=a[:, 2 * h:])
-        gt[:, 2 * h:] = np.tanh(a[:, 2 * h:])
-        o = out[rows] = (1.0 - u) * o + u * gt[:, 2 * h:]
-    if not np.isfinite(acts).all():
+    for lo, hi in steps:
+        op, gt, rop, st, ot = o_prev[lo:hi], gates[lo:hi], ro[lo:hi], s[lo:hi], out[lo:hi]
+        op[...] = o[:hi - lo]  # the sequences still running keep the first rows
+        a = a_gate[lo:hi]
+        a += np.matmul(op, w_half, out=gt)
+        _gate(a, gt)
+        np.multiply(gt[:, h:], op, out=rop)
+        a = a_s[lo:hi]
+        a += np.matmul(rop, ws, out=st)
+        np.tanh(a, out=st)
+        o = np.subtract(st, op, out=ot)
+        o *= gt[:, :h]
+        o += op
+    if not (np.isfinite(a_gate).all() and np.isfinite(a_s).all()):
         raise NumericError("non-finite pre-activation in 'gru'")
 
     def sweep(g):
-        u, r, s = gates[:, :h], gates[:, h:2 * h], gates[:, 2 * h:]
-        # local derivatives of every step at once; only the state carry loops
-        ds_local = u * (1.0 - s * s)
-        du_local = (s - o_prev) * u * (1.0 - u)
-        dr_local = o_prev * r * (1.0 - r)
+        u, r = gates[:, :h].copy(), gates[:, h:].copy()
+        # local derivatives of every step at once; only the state carry loops.
+        # Formed in place: with fresh temporaries the layer ran about 5% slower
         keep = 1.0 - u
-        d_pre = np.empty_like(gates)
-        d_o = np.zeros((0, h))  # dL/d o_t over the rows still active after step t
-        for rows, _ in reversed(steps):
-            dp = d_pre[rows]
-            carried, d_o = d_o, g[rows].copy()
-            d_o[:len(carried)] += carried
-            dp[:, 2 * h:] = d_o * ds_local[rows]
-            d_ro = dp[:, 2 * h:] @ ws.T
-            dp[:, :h] = d_o * du_local[rows]
-            dp[:, h:2 * h] = d_ro * dr_local[rows]
-            d_o = d_o * keep[rows] + d_ro * r[rows] + dp[:, :2 * h] @ w_gate.T
+        ds_local = s * s
+        np.subtract(1.0, ds_local, out=ds_local)
+        ds_local *= u
+        du_local = s - o_prev
+        du_local *= u
+        du_local *= keep
+        dr_local = 1.0 - r
+        dr_local *= r
+        dr_local *= o_prev
+        d_pre = np.empty((bounds[-1], 3 * h))
+        # dL/d o_t over the first n_t rows; rows no later step reached stay 0
+        d_o = np.zeros((batch, h))
+        d_ro, d_from_gates = np.empty((batch, h)), np.empty((batch, h))
+        w_gate_t, ws_t = np.ascontiguousarray(w_gate.T), np.ascontiguousarray(ws.T)
+        for lo, hi in reversed(steps):
+            n = hi - lo
+            dp, do, dro, dfg = d_pre[lo:hi], d_o[:n], d_ro[:n], d_from_gates[:n]
+            do += g[lo:hi]
+            np.multiply(do, ds_local[lo:hi], out=dp[:, 2 * h:])
+            np.matmul(dp[:, 2 * h:], ws_t, out=dro)
+            np.multiply(do, du_local[lo:hi], out=dp[:, :h])
+            np.multiply(dro, dr_local[lo:hi], out=dp[:, h:2 * h])
+            do *= keep[lo:hi]
+            dro *= r[lo:hi]
+            do += dro
+            do += np.matmul(dp[:, :2 * h], w_gate_t, out=dfg)
         return d_pre, d_o
 
     memo: dict = {}
@@ -496,7 +538,7 @@ def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, sizes) -> Node:
         (o0, lambda g: swept(g)[1]),
         (w_us, lambda g: o_prev.T @ swept(g)[0][:, :h]),
         (w_rs, lambda g: o_prev.T @ swept(g)[0][:, h:2 * h]),
-        (w_s, lambda g: (gates[:, h:2 * h] * o_prev).T @ swept(g)[0][:, 2 * h:]),
+        (w_s, lambda g: ro.T @ swept(g)[0][:, 2 * h:]),
     ], "gru")
 
 

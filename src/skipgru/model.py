@@ -119,6 +119,39 @@ _GRU_COLUMNS = {f"{layer}.{block}": [f"{layer}.{part}" for part in parts]
                 in (("w_in", ("w_ux", "w_rx", "w_x")), ("b", ("b_u", "b_r", "b_s")))}
 
 
+def _stored_shapes(variant: VariantConfig, dims: ModelDims) -> dict[str, tuple[int, int]]:
+    """Every stored block's shape, by block name, in storage order."""
+    h, h2 = variant.hidden_size, 2 * variant.hidden_size
+    shapes = {}
+    for layer, width in (("gru1", dims.gru_input), ("gru2", h)):
+        shapes.update({f"{layer}.w_in": (width, 3 * h), f"{layer}.b": (1, 3 * h),
+                       f"{layer}.w_us": (h, h), f"{layer}.w_rs": (h, h), f"{layer}.w_s": (h, h)})
+    shapes.update({
+        "proj.w": (dims.d_doub, h2), "proj.b": (1, h2),
+        "head.w1": (dims.d_doub + 4 * h, h2), "head.b1": (1, h2),
+        "head.w2": (h2, h2), "head.b2": (1, h2),
+        "head.w3": (h2, len(TASK_WEIGHTS)), "head.b3": (1, len(TASK_WEIGHTS)),
+        "ctx_embedding": (dims.ctx_vocab, dims.ctx_width),
+    })
+    if variant.use_batchnorm:
+        shapes.update({f"{bn}.{p}": (1, h2) for bn in ("bn1", "bn2") for p in ("gamma", "beta")})
+    return shapes
+
+
+def array_shapes(variant: VariantConfig, dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """The shape of every array ``ModelParams.arrays`` returns, by name and in
+    name order, derived without allocating anything: the shape table a
+    checkpoint of this variant and these dimensions must carry."""
+    shapes = {}
+    for name, (rows, cols) in _stored_shapes(variant, dims).items():
+        parts = _GRU_COLUMNS.get(name, [name])
+        shapes.update({part: (rows, cols // len(parts)) for part in parts})
+    if variant.use_batchnorm:
+        shapes.update({f"{bn}.running_{stat}": (2 * variant.hidden_size,)
+                       for bn in ("bn1", "bn2") for stat in ("mean", "var")})
+    return dict(sorted(shapes.items()))
+
+
 class ModelParams:
     """All trainable weights plus the frozen architecture configuration.
 
@@ -139,22 +172,8 @@ class ModelParams:
     def __init__(self, variant: VariantConfig, dims: ModelDims):
         self.variant = variant
         self.dims = dims
-        h, h2, n_num = variant.hidden_size, 2 * variant.hidden_size, dims.d_trip - 1
-        self._shapes = {}  # every stored block, in storage order
-        for layer, width in (("gru1", dims.gru_input), ("gru2", h)):
-            self._shapes.update({f"{layer}.w_in": (width, 3 * h), f"{layer}.b": (1, 3 * h),
-                                 f"{layer}.w_us": (h, h), f"{layer}.w_rs": (h, h),
-                                 f"{layer}.w_s": (h, h)})
-        self._shapes.update({
-            "proj.w": (dims.d_doub, h2), "proj.b": (1, h2),
-            "head.w1": (self.d_enriched, h2), "head.b1": (1, h2),
-            "head.w2": (h2, h2), "head.b2": (1, h2),
-            "head.w3": (h2, len(TASK_WEIGHTS)), "head.b3": (1, len(TASK_WEIGHTS)),
-            "ctx_embedding": (dims.ctx_vocab, dims.ctx_width),
-        })
-        if variant.use_batchnorm:
-            self._shapes.update({f"{bn}.{p}": (1, h2) for bn in ("bn1", "bn2")
-                                 for p in ("gamma", "beta")})
+        h2, n_num = 2 * variant.hidden_size, dims.d_trip - 1
+        self._shapes = _stored_shapes(variant, dims)
         size = sum(rows * cols for rows, cols in self._shapes.values())
         self.values, self.grads = np.zeros(size), np.zeros(size)
         values, grads = self._blocks(self.values), self._blocks(self.grads)
@@ -184,7 +203,8 @@ class ModelParams:
 
     @property
     def d_enriched(self) -> int:
-        return self.dims.d_doub + 4 * self.variant.hidden_size
+        """The width of an enriched row: ``head.w1``'s row count."""
+        return self._shapes["head.w1"][0]
 
     def initialize(self, seed: int) -> None:
         """The starting point of a training run: glorot weights drawn from

@@ -15,15 +15,16 @@ no-whitespace) JSON dump of the payload followed by those array bytes.
 
 A ``Checkpoint`` holds its model's own ``ModelParams`` and
 ``FeaturePipeline``. Saving reads the live arrays (``ModelParams.arrays``)
-in name order; loading builds the pipeline once, allocates one store from
-the header and copies the bytes straight into it. Past the
-version and the hash, loading rejects a file no trained model could have
-written, naming the first ``dims`` field or array at fault: ``dims`` that
-differ from what the stored pipeline gives, a name -> shape table that
-differs from the store's, a non-finite array or a negative running
-variance. Reloaded models reproduce the saved model's predictions bit for
-bit. Any other version, version 1 (one JSON line whose payload held the
-arrays as float lists) included, is a ``CheckpointVersionError``.
+in name order; loading builds the pipeline once, allocates one store and
+copies the bytes straight into it. Past the version and the hash, loading
+rejects a file no trained model could have written, naming the first
+``dims`` field or array at fault: ``dims`` that differ from what the stored
+pipeline gives, a name -> shape table that differs from the one the variant
+and ``dims`` give (``model.array_shapes``, compared before anything is
+allocated), a non-finite array or a negative running variance. Reloaded
+models reproduce the saved model's predictions bit for bit. Any other
+version, version 1 (one JSON line whose payload held the arrays as float
+lists) included, is a ``CheckpointVersionError``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .model import (
     ModelDims,
     ModelParams,
     VariantConfig,
+    array_shapes,
     forward_batch,
     loss,
     predict_encoded,
@@ -253,10 +255,10 @@ def load_checkpoint(path) -> Checkpoint:
         pipeline = FeaturePipeline.from_dict({**payload["pipeline"], "embeddings": table})
         dims = ModelDims(**payload["dims"])
         _check_header(path, "dims.%s", asdict(dims), asdict(ModelDims.from_pipeline(pipeline)))
-        params = ModelParams(VariantConfig(**payload["variant"]), dims)
+        variant = VariantConfig(**payload["variant"])
+        _check_header(path, "the shape of %r", shapes, array_shapes(variant, dims))
+        params = ModelParams(variant, dims)
         arrays = params.arrays()
-        _check_header(path, "the shape of %r", shapes,
-                      {name: arr.shape for name, arr in arrays.items()})
         bounds = np.cumsum([0, *(arr.size for arr in arrays.values())])
         for (name, arr), lo, hi in zip(arrays.items(), bounds[:-1], bounds[1:]):
             _check_array(path, name, values[lo:hi])

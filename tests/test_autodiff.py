@@ -584,34 +584,70 @@ class TestGru:
 
     @pytest.mark.parametrize("sizes", [(4, 3, 3, 1), (4, 4, 2), (4, 1, 1, 1, 1)])
     def test_packed_steps_match_composed_primitives(self, sizes):
-        # oracle: step t runs composed_gru_step on the first n_t states; the
-        # other rows keep theirs
         b, h = sizes[0], GRU_HIDDEN
-        bounds = np.cumsum((0,) + sizes)
+        rows = sum(sizes)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             shapes = gru_shapes(1)
-            shapes[:2] = [(bounds[-1], GRU_IN), (b, h)]
+            shapes[:2] = [(rows, GRU_IN), (b, h)]
             values = [rng.normal(size=shape) for shape in shapes]
-            head = ad.constant(rng.normal(size=(bounds[-1], h)))
-            packed_in = [ad.parameter(v) for v in values]
-            packed = projected_gru(*packed_in, sizes=sizes)
-            ad.backward(ad.sum_all(ad.hadamard(packed, head)))
+            head = rng.normal(size=(rows, h))
+            (packed, packed_grads), (oracle, oracle_grads) = packed_and_oracle(values, head, sizes)
+            assert np.max(np.abs(packed - oracle)) <= 1e-12
+            for mine, theirs in zip(packed_grads, oracle_grads):
+                assert np.max(np.abs(mine - theirs)) <= 1e-12
 
-            oracle_in = [ad.parameter(v) for v in values]
-            x, o, weights = oracle_in[0], oracle_in[1], oracle_in[2:]
-            states = []
-            for t, n in enumerate(sizes):
-                x_t = ad.take_rows(x, np.arange(bounds[t], bounds[t + 1]))
-                o_t = composed_gru_step(x_t, ad.take_rows(o, np.arange(n)), *weights)
-                states.append(o_t)
-                o = concat_rows([o_t, ad.take_rows(o, np.arange(n, b))])
-            oracle = concat_rows(states)
-            ad.backward(ad.sum_all(ad.hadamard(oracle, head)))
+    @pytest.mark.parametrize("spread", [1.0, 10.0])
+    def test_benchmark_scale_matches_composed_primitives(self, spread):
+        # a train batch's shapes (batch and hidden 64, 16 inputs); at spread
+        # 10 the pre-activations reach about 40, and many gates saturate
+        sizes, i, h = (64, 64, 60, 45, 33, 20, 8), 16, 64
+        rng = np.random.default_rng(11)
+        shapes = [(sum(sizes), i), (sizes[0], h)] + [(i, h), (h, h)] * 3 + [(1, h)] * 3
+        values = [spread * rng.normal(size=shapes[0]), rng.uniform(-1.0, 1.0, size=shapes[1])]
+        values += [rng.normal(size=shape) / np.sqrt(shape[0]) for shape in shapes[2:]]
+        head = rng.normal(size=(sum(sizes), h))
+        (packed, packed_grads), (oracle, oracle_grads) = packed_and_oracle(values, head, sizes)
+        pre = values[0] @ np.concatenate(values[2:8:2], axis=1)
+        assert np.max(np.abs(pre)) > (30.0 if spread > 1.0 else 3.0)
+        for mine, theirs in zip([packed, *packed_grads], [oracle, *oracle_grads]):
+            assert np.max(np.abs(mine - theirs)) <= 1e-12 * np.max(np.abs(theirs))
 
-            assert np.max(np.abs(packed.value - oracle.value)) <= 1e-12
-            for mine, theirs in zip(packed_in, oracle_in):
-                assert np.max(np.abs(mine.grad - theirs.grad)) <= 1e-12
+    def test_gate_is_the_logistic_function(self):
+        # the gates' 1/2 + tanh(a / 2) / 2 against the two-branch sigmoid,
+        # halving the argument exactly as gru does
+        x = np.concatenate([np.linspace(-800.0, 800.0, 400_001),
+                            np.linspace(-40.0, 40.0, 200_001), [0.0, -0.0]])
+        gate = ad._gate(0.5 * x, np.empty_like(x))
+        assert not np.isnan(gate).any()
+        assert np.max(np.abs(gate - ad._sigmoid(x))) <= 4.5e-16
+
+
+def packed_and_oracle(values, head, sizes):
+    """``projected_gru`` over steps of ``sizes`` rows and its oracle, on the
+    inputs ``values`` in ``projected_gru``'s argument order, each as ``(value,
+    gradient of every input)`` after one backward of ``sum(out * head)``. The
+    oracle runs ``composed_gru_step`` on the first n_t states of step t; the
+    other rows keep theirs."""
+    b = sizes[0]
+    bounds = np.cumsum((0,) + tuple(sizes))
+    head = ad.constant(head)
+    packed_in = [ad.parameter(v) for v in values]
+    packed = projected_gru(*packed_in, sizes=sizes)
+    ad.backward(ad.sum_all(ad.hadamard(packed, head)))
+
+    oracle_in = [ad.parameter(v) for v in values]
+    x, o, weights = oracle_in[0], oracle_in[1], oracle_in[2:]
+    states = []
+    for t, n in enumerate(sizes):
+        x_t = ad.take_rows(x, np.arange(bounds[t], bounds[t + 1]))
+        o_t = composed_gru_step(x_t, ad.take_rows(o, np.arange(n)), *weights)
+        states.append(o_t)
+        o = concat_rows([o_t, ad.take_rows(o, np.arange(n, b))])
+    oracle = concat_rows(states)
+    ad.backward(ad.sum_all(ad.hadamard(oracle, head)))
+    return ((packed.value, [node.grad for node in packed_in]),
+            (oracle.value, [node.grad for node in oracle_in]))
 
 
 class TestFiniteness:

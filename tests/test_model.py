@@ -548,7 +548,7 @@ class TestPrediction:
         for session in sessions:
             single = model.predict_probs(session_table([session]), pipeline, tracks, params)
             assert np.allclose(single[session.session_id], batched[session.session_id],
-                               atol=1e-12)
+                               rtol=0.0, atol=1e-12)
 
 
 def traced_peak(run):
@@ -735,6 +735,13 @@ class TestStateDict:
         with pytest.raises(CheckpointIntegrityError,
                            match=rf"shape of 'proj\.w' is \({cols}, {rows}\) in the header"):
             training.load_checkpoint(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("use_batchnorm", [False, True])
+    def test_table_derived_without_a_store_is_the_stores(self, use_batchnorm):
+        _, _, _, params = tiny_setup(seed=5, use_batchnorm=use_batchnorm)
+        shapes = model.array_shapes(params.variant, params.dims)
+        assert list(shapes.items()) == [(name, arr.shape)
+                                        for name, arr in params.arrays().items()]
 
     def test_name_check(self, tmp_path):
         _, _, pipeline, params = tiny_setup(seed=5)

@@ -434,6 +434,14 @@ class TestTamperedCheckpoint:
 
         self.rejected(tmp_path, capsys, rf"dims\.{field} is", move)
 
+    def test_absurd_hidden_size_is_rejected_before_any_allocation(self, tmp_path, capsys):
+        # a store of this width would be petabytes: the table check must come first
+        def widen(envelope):
+            envelope["payload"]["variant"]["hidden_size"] = 10 ** 7
+
+        self.rejected(tmp_path, capsys, r"the shape of 'bn1\.beta' is \(1, 8\) in the header, "
+                      r"but \(1, 20000000\)", widen)
+
     def test_negative_running_variance(self, tmp_path, capsys):
         def negate(arrays):
             arrays["bn1.running_var"][0] = -0.5
