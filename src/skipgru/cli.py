@@ -8,20 +8,24 @@
                       --tracks data/tracks.csv --out submission.txt
     skipgru evaluate  --truth held_out.csv --submission submission.txt
 
-Every subcommand accepts ``--config FILE`` pointing at a JSON file with the
-sections ``paths``, ``model``, ``training`` and ``glove``; unknown keys and
-values of the wrong JSON type are rejected. Explicit flags win over
-config-file values, which win over the built-in defaults. Exit codes:
+``embed``, ``train`` and ``predict`` accept ``--config FILE``, a JSON file
+with the sections ``paths``, ``model`` (a ``model.VariantConfig``),
+``training`` (``training.TrainConfig`` plus ``val_fraction``) and ``glove``.
+Unknown keys and values of the wrong JSON type are rejected, and the model
+and training values are range-checked when the file is read. A flag sets the
+section field named by its ``dest``; explicit flags win over config-file
+values, which win over the built-in defaults. Exit codes:
 0 success, 2 usage, 3 data/format error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,20 +60,15 @@ class PathsConfig:
 
 
 @dataclass
-class ModelSection:
-    activation: str = VariantConfig.activation
-    hidden_size: int = VariantConfig.hidden_size
-    use_batchnorm: bool = VariantConfig.use_batchnorm
+class TrainSection(training.TrainConfig):
+    """``training.TrainConfig`` plus the share of sessions held out for validation."""
 
-
-@dataclass
-class TrainSection:
-    batch_size: int = training.TrainConfig.batch_size
-    epochs: int = training.TrainConfig.epochs
-    lr: float = training.TrainConfig.lr
-    seed: int = training.TrainConfig.seed
-    clip_norm: float | None = training.TrainConfig.clip_norm
     val_fraction: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -86,13 +85,13 @@ class GloveSection:
 @dataclass
 class RunConfig:
     paths: PathsConfig
-    model: ModelSection
+    model: VariantConfig
     training: TrainSection
     glove: GloveSection
 
     @classmethod
     def defaults(cls) -> "RunConfig":
-        return cls(PathsConfig(), ModelSection(), TrainSection(), GloveSection())
+        return cls(PathsConfig(), VariantConfig(), TrainSection(), GloveSection())
 
 
 def _build_section(cls, payload: dict, section: str):
@@ -119,7 +118,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: config is not UTF-8 text ({err.reason})") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config root must be an object")
-    sections = {"paths": PathsConfig, "model": ModelSection,
+    sections = {"paths": PathsConfig, "model": VariantConfig,
                 "training": TrainSection, "glove": GloveSection}
     unknown = set(payload) - set(sections)
     if unknown:
@@ -133,12 +132,16 @@ def load_config(path) -> RunConfig:
     return RunConfig(**built)
 
 
-def _config_for(args) -> RunConfig:
-    return load_config(args.config) if args.config else RunConfig.defaults()
-
-
-def pick(flag_value, config_value):
-    return config_value if flag_value is None else flag_value
+def _config_for(args, *flagged: str) -> RunConfig:
+    """The config file (or the defaults), with each field of the ``flagged``
+    sections that a flag of the same ``dest`` gave set to the flag's value."""
+    config = load_config(args.config) if args.config else RunConfig.defaults()
+    for name in flagged:
+        section = getattr(config, name)
+        given = {f.name: getattr(args, f.name) for f in fields(section)
+                 if getattr(args, f.name, None) is not None}
+        setattr(config, name, replace(section, **given))
+    return config
 
 
 def _require(value, what: str):
@@ -183,21 +186,14 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config = _config_for(args)
-    sessions_path = _require(pick(args.sessions, config.paths.sessions), "sessions path")
-    out_path = _require(pick(args.out, config.paths.embeddings), "embedding output path")
+    config = _config_for(args, "paths", "glove")
+    sessions_path = _require(config.paths.sessions, "sessions path")
+    out_path = _require(config.paths.embeddings, "embedding output path")
     g = config.glove
     sessions = data.load_sessions(sessions_path, None, mode="train")
-    table = glove.build_cooccurrence(sessions, window=pick(args.window, g.window))
-    emb = glove.train_glove(
-        table,
-        dims=pick(args.dims, g.dims),
-        epochs=pick(args.epochs, g.epochs),
-        lr=pick(args.lr, g.lr),
-        seed=pick(args.seed, g.seed),
-        x_max=pick(args.x_max, g.x_max),
-        alpha=pick(args.alpha, g.alpha),
-    )
+    table = glove.build_cooccurrence(sessions, window=g.window)
+    emb = glove.train_glove(table, dims=g.dims, epochs=g.epochs, lr=g.lr, seed=g.seed,
+                            x_max=g.x_max, alpha=g.alpha)
     glove.export_embeddings(emb, out_path)
     for k, epoch_loss in enumerate(emb.epoch_losses, start=1):
         print(f"epoch {k}: loss={epoch_loss:.6f}")
@@ -209,53 +205,34 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _split_validation(sessions, fraction, seed):
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"val_fraction must be in (0, 1), got {fraction}")
-    n_valid = max(1, int(round(len(sessions) * fraction)))
+def _split_validation(sessions, config: TrainSection):
+    n_valid = max(1, int(round(len(sessions) * config.val_fraction)))
     if n_valid >= len(sessions):
         raise ConfigError("validation split leaves no training sessions")
-    order = np.random.default_rng([seed, 2]).permutation(len(sessions))
+    order = np.random.default_rng([config.seed, 2]).permutation(len(sessions))
     valid = np.zeros(len(sessions), dtype=bool)
     valid[order[:n_valid]] = True
     return sessions.take(np.flatnonzero(~valid)), sessions.take(np.flatnonzero(valid))
 
 
 def cmd_train(args) -> int:
-    config = _config_for(args)
-    sessions_path = _require(pick(args.sessions, config.paths.sessions), "sessions path")
-    tracks_path = _require(pick(args.tracks, config.paths.tracks), "tracks path")
-    embeddings_path = _require(pick(args.embeddings, config.paths.embeddings),
-                               "embeddings path")
+    config = _config_for(args, "paths", "model", "training")
+    sessions_path = _require(config.paths.sessions, "sessions path")
+    tracks_path = _require(config.paths.tracks, "tracks path")
+    embeddings_path = _require(config.paths.embeddings, "embeddings path")
     out = args.out
     if out is None and config.paths.checkpoint_dir is not None:
         out = str(Path(config.paths.checkpoint_dir) / "model.ckpt")
     out = _require(out, "checkpoint output path")
 
-    t = config.training
-    m = config.model
-    variant = VariantConfig(
-        activation=pick(args.activation, m.activation),
-        hidden_size=pick(args.hidden_size, m.hidden_size),
-        use_batchnorm=pick(args.batchnorm, m.use_batchnorm),
-    )
-    train_config = training.TrainConfig(
-        batch_size=pick(args.batch_size, t.batch_size),
-        epochs=pick(args.epochs, t.epochs),
-        lr=pick(args.lr, t.lr),
-        seed=pick(args.seed, t.seed),
-        clip_norm=pick(args.clip_norm, t.clip_norm),
-    )
     tracks = data.load_tracks(tracks_path)
     sessions = data.load_sessions(sessions_path, tracks, mode="train")
     embeddings = glove.load_embeddings(embeddings_path)
-    train_split, valid_split = _split_validation(
-        sessions, pick(args.val_fraction, t.val_fraction), train_config.seed
-    )
+    train_split, valid_split = _split_validation(sessions, config.training)
     pipeline = FeaturePipeline(embeddings).fit(train_split, tracks)
     embedding_ref = {"sha256": _file_sha256(embeddings_path)}
     checkpoint = training.train(
-        train_split, valid_split, tracks, pipeline, variant, train_config,
+        train_split, valid_split, tracks, pipeline, config.model, config.training,
         embedding_ref=embedding_ref, log=print,
     )
     Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -269,9 +246,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config = _config_for(args)
-    sessions_path = _require(pick(args.sessions, config.paths.sessions), "sessions path")
-    tracks_path = _require(pick(args.tracks, config.paths.tracks), "tracks path")
+    config = _config_for(args, "paths")
+    sessions_path = _require(config.paths.sessions, "sessions path")
+    tracks_path = _require(config.paths.tracks, "tracks path")
     members = []
     for path in args.model:
         checkpoint = training.load_checkpoint(path)
@@ -289,12 +266,15 @@ def cmd_predict(args) -> int:
 
 def _load_truth(path) -> dict[str, list[bool]]:
     with data.open_text(path) as fh:
-        head = fh.readline()
-    if head.startswith("session_id,"):
+        head = fh.readline(64)
+    # a quoted header is a sessions file too; its first field fits in 64 characters
+    if next(csv.reader([head]), [])[:1] == ["session_id"]:
         sessions = data.load_sessions(path, None, mode="train")
         return metrics.second_half_truth(sessions)
     rows = metrics.read_submission(path)
-    return {f"line{k:06d}": row for k, row in enumerate(rows, start=1)}
+    # keys sort in line order: as wide as the largest line number, at least 6 digits
+    width = max(6, len(str(len(rows))))
+    return {f"line{k:0{width}d}": row for k, row in enumerate(rows, start=1)}
 
 
 def cmd_evaluate(args) -> int:
@@ -341,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="train track embeddings from sessions")
     p.add_argument("--config")
     p.add_argument("--sessions")
-    p.add_argument("--out")
+    p.add_argument("--out", dest="embeddings", metavar="OUT")
     p.add_argument("--dims", type=int)
     p.add_argument("--window", type=int)
     p.add_argument("--epochs", type=int)
@@ -365,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-norm", dest="clip_norm", type=float)
     p.add_argument("--activation", choices=["relu", "elu"])
     p.add_argument("--hidden-size", dest="hidden_size", type=int)
-    p.add_argument("--batchnorm", dest="batchnorm",
+    p.add_argument("--batchnorm", dest="use_batchnorm",
                    action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(func=cmd_train)
 

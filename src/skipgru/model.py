@@ -294,14 +294,14 @@ def forward_batch(batch: Batch, params: ModelParams, mode: str) -> ad.Node:
                 params, mode)
 
 
-def loss(probs: ad.Node, targets: np.ndarray, task_weights: tuple = TASK_WEIGHTS) -> ad.Node:
+def loss(probs: ad.Node, targets: np.ndarray) -> ad.Node:
     """Mean over rows of the task-weighted BCE sum; every row is a real position."""
     targets = np.asarray(targets, dtype=np.float64)
     if probs.shape != targets.shape:
         raise ShapeError(f"loss: probs {probs.shape} and targets {targets.shape} misaligned")
     if probs.shape[0] == 0:
         raise DegenerateBatchError("loss over a batch with no real positions")
-    weights = ad.constant(np.asarray(task_weights, dtype=np.float64))
+    weights = ad.constant(np.asarray(TASK_WEIGHTS, dtype=np.float64))
     per_entry = ad.bce(probs, targets)
     return ad.scale(ad.sum_all(ad.hadamard(per_entry, weights)), 1.0 / probs.shape[0])
 
@@ -311,16 +311,14 @@ def predict_probs(
     pipeline: FeaturePipeline,
     tracks: dict[str, TrackRecord],
     params: ModelParams,
-    batch_size: int = PREDICT_BATCH_SIZE,
 ) -> dict[str, np.ndarray]:
     """Per-session skip probabilities of the second-half positions."""
     if not sessions:
         return {}
-    return predict_encoded(pipeline.encode(sessions, tracks), params, batch_size)
+    return predict_encoded(pipeline.encode(sessions, tracks), params)
 
 
-def predict_encoded(encoded: EncodedSessions, params: ModelParams,
-                    batch_size: int = PREDICT_BATCH_SIZE) -> dict[str, np.ndarray]:
+def predict_encoded(encoded: EncodedSessions, params: ModelParams) -> dict[str, np.ndarray]:
     """``predict_probs`` over sessions already encoded by their pipeline.
 
     Every batch runs under ``ad.no_grad()``: the same ``forward_batch`` as
@@ -330,8 +328,8 @@ def predict_encoded(encoded: EncodedSessions, params: ModelParams,
     out: dict[str, np.ndarray] = {}
     rows = np.arange(len(encoded.session_ids))
     with ad.no_grad():
-        for lo in range(0, len(rows), batch_size):
-            batch = encoded.batch(rows[lo:lo + batch_size])
+        for lo in range(0, len(rows), PREDICT_BATCH_SIZE):
+            batch = encoded.batch(rows[lo:lo + PREDICT_BATCH_SIZE])
             skip = forward_batch(batch, params, "infer").value[:, 0].copy()
             counts = np.bincount(batch.session, minlength=len(batch.session_ids))
             out.update(zip(batch.session_ids, np.split(skip, np.cumsum(counts)[:-1])))

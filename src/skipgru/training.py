@@ -73,9 +73,6 @@ class AdamState:
     first step, and the two scratch rows that every update reuses."""
 
     lr: float = ADAM_LR
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.empty(0))
     v: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -88,9 +85,11 @@ def adam_step(params: ModelParams, state: AdamState) -> None:
     The whole flat vector is updated at once. Every operation writes into the
     moments, the values or a row of the scratch buffer, in the order of the
     expressions ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-    ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, so the update is bitwise
-    that of the expressions, element by element, and allocates nothing after
-    the first step. A non-finite gradient is named by its parameter.
+    ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, with ``b1``, ``b2`` and
+    ``eps`` the ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` constants, so
+    the update is bitwise that of the expressions, element by element, and
+    allocates nothing after the first step. A non-finite gradient is named by
+    its parameter.
     """
     w, g = params.values, params.grads
     if not np.isfinite(g).all():
@@ -99,15 +98,15 @@ def adam_step(params: ModelParams, state: AdamState) -> None:
     if not state.t:
         state.m, state.v, state.scratch = np.zeros_like(w), np.zeros_like(w), np.empty((2, w.size))
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     m, v, (step, denom) = state.m, state.v, state.scratch
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=step)
-    v *= state.beta2
-    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=denom), g, out=denom)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=denom), g, out=denom)
     np.multiply(np.divide(m, bc1, out=step), state.lr, out=step)
-    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), state.eps, out=denom)
+    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
     w -= np.divide(step, denom, out=step)
 
 

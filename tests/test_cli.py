@@ -1,16 +1,19 @@
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import rewrite_checkpoint
 
-from skipgru import cli, training
+from skipgru import cli, metrics, training
 from skipgru.errors import ConfigError
+from skipgru.model import VariantConfig
 
 
 def sha256(path):
@@ -162,6 +165,19 @@ class TestEmbed:
                     "--out", str(out), "--dims", "4", "--epochs", "1", flag, value]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag.lstrip("-").replace("-", "_") in err
+        assert "Traceback" not in err and not out.exists()
+
+
+    @pytest.mark.parametrize("track_id", ["t 00001", ""])
+    def test_track_id_the_embedding_file_cannot_hold_exits_three(self, workspace, tmp_path,
+                                                                 capsys, track_id):
+        sessions = _with_field(workspace / "sessions.csv", tmp_path / "sessions.csv",
+                               2, 2, f'"{track_id}"')
+        out = tmp_path / "e.txt"
+        assert run(["embed", "--sessions", str(sessions), "--out", str(out),
+                    "--dims", "4", "--epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(track_id) in err
         assert "Traceback" not in err and not out.exists()
 
 
@@ -371,6 +387,118 @@ class TestTrain:
         assert len(err) < 200 and "Traceback" not in err
 
 
+class StopAfterConfig(Exception):
+    pass
+
+
+# per (command, config section): field -> (file value, flags, value the flag gives)
+FLAG_OVER_FILE = {
+    ("train", "model"): {
+        "activation": ("elu", ["--activation", "relu"], "relu"),
+        "hidden_size": (8, ["--hidden-size", "16"], 16),
+        "use_batchnorm": (True, ["--no-batchnorm"], False),
+    },
+    ("train", "training"): {
+        "batch_size": (16, ["--batch-size", "32"], 32),
+        "epochs": (2, ["--epochs", "3"], 3),
+        "lr": (0.01, ["--lr", "0.02"], 0.02),
+        "seed": (1, ["--seed", "2"], 2),
+        "clip_norm": (1.0, ["--clip-norm", "2"], 2.0),
+        "val_fraction": (0.2, ["--val-fraction", "0.3"], 0.3),
+    },
+    ("embed", "glove"): {
+        "dims": (8, ["--dims", "16"], 16),
+        "window": (3, ["--window", "4"], 4),
+        "epochs": (2, ["--epochs", "3"], 3),
+        "x_max": (10.0, ["--x-max", "20"], 20.0),
+        "alpha": (0.5, ["--alpha", "0.6"], 0.6),
+        "lr": (0.1, ["--lr", "0.2"], 0.2),
+        "seed": (1, ["--seed", "2"], 2),
+    },
+    ("embed", "paths"): {
+        "sessions": ("a.csv", ["--sessions", "b.csv"], "b.csv"),
+        "embeddings": ("a.txt", ["--out", "b.txt"], "b.txt"),
+    },
+}
+
+
+class TestConfigSections:
+    """Each setting is declared once: a config section is the library's own
+    type, and a flag sets the section field named by its ``dest``."""
+
+    @staticmethod
+    def resolved(monkeypatch, argv):
+        """The ``RunConfig`` that ``argv``'s subcommand resolves, flags applied."""
+        seen = []
+        resolve = cli._config_for
+
+        def capture(args, *flagged):
+            seen.append(resolve(args, *flagged))
+            raise StopAfterConfig
+        with monkeypatch.context() as patch, pytest.raises(StopAfterConfig):
+            patch.setattr(cli, "_config_for", capture)
+            run(argv)
+        return seen[0]
+
+    @pytest.mark.parametrize("command, section, cls", [
+        ("train", "model", VariantConfig), ("train", "training", cli.TrainSection),
+        ("embed", "glove", cli.GloveSection),
+    ])
+    def test_every_field_has_a_flag_of_its_name(self, command, section, cls):
+        args = cli.build_parser().parse_args([command])
+        names = [f.name for f in fields(cls)]
+        assert all(getattr(args, name, "no flag") is None for name in names)
+        assert sorted(FLAG_OVER_FILE[command, section]) == sorted(names)
+
+    @pytest.mark.parametrize("command, section, key", [
+        (command, section, key) for (command, section), table in FLAG_OVER_FILE.items()
+        for key in table
+    ])
+    def test_flag_wins_over_the_file(self, tmp_path, monkeypatch, command, section, key):
+        file_value, flags, flag_value = FLAG_OVER_FILE[command, section][key]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({section: {key: file_value}}))
+        argv = [command, "--config", str(cfg_path)]
+        from_file = self.resolved(monkeypatch, argv)
+        assert getattr(getattr(from_file, section), key) == file_value
+        flagged = self.resolved(monkeypatch, argv + flags)
+        assert getattr(getattr(flagged, section), key) == flag_value
+        assert flagged == replace(from_file, **{section: replace(
+            getattr(from_file, section), **{key: flag_value})})
+
+    def test_readme_example_holds_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("## Configuration file", 1)[1].split("```json\n", 1)[1]
+        cfg_path = tmp_path / "readme.json"
+        cfg_path.write_text(example.split("```", 1)[0])
+        config, defaults = cli.load_config(cfg_path), cli.RunConfig.defaults()
+        assert config.model == defaults.model
+        assert config.training == defaults.training
+        assert config.glove == defaults.glove
+
+    @pytest.mark.parametrize("section, key, value, flag", [
+        ("model", "hidden_size", 0, ["--hidden-size", "4"]),
+        ("training", "val_fraction", 1.5, ["--val-fraction", "0.2"]),
+    ])
+    @pytest.mark.parametrize("argv, overridden", [
+        (["embed"], False), (["predict", "--model", "m.ckpt"], False), (["train"], False),
+        (["train"], True),
+    ])
+    def test_out_of_range_value_exits_three_when_read(self, tmp_path, capsys, section, key,
+                                                      value, flag, argv, overridden):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "out"
+        argv = argv + ["--config", str(cfg_path), "--out", str(out)] + (flag if overridden else [])
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_unknown_activation_flag_is_a_usage_error(self, capsys):
+        assert run(["train", "--activation", "tanh"]) == 2
+
+
 def _with_field(src, dst, line_no, column, value):
     """Copy a csv file whose fields hold no comma, setting one field of one line."""
     lines = src.read_text().splitlines()
@@ -504,6 +632,30 @@ class TestPredictAndEvaluate:
                     "--per-session", str(per_session)]) == 0
         assert breakdown.read_text().startswith("position,accuracy,count")
         assert per_session.read_text().startswith("session_id,aa")
+
+    def test_submission_truth_keys_sort_in_line_order(self, tmp_path, monkeypatch):
+        truth = tmp_path / "truth.txt"
+        truth.write_text("01\n")
+        rows = [[False, True]] * 1_000_001
+        monkeypatch.setattr(metrics, "read_submission", lambda path: rows)
+        keys = list(cli._load_truth(truth))
+        assert keys == sorted(keys)
+        assert keys[0] == "line0000001" and keys[-1] == "line1000001"
+
+    def test_evaluate_quoted_sessions_truth(self, workspace, tmp_path, capsys):
+        plain = workspace / "sessions_holdout.csv"
+        quoted = tmp_path / "quoted.csv"
+        with open(plain, newline="") as src, open(quoted, "w", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+        assert quoted.read_text().startswith('"session_id","position",')
+        sub = tmp_path / "sub.txt"
+        truth = cli._load_truth(plain)
+        metrics.write_submission(sub, {sid: [True] * len(row) for sid, row in truth.items()})
+        reports = []
+        for path in (plain, quoted):
+            assert run(["evaluate", "--truth", str(path), "--submission", str(sub)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and "mean_aa=" in reports[0]
 
     def test_evaluate_submission_format_truth(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"

@@ -542,9 +542,10 @@ class TestPrediction:
             alone = model.predict_probs(session_table([session]), pipeline, tracks, params)[sid]
             assert np.max(np.abs(with_lone[sid] - alone)) <= 1e-12
 
-    def test_batched_equals_single(self):
+    def test_batched_equals_single(self, monkeypatch):
         tracks, sessions, pipeline, params = tiny_setup(seed=7)
-        batched = model.predict_probs(sessions, pipeline, tracks, params, batch_size=4)
+        monkeypatch.setattr(model, "PREDICT_BATCH_SIZE", 4)
+        batched = model.predict_probs(sessions, pipeline, tracks, params)
         for session in sessions:
             single = model.predict_probs(session_table([session]), pipeline, tracks, params)
             assert np.allclose(single[session.session_id], batched[session.session_id],
@@ -565,7 +566,8 @@ def traced_peak(run):
 class TestInferenceKeepsNoGraph:
     @pytest.mark.parametrize("activation,use_batchnorm",
                              [("relu", False), ("elu", False), ("relu", True)])
-    def test_probabilities_match_a_recording_forward_bitwise(self, activation, use_batchnorm):
+    def test_probabilities_match_a_recording_forward_bitwise(self, activation, use_batchnorm,
+                                                             monkeypatch):
         tracks, sessions, pipeline, params = tiny_setup(
             seed=8, hidden=5, n_sessions=20, activation=activation, use_batchnorm=use_batchnorm)
         rng = np.random.default_rng(8)
@@ -573,7 +575,8 @@ class TestInferenceKeepsNoGraph:
             bn.running_mean[...] = rng.normal(size=bn.running_mean.shape)
             bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
         encoded = pipeline.encode(sessions, tracks)
-        probs = model.predict_encoded(encoded, params, batch_size=8)
+        monkeypatch.setattr(model, "PREDICT_BATCH_SIZE", 8)
+        probs = model.predict_encoded(encoded, params)
         rows = np.arange(len(sessions))
         for lo in range(0, len(rows), 8):
             batch = encoded.batch(rows[lo:lo + 8])

@@ -64,7 +64,7 @@ class TestAdamStep:
             before = params.values.copy()
             training.adam_step(params, state)
             update = params.values - before
-            m_hat = state.m / (1.0 - state.beta1 ** state.t)
+            m_hat = state.m / (1.0 - training.ADAM_BETA1 ** state.t)
             nonzero = m_hat != 0.0
             assert (np.sign(update[nonzero]) == -np.sign(m_hat[nonzero])).all()
 
@@ -87,14 +87,15 @@ class TestAdamStep:
         params.values[...] = start
         state = training.AdamState()
         w, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
         for t, g in enumerate(grads, start=1):
             params.grads[...] = g
             training.adam_step(params, state)
-            m = state.beta1 * m + (1.0 - state.beta1) * g
-            v = state.beta2 * v + (1.0 - state.beta2) * g * g
-            m_hat = m / (1.0 - state.beta1 ** t)
-            v_hat = v / (1.0 - state.beta2 ** t)
-            w = w - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            w = w - state.lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
             assert np.array_equal(params.values, w)
 
