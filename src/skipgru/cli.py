@@ -94,18 +94,23 @@ class RunConfig:
         return cls(PathsConfig(), VariantConfig(), TrainSection(), GloveSection())
 
 
-def _build_section(cls, payload: dict, section: str):
+def _build_section(cls, payload: dict, section: str, path):
+    """The ``cls`` of one config section; every error names the file and section."""
+    where = f"{path}: config section '{section}'"
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(payload) - set(types)
     if unknown:
-        raise ConfigError(f"unknown key(s) in config section '{section}': {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
     for key, value in payload.items():
         # an int fits a float; only a bool field takes true or false
         if not any(isinstance(value, JSON_TYPES[t]) and (t == "bool") == isinstance(value, bool)
                    for t in types[key].split(" | ")):
-            raise ConfigError(f"config section '{section}' key '{key}' must be "
-                              f"{types[key]}, got {json.dumps(value)}")
-    return cls(**payload)
+            raise ConfigError(f"{where}: key '{key}' must be {types[key]}, "
+                              f"got {json.dumps(value)}")
+    try:
+        return cls(**payload)
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -128,7 +133,7 @@ def load_config(path) -> RunConfig:
         section_payload = payload.get(name, {})
         if not isinstance(section_payload, dict):
             raise ConfigError(f"{path}: config section '{name}' must be an object")
-        built[name] = _build_section(cls, section_payload, name)
+        built[name] = _build_section(cls, section_payload, name, path)
     return RunConfig(**built)
 
 
@@ -192,6 +197,10 @@ def cmd_embed(args) -> int:
     g = config.glove
     sessions = data.load_sessions(sessions_path, None, mode="train")
     table = glove.build_cooccurrence(sessions, window=g.window)
+    if not len(table.pairs):
+        raise DataError(f"{sessions_path}: cannot train embeddings on an empty co-occurrence "
+                        f"table (no session plays two distinct tracks)")
+    glove.check_track_ids(table.track_ids)
     emb = glove.train_glove(table, dims=g.dims, epochs=g.epochs, lr=g.lr, seed=g.seed,
                             x_max=g.x_max, alpha=g.alpha)
     glove.export_embeddings(emb, out_path)

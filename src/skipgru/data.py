@@ -1,6 +1,6 @@
-"""Session/track data model, CSV ingestion into a columnar session table,
-atomic file writes and a synthetic corpus generator with a known learnable
-skip rule.
+"""Session/track data model, CSV ingestion into columnar session and track
+tables, atomic file writes and a synthetic corpus generator with a known
+learnable skip rule.
 
 File formats (UTF-8, comma-separated, first row is the header):
 
@@ -14,6 +14,10 @@ sessions.csv
 
 tracks.csv
     track_id, duration, release_year, acoustic_0 .. acoustic_{d-1}
+
+A track set is one ``TrackTable`` (sorted ``ids`` and their columns), which
+``load_tracks`` and ``gen_synthetic`` build and ``write_tracks`` writes; an
+id's row is found by ``id_rows``, one ``searchsorted`` over the sorted ids.
 
 ``load_sessions`` parses sessions.csv straight into a ``SessionTable``: the
 events of every session laid end to end on one flat event axis, sorted by
@@ -43,6 +47,7 @@ the only source of the per-row error messages. Both give the same table.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import uuid
 from contextlib import contextmanager
@@ -112,21 +117,66 @@ def _range_fault(seek_fwd_count: int, seek_back_count: int, hour_of_day: int) ->
     return None
 
 
+def _track_fault(track_id: str, duration: float, acoustic) -> str | None:
+    """A track's first non-finite value, as "track <id>: ...", or None."""
+    if not all(map(math.isfinite, acoustic)):
+        return f"track {track_id}: non-finite acoustic entries"
+    if not math.isfinite(duration):
+        return f"track {track_id}: non-finite duration {duration}"
+    return None
+
+
 @dataclass(eq=False)
-class TrackRecord:
-    track_id: str
-    duration: float
-    release_year: int
-    acoustic: np.ndarray
+class TrackTable:
+    """Tracks as columns, row ``k`` being track ``ids[k]``; ``len`` and
+    iteration give the ids. Columns of unequal length, unsorted or repeated
+    ids and non-finite values raise ValidationError."""
+
+    ids: list[str]            # sorted, distinct
+    duration: np.ndarray      # float64 [n]
+    release_year: np.ndarray  # int64 [n]
+    acoustic: np.ndarray      # float64 [n, a]
 
     def __post_init__(self):
+        self.ids, n = list(self.ids), len(self.ids)
+        self.duration = np.asarray(self.duration, dtype=np.float64)
+        self.release_year = np.asarray(self.release_year, dtype=np.int64)
         self.acoustic = np.asarray(self.acoustic, dtype=np.float64)
-        if self.acoustic.ndim != 1:
-            raise ValidationError(f"track {self.track_id}: acoustic vector must be 1-D")
-        if not np.isfinite(self.acoustic).all():
-            raise ValidationError(f"track {self.track_id}: non-finite acoustic entries")
-        if not np.isfinite(self.duration):
-            raise ValidationError(f"track {self.track_id}: non-finite duration {self.duration}")
+        if not self.duration.shape == self.release_year.shape == self.acoustic.shape[:-1] == (n,):
+            raise ValidationError(f"track columns of unequal length for {n} ids")
+        k = next((k for k in range(1, n) if not self.ids[k - 1] < self.ids[k]), None)
+        if k is not None:
+            raise ValidationError(f"track ids must be sorted and distinct: "
+                                  f"{self.ids[k]!r} follows {self.ids[k - 1]!r}")
+        bad = ~(np.isfinite(self.duration) & np.isfinite(self.acoustic).all(axis=1))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(_track_fault(self.ids[k], self.duration[k], self.acoustic[k]))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    @classmethod
+    def from_rows(cls, rows, width: int) -> "TrackTable":
+        """The table of ``(track_id, duration, release_year, acoustic)`` rows
+        given in any order, each with ``width`` acoustic values."""
+        rows = sorted(rows, key=lambda row: row[0])
+        ids, duration, release_year, acoustic = zip(*rows) if rows else ((),) * 4
+        return cls(ids, duration, release_year, np.reshape(acoustic, (len(rows), width)))
+
+
+def id_rows(ids: list[str], wanted: list[str]) -> np.ndarray:
+    """Each ``wanted`` id's index in the sorted, distinct ``ids``, or -1 where
+    ``ids`` lacks it. The search runs on object arrays, which compare as
+    Python strings do; a fixed-width ``str`` array drops trailing NULs."""
+    keys, wanted = np.array(ids, dtype=object), np.array(wanted, dtype=object)
+    at = np.searchsorted(keys, wanted)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == wanted[found]
+    return np.where(found, at, -1)
 
 
 @dataclass(frozen=True)
@@ -279,7 +329,10 @@ def _parse_float(raw: str, column: str, line_no: int) -> float:
                          f"{_echo(raw)}") from None
 
 
-def load_tracks(path) -> dict[str, TrackRecord]:
+def load_tracks(path) -> TrackTable:
+    """Load tracks.csv. Each row is checked as it is read (column count,
+    duplicate id, duration, release_year, acoustic values, then non-finite
+    values), so the first bad line is the one reported."""
     with _csv_reader(path) as reader:
         try:
             header = next(reader)
@@ -291,25 +344,25 @@ def load_tracks(path) -> dict[str, TrackRecord]:
         expected = [f"acoustic_{i}" for i in range(len(acoustic_cols))]
         if acoustic_cols != expected:
             raise ParseError(f"{path}: acoustic columns must be acoustic_0..acoustic_{{d-1}}")
-        tracks: dict[str, TrackRecord] = {}
+        rows, seen = [], set()
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"line {line_no}: expected {len(header)} columns, got {len(row)}")
             track_id = row[0]
-            if track_id in tracks:
+            if track_id in seen:
                 raise ValidationError(f"line {line_no}: duplicate track_id {track_id!r}")
+            seen.add(track_id)
             duration = _parse_float(row[1], "duration", line_no)
             release_year = _parse_int64(row[2], "release_year", line_no)
             acoustic = [_parse_float(v, c, line_no) for v, c in zip(row[3:], acoustic_cols)]
-            try:
-                tracks[track_id] = TrackRecord(track_id, duration, release_year,
-                                               np.array(acoustic))
-            except ValidationError as err:
-                raise ValidationError(f"line {line_no}: {err}") from None
-    return tracks
+            fault = _track_fault(track_id, duration, acoustic)
+            if fault:
+                raise ValidationError(f"line {line_no}: {fault}")
+            rows.append((track_id, duration, release_year, acoustic))
+    return TrackTable.from_rows(rows, len(acoustic_cols))
 
 
-def load_sessions(path, tracks: dict[str, TrackRecord] | None, mode: str) -> SessionTable:
+def load_sessions(path, tracks: TrackTable | None, mode: str) -> SessionTable:
     """Load and validate sessions; the table is sorted by session_id then position.
 
     ``tracks=None`` skips track-id resolution (used when only the interaction
@@ -337,6 +390,7 @@ def _read_csv(path, tracks) -> SessionTable:
     time; ``_parse_row`` raises the first bad row's error, in file order."""
     session_ids, track_ids, context_types = [], [], []
     values = []  # _parse_row's nine values per row, row after row
+    known = None if tracks is None else set(tracks.ids)
     with _csv_reader(path) as reader:
         try:
             header = next(reader)
@@ -345,7 +399,7 @@ def _read_csv(path, tracks) -> SessionTable:
         if tuple(header) != SESSION_COLUMNS:
             raise ParseError(f"{path}: unexpected header {header}, want {list(SESSION_COLUMNS)}")
         for line_no, row in enumerate(reader, start=2):
-            values.extend(_parse_row(row, line_no, tracks))
+            values.extend(_parse_row(row, line_no, known))
             session_ids.append(row[0])
             track_ids.append(row[2])
             context_types.append(row[10])
@@ -432,7 +486,7 @@ def _parse_plain(raw: bytes, tracks) -> SessionTable | None:
     if None in coded:
         return None
     (session_ids, session), track_codes, context_codes = coded
-    if tracks is not None and not tracks.keys() >= set(track_codes[0]):
+    if tracks is not None and (id_rows(tracks.ids, track_codes[0]) < 0).any():
         return None
     return SessionTable._build(session_ids, np.bincount(session, minlength=len(session_ids)),
                                track_codes, context_codes, positions, flag_bytes == ord("1"),
@@ -482,7 +536,7 @@ def _byte_codes(text: np.ndarray, starts: np.ndarray, widths: np.ndarray):
     return [key.decode("utf-8") for key in distinct.tolist()], index
 
 
-def _parse_row(row: list[str], line_no: int, tracks) -> tuple[int, ...]:
+def _parse_row(row: list[str], line_no: int, known: set[str] | None) -> tuple[int, ...]:
     """One sessions.csv row's values: position, observed bit, the four flags
     and the three counts; blank interaction columns read as unobserved, with
     flags and counts 0. A bad row raises its error instead.
@@ -495,7 +549,7 @@ def _parse_row(row: list[str], line_no: int, tracks) -> tuple[int, ...]:
     if len(row) != len(SESSION_COLUMNS):
         raise ParseError(f"line {line_no}: expected {len(SESSION_COLUMNS)} columns, got {len(row)}")
     position = _parse_int64(row[1], "position", line_no)
-    if tracks is not None and row[2] not in tracks:
+    if known is not None and row[2] not in known:
         raise DataError(f"line {line_no}: unknown track_id {row[2]!r}")
     interaction = row[3:]
     if "" in interaction:
@@ -600,17 +654,16 @@ def atomic_write(path, newline: str | None = None, binary: bool = False):
         raise
 
 
-def write_tracks(path, tracks: dict[str, TrackRecord]) -> None:
-    ids = sorted(tracks)
-    dim = len(tracks[ids[0]].acoustic) if ids else 0
+def write_tracks(path, tracks: TrackTable) -> None:
+    rows = zip(tracks.ids, tracks.duration.tolist(), tracks.release_year.tolist(),
+               tracks.acoustic.tolist())
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["track_id", "duration", "release_year"]
-                        + [f"acoustic_{i}" for i in range(dim)])
-        for track_id in ids:
-            t = tracks[track_id]
-            writer.writerow([t.track_id, repr(t.duration), t.release_year]
-                            + [repr(float(v)) for v in t.acoustic])
+                        + [f"acoustic_{i}" for i in range(tracks.acoustic.shape[1])])
+        # csv writes a Python float, as .tolist() gives them, as repr does
+        writer.writerows([track_id, duration, release_year, *acoustic]
+                         for track_id, duration, release_year, acoustic in rows)
 
 
 def write_sessions(path, table: SessionTable, mode: str = "train") -> None:
@@ -648,7 +701,7 @@ def gen_synthetic(
     acoustic_dim: int = ACOUSTIC_DIM,
     seed: int = 0,
     label_noise: float = LABEL_NOISE,
-) -> tuple[dict[str, TrackRecord], SessionTable]:
+) -> tuple[TrackTable, SessionTable]:
     """Deterministic synthetic corpus with a learnable skip rule.
 
     Each session draws a latent unit preference vector u; a track is skipped
@@ -665,8 +718,8 @@ def gen_synthetic(
     keeps the marginal skip rate at one half.
 
     The sessions come as a table in generation order, ids ``s000000`` on;
-    every event is observed. The draws are scalar and in a fixed order, which
-    the written files depend on.
+    every event is observed. The draws are scalar and in a fixed order (per
+    track: duration, release year, acoustic vector), which the files depend on.
     """
     if n_tracks < 50:
         raise ConfigError(f"n_tracks must be >= 50, got {n_tracks}")
@@ -679,37 +732,29 @@ def gen_synthetic(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    tracks: dict[str, TrackRecord] = {}
-    for i in range(n_tracks):
-        track_id = f"t{i:05d}"
-        tracks[track_id] = TrackRecord(
-            track_id=track_id,
-            duration=float(np.round(rng.uniform(90.0, 420.0), 3)),
-            release_year=int(rng.integers(1960, 2024)),
-            acoustic=_unit_vector(rng, acoustic_dim),
-        )
-    track_ids = sorted(tracks)
-    acoustic_matrix = np.stack([tracks[tid].acoustic for tid in track_ids])
+    tracks = TrackTable.from_rows([(f"t{i:05d}", float(np.round(rng.uniform(90.0, 420.0), 3)),
+                                    int(rng.integers(1960, 2024)), _unit_vector(rng, acoustic_dim))
+                                   for i in range(n_tracks)], acoustic_dim)
     lengths, events, contexts = [], [], []
     values = []  # per event: position, the four flags, the three counts
     for _ in range(n_sessions):
         length = int(rng.integers(MIN_SESSION_LEN, MAX_SESSION_LEN + 1))
         u = _unit_vector(rng, acoustic_dim)
         taste = _unit_vector(rng, acoustic_dim)
-        affinity = np.exp(TASTE_CONCENTRATION * (acoustic_matrix @ taste))
+        affinity = np.exp(TASTE_CONCENTRATION * (tracks.acoustic @ taste))
         affinity /= affinity.sum()
         chosen = rng.choice(n_tracks, size=length, p=affinity)
         hour = int(rng.integers(0, 24))
         context = CONTEXT_TYPES[rng.integers(0, len(CONTEXT_TYPES))]
         for pos, track in enumerate(chosen.tolist(), start=1):
-            skip = bool(float(u @ acoustic_matrix[track]) < 0.0)
+            skip = bool(float(u @ tracks.acoustic[track]) < 0.0)
             if rng.random() < label_noise:
                 skip = not skip
             values += (pos, skip, skip ^ (rng.random() < 0.15),
                        (not skip) ^ (rng.random() < 0.2), skip ^ (rng.random() < 0.25),
                        rng.poisson(1.5 if skip else 0.3), rng.poisson(0.8 if skip else 0.2), hour)
         lengths.append(length)
-        events += (track_ids[track] for track in chosen.tolist())
+        events += (tracks.ids[track] for track in chosen.tolist())
         contexts += [context] * length
     values = np.array(values, dtype=np.int64).reshape(-1, 8)
     table = SessionTable._build(

@@ -37,8 +37,9 @@ from .data import (
     COUNT_COLUMNS,
     MAX_SESSION_LEN,
     SessionTable,
-    TrackRecord,
+    TrackTable,
     first_half_length,
+    id_rows,
 )
 from .errors import DataError, EmptyBatchError, StateError, ValidationError
 
@@ -119,22 +120,21 @@ class FeaturePipeline:
         self.embedding_table = np.array([vectors[k] for k in self.embedding_ids],
                                         dtype=np.float64).reshape(len(vectors), self.d_emb)
         self.embedding_table.flags.writeable = False
-        self._embedding_row = {k: row for row, k in enumerate(self.embedding_ids)}
         self.acoustic_dim: int | None = None
         self.scalers: dict[str, Scaler] = {}
         self.context_vocab: Vocabulary | None = None
         self.fitted = False
 
-    def fit(self, table: SessionTable, tracks: dict[str, TrackRecord]) -> "FeaturePipeline":
+    def fit(self, table: SessionTable, tracks: TrackTable) -> "FeaturePipeline":
         if not table:
             raise EmptyBatchError("cannot fit the feature pipeline on an empty session list")
         used, _ = _used_tracks(table, tracks)
         observed = table.observed
-        self.acoustic_dim = len(used[0].acoustic)
+        self.acoustic_dim = tracks.acoustic.shape[1]
         self.context_vocab = Vocabulary.fit(
             table.context_types[k] for k in np.unique(table.context_index[observed]).tolist())
         self.scalers = {name: Scaler.fit(column) for name, column
-                        in zip(self._track_columns(), self._track_values(used).T)}
+                        in zip(self._track_columns(), self._track_values(tracks, used).T)}
         self.scalers.update(zip(NUMERIC_INTERACTION_FEATURES,
                                 map(Scaler.fit, table.counts[observed].T)))
         self.fitted = True
@@ -163,25 +163,24 @@ class FeaturePipeline:
         self._require_fitted()
         return self.context_vocab.size
 
-    def _embedding_rows(self, used: list[TrackRecord]) -> np.ndarray:
-        """The embedding rows of the ``used`` tracks, zeros for a track without one."""
-        rows = np.array([self._embedding_row.get(t.track_id, -1) for t in used], dtype=np.int64)
+    def _embedding_rows(self, track_ids: list[str]) -> np.ndarray:
+        """The embedding rows of ``track_ids``, zeros for a track without one."""
+        rows = id_rows(self.embedding_ids, track_ids)
         known = rows >= 0
-        out = np.zeros((len(used), self.d_emb))
+        out = np.zeros((len(rows), self.d_emb))
         out[known] = self.embedding_table[rows[known]]
         return out
 
     def _track_columns(self) -> list[str]:
         return ["duration", "release_year", *(f"acoustic_{k}" for k in range(self.acoustic_dim))]
 
-    def _track_values(self, used: list[TrackRecord]) -> np.ndarray:
-        """Unscaled rows in ``_track_columns`` order."""
-        for track in used:
-            if len(track.acoustic) != self.acoustic_dim:
-                raise ValidationError(f"track {track.track_id}: acoustic dim "
-                                      f"{len(track.acoustic)} != fitted dim {self.acoustic_dim}")
-        return np.column_stack([[t.duration for t in used], [t.release_year for t in used],
-                                np.stack([t.acoustic for t in used])])
+    def _track_values(self, tracks: TrackTable, rows: np.ndarray) -> np.ndarray:
+        """Unscaled values of the tracks at ``rows``, in ``_track_columns`` order."""
+        if tracks.acoustic.shape[1] != self.acoustic_dim:
+            raise ValidationError(f"tracks: acoustic dim {tracks.acoustic.shape[1]} "
+                                  f"!= fitted dim {self.acoustic_dim}")
+        return np.column_stack([tracks.duration[rows], tracks.release_year[rows],
+                                tracks.acoustic[rows]])
 
     def _interaction_values(self, table: SessionTable, events: np.ndarray) -> np.ndarray:
         """Interaction-block rows of the ``events`` mask; the NUMERIC_INTERACTION_FEATURES
@@ -196,7 +195,7 @@ class FeaturePipeline:
         return np.column_stack([self.scalers[name].transform(column)
                                 for name, column in zip(names, values.T)])
 
-    def encode(self, table: SessionTable, tracks: dict[str, TrackRecord]) -> "EncodedSessions":
+    def encode(self, table: SessionTable, tracks: TrackTable) -> "EncodedSessions":
         """Featurize a session table once, on its flat event axis; ``batch``
         then gathers the real rows of any batch of its sessions."""
         if not table:
@@ -218,8 +217,8 @@ class FeaturePipeline:
         raw[:, :len(NUMERIC_INTERACTION_FEATURES)] = self._scaled(raw, NUMERIC_INTERACTION_FEATURES)
         interactions = np.zeros((len(first), INTERACTION_WIDTH))
         interactions[first] = raw
-        static = np.hstack([self._embedding_rows(used),
-                            self._scaled(self._track_values(used), self._track_columns())])
+        static = np.hstack([self._embedding_rows([tracks.ids[k] for k in used.tolist()]),
+                            self._scaled(self._track_values(tracks, used), self._track_columns())])
         return EncodedSessions(list(table.session_ids), table.offsets, static, track_row,
                                position_feature(table.positions.astype(np.float64)),
                                interactions, table.flags)
@@ -273,20 +272,18 @@ class FeaturePipeline:
         return pipeline
 
 
-def _used_tracks(table: SessionTable,
-                 tracks: dict[str, TrackRecord]) -> tuple[list[TrackRecord], np.ndarray]:
-    """The distinct tracks the table's events play, in track-id order, and
-    each event's index into that list. A track missing from ``tracks`` is a
+def _used_tracks(table: SessionTable, tracks: TrackTable) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``tracks`` that the table's events play, in track-id order,
+    and each event's index into them. A track missing from ``tracks`` is a
     DataError naming the first session that plays it."""
     codes, event_track = np.unique(table.track_index, return_inverse=True)
-    ids = [table.track_ids[k] for k in codes.tolist()]
-    missing = [k for k, track_id in enumerate(ids) if track_id not in tracks]
-    if missing:
-        event = np.flatnonzero(np.isin(event_track, missing))[0]
+    rows = id_rows(tracks.ids, [table.track_ids[k] for k in codes.tolist()])
+    if (rows < 0).any():
+        event = int(np.argmax(rows[event_track] < 0))
         session = np.searchsorted(table.offsets, event, side="right") - 1
         raise DataError(f"session {table.session_ids[session]}: unknown track_id "
-                        f"{ids[event_track[event]]!r}")
-    return [tracks[track_id] for track_id in ids], event_track
+                        f"{table.track_ids[table.track_index[event]]!r}")
+    return rows, event_track
 
 
 @dataclass

@@ -289,15 +289,19 @@ def train_glove(
     return emb
 
 
-def export_embeddings(emb: EmbeddingTable, path) -> None:
-    """Write 'track_id v_1 .. v_d' lines with full float64 precision.
-
-    The line is whitespace separated, so a track id that is empty or holds
-    whitespace is rejected before anything is written."""
-    bad = next((track_id for track_id in emb.track_ids if track_id.split() != [track_id]), None)
+def check_track_ids(track_ids) -> None:
+    """Reject a track id that an embedding line cannot hold: the line is
+    whitespace separated, so an id must be non-empty and hold no whitespace."""
+    bad = next((track_id for track_id in track_ids if track_id.split() != [track_id]), None)
     if bad is not None:
         raise ValidationError(f"track id {bad!r} is empty or holds whitespace; "
                               f"the embedding file cannot hold it")
+
+
+def export_embeddings(emb: EmbeddingTable, path) -> None:
+    """Write 'track_id v_1 .. v_d' lines with full float64 precision; the ids
+    are checked by ``check_track_ids`` before anything is written."""
+    check_track_ids(emb.track_ids)
     combined = emb.vectors()
     with atomic_write(path) as fh:
         for k, track_id in enumerate(emb.track_ids):

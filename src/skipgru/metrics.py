@@ -26,7 +26,7 @@ import numpy as np
 from . import model as model_mod
 from .data import (
     SessionTable,
-    TrackRecord,
+    TrackTable,
     atomic_write,
     first_half_length,
     open_text,
@@ -140,7 +140,7 @@ def ensemble_probs(member_probs: list[dict[str, np.ndarray]]) -> dict[str, np.nd
 def ensemble_predict(
     members: list[tuple],
     sessions: SessionTable,
-    tracks: dict[str, TrackRecord],
+    tracks: TrackTable,
     threshold: float = THRESHOLD,
 ) -> dict[str, np.ndarray]:
     """Mean-probability ensemble over (params, pipeline) members; >= threshold skips.

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import SessionTable, TrackRecord
+from .data import SessionTable, TrackTable
 from .errors import ConfigError, DegenerateBatchError, ShapeError
 from .features import Batch, EncodedSessions, FeaturePipeline
 
@@ -309,7 +309,7 @@ def loss(probs: ad.Node, targets: np.ndarray) -> ad.Node:
 def predict_probs(
     sessions: SessionTable,
     pipeline: FeaturePipeline,
-    tracks: dict[str, TrackRecord],
+    tracks: TrackTable,
     params: ModelParams,
 ) -> dict[str, np.ndarray]:
     """Per-session skip probabilities of the second-half positions."""

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics
-from .data import SessionTable, TrackRecord, atomic_write
+from .data import SessionTable, TrackTable, atomic_write
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -291,7 +291,7 @@ def _shape(raw) -> tuple[int, ...]:
 def train(
     train_sessions: SessionTable,
     valid_sessions: SessionTable,
-    tracks: dict[str, TrackRecord],
+    tracks: TrackTable,
     pipeline: FeaturePipeline,
     variant: VariantConfig,
     config: TrainConfig,

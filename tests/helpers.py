@@ -3,6 +3,7 @@ library, a GRU composed step by step from autodiff nodes, the fused GRU
 behind its input projection, the ``np.add.at`` row scatter, the session
 table of a list of sessions, a session's halves as event lists, the packed
 row order of a batch and each session's rows read back out of one, the
+track table of a list of track rows, the
 co-occurrence table as a pair dict, the GloVe slice loop as it ran before
 its workspace buffers, a fresh batchnorm state, a fresh model at a seed, and
 a checkpoint writer for re-hashed tampered files."""
@@ -153,6 +154,13 @@ def session_table(sessions):
         np.array([[getattr(r, name) for name in data.COUNT_COLUMNS] for r in records],
                  dtype=np.int64).reshape(-1, len(data.COUNT_COLUMNS)),
         observed)
+
+
+def track_table(rows):
+    """The ``TrackTable`` of ``(track_id, duration, release_year, acoustic)``
+    rows, given in any order."""
+    rows = list(rows)
+    return data.TrackTable.from_rows(rows, len(rows[0][3]) if rows else 0)
 
 
 def split_halves(session):

@@ -181,6 +181,38 @@ class TestEmbed:
         assert "Traceback" not in err and not out.exists()
 
 
+    @pytest.mark.parametrize("rows", ["none", "one track per session"])
+    def test_empty_cooccurrence_table_exits_three(self, workspace, tmp_path, capsys, rows):
+        header, *lines = (workspace / "sessions.csv").read_text().splitlines()
+        if rows == "none":
+            lines = []
+        else:
+            lines = [",".join([*fields[:2], "t00001", *fields[3:]])
+                     for fields in (line.split(",") for line in lines)]
+        sessions, out = tmp_path / "sessions.csv", tmp_path / "e.txt"
+        sessions.write_text("\n".join([header, *lines]) + "\n")
+        assert run(["embed", "--sessions", str(sessions), "--out", str(out),
+                    "--dims", "4", "--epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: {sessions}: cannot train embeddings on an empty co-occurrence "
+                       f"table (no session plays two distinct tracks)\n")
+        assert not out.exists()
+
+    def test_unholdable_track_id_is_rejected_before_glove_runs(self, workspace, tmp_path,
+                                                               capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_glove ran")
+
+        monkeypatch.setattr(cli.glove, "train_glove", refuse)
+        sessions = _with_field(workspace / "sessions.csv", tmp_path / "sessions.csv",
+                               2, 2, '"t 00001"')
+        out = tmp_path / "e.txt"
+        assert run(["embed", "--sessions", str(sessions), "--out", str(out),
+                    "--dims", "4", "--epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr("t 00001") in err and not out.exists()
+
+
 class TestTrain:
     def test_writes_checkpoint(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
@@ -494,6 +526,18 @@ class TestConfigSections:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("model", "hidden_size", 0, "hidden_size must be positive, got 0"),
+        ("training", "val_fraction", 1.5, "val_fraction must be in (0, 1), got 1.5"),
+    ])
+    def test_range_error_names_the_file_and_section(self, tmp_path, capsys, section, key,
+                                                     value, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({section: {key: value}}))
+        assert run(["embed", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: config section '{section}': {message}\n")
 
     def test_unknown_activation_flag_is_a_usage_error(self, capsys):
         assert run(["train", "--activation", "tanh"]) == 2

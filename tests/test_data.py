@@ -19,7 +19,7 @@ from skipgru.errors import (
 )
 from skipgru.features import FeaturePipeline
 
-from helpers import one_batch, session_table, split_halves
+from helpers import one_batch, session_table, split_halves, track_table
 
 
 def make_interaction(skip=False, context_type="playlist", **over):
@@ -136,11 +136,43 @@ class TestValidation:
             make_interaction(seek_fwd_count=-1)
 
 
-class TestTrackRecord:
+class TestTrackTable:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_duration_rejected(self, bad):
         with pytest.raises(ValidationError, match="duration"):
-            data.TrackRecord("t", bad, 2000, np.zeros(2))
+            track_table([("t", bad, 2000, np.zeros(2))])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_acoustic_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^track u: non-finite acoustic entries$"):
+            track_table([("t", 200.0, 2000, [0.5, 0.5]), ("u", bad, 2001, [0.5, bad])])
+
+    @pytest.mark.parametrize("ids", [["b", "a"], ["a", "a"], ["a", "c", "b"]])
+    def test_unsorted_or_repeated_ids_rejected(self, ids):
+        n = len(ids)
+        with pytest.raises(ValidationError, match="sorted and distinct"):
+            data.TrackTable(ids, np.full(n, 200.0), np.full(n, 2000), np.zeros((n, 2)))
+
+    @pytest.mark.parametrize("duration,release_year,acoustic", [
+        (np.zeros(3), np.zeros(2), np.zeros((2, 1))),
+        (np.zeros(2), np.zeros(2), np.zeros((3, 1))),
+        (np.zeros(2), np.zeros(2), np.zeros(2)),
+    ])
+    def test_columns_of_unequal_length_rejected(self, duration, release_year, acoustic):
+        with pytest.raises(ValidationError, match="unequal length"):
+            data.TrackTable(["a", "b"], duration, release_year, acoustic)
+
+    def test_rows_sorted_by_id_len_and_iteration(self):
+        tracks = track_table([("b", 300.0, 2010, [1.0]), ("a", 100.0, 1990, [0.0])])
+        assert len(tracks) == 2 and list(tracks) == ["a", "b"]
+        assert tracks.duration.tolist() == [100.0, 300.0]
+        assert tracks.release_year.dtype == np.int64 and tracks.acoustic.shape == (2, 1)
+
+    def test_id_rows_finds_exact_ids(self):
+        ids = ["", "a", "a\0", "b", "bé"]
+        wanted = ["a\0", "b", "", "a\0\0", "c", "bé", "a"]
+        assert data.id_rows(ids, wanted).tolist() == [2, 3, 0, -1, -1, 4, 1]
+        assert data.id_rows([], ["a"]).tolist() == [-1]
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_load_tracks_names_the_line(self, tmp_path, bad):
@@ -150,6 +182,33 @@ class TestTrackRecord:
                         f"b,{bad},2001,0.5\n")
         with pytest.raises(ValidationError, match="line 3.*duration"):
             data.load_tracks(path)
+
+    @pytest.mark.parametrize("earlier,later,message", [
+        ("b,nan,2001,0.5", "c,200.0,x,0.5", "line 3: track b: non-finite duration nan"),
+        ("b,200.0,x,0.5", "c,nan,2001,0.5",
+         "line 3: column 'release_year' is not an integer: 'x'"),
+        ("a,200.0,2001,0.5", "c,200.0,2001", "line 3: duplicate track_id 'a'"),
+        ("b,200.0,2001,inf", "b,1,2", "line 3: track b: non-finite acoustic entries"),
+    ])
+    def test_load_tracks_reports_the_earlier_bad_line(self, tmp_path, earlier, later, message):
+        path = tmp_path / "t.csv"
+        path.write_text("track_id,duration,release_year,acoustic_0\n"
+                        f"a,200.0,2000,0.5\n{earlier}\n{later}\n")
+        with pytest.raises(DataError) as info:
+            data.load_tracks(path)
+        assert str(info.value) == message
+
+    def test_write_load_round_trip(self, tmp_path, corpus):
+        tracks, _ = corpus
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        data.write_tracks(first, tracks)
+        loaded = data.load_tracks(first)
+        assert loaded.ids == tracks.ids
+        for column in ("duration", "release_year", "acoustic"):
+            got, want = getattr(loaded, column), getattr(tracks, column)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        data.write_tracks(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestCsvRoundTrip:
@@ -179,7 +238,7 @@ class TestCsvRoundTrip:
         spath = tmp_path / "s.csv"
         data.write_sessions(spath, sessions[:1], mode="train")
         with pytest.raises(DataError, match="t00"):
-            data.load_sessions(spath, {}, mode="train")
+            data.load_sessions(spath, track_table([]), mode="train")
 
     def test_train_mode_missing_second_half(self, tmp_path, corpus):
         tracks, sessions = corpus
@@ -219,7 +278,7 @@ class TestCsvRoundTrip:
         spath = tmp_path / "s.csv"
         spath.write_text("who,knows\n")
         with pytest.raises(ParseError, match="header"):
-            data.load_sessions(spath, {}, mode="train")
+            data.load_sessions(spath, track_table([]), mode="train")
 
 
 class TestPadBatch:
@@ -274,10 +333,9 @@ class TestSyntheticGenerator:
     def test_deterministic(self):
         a = data.gen_synthetic(n_sessions=5, n_tracks=50, acoustic_dim=2, seed=3)
         b = data.gen_synthetic(n_sessions=5, n_tracks=50, acoustic_dim=2, seed=3)
-        assert sorted(a[0]) == sorted(b[0])
-        for ta, tb in zip(a[0].values(), b[0].values()):
-            assert np.array_equal(ta.acoustic, tb.acoustic)
-            assert ta.duration == tb.duration
+        assert a[0].ids == b[0].ids
+        assert np.array_equal(a[0].acoustic, b[0].acoustic)
+        assert np.array_equal(a[0].duration, b[0].duration)
         assert_tables_equal(a[1], b[1])
 
     def test_noise_free_rule(self):
@@ -499,7 +557,7 @@ class TestSessionTable:
     def test_header_only_file_is_empty(self, tmp_path, corpus):
         spath = tmp_path / "s.csv"
         data.write_sessions(spath, corpus[1][:0], mode="train")
-        table = data.load_sessions(spath, {}, mode="train")
+        table = data.load_sessions(spath, track_table([]), mode="train")
         assert len(table) == 0 and list(table) == []
 
 
@@ -710,7 +768,7 @@ class TestCsvProperties:
         want = sorted(sessions, key=lambda s: s.session_id)
         if mode == "infer":
             want = [blank_second_halves(s) for s in want]
-        tracks = {t: data.TrackRecord(t, 200.0, 2000, np.zeros(2)) for t in TRACK_POOL}
+        tracks = track_table((t, 200.0, 2000, np.zeros(2)) for t in TRACK_POOL)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.csv")
             data.write_sessions(path, session_table(sessions), mode=mode)
@@ -776,8 +834,7 @@ class TestByteParser:
            rng=st.randoms(use_true_random=False), known=st.booleans())
     def test_plain_file_reads_as_the_csv_reader_does(self, sessions, mode, eol, final, rng,
                                                      known):
-        tracks = ({t: data.TrackRecord(t, 200.0, 2000, np.zeros(2)) for t in PLAIN_TRACKS}
-                  if known else None)
+        tracks = track_table((t, 200.0, 2000, np.zeros(2)) for t in PLAIN_TRACKS) if known else None
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.csv")
             data.write_sessions(path, session_table(sessions), mode=mode)

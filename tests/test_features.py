@@ -12,7 +12,7 @@ from skipgru.features import (
     position_feature,
 )
 
-from helpers import one_batch, packed_order, session_table, split_halves, unpack
+from helpers import one_batch, packed_order, session_table, split_halves, track_table, unpack
 from test_data import make_interaction
 
 
@@ -93,14 +93,15 @@ def scalar_scale(scaler, x):
     return min(1.0, max(0.0, (x - scaler.lo) / (scaler.hi - scaler.lo)))
 
 
-def reference_vector(pipeline, track, position, interaction=None):
+def reference_vector(pipeline, tracks, track_id, position, interaction=None):
     """One event's triplet (with an interaction) or doublet, built field by field."""
     scalers = pipeline.scalers
     embeddings = dict(zip(pipeline.embedding_ids, pipeline.embedding_table))
-    vec = list(embeddings.get(track.track_id, np.zeros(pipeline.d_emb)))
-    vec += [scalar_scale(scalers["duration"], track.duration),
-            scalar_scale(scalers["release_year"], track.release_year)]
-    vec += [scalar_scale(scalers[f"acoustic_{i}"], v) for i, v in enumerate(track.acoustic)]
+    vec = list(embeddings.get(track_id, np.zeros(pipeline.d_emb)))
+    row = tracks.ids.index(track_id)
+    vec += [scalar_scale(scalers["duration"], tracks.duration[row]),
+            scalar_scale(scalers["release_year"], tracks.release_year[row])]
+    vec += [scalar_scale(scalers[f"acoustic_{i}"], v) for i, v in enumerate(tracks.acoustic[row])]
     if interaction is not None:
         vec += [scalar_scale(scalers[name], getattr(interaction, name))
                 for name in NUMERIC_INTERACTION_FEATURES]
@@ -126,11 +127,11 @@ class TestAssembly:
         assert vec[-1] == 0.0   # is_pad
 
     def test_hand_computed_layout(self):
-        tracks = {
-            "a": data.TrackRecord("a", 100.0, 1990, np.array([0.0, 1.0])),
-            "b": data.TrackRecord("b", 300.0, 2010, np.array([1.0, 1.0])),
-            "c": data.TrackRecord("c", 200.0, 2000, np.array([0.5, 1.0])),
-        }
+        tracks = track_table([
+            ("a", 100.0, 1990, np.array([0.0, 1.0])),
+            ("b", 300.0, 2010, np.array([1.0, 1.0])),
+            ("c", 200.0, 2000, np.array([0.5, 1.0])),
+        ])
         fit_session = one_session(["a", "b"], seek_fwd_count=4, hour_of_day=20)
         fit_session.events[0] = data.Event("a", 1, make_interaction(hour_of_day=10))
         pipeline = FeaturePipeline({"a": np.array([7.0]), "c": np.array([8.0])})
@@ -175,9 +176,9 @@ class TestAssembly:
 
     def test_unknown_track_embedding_is_zero(self, pipeline):
         assert "no-such-track" not in pipeline.embedding_ids
-        stranger = data.TrackRecord("no-such-track", 200.0, 2000, np.zeros(3))
+        stranger = track_table([("no-such-track", 200.0, 2000, np.zeros(3))])
         session = one_session(["no-such-track"])
-        batch = one_batch([session], pipeline, {"no-such-track": stranger})
+        batch = one_batch([session], pipeline, stranger)
         assert not batch.first[:, :pipeline.d_emb].any()
         assert not batch.second[:, :pipeline.d_emb].any()
 
@@ -202,14 +203,14 @@ class TestAssembly:
         assert len(batch.first) == len(order)
         for row, (k, t) in zip(batch.first, order):
             ev = halves[k][0][t]
-            want = reference_vector(pipeline, tracks[ev.track_id], ev.position, ev.interaction)
+            want = reference_vector(pipeline, tracks, ev.track_id, ev.position, ev.interaction)
             assert row.tolist() == want
         assert batch.sizes.tolist() == [sum(n > t for n in lengths) for t in range(max(lengths))]
         assert batch.last.tolist() == [order.index((k, n - 1)) for k, n in enumerate(lengths)]
         seconds = [(k, ev) for k, (_, second) in enumerate(halves) for ev in second]
         assert batch.session.tolist() == [k for k, _ in seconds]
         for row, target, (_, ev) in zip(batch.second, batch.targets, seconds, strict=True):
-            assert row.tolist() == reference_vector(pipeline, tracks[ev.track_id], ev.position)
+            assert row.tolist() == reference_vector(pipeline, tracks, ev.track_id, ev.position)
             assert target.tolist() == [float(getattr(ev.interaction, name))
                                        for name in data.TASK_NAMES]
 
@@ -289,7 +290,8 @@ class TestTableInput:
     def test_fit_unknown_track_is_data_error(self, corpus):
         tracks, sessions = corpus
         missing = sessions[4].events[2].track_id
-        known = {k: v for k, v in tracks.items() if k != missing}
+        known = track_table(row for row in zip(tracks.ids, tracks.duration, tracks.release_year,
+                                               tracks.acoustic) if row[0] != missing)
         first = next(s for s in sessions if any(e.track_id == missing for e in s.events))
         with pytest.raises(DataError, match=f"^session {first.session_id}: "
                                             f"unknown track_id '{missing}'$"):
