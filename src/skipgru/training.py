@@ -5,13 +5,14 @@ A version-2 checkpoint is one header line followed by raw array bytes. The
 header is the JSON envelope ``{"schema_version": 2, "sha256", "payload"}``,
 ended by ``\n``, so ``head -n 1 model.ckpt`` prints it. The payload carries
 the variant config, the model dimension table, every named parameter's shape,
-the fitted feature pipeline (scalers, context vocabulary, the sorted
-``embedding_ids`` and the shape of their ``[n, d_emb]`` embedding table, so
-inference needs no side files), an optional reference to the original
-embedding file, and the training log. After the newline come the arrays as
-little-endian float64, back to back: the parameters in name order, then the
-embedding table. ``sha256`` is the digest of the canonical (sorted-keys,
-no-whitespace) JSON dump of the payload followed by those array bytes.
+the fitted feature pipeline (``scalers`` bounds, ``context_vocab`` codes,
+the sorted ``embedding_ids`` and the shape of their ``[n, d_emb]`` embedding
+table, so inference needs no side files), an optional reference to the
+original embedding file, and the training log. After the newline come the
+arrays as little-endian float64, back to back: the parameters in name order,
+then the embedding table. ``sha256`` is the digest of the canonical
+(sorted-keys, no-whitespace) JSON dump of the payload followed by those
+array bytes.
 
 A ``Checkpoint`` holds its model's own ``ModelParams`` and
 ``FeaturePipeline``. Saving reads the live arrays (``ModelParams.arrays``)
@@ -21,7 +22,9 @@ rejects a file no trained model could have written, naming the first
 ``dims`` field or array at fault: ``dims`` that differ from what the stored
 pipeline gives, a name -> shape table that differs from the one the variant
 and ``dims`` give (``model.array_shapes``, compared before anything is
-allocated), a non-finite array or a negative running variance. Reloaded
+allocated), a non-finite array, a negative running variance, or a
+pipeline that ``FeaturePipeline.fit`` could not have written (see
+``FeaturePipeline.from_dict``; the error names the pipeline field). Reloaded
 models reproduce the saved model's predictions bit for bit. Any other
 version, version 1 (one JSON line whose payload held the arrays as float
 lists) included, is a ``CheckpointVersionError``.
@@ -47,6 +50,7 @@ from .errors import (
     NumericError,
     SkipGruError,
     TrainingError,
+    ValidationError,
 )
 from .features import FeaturePipeline
 from .model import (
@@ -251,7 +255,10 @@ def load_checkpoint(path) -> Checkpoint:
         values = np.frombuffer(body, dtype="<f8")
         table = values[n_params:].reshape(table_shape)
         _check_array(path, "pipeline.embeddings", table)
-        pipeline = FeaturePipeline.from_dict({**payload["pipeline"], "embeddings": table})
+        try:
+            pipeline = FeaturePipeline.from_dict({**payload["pipeline"], "embeddings": table})
+        except ValidationError as err:
+            raise CheckpointIntegrityError(f"{path}: pipeline.{err}") from None
         dims = ModelDims(**payload["dims"])
         _check_header(path, "dims.%s", asdict(dims), asdict(ModelDims.from_pipeline(pipeline)))
         variant = VariantConfig(**payload["variant"])

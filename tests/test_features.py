@@ -3,14 +3,7 @@ import pytest
 
 from skipgru import data
 from skipgru.errors import DataError, StateError, ValidationError
-from skipgru.features import (
-    INTERACTION_WIDTH,
-    NUMERIC_INTERACTION_FEATURES,
-    FeaturePipeline,
-    Scaler,
-    Vocabulary,
-    position_feature,
-)
+from skipgru.features import INTERACTION_WIDTH, FeaturePipeline, min_max, position_feature
 
 from helpers import one_batch, packed_order, session_table, split_halves, track_table, unpack
 from test_data import make_interaction
@@ -28,41 +21,75 @@ def pipeline(corpus):
     return FeaturePipeline(emb).fit(sessions, tracks)
 
 
+def scaled_durations(fit_durations, durations):
+    """The duration feature of tracks lasting ``durations``, from a pipeline
+    fit on one session that plays tracks lasting ``fit_durations``."""
+    fit_ids = [f"f{k:02d}" for k in range(len(fit_durations))]
+    ids = [f"t{k:02d}" for k in range(len(durations))]
+    tracks = track_table((track_id, duration, 2000, np.zeros(2)) for track_id, duration
+                         in zip([*fit_ids, *ids], [*fit_durations, *durations]))
+    pipeline = FeaturePipeline({}, d_emb=1).fit(
+        session_table([one_session(fit_ids, length=len(fit_ids))]), tracks)
+    session = one_session(ids, length=len(ids))
+    # static holds one row per used track, in id order: t00, t01, ...
+    return pipeline.encode(session_table([session]), tracks).static[:, 1].tolist()
+
+
+def context_sessions(context_types):
+    """One session per context type, named by its index."""
+    return session_table([data.Session(f"c{k}", one_session(["t00001"], context_type=c).events)
+                          for k, c in enumerate(context_types)])
+
+
 class TestScaler:
-    def test_fit_min_max(self):
-        s = Scaler.fit([2.0, 4.0, 10.0])
-        assert (s.lo, s.hi) == (2.0, 10.0)
+    """Min-max scaling by the bounds in a checkpoint's ``scalers``."""
+
+    def test_fit_min_max(self, corpus, pipeline):
+        tracks, sessions = corpus
+        used = np.isin(tracks.ids, [sessions.track_ids[k] for k in set(sessions.track_index)])
+        values = np.column_stack([tracks.duration, tracks.release_year, tracks.acoustic])[used]
+        counts = sessions.counts[sessions.observed]
+        assert pipeline.numeric_columns == ["duration", "release_year", "acoustic_0",
+                                            "acoustic_1", "acoustic_2", *data.COUNT_COLUMNS]
+        assert pipeline.lo.tolist() == [*values.min(axis=0), *counts.min(axis=0)]
+        assert pipeline.hi.tolist() == [*values.max(axis=0), *counts.max(axis=0)]
 
     def test_endpoints_and_midpoint(self):
-        s = Scaler(lo=2.0, hi=10.0)
-        assert s.transform(np.array([2.0, 6.0, 10.0])).tolist() == [0.0, 0.5, 1.0]
+        assert scaled_durations([200.0, 400.0, 1000.0], [200.0, 600.0, 1000.0]) == [0.0, 0.5, 1.0]
 
     def test_clamping(self):
-        s = Scaler(lo=2.0, hi=10.0)
-        assert s.transform(99.0) == 1.0
-        assert s.transform(-5.0) == 0.0
+        assert scaled_durations([200.0, 1000.0], [99.0, 9900.0]) == [0.0, 1.0]
 
     def test_degenerate_maps_to_zero(self):
-        s = Scaler.fit([5.0, 5.0])
-        assert s.transform(5.0) == 0.0
-        assert s.transform(7.0) == 0.0
+        assert scaled_durations([500.0, 500.0], [500.0, 700.0, 100.0]) == [0.0, 0.0, 0.0]
 
     def test_monotone(self):
-        s = Scaler(lo=-3.0, hi=11.0)
-        ys = s.transform(np.linspace(-10, 20, 101))
-        assert (np.diff(ys) >= 0).all()
+        ys = scaled_durations([150.0, 850.0], np.linspace(50.0, 1000.0, 20))
+        assert (np.diff(ys) >= 0).all() and ys[0] == 0.0 and ys[-1] == 1.0
+
+    def test_each_column_by_its_own_bounds(self):
+        values = np.array([[2.0, 5.0, -1.0], [6.0, 7.0, 3.0], [10.0, 5.0, 1.0]])
+        got = min_max(values, np.array([2.0, 5.0, -1.0]), np.array([10.0, 5.0, 3.0]))
+        assert got.tolist() == [[0.0, 0.0, 0.0], [0.5, 0.0, 1.0], [1.0, 0.0, 0.5]]
 
 
 class TestVocabulary:
-    def test_dense_indices_with_reserved_zero(self):
-        v = Vocabulary.fit(["b", "a", "b", "c"])
-        assert sorted(v.index.values()) == [1, 2, 3]
-        assert v.size == 4
+    """The context codes a checkpoint's ``context_vocab`` records."""
 
-    def test_unknown_token_is_zero(self):
-        v = Vocabulary.fit(["a"])
-        assert v.lookup("never-seen") == 0
-        assert v.lookup("a") == 1
+    def test_dense_indices_with_reserved_zero(self, corpus):
+        tracks, _ = corpus
+        pipeline = FeaturePipeline({}, d_emb=2).fit(context_sessions(["b", "a", "b", "c"]),
+                                                    tracks)
+        assert pipeline.contexts == ["a", "b", "c"] and pipeline.context_vocab_size == 4
+        batch = one_batch(context_sessions(["c", "a", "b"]), pipeline, tracks)
+        codes = batch.first[batch.last, pipeline.triplet_ctx_col]
+        assert codes.tolist() == [3.0, 1.0, 2.0]
+
+    def test_unknown_token_is_zero(self, corpus):
+        tracks, _ = corpus
+        pipeline = FeaturePipeline({}, d_emb=2).fit(context_sessions(["a"]), tracks)
+        batch = one_batch(context_sessions(["never-seen", "a"]), pipeline, tracks)
+        assert batch.first[batch.last, pipeline.triplet_ctx_col].tolist() == [0.0, 1.0]
 
 
 class TestPositionFeature:
@@ -87,26 +114,28 @@ def one_session(track_ids, length=10, **interaction):
                               for p in range(1, length + 1)])
 
 
-def scalar_scale(scaler, x):
-    if scaler.hi == scaler.lo:
+def scalar_scale(lo, hi, x):
+    if hi == lo:
         return 0.0
-    return min(1.0, max(0.0, (x - scaler.lo) / (scaler.hi - scaler.lo)))
+    return min(1.0, max(0.0, (x - lo) / (hi - lo)))
 
 
 def reference_vector(pipeline, tracks, track_id, position, interaction=None):
     """One event's triplet (with an interaction) or doublet, built field by field."""
-    scalers = pipeline.scalers
+    bounds = dict(zip(pipeline.numeric_columns, zip(pipeline.lo, pipeline.hi)))
     embeddings = dict(zip(pipeline.embedding_ids, pipeline.embedding_table))
     vec = list(embeddings.get(track_id, np.zeros(pipeline.d_emb)))
     row = tracks.ids.index(track_id)
-    vec += [scalar_scale(scalers["duration"], tracks.duration[row]),
-            scalar_scale(scalers["release_year"], tracks.release_year[row])]
-    vec += [scalar_scale(scalers[f"acoustic_{i}"], v) for i, v in enumerate(tracks.acoustic[row])]
+    vec += [scalar_scale(*bounds["duration"], tracks.duration[row]),
+            scalar_scale(*bounds["release_year"], tracks.release_year[row])]
+    vec += [scalar_scale(*bounds[f"acoustic_{i}"], v) for i, v in enumerate(tracks.acoustic[row])]
     if interaction is not None:
-        vec += [scalar_scale(scalers[name], getattr(interaction, name))
-                for name in NUMERIC_INTERACTION_FEATURES]
+        vec += [scalar_scale(*bounds[name], getattr(interaction, name))
+                for name in data.COUNT_COLUMNS]
         vec += [float(getattr(interaction, name)) for name in data.TASK_NAMES]
-        vec.append(float(pipeline.context_vocab.lookup(interaction.context_type)))
+        contexts = pipeline.contexts
+        vec.append(float(contexts.index(interaction.context_type) + 1
+                         if interaction.context_type in contexts else 0))
     return vec + [position / data.MAX_SESSION_LEN, 0.0]
 
 
@@ -122,7 +151,7 @@ class TestAssembly:
         vec = batch.first[4]  # position 5
         assert vec.shape == (pipeline.d_trip,)
         assert np.array_equal(vec[:5], np.full(5, 3 * 0.1))  # the fixture's embedding
-        assert vec[pipeline.triplet_ctx_col] == pipeline.context_vocab.lookup("radio")
+        assert vec[pipeline.triplet_ctx_col] == pipeline.contexts.index("radio") + 1
         assert vec[-2] == 0.25  # position 5 / 20
         assert vec[-1] == 0.0   # is_pad
 

@@ -308,9 +308,9 @@ def count_encodes(monkeypatch):
 
 
 def shifted_copy(pipeline):
-    """An equal-schema copy whose duration scaler spans a wider range."""
+    """An equal-schema copy whose duration bounds span a wider range."""
     copy = FeaturePipeline.from_dict(pipeline.to_dict())
-    copy.scalers["duration"].hi += 50.0
+    copy.hi[copy.numeric_columns.index("duration")] += 50.0
     return copy
 
 

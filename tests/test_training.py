@@ -401,8 +401,9 @@ class TestCheckpointIO:
 
 class TestTamperedCheckpoint:
     """A re-hashed checkpoint that no trained model could have written is a
-    bad file: ``load_checkpoint`` names the ``dims`` field or the array, and
-    ``skipgru predict`` exits 3 before it reads any session."""
+    bad file: ``load_checkpoint`` names the ``dims`` field, the array or the
+    pipeline field, and ``skipgru predict`` exits 3 before it reads any
+    session."""
 
     @staticmethod
     def rejected(tmp_path, capsys, match, tamper=lambda envelope: None, arrays=None):
@@ -434,6 +435,51 @@ class TestTamperedCheckpoint:
             envelope["payload"]["dims"][field] += shift
 
         self.rejected(tmp_path, capsys, rf"dims\.{field} is", move)
+
+    @staticmethod
+    def recode(shift):
+        """A tamper that moves the context codes of ``context_vocab`` in sorted type order."""
+        def tamper(envelope):
+            vocab = envelope["payload"]["pipeline"]["context_vocab"]
+            types = sorted(vocab)
+            assert len(types) >= 2
+            shift(vocab, types)
+        return tamper
+
+    @pytest.mark.parametrize("shift", [
+        lambda vocab, types: vocab.update({types[1]: vocab[types[0]]}),
+        lambda vocab, types: vocab.update({types[0]: 0}),
+        lambda vocab, types: vocab.update({types[-1]: 99}),
+        lambda vocab, types: vocab.update({types[0]: 2, types[1]: 1}),
+    ], ids=["shared-code", "code-zero", "code-99", "unsorted-codes"])
+    def test_context_codes_that_fit_could_not_write(self, tmp_path, capsys, shift):
+        self.rejected(tmp_path, capsys, r"pipeline\.context_vocab: codes .* are not 1\.\.\d+ "
+                      r"in sorted type order", self.recode(shift))
+
+    @pytest.mark.parametrize("bounds", [
+        lambda lo, hi: [float("nan"), hi],
+        lambda lo, hi: [lo, float("inf")],
+        lambda lo, hi: [hi, lo],
+    ], ids=["nan-bound", "inf-bound", "swapped-bounds"])
+    def test_duration_bounds_that_fit_could_not_write(self, tmp_path, capsys, bounds):
+        def tamper(envelope):
+            scalers = envelope["payload"]["pipeline"]["scalers"]
+            assert scalers["duration"][0] < scalers["duration"][1]
+            scalers["duration"] = bounds(*scalers["duration"])
+
+        self.rejected(tmp_path, capsys, r"pipeline\.scalers: 'duration' bounds \[.*\] are not "
+                      r"finite with lo <= hi", tamper)
+
+    @pytest.mark.parametrize("reorder", [
+        lambda ids: ids.insert(1, ids.pop(0)),
+        lambda ids: ids.__setitem__(1, ids[0]),
+    ], ids=["unsorted", "repeated"])
+    def test_embedding_ids_that_are_not_sorted_and_distinct(self, tmp_path, capsys, reorder):
+        def tamper(envelope):
+            reorder(envelope["payload"]["pipeline"]["embedding_ids"])
+
+        self.rejected(tmp_path, capsys, r"pipeline\.embedding_ids: not sorted and distinct",
+                      tamper)
 
     def test_absurd_hidden_size_is_rejected_before_any_allocation(self, tmp_path, capsys):
         # a store of this width would be petabytes: the table check must come first
