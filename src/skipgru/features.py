@@ -57,12 +57,19 @@ INTERACTION_WIDTH = len(COUNT_COLUMNS) + 4 + 1
 def min_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``values [n, k]`` scaled column by column into [0, 1] by the training
     bounds ``lo`` and ``hi`` (one per column): a value outside the bounds is
-    clamped, and a column whose bounds are equal maps to 0."""
-    span = hi - lo
-    flat = span == 0
-    scaled = np.clip((values - lo) / np.where(flat, 1.0, span), 0.0, 1.0)
-    scaled[:, flat] = 0.0
-    return scaled
+    clamped, and a column whose bounds are equal maps to 0. Each column is
+    scaled on its own into a contiguous row of one preallocated ``[k, n]``
+    array, returned transposed, so every ufunc loop runs over ``n`` values."""
+    scaled = np.empty((values.shape[1], len(values)))
+    for column, value, low, high in zip(scaled, values.T, lo, hi):
+        span = high - low
+        if span == 0:
+            column[:] = 0.0
+        else:
+            np.subtract(value, low, out=column)
+            column /= span
+            np.clip(column, 0.0, 1.0, out=column)
+    return scaled.T
 
 
 def position_feature(position):

@@ -9,16 +9,19 @@ co-occurrence table; embeddings then minimize
 
 with per-coordinate adaptive (AdaGrad-style) steps over shuffled slices of
 the nonzero entries: within a slice the entries that share a row are summed,
-and each row takes one step. The slices run in workspace buffers that
-training allocates once: three float ``[slice, d]`` buffers (the gathered
-``w_i`` and ``w~_j`` rows; their product, then each side's gradients) and
-one intp buffer for the flat ``bincount`` index. Rows are gathered with
+and each row takes one step. Each entry's dot product ``w_i . w~_j`` is
+summed row by row over chunks of ROW_CHUNK gathered rows. The steps then run
+one column block at a time: each ``[V, d]`` table and its cache is viewed,
+with no copy, as ``[V * nb, bw]`` rows (row ``r``'s block ``b`` is row
+``r * nb + b``), so a block's gathers and scatters read contiguous
+``bw``-wide pieces and its buffers are ``[slice, bw]``. At the default 150
+dims a block is 15 wide and no array of size slice x d exists; a ``d`` with
+no divisor from 8 to 16 runs as one block. Every (row, column) sum still
+adds the slice's entries in slice order in one ``bincount``, so the result
+does not depend on the block width, bit for bit. The buffers are allocated
+once per training call, and rows are gathered with
 ``np.take(..., out=, mode="clip")`` after ``check_table`` has proved every
-index in range, products are formed with ``out=`` ufuncs, and a gathered
-row buffer that is no longer read holds its side's squared gradients and
-touched rows. So a slice allocates nothing of size slice x d, and the
-allocator does not hand freed pages back to the OS only to fault them in
-again on the next slice. The exported embedding for a track is
+index in range. The exported embedding for a track is
 ``w + w~``. The table is two arrays: each unordered pair of track indices
 once, as an ``(i, j)`` row with ``i < j`` in sorted order, and its summed
 weight. Training iterates both directions of every pair, which makes the
@@ -42,6 +45,7 @@ DIMS = 150
 EPOCHS = 25
 SEED = 0
 ENTRY_BATCH = 4096
+ROW_CHUNK = 512
 
 
 @dataclass
@@ -63,7 +67,9 @@ class CooccurrenceTable:
 
     def directed_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both directions of every pair as (i, j, x) arrays: ``(a, b)`` then
-        ``(b, a)``, pair by pair in table order."""
+        ``(b, a)``, pair by pair in table order. So entry ``e`` is pair
+        ``e >> 1``, its ``i`` is ``pairs.reshape(-1)[e]`` and its ``j`` is
+        ``pairs.reshape(-1)[e ^ 1]``."""
         return self.pairs.ravel(), self.pairs[:, ::-1].ravel(), np.repeat(self.values, 2)
 
 
@@ -133,20 +139,20 @@ class EmbeddingTable:
         return {tid: combined[k] for k, tid in enumerate(self.track_ids)}
 
 
-def _residual(prod, bias_i, bias_j, logx, f):
+def _residual(dot, bias_i, bias_j, logx, f):
     """Per-entry loss and residual gradient ``g`` of
-    f * (w_i . w~_j + b_i + b~_j - logx)^2, from the rowwise products
-    ``prod = w_i * w~_j``. An entry's gradient is ``g * w~_j`` for w_i,
+    f * (w_i . w~_j + b_i + b~_j - logx)^2, from the per-entry dot products
+    ``dot = w_i . w~_j``. An entry's gradient is ``g * w~_j`` for w_i,
     ``g * w_i`` for w~_j and ``g`` for each bias."""
-    diff = prod.sum(axis=1) + bias_i + bias_j - logx
+    diff = dot + bias_i + bias_j - logx
     return f * diff * diff, 2.0 * f * diff
 
 
-def _spread(slot, d, out):
-    """``slot * d + col`` for every column of a slice's ``[m, d]`` vector
-    gradients, built in the intp buffer ``out``: their flat ``bincount``
-    places."""
-    return np.add((slot * d)[:, None], np.arange(d), out=out).reshape(-1)
+def _block_width(dims: int) -> int:
+    """Columns per block of the vector steps: the widest divisor of ``dims``
+    up to 16 if it is at least 8, else ``dims`` (one block)."""
+    width = max(w for w in range(1, min(dims, 16) + 1) if dims % w == 0)
+    return width if width >= 8 else dims
 
 
 def _adagrad_rows(param, cache, touched, slot, grad, lr, work):
@@ -154,12 +160,13 @@ def _adagrad_rows(param, cache, touched, slot, grad, lr, work):
 
     Only the ``touched`` rows are read or written. ``grad`` is flat, and
     ``slot`` numbers each value's place among the touched rows: the entry's
-    row for a bias, ``row * d + col`` for a table of vectors (``_spread``).
-    The squared gradients of each place are summed (a flat ``bincount``) and
-    added to the cache, then the gradients are summed, and each touched row
-    moves once by ``-lr * sum / sqrt(cache)``. ``work``, a float buffer of
-    ``grad``'s size, holds the squares and then the touched rows, so the
-    step's only fresh arrays are its two sums, never alive together.
+    row for a bias, ``row * w + col`` for ``[m, w]`` gradients of a table of
+    ``w``-wide rows. The squared gradients of each place are summed (a flat
+    ``bincount``) and added to the cache, then the gradients are summed, and
+    each touched row moves once by ``-lr * sum / sqrt(cache)``. ``work``, a
+    float buffer of ``grad``'s size, holds the squares and then the touched
+    rows, so the step's only fresh arrays are its two sums, never alive
+    together.
     """
     sums = np.bincount(slot, weights=np.multiply(grad, grad, out=work))
     shape = (len(touched),) + param.shape[1:]
@@ -202,8 +209,8 @@ def objective(table: CooccurrenceTable, emb: EmbeddingTable,
               x_max: float = X_MAX, alpha: float = ALPHA) -> float:
     check_table(table)
     i, j, x = table.directed_entries()
-    loss, _ = _residual(emb.main[i] * emb.context[j], emb.main_bias[i], emb.context_bias[j],
-                        np.log(x), glove_weights(x, x_max, alpha))
+    loss, _ = _residual((emb.main[i] * emb.context[j]).sum(axis=1), emb.main_bias[i],
+                        emb.context_bias[j], np.log(x), glove_weights(x, x_max, alpha))
     return float(loss.sum())
 
 
@@ -220,11 +227,16 @@ def train_glove(
 
     The table is checked first (``check_table``). Entries are shuffled every
     epoch and consumed in vectorized slices of ENTRY_BATCH; each slice moves
-    every row it touches once (see ``_adagrad_rows``). The slices run in
-    workspace buffers allocated once per call, so a slice allocates nothing of
-    size slice x dims. AdaGrad caches start at 1 so early steps are bounded by
-    lr. The loss recorded per epoch is the objective evaluated as each slice is
-    visited, before its update.
+    every row it touches once (see ``_adagrad_rows``). An entry is read from
+    the table through its place in ``directed_entries`` order, and its log
+    count and weight are computed once per pair. A slice's dot products are
+    summed over ROW_CHUNK rows at a time, and its vector steps run one column
+    block of width ``bw`` at a time (``_block_width``), so the workspace
+    allocated once per call is two ``[ROW_CHUNK, dims]`` and three
+    ``[slice, bw]`` float buffers and two ``[slice, bw]`` intp ones. AdaGrad
+    caches start at 1 so early steps are bounded by lr. The loss recorded per
+    epoch is the objective evaluated as each slice is visited, before its
+    update.
     """
     if dims < 1 or epochs < 1:
         raise ConfigError(f"glove dims and epochs must be >= 1, got dims={dims}, "
@@ -247,23 +259,31 @@ def train_glove(
         main_bias=rng.uniform(-span, span, size=v),
         context_bias=rng.uniform(-span, span, size=v),
     )
-    cache_main = np.ones((v, dims))
-    cache_context = np.ones((v, dims))
-    cache_mb = np.ones(v)
-    cache_cb = np.ones(v)
+    bw = _block_width(dims)
+    nb = dims // bw
+    # the vector tables and their caches as [V * nb, bw] rows, with no copy:
+    # row r's block b is row r * nb + b
+    main_blocks = emb.main.reshape(v * nb, bw)
+    context_blocks = emb.context.reshape(v * nb, bw)
+    sides = ((emb.main_bias, np.ones(v), main_blocks, np.ones((v * nb, bw))),
+             (emb.context_bias, np.ones(v), context_blocks, np.ones((v * nb, bw))))
 
-    i_all, j_all, x_all = table.directed_entries()
-    logx_all = np.log(x_all)
-    f_all = glove_weights(x_all, x_max, alpha)
+    # entry e is pair e >> 1, read as (flat[e], flat[e ^ 1]) (directed_entries);
+    # intp, since row * nb + b would wrap in a narrower index dtype
+    flat = table.pairs.reshape(-1).astype(np.intp, copy=False)
+    logx = np.log(table.values)
+    f = glove_weights(table.values, x_max, alpha)
 
-    # Workspace: the gathered w_i and w~_j rows, one buffer for their product
-    # and then each side's entry gradients, and the flat bincount index.
-    n = len(i_all)
-    size = (min(ENTRY_BATCH, n), dims)
-    wi_buf, wj_buf, grad_buf = np.empty(size), np.empty(size), np.empty(size)
-    flat_buf = np.empty(size, dtype=np.intp)
-    sides = ((emb.main, cache_main, emb.main_bias, cache_mb),
-             (emb.context, cache_context, emb.context_bias, cache_cb))
+    # Workspace: a chunk's gathered w_i and w~_j rows, whose products are
+    # summed into ``dot``; a block's gathered w_i and w~_j columns, and its
+    # gradients; and each side's flat bincount index, which serves every block.
+    n = len(flat)
+    m_max = min(ENTRY_BATCH, n)
+    rows_i, rows_j = np.empty((2, min(ROW_CHUNK, n), dims))
+    dot = np.empty(m_max)
+    block_i, block_j, grad = np.empty((3, m_max, bw))
+    places = np.empty((2, m_max, bw), dtype=np.intp)
+    cols = np.arange(bw)
 
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -271,20 +291,30 @@ def train_glove(
         for lo in range(0, n, ENTRY_BATCH):
             sel = order[lo:lo + ENTRY_BATCH]
             m = len(sel)
-            i, j = i_all[sel], j_all[sel]
-            wi = np.take(emb.main, i, axis=0, out=wi_buf[:m], mode="clip")
-            wj = np.take(emb.context, j, axis=0, out=wj_buf[:m], mode="clip")
-            grad = np.multiply(wi, wj, out=grad_buf[:m])
-            loss, g = _residual(grad, emb.main_bias[i], emb.context_bias[j],
-                                logx_all[sel], f_all[sel])
+            i, j, pair = flat[sel], flat[sel ^ 1], sel >> 1
+            for c in range(0, m, ROW_CHUNK):
+                ci, cj = i[c:c + ROW_CHUNK], j[c:c + ROW_CHUNK]
+                wi = np.take(emb.main, ci, axis=0, out=rows_i[:len(ci)], mode="clip")
+                wj = np.take(emb.context, cj, axis=0, out=rows_j[:len(ci)], mode="clip")
+                np.multiply(wi, wj, out=wi).sum(axis=1, out=dot[c:c + len(ci)])
+            loss, g = _residual(dot[:m], emb.main_bias[i], emb.context_bias[j],
+                                logx[pair], f[pair])
             epoch_loss += float(loss.sum())
-            for (param, cache, bias, bias_cache), rows, other in zip(sides, (i, j), (wj, wi)):
-                # ``other`` is not read again: it becomes this side's spare buffer
+            steps = []
+            for (bias, bias_cache, param, cache), rows, place in zip(sides, (i, j), places):
                 touched, slot = np.unique(rows, return_inverse=True)
-                np.multiply(g[:, None], other, out=grad)
-                _adagrad_rows(param, cache, touched, _spread(slot, dims, flat_buf[:m]),
-                              grad.reshape(-1), lr, other.reshape(-1))
                 _adagrad_rows(bias, bias_cache, touched, slot, g, lr, np.empty_like(g))
+                np.add((slot * bw)[:, None], cols, out=place[:m])
+                steps.append((param, cache, touched * nb, place[:m].reshape(-1)))
+            i_nb, j_nb = i * nb, j * nb
+            for b in range(nb):
+                wi = np.take(main_blocks, i_nb + b, axis=0, out=block_i[:m], mode="clip")
+                wj = np.take(context_blocks, j_nb + b, axis=0, out=block_j[:m], mode="clip")
+                for (param, cache, first, place), other in zip(steps, (wj, wi)):
+                    # ``other`` is not read again: it becomes this side's spare buffer
+                    np.multiply(g[:, None], other, out=grad[:m])
+                    _adagrad_rows(param, cache, first + b, place, grad[:m].reshape(-1), lr,
+                                  other.reshape(-1))
         emb.epoch_losses.append(epoch_loss)
     return emb
 

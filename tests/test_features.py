@@ -72,6 +72,21 @@ class TestScaler:
         got = min_max(values, np.array([2.0, 5.0, -1.0]), np.array([10.0, 5.0, 3.0]))
         assert got.tolist() == [[0.0, 0.0, 0.0], [0.5, 0.0, 1.0], [1.0, 0.0, 0.5]]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_matches_the_broadcast_expression_bitwise(self, dtype):
+        # random values, values past both bounds and a flat (lo == hi) column
+        rng = np.random.default_rng(31)
+        values = rng.normal(0.0, 40.0, size=(1_000, 4)).astype(dtype)
+        lo = np.array([-20.5, 3.0, -60.0, -1e-3])
+        hi = np.array([20.25, 3.0, 45.5, 70.0])
+        want = np.clip((values - lo) / np.where(hi == lo, 1.0, hi - lo), 0.0, 1.0)
+        want[:, hi == lo] = 0.0
+        got = min_max(values, lo, hi)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert (got == 0.0).any(axis=0).tolist() == [True, True, True, True]
+        assert (got == 1.0).any(axis=0).tolist() == [True, False, True, True]
+
 
 class TestVocabulary:
     """The context codes a checkpoint's ``context_vocab`` records."""

@@ -58,12 +58,18 @@ def random_table(n_tracks, n_pairs, seed):
                                    rng.uniform(0.1, 8.0, size=n_pairs))
 
 
+def assert_same_embeddings(got, want):
+    for name in ("main", "context", "main_bias", "context_bias"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.epoch_losses == want.epoch_losses
+
+
 def row_step(param, cache, rows, grad, lr):
     """``glove._adagrad_rows`` for a slice's row indices and its ``[m]`` or
     ``[m, d]`` gradients, as the training loop calls it."""
     touched, slot = np.unique(rows, return_inverse=True)
     if grad.ndim == 2:
-        slot = glove._spread(slot, grad.shape[1], np.empty(grad.shape, dtype=np.intp))
+        slot = (slot[:, None] * grad.shape[1] + np.arange(grad.shape[1])).reshape(-1)
     grad = grad.reshape(-1).copy()
     glove._adagrad_rows(param, cache, touched, slot, grad, lr, np.empty_like(grad))
 
@@ -142,6 +148,15 @@ class TestCooccurrence:
         for got, want in zip(table.directed_entries(), loop_directed_entries(pair_dict(table))):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    def test_directed_entries_read_through_the_flat_pairs(self):
+        # entry e is pair e >> 1, from flat[e] to flat[e ^ 1]: the slice loop's reads
+        table = random_table(30, 200, seed=9)
+        i, j, x = table.directed_entries()
+        e = np.arange(len(i))
+        flat = table.pairs.reshape(-1)
+        assert np.array_equal(i, flat[e]) and np.array_equal(j, flat[e ^ 1])
+        assert np.array_equal(x, table.values[e >> 1])
 
     def test_directed_entries_of_empty_table(self):
         i, j, x = table_of(["A"], {}).directed_entries()
@@ -306,7 +321,8 @@ class TestTraining:
         i, j, x = table.directed_entries()
         f = np.array([float(glove.glove_weights(w)) for w in x])
         wi, wj = emb.main[i], emb.context[j]
-        _, g = glove._residual(wi * wj, emb.main_bias[i], emb.context_bias[j], np.log(x), f)
+        _, g = glove._residual((wi * wj).sum(axis=1), emb.main_bias[i], emb.context_bias[j],
+                               np.log(x), f)
         analytic_main = np.zeros_like(emb.main)
         np.add.at(analytic_main, i, g[:, None] * wj)
         analytic_context = np.zeros_like(emb.context)
@@ -333,16 +349,15 @@ class TestTraining:
 
 
 class TestWorkspaceLoop:
-    """The slice loop runs in reused buffers and matches the loop that formed
-    every slice x dims temporary afresh, bit for bit."""
+    """The slice loop runs in reused buffers, its steps one column block at a
+    time, and matches the loop that formed every slice x dims temporary
+    afresh, bit for bit."""
 
     @staticmethod
     def assert_matches_reference(table, dims, epochs, seed):
         got = glove.train_glove(table, dims=dims, epochs=epochs, seed=seed)
         want = reference_train_glove(table, dims, epochs, seed=seed)
-        for name in ("main", "context", "main_bias", "context_bias"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.epoch_losses == want.epoch_losses
+        assert_same_embeddings(got, want)
         return got
 
     def test_multi_slice_table_with_a_short_last_slice(self):
@@ -350,6 +365,32 @@ class TestWorkspaceLoop:
         assert len(table.pairs) * 2 % glove.ENTRY_BATCH
         assert len(table.pairs) * 2 > 2 * glove.ENTRY_BATCH
         self.assert_matches_reference(table, dims=12, epochs=2, seed=4)
+
+    @pytest.mark.parametrize("dims", [150, 151], ids=["blocked", "one-block"])
+    def test_matches_reference_with_and_without_blocks(self, dims):
+        self.assert_matches_reference(random_table(300, 5_000, seed=25), dims=dims, epochs=2,
+                                      seed=7)
+
+    @pytest.mark.parametrize("dims,width", [
+        (150, 15), (151, 151), (64, 16), (100, 10), (44, 11), (34, 34), (7, 7), (1, 1),
+    ])
+    def test_block_width(self, dims, width):
+        assert glove._block_width(dims) == width
+
+    @pytest.mark.parametrize("width", [1, 5, 30])
+    def test_block_width_does_not_matter(self, monkeypatch, width):
+        table = random_table(200, 4_500, seed=26)
+        want = glove.train_glove(table, dims=30, epochs=2, seed=8)
+        monkeypatch.setattr(glove, "_block_width", lambda dims: width)
+        assert_same_embeddings(glove.train_glove(table, dims=30, epochs=2, seed=8), want)
+
+    def test_narrow_index_dtype_does_not_wrap(self):
+        # block rows are row * nb + b: int8 pairs would wrap past 127
+        table = random_table(100, 1_500, seed=27)
+        narrow = glove.CooccurrenceTable(table.track_ids, table.pairs.astype(np.int8),
+                                         table.values)
+        assert_same_embeddings(glove.train_glove(narrow, dims=150, epochs=1, seed=2),
+                               glove.train_glove(table, dims=150, epochs=1, seed=2))
 
     def test_sparse_table_leaves_untouched_rows_bitwise(self):
         table = random_table(10_000, 600, seed=22)
@@ -368,15 +409,16 @@ class TestWorkspaceLoop:
     def test_one_dimension(self):
         self.assert_matches_reference(random_table(40, 500, seed=23), dims=1, epochs=3, seed=6)
 
-    def test_one_epoch_peak_stays_under_four_and_a_half_slices(self):
-        # two full slices and a short one at the default 150 dims; the
-        # parameters, caches and per-entry arrays are the inputs, and what the
-        # slices add above them must stay within 4.5 slice-sized arrays: the
-        # workspace is four, the touched-row sums a fraction of one
+    def test_one_epoch_peak_stays_under_one_slice(self):
+        # two full slices and a short one at the default 150 dims; the inputs
+        # are the parameters and caches, the per-pair log counts and weights
+        # and the epoch's permutation of the entries, and what the slices add
+        # above them must stay within one slice-sized array: the workspace is
+        # two [ROW_CHUNK, dims] chunks and five [slice, 15] blocks, about 0.76
         v, dims = 400, glove.DIMS
         table = random_table(v, 5_000, seed=24)
-        n_entries = 2 * len(table.pairs)
-        inputs = 2 * (2 * v * dims + 2 * v) * 8 + 6 * n_entries * 8
+        n_pairs = len(table.pairs)
+        inputs = 2 * (2 * v * dims + 2 * v) * 8 + 2 * n_pairs * 8 + 2 * n_pairs * 8
         slice_bytes = glove.ENTRY_BATCH * dims * 8
         tracemalloc.start()
         try:
@@ -384,7 +426,7 @@ class TestWorkspaceLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (peak - inputs) / slice_bytes <= 4.5
+        assert (peak - inputs) / slice_bytes <= 1.0
 
 
 class TestTableCheck:
