@@ -223,21 +223,17 @@ def _row_summer(idx: np.ndarray, rows: int):
     rows sharing an index, as one ``np.add.reduceat`` segment of the index's
     stable sort; a row no index names gets zeros. The sort is made at the
     first call, so an op that is never pulled (under ``no_grad``, say) sorts
-    nothing, and when no index repeats the map is a plain scatter."""
+    nothing."""
     segments = []
 
     def sum_rows(g):
         if not segments:
             order = np.argsort(idx, kind="stable")
             starts = np.flatnonzero(np.diff(idx[order], prepend=-1))
-            segments.append((order, starts, idx[order[starts]])
-                            if len(starts) < len(idx) else None)
+            segments.append((order, starts, idx[order[starts]]))
+        order, starts, hit = segments[0]
         out = np.zeros((rows, g.shape[1]))
-        if segments[0] is None:
-            out[idx] = g
-        else:
-            order, starts, hit = segments[0]
-            out[hit] = np.add.reduceat(g[order], starts, axis=0)
+        out[hit] = np.add.reduceat(g[order], starts, axis=0)
         return out
 
     return sum_rows

@@ -64,7 +64,6 @@ from .errors import (
 
 MIN_SESSION_LEN = 10
 MAX_SESSION_LEN = 20
-HALF_LEN = MAX_SESSION_LEN // 2
 
 TASK_NAMES = ("skipped", "context_switch", "no_pause_before_play", "short_pause_before_play")
 

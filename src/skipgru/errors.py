@@ -66,4 +66,4 @@ class AlignmentError(SkipGruError, ValueError):
 
 
 class EnsembleError(SkipGruError, ValueError):
-    """Ensemble members are mutually incompatible; message names the member."""
+    """An ensemble has no members, or member k predicts another session set."""

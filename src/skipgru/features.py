@@ -203,16 +203,9 @@ class FeaturePipeline:
                                position_feature(table.positions.astype(np.float64)),
                                interactions, table.flags)
 
-    def schema_fingerprint(self) -> tuple:
-        """Stable identity of the feature layout, used for ensemble compatibility."""
-        self._require_fitted()
-        return self.d_emb, self.acoustic_dim, tuple(self.contexts)
-
     def state_key(self) -> tuple[str, bytes]:
         """Exact, hashable identity of the fitted state: pipelines with equal
-        keys encode every session to the same bytes. Unlike
-        ``schema_fingerprint``, it covers the scaling bounds and the embedding
-        values."""
+        keys encode every session to the same bytes."""
         state = self.to_dict()
         table = state.pop("embeddings")
         return json.dumps(state, sort_keys=True), table.tobytes()

@@ -233,10 +233,10 @@ def train_glove(
     summed over ROW_CHUNK rows at a time, and its vector steps run one column
     block of width ``bw`` at a time (``_block_width``), so the workspace
     allocated once per call is two ``[ROW_CHUNK, dims]`` and three
-    ``[slice, bw]`` float buffers and two ``[slice, bw]`` intp ones. AdaGrad
-    caches start at 1 so early steps are bounded by lr. The loss recorded per
-    epoch is the objective evaluated as each slice is visited, before its
-    update.
+    ``[slice, bw]`` float buffers and two ``[slice, bw]`` intp ones (one if
+    there is one block). AdaGrad caches start at 1 so early steps are bounded
+    by lr. The loss recorded per epoch is the objective evaluated as each
+    slice is visited, before its update.
     """
     if dims < 1 or epochs < 1:
         raise ConfigError(f"glove dims and epochs must be >= 1, got dims={dims}, "
@@ -276,13 +276,14 @@ def train_glove(
 
     # Workspace: a chunk's gathered w_i and w~_j rows, whose products are
     # summed into ``dot``; a block's gathered w_i and w~_j columns, and its
-    # gradients; and each side's flat bincount index, which serves every block.
+    # gradients; and each side's flat bincount index, built at the first block
+    # for every block (with one block, the two sides take turns in one buffer).
     n = len(flat)
     m_max = min(ENTRY_BATCH, n)
     rows_i, rows_j = np.empty((2, min(ROW_CHUNK, n), dims))
     dot = np.empty(m_max)
     block_i, block_j, grad = np.empty((3, m_max, bw))
-    places = np.empty((2, m_max, bw), dtype=np.intp)
+    places = np.empty((min(nb, 2), m_max, bw), dtype=np.intp)
     cols = np.arange(bw)
 
     for _ in range(epochs):
@@ -300,20 +301,26 @@ def train_glove(
             loss, g = _residual(dot[:m], emb.main_bias[i], emb.context_bias[j],
                                 logx[pair], f[pair])
             epoch_loss += float(loss.sum())
-            steps = []
-            for (bias, bias_cache, param, cache), rows, place in zip(sides, (i, j), places):
+            steps, index = [], []
+            for (bias, bias_cache, param, cache), rows in zip(sides, (i, j)):
                 touched, slot = np.unique(rows, return_inverse=True)
                 _adagrad_rows(bias, bias_cache, touched, slot, g, lr, np.empty_like(g))
-                np.add((slot * bw)[:, None], cols, out=place[:m])
-                steps.append((param, cache, touched * nb, place[:m].reshape(-1)))
+                steps.append((param, cache, touched * nb))
+                index.append(slot)
+            del slot
             i_nb, j_nb = i * nb, j * nb
             for b in range(nb):
                 wi = np.take(main_blocks, i_nb + b, axis=0, out=block_i[:m], mode="clip")
                 wj = np.take(context_blocks, j_nb + b, axis=0, out=block_j[:m], mode="clip")
-                for (param, cache, first, place), other in zip(steps, (wj, wi)):
+                for k, ((param, cache, first), other) in enumerate(zip(steps, (wj, wi))):
+                    if b == 0:
+                        # the side's slots give way to the flat index built from them
+                        place = places[k % len(places), :m]
+                        np.add((index[k] * bw)[:, None], cols, out=place)
+                        index[k] = place.reshape(-1)
                     # ``other`` is not read again: it becomes this side's spare buffer
                     np.multiply(g[:, None], other, out=grad[:m])
-                    _adagrad_rows(param, cache, first + b, place, grad[:m].reshape(-1), lr,
+                    _adagrad_rows(param, cache, first + b, index[k], grad[:m].reshape(-1), lr,
                                   other.reshape(-1))
         emb.epoch_losses.append(epoch_loss)
     return emb

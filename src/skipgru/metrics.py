@@ -31,7 +31,14 @@ from .data import (
     first_half_length,
     open_text,
 )
-from .errors import AlignmentError, ConfigError, EnsembleError, ParseError, ValidationError
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    EnsembleError,
+    ParseError,
+    SkipGruError,
+    ValidationError,
+)
 
 # the ensemble's default skip threshold on the mean probability
 THRESHOLD = 0.5
@@ -145,30 +152,29 @@ def ensemble_predict(
 ) -> dict[str, np.ndarray]:
     """Mean-probability ensemble over (params, pipeline) members; >= threshold skips.
 
-    Members must share the feature-pipeline schema; the first member is the
-    reference and any mismatch names the offending member position. The
-    sessions are encoded once per distinct fitted pipeline state
-    (``FeaturePipeline.state_key``), not once per member. A threshold outside
-    [0, 1], NaN included, is a :class:`ConfigError`.
+    Each member predicts from the sessions as its own fitted pipeline encodes
+    them, so members may differ in their feature pipelines (embedding width,
+    scaling bounds, context vocabulary). The sessions are encoded once per
+    distinct fitted state (``FeaturePipeline.state_key``), not once per
+    member. An error in a member's encode is raised again as the same type,
+    prefixed ``member k: ``. A threshold outside [0, 1], NaN included, is a
+    :class:`ConfigError`.
     """
     if not members:
         raise EnsembleError("ensemble needs at least one member")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
-    reference = members[0][1].schema_fingerprint()
-    for k, (_, pipeline) in enumerate(members[1:], start=1):
-        if pipeline.schema_fingerprint() != reference:
-            raise EnsembleError(
-                f"member {k}: feature pipeline schema differs from member 0"
-            )
     if not sessions:
         return {}
     encoded = {}
     member_probs = []
-    for params, pipeline in members:
+    for k, (params, pipeline) in enumerate(members):
         key = pipeline.state_key()
         if key not in encoded:
-            encoded[key] = pipeline.encode(sessions, tracks)
+            try:
+                encoded[key] = pipeline.encode(sessions, tracks)
+            except SkipGruError as err:
+                raise type(err)(f"member {k}: {err}") from err
         member_probs.append(model_mod.predict_encoded(encoded[key], params))
     combined = ensemble_probs(member_probs)
     return {sid: probs >= threshold for sid, probs in combined.items()}

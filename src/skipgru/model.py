@@ -201,11 +201,6 @@ class ModelParams:
                                                     np.zeros(h2), np.ones(h2))
                                   for bn in ("bn1", "bn2"))
 
-    @property
-    def d_enriched(self) -> int:
-        """The width of an enriched row: ``head.w1``'s row count."""
-        return self._shapes["head.w1"][0]
-
     def initialize(self, seed: int) -> None:
         """The starting point of a training run: glorot weights drawn from
         ``seed`` in a fixed name order, and every norm scale set to 1."""

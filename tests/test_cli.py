@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from helpers import rewrite_checkpoint
 
-from skipgru import cli, metrics, training
+from skipgru import cli, data, metrics, model, training
 from skipgru.errors import ConfigError
 from skipgru.model import VariantConfig
 
@@ -587,6 +587,52 @@ class TestPredictAndEvaluate:
                     "--out", str(sub)]) == 0
         assert "models=2" in capsys.readouterr().out
 
+    @staticmethod
+    def train_member(workspace, out, embeddings, tracks):
+        assert run(["train", "--sessions", str(workspace / "sessions.csv"),
+                    "--tracks", str(tracks), "--embeddings", str(embeddings),
+                    "--out", str(out), "--epochs", "1", "--batch-size", "16",
+                    "--hidden-size", "4", "--seed", "2"]) == 0
+        return out
+
+    def test_members_of_different_embedding_widths(self, workspace, trained, tmp_path,
+                                                    capsys):
+        wide = tmp_path / "emb12.txt"
+        assert run(["embed", "--sessions", str(workspace / "sessions.csv"), "--out", str(wide),
+                    "--dims", "12", "--epochs", "4", "--seed", "1"]) == 0
+        members = [trained[0], self.train_member(workspace, tmp_path / "wide.ckpt", wide,
+                                                 workspace / "tracks.csv")]
+        capsys.readouterr()
+        sub = tmp_path / "sub.txt"
+        assert run(["predict", "--model", str(members[0]), "--model", str(members[1]),
+                    "--sessions", str(workspace / "sessions_holdout.csv"),
+                    "--tracks", str(workspace / "tracks.csv"), "--out", str(sub)]) == 0
+        assert "models=2" in capsys.readouterr().out
+        tracks = data.load_tracks(workspace / "tracks.csv")
+        sessions = data.load_sessions(workspace / "sessions_holdout.csv", tracks, mode="infer")
+        built = [training.load_checkpoint(path).build() for path in members]
+        assert [pipeline.d_emb for _, pipeline in built] == [8, 12]
+        probs = metrics.ensemble_probs([model.predict_probs(sessions, pipeline, tracks, params)
+                                        for params, pipeline in built])
+        assert sub.read_text().splitlines() == [
+            "".join("1" if p >= 0.5 else "0" for p in probs[sid]) for sid in sorted(probs)]
+
+    def test_member_of_another_acoustic_width_exits_three(self, workspace, trained, tmp_path,
+                                                          capsys):
+        narrow = tmp_path / "tracks2.csv"
+        with open(workspace / "tracks.csv", newline="") as src, \
+                open(narrow, "w", newline="") as dst:
+            csv.writer(dst).writerows(row[:-1] for row in csv.reader(src))
+        member = self.train_member(workspace, tmp_path / "narrow.ckpt",
+                                   workspace / "emb.txt", narrow)
+        sub = tmp_path / "sub.txt"
+        assert run(["predict", "--model", str(trained[0]), "--model", str(member),
+                    "--sessions", str(workspace / "sessions_holdout.csv"),
+                    "--tracks", str(workspace / "tracks.csv"), "--out", str(sub)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: member 1: tracks: acoustic dim 3 != fitted dim 2")
+        assert not sub.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "2", "-0.1"])
     def test_non_finite_threshold_exits_three(self, workspace, trained, tmp_path, capsys,
                                                value):
@@ -636,7 +682,6 @@ class TestPredictAndEvaluate:
 
     def test_evaluate_identity(self, workspace, tmp_path, capsys):
         truth = workspace / "sessions_holdout.csv"
-        from skipgru import data, metrics
         sessions = data.load_sessions(truth, None, mode="train")
         sub = tmp_path / "perfect.txt"
         metrics.write_submission(sub, metrics.second_half_truth(sessions))

@@ -292,15 +292,15 @@ class TestPipelineState:
     def test_serialization_round_trip(self, corpus, pipeline):
         tracks, sessions = corpus
         clone = FeaturePipeline.from_dict(pipeline.to_dict())
-        assert clone.schema_fingerprint() == pipeline.schema_fingerprint()
+        assert clone.state_key() == pipeline.state_key()
         a = one_batch(sessions[:5], clone, tracks)
         b = one_batch(sessions[:5], pipeline, tracks)
         assert batch_bytes(a) == batch_bytes(b)
 
-    def test_fingerprint_detects_schema_change(self, corpus, pipeline):
+    def test_state_key_detects_schema_change(self, corpus, pipeline):
         tracks, sessions = corpus
         other = FeaturePipeline({}, d_emb=4).fit(sessions, tracks)
-        assert other.schema_fingerprint() != pipeline.schema_fingerprint()
+        assert other.state_key() != pipeline.state_key()
 
 
 def batch_bytes(batch):

@@ -409,24 +409,36 @@ class TestWorkspaceLoop:
     def test_one_dimension(self):
         self.assert_matches_reference(random_table(40, 500, seed=23), dims=1, epochs=3, seed=6)
 
-    def test_one_epoch_peak_stays_under_one_slice(self):
-        # two full slices and a short one at the default 150 dims; the inputs
-        # are the parameters and caches, the per-pair log counts and weights
-        # and the epoch's permutation of the entries, and what the slices add
-        # above them must stay within one slice-sized array: the workspace is
-        # two [ROW_CHUNK, dims] chunks and five [slice, 15] blocks, about 0.76
-        v, dims = 400, glove.DIMS
+    @staticmethod
+    def peak_slices(dims):
+        """What one epoch over 400 tracks (two full slices and a short one)
+        allocates above its inputs at its peak, in [slice, dims] float arrays.
+        The inputs are the parameters and caches, the per-pair log counts and
+        weights and the epoch's permutation of the entries."""
+        v = 400
         table = random_table(v, 5_000, seed=24)
         n_pairs = len(table.pairs)
         inputs = 2 * (2 * v * dims + 2 * v) * 8 + 2 * n_pairs * 8 + 2 * n_pairs * 8
-        slice_bytes = glove.ENTRY_BATCH * dims * 8
         tracemalloc.start()
         try:
             glove.train_glove(table, dims=dims, epochs=1, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (peak - inputs) / slice_bytes <= 1.0
+        return (peak - inputs) / (glove.ENTRY_BATCH * dims * 8)
+
+    def test_one_epoch_peak_stays_under_one_slice(self):
+        # at the default 150 dims the workspace is two [ROW_CHUNK, dims] chunks
+        # and five [slice, 15] blocks, about 0.76 slices
+        assert self.peak_slices(glove.DIMS) <= 1.0
+
+    def test_one_block_peak_holds_one_flat_index(self):
+        # 151 has no divisor from 8 to 16, so the steps run as one block: three
+        # float and one intp [slice, 151] buffers and two [ROW_CHUNK, 151] chunks
+        # are 4.25 slices, and a step's sums over at most 400 touched rows add
+        # 0.1. The two sides' flat indexes share one buffer; a second one would
+        # put the peak near 5.4
+        assert self.peak_slices(151) <= 4.5
 
 
 class TestTableCheck:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -226,12 +227,32 @@ class TestEnsemblePredict:
         for sid in a:
             assert np.array_equal(a[sid], b[sid])
 
-    def test_incompatible_pipeline_named(self):
+    def test_mixed_pipelines_average_member_predictions(self):
+        tracks, sessions, pipeline, members = small_models(2)
+        wide = FeaturePipeline({}, d_emb=5).fit(sessions[:6], tracks)
+        dims = model.ModelDims.from_pipeline(wide)
+        mixed = members + [
+            (fresh_params(model.VariantConfig(hidden_size=3), dims, seed=7), wide),
+            (members[1][0], shifted_copy(pipeline)),
+        ]
+        assert len({p.d_emb for _, p in mixed}) == 2
+        assert len({p.state_key() for _, p in mixed}) == 3
+        for order in itertools.permutations(range(len(mixed))):
+            ordered = [mixed[k] for k in order]
+            combined = metrics.ensemble_probs([model.predict_probs(sessions, p, tracks, params)
+                                               for params, p in ordered])
+            got = metrics.ensemble_predict(ordered, sessions, tracks)
+            assert got.keys() == combined.keys()
+            for sid, probs in combined.items():
+                assert np.array_equal(got[sid], probs >= 0.5)
+
+    def test_member_that_cannot_encode_is_named(self):
         tracks, sessions, pipeline, members = small_models(1)
-        other_pipeline = FeaturePipeline({}, d_emb=5).fit(sessions, tracks)
-        dims = model.ModelDims.from_pipeline(other_pipeline)
-        bad = (fresh_params(model.VariantConfig(hidden_size=3), dims, seed=7), other_pipeline)
-        with pytest.raises(EnsembleError, match="member 1"):
+        other_tracks, _ = data.gen_synthetic(n_sessions=8, n_tracks=50, acoustic_dim=4, seed=0)
+        other = FeaturePipeline({}, d_emb=3).fit(sessions, other_tracks)
+        dims = model.ModelDims.from_pipeline(other)
+        bad = (fresh_params(model.VariantConfig(hidden_size=3), dims, seed=7), other)
+        with pytest.raises(ValidationError, match="^member 1: tracks: acoustic dim 2 "):
             metrics.ensemble_predict([members[0], bad], sessions, tracks)
 
 
@@ -331,7 +352,6 @@ class TestEnsembleEncoding:
     def test_shifted_scaler_gets_its_own_encode(self, monkeypatch):
         tracks, sessions, pipeline, members = small_models(2)
         shifted = shifted_copy(pipeline)
-        assert shifted.schema_fingerprint() == pipeline.schema_fingerprint()
         assert shifted.state_key() != pipeline.state_key()
         calls = count_encodes(monkeypatch)
         metrics.ensemble_predict([members[0], (members[1][0], shifted)], sessions, tracks)

@@ -192,7 +192,7 @@ class TestEncodeFirstHalf:
     def test_split_projection_matches_full_input_oracle(self, seed):
         # oracle: each step's whole layer-1 input [numeric | ctx_embedding[idx]]
         # (the gather as a one-hot matmul) through the primitive-composed GRU,
-        # over every slot of a [batch, HALF_LEN] grid rebuilt from the packed
+        # over every slot of a [batch, MAX_SESSION_LEN // 2] grid rebuilt from the packed
         # rows (pad slots 0.0 in every feature, 1 in is_pad); a session past
         # its last real step keeps its state
         tracks, sessions, pipeline, params = tiny_setup(seed=seed, hidden=4)
@@ -201,7 +201,7 @@ class TestEncodeFirstHalf:
         assert dims.ctx_col != dims.d_trip - 1
         batch = one_batch(sessions[:5], pipeline, tracks)
         b = len(batch.session_ids)
-        grid = np.zeros((b, data.HALF_LEN, dims.d_trip))
+        grid = np.zeros((b, data.MAX_SESSION_LEN // 2, dims.d_trip))
         grid[..., -1] = 1.0
         lengths = np.zeros(b, dtype=np.int64)
         for k, (first, _, _) in enumerate(unpack(batch)):
@@ -217,7 +217,7 @@ class TestEncodeFirstHalf:
         g1, g2 = ([ad.parameter(start[f"{layer}.{name}"].copy()) for name in GRU_ORDER]
                   for layer in ("gru1", "gru2"))
         o1 = o2 = ad.constant(np.zeros((b, 4)))
-        for t in range(data.HALF_LEN):
+        for t in range(data.MAX_SESSION_LEN // 2):
             step_in = grid[:, t, :]
             onehot = np.eye(dims.ctx_vocab)[step_in[:, dims.ctx_col].astype(np.int64)]
             x = ad.concat_cols([
@@ -312,8 +312,8 @@ class TestPacking:
                          for halves in zip(*map(split_halves, sessions)))
         assert rows["gru"] == [first] * 2
         assert rows["head"] == [second]
-        assert first < data.HALF_LEN * len(sessions)
-        assert second < data.HALF_LEN * len(sessions)
+        assert first < data.MAX_SESSION_LEN // 2 * len(sessions)
+        assert second < data.MAX_SESSION_LEN // 2 * len(sessions)
 
     def test_row_order_in_batch(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=10, n_sessions=8)
@@ -383,7 +383,7 @@ class TestEnrich:
         x_half = ad.constant(rng.normal(size=(3, 2 * h)))
         session = np.array([0, 0, 2, 2, 2, 0, 1])
         gate = ad.relu(ad.affine(x_i, params.proj_w, params.proj_b))
-        width = params.d_enriched
+        width = params.head_w1.shape[0]
         fused = ad.enrich_affine(x_i, x_half, session, gate, ad.constant(np.eye(width)),
                                  ad.constant(np.zeros((1, width))))
         expected = enrich_reference(x_i, ad.take_rows(x_half, session), params)
