@@ -10,11 +10,12 @@
 
 ``embed``, ``train`` and ``predict`` accept ``--config FILE``, a JSON file
 with the sections ``paths``, ``model`` (a ``model.VariantConfig``),
-``training`` (``training.TrainConfig`` plus ``val_fraction``) and ``glove``.
-Unknown keys and values of the wrong JSON type are rejected, and the model
-and training values are range-checked when the file is read. A flag sets the
-section field named by its ``dest``; explicit flags win over config-file
-values, which win over the built-in defaults. Exit codes:
+``training`` (``training.TrainConfig`` plus ``val_fraction``) and ``glove``
+(a ``glove.GloveConfig``). Unknown keys and values of the wrong JSON type are
+rejected, and the model, training and glove values are range-checked when
+the file is read. A flag sets the section field named by its ``dest``;
+explicit flags win over config-file values, which win over the built-in
+defaults. Exit codes:
 0 success, 2 usage, 3 data/format error, 4 numeric failure.
 """
 
@@ -72,26 +73,15 @@ class TrainSection(training.TrainConfig):
 
 
 @dataclass
-class GloveSection:
-    dims: int = glove.DIMS
-    window: int = glove.WINDOW
-    epochs: int = glove.EPOCHS
-    x_max: float = glove.X_MAX
-    alpha: float = glove.ALPHA
-    lr: float = glove.LEARNING_RATE
-    seed: int = glove.SEED
-
-
-@dataclass
 class RunConfig:
     paths: PathsConfig
     model: VariantConfig
     training: TrainSection
-    glove: GloveSection
+    glove: glove.GloveConfig
 
     @classmethod
     def defaults(cls) -> "RunConfig":
-        return cls(PathsConfig(), VariantConfig(), TrainSection(), GloveSection())
+        return cls(PathsConfig(), VariantConfig(), TrainSection(), glove.GloveConfig())
 
 
 def _build_section(cls, payload: dict, section: str, path):
@@ -124,7 +114,7 @@ def load_config(path) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config root must be an object")
     sections = {"paths": PathsConfig, "model": VariantConfig,
-                "training": TrainSection, "glove": GloveSection}
+                "training": TrainSection, "glove": glove.GloveConfig}
     unknown = set(payload) - set(sections)
     if unknown:
         raise ConfigError(f"{path}: unknown config section(s) {sorted(unknown)}")
@@ -273,21 +263,22 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_truth(path) -> dict[str, list[bool]]:
+def _load_truth(path) -> tuple[list[str], list[str]]:
+    """The truth rows of ``path`` and the name ``--per-session`` gives each."""
     with data.open_text(path) as fh:
         head = fh.readline(64)
     # a quoted header is a sessions file too; its first field fits in 64 characters
     if next(csv.reader([head]), [])[:1] == ["session_id"]:
         sessions = data.load_sessions(path, None, mode="train")
-        return metrics.second_half_truth(sessions)
+        return sessions.session_ids, metrics.second_half_truth(sessions)
     rows = metrics.read_submission(path)
-    # keys sort in line order: as wide as the largest line number, at least 6 digits
+    # one width for every name, so they sort in row order: the largest row number's, >= 6
     width = max(6, len(str(len(rows))))
-    return {f"line{k:0{width}d}": row for k, row in enumerate(rows, start=1)}
+    return [f"line{k:0{width}d}" for k in range(1, len(rows) + 1)], rows
 
 
 def cmd_evaluate(args) -> int:
-    truth = _load_truth(args.truth)
+    names, truth = _load_truth(args.truth)
     submission = metrics.read_submission(args.submission)
     mean, report = metrics.score_submission(truth, submission)
     print(f"sessions={report['sessions']}")
@@ -296,14 +287,14 @@ def cmd_evaluate(args) -> int:
     if args.per_session:
         with data.atomic_write(args.per_session) as fh:
             fh.write("session_id,aa\n")
-            for sid in sorted(report["per_session"]):
-                fh.write(f"{sid},{report['per_session'][sid]!r}\n")
+            fh.write("".join(f"{name},{aa!r}\n"
+                             for name, aa in zip(names, report["per_session"].tolist())))
         print(f"per_session={args.per_session}")
     if args.breakdown:
         with data.atomic_write(args.breakdown) as fh:
             fh.write("position,accuracy,count\n")
-            for pos, acc, count in report["per_position"]:
-                fh.write(f"{pos},{acc!r},{count}\n")
+            fh.write("".join(f"{pos},{acc!r},{count}\n"
+                             for pos, acc, count in report["per_position"]))
         print(f"breakdown={args.breakdown}")
     return EXIT_OK
 

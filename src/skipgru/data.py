@@ -200,6 +200,11 @@ def first_half_length(session_len):
     return (session_len + 1) // 2
 
 
+def second_half_length(session_len):
+    """Predicted-suffix length: what ``first_half_length`` leaves; elementwise."""
+    return session_len - first_half_length(session_len)
+
+
 # the per-event columns of a SessionTable, in field order
 EVENT_COLUMNS = ("track_index", "positions", "flags", "counts", "context_index", "observed")
 

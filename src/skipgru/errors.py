@@ -62,8 +62,8 @@ class CheckpointIntegrityError(CheckpointError):
 
 
 class AlignmentError(SkipGruError, ValueError):
-    """Prediction and truth sets do not describe the same sessions."""
+    """Submission and truth rows do not pair up; names rows by 1-based number."""
 
 
 class EnsembleError(SkipGruError, ValueError):
-    """An ensemble has no members, or member k predicts another session set."""
+    """No members, or ``ensemble_probs`` member k has other sessions or lengths."""

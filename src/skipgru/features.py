@@ -199,7 +199,7 @@ class FeaturePipeline:
             table.flags[first], context[table.context_index[first]]])
         static = np.hstack([self._embedding_rows([tracks.ids[r] for r in used.tolist()]),
                             min_max(self._track_values(tracks, used), self.lo[:-k], self.hi[:-k])])
-        return EncodedSessions(list(table.session_ids), table.offsets, static, track_row,
+        return EncodedSessions(table.offsets, static, track_row,
                                position_feature(table.positions.astype(np.float64)),
                                interactions, table.flags)
 
@@ -277,7 +277,6 @@ class Batch:
     """The real rows of a batch of sessions, packed as ``EncodedSessions.batch``
     lays them out; no row is a pad."""
 
-    session_ids: list[str]
     first: np.ndarray    # [first-half events, d_trip] triplets, step-major
     sizes: np.ndarray    # int [longest first half], rows of ``first`` at each step
     last: np.ndarray     # int [batch], each session's last-step row of ``first``
@@ -296,7 +295,6 @@ class EncodedSessions:
     and the four task labels.
     """
 
-    session_ids: list[str]
     offsets: np.ndarray       # int [n + 1]
     static: np.ndarray        # [tracks used, d_doub - 2]
     track_row: np.ndarray     # int [events], into static
@@ -329,7 +327,6 @@ class EncodedSessions:
         within = np.arange(len(session)) - (np.cumsum(second_lengths) - second_lengths)[session]
         second = (starts + first_lengths)[session] + within
         return Batch(
-            [self.session_ids[r] for r in rows.tolist()],
             np.hstack([self.static[self.track_row[first]], self.interactions[first],
                        self._tail(first)]),
             sizes, last,

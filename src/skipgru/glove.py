@@ -37,15 +37,34 @@ import numpy as np
 from .data import SessionTable, atomic_write, open_text
 from .errors import ConfigError, TrainingError, ValidationError
 
-X_MAX = 100.0
-ALPHA = 0.75
-WINDOW = 5
-LEARNING_RATE = 0.05
-DIMS = 150
-EPOCHS = 25
-SEED = 0
 ENTRY_BATCH = 4096
 ROW_CHUNK = 512
+
+
+@dataclass
+class GloveConfig:
+    """GloVe's settings and their ranges, the ``glove`` section of a run config;
+    ``build_cooccurrence`` and ``train_glove`` check their arguments here."""
+
+    dims: int = 150
+    window: int = 5
+    epochs: int = 25
+    x_max: float = 100.0
+    alpha: float = 0.75
+    lr: float = 0.05
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.dims < 1 or self.epochs < 1:
+            raise ConfigError(f"glove dims and epochs must be >= 1, got dims={self.dims}, "
+                              f"epochs={self.epochs}")
+        for name, low in (("window", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"glove {name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "x_max", "alpha"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"glove {name} must be finite and positive, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -73,7 +92,8 @@ class CooccurrenceTable:
         return self.pairs.ravel(), self.pairs[:, ::-1].ravel(), np.repeat(self.values, 2)
 
 
-def build_cooccurrence(sessions: SessionTable, window: int = WINDOW) -> CooccurrenceTable:
+def build_cooccurrence(sessions: SessionTable,
+                       window: int = GloveConfig.window) -> CooccurrenceTable:
     """Sum 1/distance over every pair of distinct tracks within ``window``
     of each other in a session.
 
@@ -84,8 +104,7 @@ def build_cooccurrence(sessions: SessionTable, window: int = WINDOW) -> Cooccurr
     ravelled row-major, so each pair's weights are summed in the same
     (session, a, b) order as a per-pair loop would add them.
     """
-    if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
+    GloveConfig(window=window)
     played, seq = np.unique(sessions.track_index, return_inverse=True)
     track_ids = [sessions.track_ids[k] for k in played.tolist()]
     lengths = sessions.lengths
@@ -107,7 +126,8 @@ def build_cooccurrence(sessions: SessionTable, window: int = WINDOW) -> Cooccurr
     return CooccurrenceTable(track_ids, np.stack(np.divmod(keys, v), axis=1), sums)
 
 
-def glove_weights(x, x_max: float = X_MAX, alpha: float = ALPHA) -> np.ndarray:
+def glove_weights(x, x_max: float = GloveConfig.x_max,
+                  alpha: float = GloveConfig.alpha) -> np.ndarray:
     """Elementwise min(1, (x / x_max) ** alpha); negative counts are rejected."""
     x = np.asarray(x, dtype=np.float64)
     negative = x < 0
@@ -206,7 +226,7 @@ def check_table(table: CooccurrenceTable) -> None:
 
 
 def objective(table: CooccurrenceTable, emb: EmbeddingTable,
-              x_max: float = X_MAX, alpha: float = ALPHA) -> float:
+              x_max: float = GloveConfig.x_max, alpha: float = GloveConfig.alpha) -> float:
     check_table(table)
     i, j, x = table.directed_entries()
     loss, _ = _residual((emb.main[i] * emb.context[j]).sum(axis=1), emb.main_bias[i],
@@ -214,15 +234,10 @@ def objective(table: CooccurrenceTable, emb: EmbeddingTable,
     return float(loss.sum())
 
 
-def train_glove(
-    table: CooccurrenceTable,
-    dims: int = DIMS,
-    epochs: int = EPOCHS,
-    lr: float = LEARNING_RATE,
-    seed: int = SEED,
-    x_max: float = X_MAX,
-    alpha: float = ALPHA,
-) -> EmbeddingTable:
+def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
+                epochs: int = GloveConfig.epochs, lr: float = GloveConfig.lr,
+                seed: int = GloveConfig.seed, x_max: float = GloveConfig.x_max,
+                alpha: float = GloveConfig.alpha) -> EmbeddingTable:
     """Fit embeddings to the table; deterministic given the seed.
 
     The table is checked first (``check_table``). Entries are shuffled every
@@ -238,14 +253,7 @@ def train_glove(
     by lr. The loss recorded per epoch is the objective evaluated as each
     slice is visited, before its update.
     """
-    if dims < 1 or epochs < 1:
-        raise ConfigError(f"glove dims and epochs must be >= 1, got dims={dims}, "
-                          f"epochs={epochs}")
-    if seed < 0:
-        raise ConfigError(f"glove seed must be >= 0, got {seed}")
-    for name, value in (("lr", lr), ("x_max", x_max), ("alpha", alpha)):
-        if not 0.0 < value < np.inf:
-            raise ConfigError(f"glove {name} must be finite and positive, got {value}")
+    GloveConfig(dims=dims, epochs=epochs, x_max=x_max, alpha=alpha, lr=lr, seed=seed)
     check_table(table)
     if not len(table.pairs):
         raise TrainingError("cannot train embeddings on an empty co-occurrence table")

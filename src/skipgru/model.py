@@ -34,7 +34,10 @@ row, and forms no gradient for the constant ``x_i`` block.
 
 Inference is the same ``forward_batch`` in infer mode, run by
 ``predict_encoded`` under ``ad.no_grad()``: no graph is recorded, so a
-batch's intermediate arrays do not outlive their last use.
+batch's intermediate arrays do not outlive their last use. A prediction is
+one flat array over the second-half events in table order, the axis that
+``metrics`` averages, thresholds and scores; ``predict_probs`` cuts it into
+per-session views keyed by session id.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import SessionTable, TrackTable
+from .data import SessionTable, TrackTable, second_half_length
 from .errors import ConfigError, DegenerateBatchError, ShapeError
 from .features import Batch, EncodedSessions, FeaturePipeline
 
@@ -301,31 +304,32 @@ def loss(probs: ad.Node, targets: np.ndarray) -> ad.Node:
     return ad.scale(ad.sum_all(ad.hadamard(per_entry, weights)), 1.0 / probs.shape[0])
 
 
-def predict_probs(
-    sessions: SessionTable,
-    pipeline: FeaturePipeline,
-    tracks: TrackTable,
-    params: ModelParams,
-) -> dict[str, np.ndarray]:
-    """Per-session skip probabilities of the second-half positions."""
+def predict_probs(sessions: SessionTable, pipeline: FeaturePipeline, tracks: TrackTable,
+                  params: ModelParams) -> dict[str, np.ndarray]:
+    """Each session's skip probabilities of its second-half positions, by
+    session id: ``predict_encoded``'s flat array cut into views, no copies."""
     if not sessions:
         return {}
-    return predict_encoded(pipeline.encode(sessions, tracks), params)
+    probs = predict_encoded(pipeline.encode(sessions, tracks), params)
+    cuts = np.cumsum(second_half_length(sessions.lengths))[:-1]
+    return dict(zip(sessions.session_ids, np.split(probs, cuts)))
 
 
-def predict_encoded(encoded: EncodedSessions, params: ModelParams) -> dict[str, np.ndarray]:
-    """``predict_probs`` over sessions already encoded by their pipeline.
-
-    Every batch runs under ``ad.no_grad()``: the same ``forward_batch`` as
-    training, but no graph is kept, so each intermediate array is freed at
-    its last use. Every inference caller (validation in ``training.train``,
-    ``predict_probs``, ``metrics.ensemble_predict``) comes through here."""
-    out: dict[str, np.ndarray] = {}
-    rows = np.arange(len(encoded.session_ids))
+def predict_encoded(encoded: EncodedSessions, params: ModelParams) -> np.ndarray:
+    """Skip probabilities of every second-half event of ``encoded``: one flat
+    array in table order, ``second_half_length(lengths)`` per session, which
+    batches of PREDICT_BATCH_SIZE sessions fill in turn. A batch runs the
+    training ``forward_batch`` under ``ad.no_grad()``, so no graph is kept and
+    each intermediate array is freed at its last use. Every inference caller
+    (validation in ``training.train``, ``predict_probs``,
+    ``metrics.ensemble_predict``) comes through here."""
+    n = len(encoded.offsets) - 1
+    out = np.empty(int(second_half_length(np.diff(encoded.offsets)).sum()))
+    filled = 0
     with ad.no_grad():
-        for lo in range(0, len(rows), PREDICT_BATCH_SIZE):
-            batch = encoded.batch(rows[lo:lo + PREDICT_BATCH_SIZE])
-            skip = forward_batch(batch, params, "infer").value[:, 0].copy()
-            counts = np.bincount(batch.session, minlength=len(batch.session_ids))
-            out.update(zip(batch.session_ids, np.split(skip, np.cumsum(counts)[:-1])))
+        for lo in range(0, n, PREDICT_BATCH_SIZE):
+            batch = encoded.batch(np.arange(lo, min(lo + PREDICT_BATCH_SIZE, n)))
+            skip = forward_batch(batch, params, "infer").value[:, 0]
+            out[filled:filled + len(skip)] = skip
+            filled += len(skip)
     return out

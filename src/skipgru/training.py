@@ -42,7 +42,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics
-from .data import SessionTable, TrackTable, atomic_write
+from .data import SessionTable, TrackTable, atomic_write, second_half_length
 from .errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -319,7 +319,7 @@ def train(
     params.initialize(config.seed)
     adam = AdamState(lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    valid_truth = metrics.second_half_truth(valid_sessions)
+    valid_truth = metrics.second_half_skips(valid_sessions)
     train_set = pipeline.encode(train_sessions, tracks)
     valid_set = pipeline.encode(valid_sessions, tracks)
 
@@ -345,11 +345,8 @@ def train(
             adam_step(params, adam)
             batch_losses.append(float(batch_loss.value[0, 0]))
             del batch_loss  # free this batch's graph before the next is built
-        val_predictions = {
-            sid: probs >= metrics.THRESHOLD
-            for sid, probs in predict_encoded(valid_set, params).items()
-        }
-        val_aa, _ = metrics.mean_aa(val_predictions, valid_truth)
+        val_aa, _ = metrics.mean_aa(predict_encoded(valid_set, params) >= metrics.THRESHOLD,
+                                    valid_truth, second_half_length(valid_sessions.lengths))
         train_loss = float(np.mean(batch_losses))
         epoch_log.append({"epoch": epoch, "train_loss": train_loss, "val_aa": val_aa})
         if log is not None:

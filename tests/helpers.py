@@ -263,8 +263,8 @@ def adagrad_rows(param, cache, rows, grad, lr):
     param[touched] -= lr * total / np.sqrt(cache[touched])
 
 
-def reference_train_glove(table, dims, epochs, lr=glove.LEARNING_RATE, seed=0,
-                          x_max=glove.X_MAX, alpha=glove.ALPHA):
+def reference_train_glove(table, dims, epochs, lr=glove.GloveConfig.lr, seed=0,
+                          x_max=glove.GloveConfig.x_max, alpha=glove.GloveConfig.alpha):
     """The slice loop with fresh slice x dims temporaries: the bit-identity
     oracle of ``glove.train_glove``."""
     v = table.n_tracks

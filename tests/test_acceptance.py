@@ -7,6 +7,8 @@ assertions trip) so the suite doubles as a checklist:
 """
 
 import contextlib
+import hashlib
+import io
 import math
 import time
 from fractions import Fraction
@@ -282,13 +284,33 @@ def experiment_dir(tmp_path_factory):
                      "--tracks", str(root / "tracks.csv"),
                      "--out", str(root / "submission.txt")]) == 0
     elapsed = time.monotonic() - started
-    return root, elapsed
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        assert cli.main(["evaluate", "--truth", str(root / "sessions_holdout.csv"),
+                         "--submission", str(root / "submission.txt"),
+                         "--breakdown", str(root / "positions.csv"),
+                         "--per-session", str(root / "per_session.csv")]) == 0
+    return root, elapsed, report.getvalue()
+
+
+# sha256 of every file the quickstart writes, measured with BLAS at one thread
+# under NumPy QUICKSTART_NUMPY. Another NumPy release may round a reduction
+# differently, so under another version the digest test skips and names both
+# versions; under this one any change to a written byte fails it.
+QUICKSTART_NUMPY = "2.4.6"
+QUICKSTART_DIGESTS = {
+    "embeddings.txt": "50d447fe5284d2b2f1f3e62e7ca9be0e471db62ddcd55b04ad3733c9977a8e8f",
+    "model.ckpt": "193f05d817878d6ab5a783ab9e51edc6d8a8127e1654a265d684ad21e9375f28",
+    "submission.txt": "4b5a75ffae4c8ba2c6b387969f4e3df5f5a65ebb2b7648606332005b1cf27fde",
+    "positions.csv": "73b5199a3e07cc106b59bdbfcf89e515a6176ce1cb4d712c6279c5150b17dfbb",
+    "per_session.csv": "e40c93f73c94c48234d1bcec5ef9867e1f7b09812961f46cfeabbebc3fb39976",
+}
 
 
 class TestEndToEndExperiment:
     def test_synthetic_experiment_beats_baselines(self, experiment_dir):
         with criterion("end-to-end-experiment"):
-            root, elapsed = experiment_dir
+            root, elapsed, _ = experiment_dir
             assert elapsed < 600.0, f"pipeline took {elapsed:.0f}s"
             holdout = data.load_sessions(root / "sessions_holdout.csv", None, mode="train")
             truth = metrics.second_half_truth(holdout)
@@ -301,24 +323,32 @@ class TestEndToEndExperiment:
             # random-coin predictor, scored by the independent oracle
             rng = np.random.default_rng(99)
             coin_aa = [
-                brute_force_aa(rng.integers(0, 2, size=len(t)), t)
-                for t in truth.values()
+                brute_force_aa(rng.integers(0, 2, size=len(t)), [c == "1" for c in t])
+                for t in truth
             ]
             coin = float(np.mean(coin_aa))
             print(f"coin-flip mean AA = {coin:.4f}")
             assert 0.28 <= coin <= 0.38
 
             # majority baseline: constant label from the training marginal
-            train_sessions = data.load_sessions(root / "sessions.csv", None, mode="train")
-            flags = [e.interaction.skipped for s in train_sessions for e in s.events]
-            majority = sum(flags) * 2 >= len(flags)
-            hits = [
-                np.mean([majority == v for v in t]) for t in truth.values()
-            ]
+            flags = data.load_sessions(root / "sessions.csv", None, mode="train").flags[:, 0]
+            majority = "1" if flags.sum() * 2 >= len(flags) else "0"
+            hits = [t.count(majority) / len(t) for t in truth]
             majority_acc = float(np.mean(hits))
             print(f"majority baseline per-position accuracy = {majority_acc:.4f}")
             assert 0.45 <= majority_acc <= 0.55
             assert mean >= coin + 0.2
+
+
+    def test_outputs_match_their_pinned_digests(self, experiment_dir):
+        if np.__version__ != QUICKSTART_NUMPY:
+            pytest.skip(f"digests pinned under NumPy {QUICKSTART_NUMPY}, "
+                        f"running {np.__version__}")
+        with criterion("quickstart-bytes"):
+            root, _, report = experiment_dir
+            assert "mean_aa=0.690107" in report.splitlines()
+            assert {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+                    for name in QUICKSTART_DIGESTS} == QUICKSTART_DIGESTS
 
 
 @pytest.fixture(scope="module")
@@ -357,10 +387,9 @@ class TestEnsembleCriterion:
             single_pred = metrics.ensemble_predict([member], holdout, tracks)
             for n in (2, 3, 4, 5):
                 combined = metrics.ensemble_probs([single_probs] * n)
-                copies = metrics.ensemble_predict([member] * n, holdout, tracks)
                 for sid in single_probs:
-                    assert np.array_equal(combined[sid], single_probs[sid])
-                    assert np.array_equal(copies[sid], single_pred[sid])
+                    assert combined[sid].tobytes() == single_probs[sid].tobytes()
+                assert metrics.ensemble_predict([member] * n, holdout, tracks) == single_pred
 
     def test_six_variant_ensemble_reports(self, small_corpus):
         with criterion("ensemble-six-variants"):
@@ -374,26 +403,25 @@ class TestEnsembleCriterion:
                            for k, (a, h, bn) in enumerate(grid)]
             tracks = data.load_tracks(root / "tracks.csv")
             holdout = data.load_sessions(root / "sessions_holdout.csv", tracks, "train")
-            truth = metrics.second_half_truth(holdout)
+            truth = metrics.second_half_skips(holdout)
+            lengths = data.second_half_length(holdout.lengths)
             members = [training.load_checkpoint(c).build() for c in checkpoints]
+
+            def flat_aa(probs):
+                return metrics.mean_aa(np.concatenate(list(probs.values())) >= 0.5,
+                                       truth, lengths)[0]
 
             print()
             member_probs = []
             for (a, h, bn), (params, pipeline) in zip(grid, members):
                 probs = model.predict_probs(holdout, pipeline, tracks, params)
                 member_probs.append(probs)
-                aa, _ = metrics.mean_aa({s: p >= 0.5 for s, p in probs.items()}, truth)
-                print(f"member {a}/h{h}/{'bn' if bn else 'plain'}: AA={aa:.4f}")
+                print(f"member {a}/h{h}/{'bn' if bn else 'plain'}: AA={flat_aa(probs):.4f}")
             combined = metrics.ensemble_probs(member_probs)
-            ens_aa, _ = metrics.mean_aa(
-                {s: p >= 0.5 for s, p in combined.items()}, truth
-            )
-            print(f"ensemble of 6: AA={ens_aa:.4f}")
+            print(f"ensemble of 6: AA={flat_aa(combined):.4f}")
 
             shuffled = metrics.ensemble_predict(members[::-1], holdout, tracks)
-            base = metrics.ensemble_predict(members, holdout, tracks)
-            for sid in base:
-                assert np.array_equal(base[sid], shuffled[sid])
+            assert metrics.ensemble_predict(members, holdout, tracks) == shuffled
 
 
 class TestCheckpointRoundTrip:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from helpers import rewrite_checkpoint
 
-from skipgru import cli, data, metrics, model, training
+from skipgru import cli, data, glove, metrics, model, training
 from skipgru.errors import ConfigError
 from skipgru.model import VariantConfig
 
@@ -474,7 +474,7 @@ class TestConfigSections:
 
     @pytest.mark.parametrize("command, section, cls", [
         ("train", "model", VariantConfig), ("train", "training", cli.TrainSection),
-        ("embed", "glove", cli.GloveSection),
+        ("embed", "glove", glove.GloveConfig),
     ])
     def test_every_field_has_a_flag_of_its_name(self, command, section, cls):
         args = cli.build_parser().parse_args([command])
@@ -538,6 +538,26 @@ class TestConfigSections:
         assert run(["embed", "--config", str(cfg_path)]) == 3
         assert capsys.readouterr().err == (
             f"error: {cfg_path}: config section '{section}': {message}\n")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dims", 0, "glove dims and epochs must be >= 1, got dims=0, epochs=25"),
+        ("epochs", 0, "glove dims and epochs must be >= 1, got dims=150, epochs=0"),
+        ("window", 0, "glove window must be >= 1, got 0"),
+        ("seed", -1, "glove seed must be >= 0, got -1"),
+        ("lr", 0, "glove lr must be finite and positive, got 0"),
+        ("x_max", float("inf"), "glove x_max must be finite and positive, got inf"),
+        ("alpha", -0.5, "glove alpha must be finite and positive, got -0.5"),
+    ])
+    @pytest.mark.parametrize("argv", [["embed"], ["train"], ["predict", "--model", "m.ckpt"]])
+    def test_glove_range_error_exits_three_when_read(self, tmp_path, capsys, key, value,
+                                                     message, argv):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"glove": {key: value}}))
+        out = tmp_path / "out"
+        assert run(argv + ["--config", str(cfg_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: config section 'glove': {message}\n")
+        assert not out.exists()
 
     def test_unknown_activation_flag_is_a_usage_error(self, capsys):
         assert run(["train", "--activation", "tanh"]) == 2
@@ -697,7 +717,7 @@ class TestPredictAndEvaluate:
                     "--submission", str(sub)]) == 3
 
     @pytest.mark.parametrize("rows, named", [
-        (2, "truth session 'line000003' has no row"), (4, "row 4 has no truth session"),
+        (2, "truth row 3 has no submission row"), (4, "row 4 has no truth session"),
     ])
     def test_evaluate_row_count_mismatch_names_where(self, tmp_path, capsys, rows, named):
         truth = tmp_path / "truth.txt"
@@ -722,14 +742,18 @@ class TestPredictAndEvaluate:
         assert breakdown.read_text().startswith("position,accuracy,count")
         assert per_session.read_text().startswith("session_id,aa")
 
-    def test_submission_truth_keys_sort_in_line_order(self, tmp_path, monkeypatch):
-        truth = tmp_path / "truth.txt"
-        truth.write_text("01\n")
-        rows = [[False, True]] * 1_000_001
-        monkeypatch.setattr(metrics, "read_submission", lambda path: rows)
-        keys = list(cli._load_truth(truth))
-        assert keys == sorted(keys)
-        assert keys[0] == "line0000001" and keys[-1] == "line1000001"
+    def test_submission_truth_rows_are_named_by_line(self, tmp_path, monkeypatch, capsys):
+        truth, sub, per_session = (tmp_path / name for name in ("t.txt", "s.txt", "aa.csv"))
+        truth.write_text("01\n10\n11\n")
+        sub.write_text("01\n11\n00\n")
+        assert run(["evaluate", "--truth", str(truth), "--submission", str(sub),
+                    "--per-session", str(per_session)]) == 0
+        assert per_session.read_text() == ("session_id,aa\nline000001,1.0\n"
+                                           "line000002,0.5\nline000003,0.0\n")
+        # past 999,999 rows every name widens, so the names still sort in line order
+        monkeypatch.setattr(metrics, "read_submission", lambda path: ["1"] * 1_000_001)
+        names, _ = cli._load_truth(truth)
+        assert names[0] == "line0000001" and names[-1] == "line1000001"
 
     def test_evaluate_quoted_sessions_truth(self, workspace, tmp_path, capsys):
         plain = workspace / "sessions_holdout.csv"
@@ -738,13 +762,23 @@ class TestPredictAndEvaluate:
             csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
         assert quoted.read_text().startswith('"session_id","position",')
         sub = tmp_path / "sub.txt"
-        truth = cli._load_truth(plain)
-        metrics.write_submission(sub, {sid: [True] * len(row) for sid, row in truth.items()})
+        _, truth = cli._load_truth(plain)
+        metrics.write_submission(sub, ["1" * len(row) for row in truth])
         reports = []
         for path in (plain, quoted):
             assert run(["evaluate", "--truth", str(path), "--submission", str(sub)]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1] and "mean_aa=" in reports[0]
+
+    @pytest.mark.parametrize("side", ["truth", "submission"])
+    def test_row_longer_than_a_second_half_exits_three(self, tmp_path, capsys, side):
+        files = {"truth": tmp_path / "t.txt", "submission": tmp_path / "s.txt"}
+        for name, path in files.items():
+            path.write_text("0101\n" + ("01010101010\n" if name == side else "0101\n"))
+        assert run(["evaluate", "--truth", str(files["truth"]),
+                    "--submission", str(files["submission"])]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: line 2: 11 predictions, but a second half has at most 10\n"
 
     def test_evaluate_submission_format_truth(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"

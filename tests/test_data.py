@@ -387,20 +387,17 @@ class TestSyntheticGenerator:
 
 
 class _FailingFile:
-    """File handle whose second write raises, after the first reached the disk;
-    reads pass through to the wrapped handle."""
+    """File handle whose first write puts half of its text on the disk and
+    then raises, as a full disk does, so a writer that writes its whole file
+    at once fails too; reads pass through to the wrapped handle."""
 
     def __init__(self, fh):
         self.fh = fh
-        self.writes = 0
 
     def write(self, text):
-        self.writes += 1
-        if self.writes > 1:
-            raise OSError("disk full")
-        n = self.fh.write(text)
+        self.fh.write(text[:len(text) // 2])
         self.fh.flush()
-        return n
+        raise OSError("disk full")
 
     def __getattr__(self, name):
         return getattr(self.fh, name)
@@ -449,7 +446,7 @@ def _corpus(seed=3):
 
 WRITERS = {
     "checkpoint": _save_checkpoint,
-    "submission": lambda path: metrics.write_submission(path, {"s1": [True], "s2": [False]}),
+    "submission": lambda path: metrics.write_submission(path, ["1", "0"]),
     "embeddings": _export_embeddings,
     "tracks": lambda path: data.write_tracks(path, _corpus()[0]),
     "sessions": lambda path: data.write_sessions(path, _corpus()[1]),

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from skipgru import data, glove
 from skipgru.data import Event, Session
-from skipgru.errors import TrainingError, ValidationError
+from skipgru.errors import ConfigError, TrainingError, ValidationError
 
 from helpers import (
     batch_gradients,
@@ -122,7 +122,7 @@ class TestCooccurrence:
         assert np.allclose(backwards.values, table.values, rtol=1e-12, atol=0.0)
 
     def test_bad_window(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError, match="^glove window must be >= 1, got 0$"):
             glove.build_cooccurrence(sessions_of(["A", "B"]), window=0)
 
     @pytest.mark.parametrize("window", [1, 2, 5, 30])
@@ -286,7 +286,7 @@ class TestTraining:
         loss, *grads = batch_gradients(
             *params, i, j, np.log(x[sel]), glove.glove_weights(x[sel]))
         for param, cache, rows, grad in zip(params, caches, [i, j, i, j], grads):
-            scatter_adagrad_step(param, cache, rows, grad, glove.LEARNING_RATE)
+            scatter_adagrad_step(param, cache, rows, grad, glove.GloveConfig.lr)
 
         got = [emb.main, emb.context, emb.main_bias, emb.context_bias]
         for g, want in zip(got, params):
@@ -430,7 +430,7 @@ class TestWorkspaceLoop:
     def test_one_epoch_peak_stays_under_one_slice(self):
         # at the default 150 dims the workspace is two [ROW_CHUNK, dims] chunks
         # and five [slice, 15] blocks, about 0.76 slices
-        assert self.peak_slices(glove.DIMS) <= 1.0
+        assert self.peak_slices(glove.GloveConfig.dims) <= 1.0
 
     def test_one_block_peak_holds_one_flat_index(self):
         # 151 has no divisor from 8 to 16, so the steps run as one block: three
@@ -602,3 +602,19 @@ class TestTableInput:
         part = data.load_sessions(path, None, mode="train")[:3]
         built = glove.build_cooccurrence(part, window=5)
         assert (built.track_ids, pair_dict(built)) == loop_cooccurrence_pairs(sessions[:3], 5)
+
+
+class TestGloveConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(dims=0), "dims and epochs must be >= 1, got dims=0, epochs=25"),
+        (dict(epochs=0), "dims and epochs must be >= 1, got dims=150, epochs=0"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(lr=float("nan")), "lr must be finite and positive, got nan"),
+        (dict(x_max=0.0), "x_max must be finite and positive, got 0.0"),
+        (dict(alpha=float("inf")), "alpha must be finite and positive, got inf"),
+    ])
+    def test_train_glove_checks_its_arguments_through_the_config(self, kwargs, message):
+        table = glove.build_cooccurrence(sessions_of(["A", "B"]), window=5)
+        for check in (glove.GloveConfig, lambda **kw: glove.train_glove(table, **kw)):
+            with pytest.raises(ConfigError, match=f"^glove {message}$"):
+                check(**kwargs)

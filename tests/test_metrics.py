@@ -93,40 +93,73 @@ class TestAverageAccuracy:
 
     def test_hand_checked_session_and_its_report(self):
         assert metrics.average_accuracy([1, 0, 1], [1, 1, 1]) == 5 / 9
-        _, report = metrics.mean_aa({"a": [1, 0, 1]}, {"a": [1, 1, 1]})
-        assert report["per_session"] == {"a": 5 / 9}
+        _, report = metrics.mean_aa([1, 0, 1], [1, 1, 1], [3])
+        assert report["per_session"].tolist() == [5 / 9]
         # one session, so each position's accuracy is its correct bit
         assert report["per_position"] == [(1, 1.0, 1), (2, 0.0, 1), (3, 1.0, 1)]
         assert report["first_position_accuracy"] == 1.0
 
+    def test_every_hit_pattern_matches_brute_force(self):
+        # all 2,046 hit patterns of 1..10 predictions, scored as one flat array
+        patterns = [bits for t in range(1, metrics.MAX_SECOND_HALF + 1)
+                    for bits in itertools.product([False, True], repeat=t)]
+        assert len(patterns) == 2046
+        pred = np.concatenate(patterns)
+        mean, report = metrics.mean_aa(pred, np.ones_like(pred), [len(p) for p in patterns])
+        expected = [brute_force_aa(p, [True] * len(p)) for p in patterns]
+        assert report["per_session"].tolist() == expected
+        assert mean == sum(expected) / len(expected)
+        assert [metrics.average_accuracy(p, [True] * len(p)) for p in patterns] == expected
+
+    def test_row_longer_than_a_second_half_is_rejected(self):
+        assert metrics.MAX_SECOND_HALF == 10
+        with pytest.raises(ValidationError, match=r"row 2 has 11 predictions, outside \[1, 10\]"):
+            metrics.mean_aa([1] * 12, [1] * 12, [1, 11])
+        with pytest.raises(ValidationError, match="11 predictions"):
+            metrics.average_accuracy([1] * 11, [1] * 11)
+
+    def test_flat_arrays_that_do_not_line_up_are_rejected(self):
+        with pytest.raises(ValidationError, match="^2 predictions, 3 truth labels and row "
+                                                  "lengths that add up to 2 do not line up$"):
+            metrics.mean_aa([1, 0], [1, 0, 1], [2])
+        with pytest.raises(ValidationError, match="2 predictions, 2 truth labels and row "
+                                                  "lengths that add up to 3 "):
+            metrics.mean_aa([1, 0], [1, 0], [1, 2])
+        with pytest.raises(ValidationError, match="empty"):
+            metrics.mean_aa([], [], [])
+
+
+def flat(rows):
+    """Per-row bit lists as ``mean_aa``'s flat bits and row lengths."""
+    return [b for row in rows for b in row], [len(row) for row in rows]
+
 
 class TestMeanAA:
     def test_mean_of_two(self):
-        preds = {"a": [1, 1], "b": [0, 0]}
-        truths = {"a": [1, 1], "b": [1, 1]}
-        mean, report = metrics.mean_aa(preds, truths)
+        (preds, lengths), (truths, _) = flat([[1, 1], [0, 0]]), flat([[1, 1], [1, 1]])
+        mean, report = metrics.mean_aa(preds, truths, lengths)
         assert mean == 0.5
         assert report["sessions"] == 2
         assert report["first_position_accuracy"] == 0.5
 
     def test_single_session(self):
-        mean, _ = metrics.mean_aa({"a": [1, 0, 1]}, {"a": [1, 1, 1]})
+        mean, _ = metrics.mean_aa([1, 0, 1], [1, 1, 1], [3])
         assert mean == 5 / 9
 
     def test_alignment_error_lists_offenders(self):
-        with pytest.raises(AlignmentError, match="b"):
-            metrics.mean_aa({"a": [1]}, {"a": [1], "b": [0]})
-        with pytest.raises(AlignmentError, match="c"):
-            metrics.mean_aa({"a": [1], "c": [0]}, {"a": [1]})
+        # rows pair by order, so the offender is the first row without a partner
+        with pytest.raises(AlignmentError, match="truth row 2 has no submission row"):
+            metrics.score_submission(["1", "0"], ["1"])
+        with pytest.raises(AlignmentError, match="row 2 has no truth session"):
+            metrics.score_submission(["1"], ["1", "0"])
 
     def test_length_mismatch_names_session(self):
-        with pytest.raises(AlignmentError, match="a"):
-            metrics.mean_aa({"a": [1, 0]}, {"a": [1]})
+        with pytest.raises(AlignmentError, match=r"rows \[2\]"):
+            metrics.score_submission(["1", "1"], ["1", "10"])
 
     def test_per_position_table(self):
-        preds = {"a": [1, 1, 1], "b": [0, 0]}
-        truths = {"a": [1, 0, 1], "b": [0, 1]}
-        _, report = metrics.mean_aa(preds, truths)
+        (preds, lengths), (truths, _) = flat([[1, 1, 1], [0, 0]]), flat([[1, 0, 1], [0, 1]])
+        _, report = metrics.mean_aa(preds, truths, lengths)
         table = {pos: (acc, n) for pos, acc, n in report["per_position"]}
         assert table[1] == (1.0, 2)
         assert table[2] == (0.0, 2)
@@ -136,12 +169,13 @@ class TestMeanAA:
         # Monte-Carlo oracle: i.i.d. coin-flip predictions against balanced
         # truth concentrate the session mean a bit above 1/4
         rng = np.random.default_rng(3)
-        preds, truths = {}, {}
-        for k in range(1000):
+        preds, truths = [], []
+        for _ in range(1000):
             t = int(rng.integers(5, 11))
-            preds[f"s{k}"] = rng.integers(0, 2, size=t)
-            truths[f"s{k}"] = rng.integers(0, 2, size=t)
-        mean, _ = metrics.mean_aa(preds, truths)
+            preds.append(rng.integers(0, 2, size=t))
+            truths.append(rng.integers(0, 2, size=t))
+        (preds, lengths), (truths, _) = flat(preds), flat(truths)
+        mean, _ = metrics.mean_aa(preds, truths, lengths)
         assert 0.28 <= mean <= 0.38
 
 
@@ -189,6 +223,28 @@ class TestEnsembleProbs:
         with pytest.raises(EnsembleError, match="member 1"):
             metrics.ensemble_probs([{"a": np.array([0.5])}, {"b": np.array([0.5])}])
 
+    def test_position_count_mismatch_names_member(self):
+        # equal totals, so only the per-session lengths tell the members apart
+        first = {"a": np.array([0.5]), "b": np.array([0.5, 0.5])}
+        second = {"a": np.array([0.5, 0.5]), "b": np.array([0.5])}
+        with pytest.raises(EnsembleError, match="member 1 predicts another number"):
+            metrics.ensemble_probs([first, second])
+
+    def test_equals_the_per_session_mean(self):
+        rng = np.random.default_rng(5)
+        members = [{f"s{k}": rng.uniform(size=n) for k, n in enumerate([3, 7, 1, 5])}
+                   for _ in range(3)]
+        combined = metrics.ensemble_probs(members)
+        for sid, probs in combined.items():
+            stacked = np.sort(np.stack([m[sid] for m in members]), axis=0)
+            expected = stacked[0] + (stacked - stacked[0]).sum(axis=0) / 3
+            assert probs.tobytes() == expected.tobytes()
+
+
+def as_row(bits):
+    """A row string of ``0``/``1`` from booleans."""
+    return "".join("1" if b else "0" for b in bits)
+
 
 def small_models(n_members=2, hidden=3, seed=0):
     tracks, sessions = data.gen_synthetic(n_sessions=8, n_tracks=50,
@@ -207,25 +263,20 @@ class TestEnsemblePredict:
         tracks, sessions, pipeline, members = small_models(1)
         params, _ = members[0]
         combined = metrics.ensemble_predict(members, sessions, tracks)
-        for k, session in enumerate(sessions):
-            direct = model.predict_probs(sessions[k:k + 1], pipeline, tracks,
-                                         params)[session.session_id] >= 0.5
-            assert np.array_equal(combined[session.session_id], direct)
+        for k, sid in enumerate(sessions.session_ids):
+            direct = model.predict_probs(sessions[k:k + 1], pipeline, tracks, params)[sid]
+            assert combined[k] == as_row(direct >= 0.5)
 
     def test_copies_reproduce_single_model(self):
         tracks, sessions, pipeline, members = small_models(1)
         single = metrics.ensemble_predict(members, sessions, tracks)
         for n in (2, 3, 4):
-            copies = metrics.ensemble_predict(members * n, sessions, tracks)
-            for sid in single:
-                assert np.array_equal(copies[sid], single[sid])
+            assert metrics.ensemble_predict(members * n, sessions, tracks) == single
 
     def test_member_order_irrelevant(self):
         tracks, sessions, pipeline, members = small_models(3)
         a = metrics.ensemble_predict(members, sessions, tracks)
-        b = metrics.ensemble_predict(members[::-1], sessions, tracks)
-        for sid in a:
-            assert np.array_equal(a[sid], b[sid])
+        assert metrics.ensemble_predict(members[::-1], sessions, tracks) == a
 
     def test_mixed_pipelines_average_member_predictions(self):
         tracks, sessions, pipeline, members = small_models(2)
@@ -242,9 +293,8 @@ class TestEnsemblePredict:
             combined = metrics.ensemble_probs([model.predict_probs(sessions, p, tracks, params)
                                                for params, p in ordered])
             got = metrics.ensemble_predict(ordered, sessions, tracks)
-            assert got.keys() == combined.keys()
-            for sid, probs in combined.items():
-                assert np.array_equal(got[sid], probs >= 0.5)
+            assert list(combined) == sessions.session_ids
+            assert got == [as_row(probs >= 0.5) for probs in combined.values()]
 
     def test_member_that_cannot_encode_is_named(self):
         tracks, sessions, pipeline, members = small_models(1)
@@ -260,9 +310,11 @@ class TestTruthAndSubmission:
     def test_second_half_truth(self):
         tracks, sessions = data.gen_synthetic(n_sessions=4, n_tracks=50, seed=6)
         truth = metrics.second_half_truth(sessions)
-        for session in sessions:
+        assert len(truth) == len(sessions)
+        for row, session in zip(truth, sessions):
             _, second = split_halves(session)
-            assert truth[session.session_id] == [e.interaction.skipped for e in second]
+            assert row == as_row(e.interaction.skipped for e in second)
+        assert metrics.second_half_skips(sessions).tolist() == [c == "1" for c in "".join(truth)]
 
     def test_truth_requires_interactions(self):
         tracks, sessions = data.gen_synthetic(n_sessions=2, n_tracks=50, seed=6)
@@ -276,12 +328,28 @@ class TestTruthAndSubmission:
             metrics.second_half_truth(session_table([session]))
 
     def test_submission_round_trip(self, tmp_path):
-        preds = {"b": [True, False], "a": [False, False, True]}
+        rows = ["001", "10"]
         path = tmp_path / "sub.txt"
-        metrics.write_submission(path, preds)
-        assert path.read_text() == "001\n10\n"  # session_id ascending
-        rows = metrics.read_submission(path)
-        assert rows == [[False, False, True], [True, False]]
+        metrics.write_submission(path, rows)
+        assert path.read_text() == "001\n10\n"  # in the order given
+        assert metrics.read_submission(path) == rows
+        metrics.write_submission(path, [])
+        assert path.read_text() == "" and metrics.read_submission(path) == []
+
+    def test_read_strips_lines_and_skips_blank_ones(self, tmp_path):
+        path = tmp_path / "sub.txt"
+        path.write_bytes(b" 01 \r\n\n\t\r110\r\n1\x0c1\n")
+        with pytest.raises(ParseError, match=r"^line 5: .*found \['\\x0c'\]"):
+            metrics.read_submission(path)
+        path.write_bytes(b" 01 \r\n\n\t\r110\r\n\x0c11\x0c\n")
+        assert metrics.read_submission(path) == ["01", "110", "11"]
+
+    def test_row_longer_than_a_second_half_reports_its_line(self, tmp_path):
+        path = tmp_path / "sub.txt"
+        path.write_text("0101010101\n\n01010101010\n")
+        with pytest.raises(ParseError, match="^line 3: 11 predictions, but a second half "
+                                             "has at most 10$"):
+            metrics.read_submission(path)
 
     def test_bad_character_reports_line(self, tmp_path):
         path = tmp_path / "sub.txt"
@@ -290,29 +358,27 @@ class TestTruthAndSubmission:
             metrics.read_submission(path)
 
     def test_score_submission_identity(self):
-        truth = {"a": [True, False], "b": [False, False, True]}
-        rows = [[True, False], [False, False, True]]
-        mean, report = metrics.score_submission(truth, rows)
+        rows = ["10", "001"]
+        mean, report = metrics.score_submission(list(rows), rows)
         assert mean == 1.0
 
     def test_score_submission_row_count_mismatch(self):
         with pytest.raises(AlignmentError):
-            metrics.score_submission({"a": [True]}, [])
+            metrics.score_submission(["1"], [])
 
     def test_short_submission_names_the_first_session_without_a_row(self):
-        truth = {"c": [True], "a": [True], "b": [False]}
         with pytest.raises(AlignmentError, match="1 rows, truth has 3 sessions: "
-                                                 "truth session 'b' has no row"):
-            metrics.score_submission(truth, [[True]])
+                                                 "truth row 2 has no submission row"):
+            metrics.score_submission(["1", "1", "0"], ["1"])
 
     def test_long_submission_names_the_first_extra_row(self):
         with pytest.raises(AlignmentError, match="3 rows, truth has 1 sessions: "
                                                  "row 2 has no truth session"):
-            metrics.score_submission({"a": [True]}, [[True], [False], [True]])
+            metrics.score_submission(["1"], ["1", "0", "1"])
 
     def test_score_submission_length_mismatch(self):
-        with pytest.raises(AlignmentError, match="a"):
-            metrics.score_submission({"a": [True, False]}, [[True]])
+        with pytest.raises(AlignmentError, match=r"prediction length mismatch in rows \[1\]"):
+            metrics.score_submission(["10"], ["1"])
 
 
 def count_encodes(monkeypatch):
@@ -363,11 +429,9 @@ class TestEnsembleEncoding:
         combined = metrics.ensemble_probs([model.predict_probs(sessions, p, tracks, params)
                                            for params, p in mixed])
         # thresholds at the combined values themselves make the >= rule bit-sensitive
-        for threshold in [0.5, *(combined[s.session_id][0] for s in sessions[:4])]:
+        for threshold in [0.5, *(combined[sid][0] for sid in sessions.session_ids[:4])]:
             got = metrics.ensemble_predict(mixed, sessions, tracks, threshold=threshold)
-            assert got.keys() == combined.keys()
-            for sid, probs in combined.items():
-                assert np.array_equal(got[sid], probs >= threshold)
+            assert got == [as_row(probs >= threshold) for probs in combined.values()]
 
     def test_truth_from_a_loaded_table(self, tmp_path):
         tracks, sessions = data.gen_synthetic(n_sessions=6, n_tracks=50, seed=8)

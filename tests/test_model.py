@@ -200,7 +200,7 @@ class TestEncodeFirstHalf:
         dims = params.dims
         assert dims.ctx_col != dims.d_trip - 1
         batch = one_batch(sessions[:5], pipeline, tracks)
-        b = len(batch.session_ids)
+        b = len(batch.last)
         grid = np.zeros((b, data.MAX_SESSION_LEN // 2, dims.d_trip))
         grid[..., -1] = 1.0
         lengths = np.zeros(b, dtype=np.int64)
@@ -513,8 +513,8 @@ class TestPrediction:
         members = [(params, pipeline)]
         for threshold in (0.0, 0.5):
             pred = metrics.ensemble_predict(members, session, tracks, threshold)
-            assert np.array_equal(pred[sid], probs >= threshold)
-        assert metrics.ensemble_predict(members, session, tracks, 0.0)[sid].all()
+            assert pred == ["".join("1" if p >= threshold else "0" for p in probs)]
+        assert set(metrics.ensemble_predict(members, session, tracks, 0.0)[0]) == {"1"}
 
     def test_output_length_matches_second_half(self):
         tracks, sessions, pipeline, params = tiny_setup(seed=6)
@@ -541,6 +541,18 @@ class TestPrediction:
             assert np.array_equal(with_lone[sid], without[sid])
             alone = model.predict_probs(session_table([session]), pipeline, tracks, params)[sid]
             assert np.max(np.abs(with_lone[sid] - alone)) <= 1e-12
+
+    def test_predict_probs_is_predict_encoded_cut_into_views(self, monkeypatch):
+        tracks, sessions, pipeline, params = tiny_setup(seed=10, n_sessions=20)
+        monkeypatch.setattr(model, "PREDICT_BATCH_SIZE", 8)
+        flat = model.predict_encoded(pipeline.encode(sessions, tracks), params)
+        probs = model.predict_probs(sessions, pipeline, tracks, params)
+        assert list(probs) == sessions.session_ids
+        assert [len(p) for p in probs.values()] == \
+            data.second_half_length(sessions.lengths).tolist()
+        assert np.concatenate(list(probs.values())).tobytes() == flat.tobytes()
+        base = probs[sessions.session_ids[0]].base
+        assert base is not None and all(p.base is base for p in probs.values())
 
     def test_batched_equals_single(self, monkeypatch):
         tracks, sessions, pipeline, params = tiny_setup(seed=7)
@@ -578,14 +590,12 @@ class TestInferenceKeepsNoGraph:
         monkeypatch.setattr(model, "PREDICT_BATCH_SIZE", 8)
         probs = model.predict_encoded(encoded, params)
         rows = np.arange(len(sessions))
+        recorded = []
         for lo in range(0, len(rows), 8):
-            batch = encoded.batch(rows[lo:lo + 8])
-            recorded = model.forward_batch(batch, params, "infer")
-            assert recorded.parents
-            counts = np.bincount(batch.session, minlength=len(batch.session_ids))
-            skip = np.split(recorded.value[:, 0], np.cumsum(counts)[:-1])
-            for sid, expected in zip(batch.session_ids, skip, strict=True):
-                assert np.array_equal(probs[sid], expected)
+            out = model.forward_batch(encoded.batch(rows[lo:lo + 8]), params, "infer")
+            assert out.parents
+            recorded.append(out.value[:, 0])
+        assert probs.tobytes() == np.concatenate(recorded).tobytes()
 
     def test_every_inference_entry_point_keeps_no_graph(self, monkeypatch):
         tracks, sessions, pipeline, params = tiny_setup(seed=9, n_sessions=12)

@@ -381,9 +381,10 @@ class TestCheckpointIO:
         logged = [entry["val_aa"] for entry in ckpt.metadata["epoch_log"]]
         assert logged[-1] < max(logged)
         params, pipeline = ckpt.build()
-        predictions = {sid: probs >= metrics.THRESHOLD for sid, probs
-                       in model.predict_probs(valid_s, pipeline, tracks, params).items()}
-        aa, _ = metrics.mean_aa(predictions, metrics.second_half_truth(valid_s))
+        probs = model.predict_probs(valid_s, pipeline, tracks, params)
+        aa, _ = metrics.mean_aa(np.concatenate(list(probs.values())) >= metrics.THRESHOLD,
+                                metrics.second_half_skips(valid_s),
+                                data.second_half_length(valid_s.lengths))
         assert aa == ckpt.metadata["best_val_aa"] == max(logged)
 
     def test_validation_aa_improves_over_training(self):
