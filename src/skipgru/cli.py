@@ -271,10 +271,12 @@ def _load_truth(path) -> tuple[list[str], list[str]]:
     if next(csv.reader([head]), [])[:1] == ["session_id"]:
         sessions = data.load_sessions(path, None, mode="train")
         return sessions.session_ids, metrics.second_half_truth(sessions)
-    rows = metrics.read_submission(path)
-    # one width for every name, so they sort in row order: the largest row number's, >= 6
-    width = max(6, len(str(len(rows))))
-    return [f"line{k:0{width}d}" for k in range(1, len(rows) + 1)], rows
+    # a row is named by its file line, as read_submission's errors name it
+    lines = metrics.submission_lines(path)
+    numbers = [k for k, line in enumerate(lines, start=1) if line]
+    # one width for every name, so they sort in line order: the last row's, >= 6
+    width = max(6, len(str(max(numbers, default=0))))
+    return [f"line{k:0{width}d}" for k in numbers], [lines[k - 1] for k in numbers]
 
 
 def cmd_evaluate(args) -> int:

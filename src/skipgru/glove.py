@@ -16,10 +16,14 @@ with no copy, as ``[V * nb, bw]`` rows (row ``r``'s block ``b`` is row
 ``r * nb + b``), so a block's gathers and scatters read contiguous
 ``bw``-wide pieces and its buffers are ``[slice, bw]``. At the default 150
 dims a block is 15 wide and no array of size slice x d exists; a ``d`` with
-no divisor from 8 to 16 runs as one block. Every (row, column) sum still
+no divisor from 8 to 16 runs as one block. Block ``b`` owns the rows
+``r * nb + b`` of both tables and both caches and no other memory, so the
+blocks of a slice are split into contiguous groups that run at once: the
+calling thread steps the first group while one worker thread steps the
+rest (WORKERS, at most two threads in all). Every (row, column) sum still
 adds the slice's entries in slice order in one ``bincount``, so the result
-does not depend on the block width, bit for bit. The buffers are allocated
-once per training call, and rows are gathered with
+depends neither on the block width nor on the thread count, bit for bit.
+The buffers are allocated once per training call, and rows are gathered with
 ``np.take(..., out=, mode="clip")`` after ``check_table`` has proved every
 index in range. The exported embedding for a track is
 ``w + w~``. The table is two arrays: each unordered pair of track indices
@@ -30,6 +34,8 @@ objective symmetric under swapping the main and context parameter sets.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +45,10 @@ from .errors import ConfigError, TrainingError, ValidationError
 
 ENTRY_BATCH = 4096
 ROW_CHUNK = 512
+# threads that step a slice's column blocks: the caller and at most one
+# worker, never more than the CPUs this process may run on
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 
 @dataclass
@@ -202,6 +212,38 @@ def _adagrad_rows(param, cache, touched, slot, grad, lr, work):
     param[touched] = rows
 
 
+def _flat_index(slot, place) -> np.ndarray:
+    """The ``[m, w]`` places ``slot * w + col`` of a side's touched-row slots,
+    written into ``place`` and returned flat: ``_adagrad_rows``' ``slot``
+    for ``[m, w]`` gradients."""
+    w = place.shape[1]
+    np.add((slot * w)[:, None], np.arange(w), out=place)
+    return place.reshape(-1)
+
+
+def _block_steps(blocks, buffers, steps, rows, g, index, shared, lr):
+    """The vector steps of one slice over column ``blocks``, in ``buffers``
+    (three ``[m, bw]`` floats). For block ``b`` the entries' ``b`` columns of
+    w_i and w~_j are gathered, and each side steps block ``b`` of its touched
+    rows with ``g`` times the other side's columns. ``steps`` holds each
+    side's ``[V * nb, bw]`` table, its cache and its touched rows times
+    ``nb``; ``rows`` each entry's ``i * nb`` and ``j * nb``. ``index`` holds
+    each side's flat bincount index, or, when ``shared`` is a ``[m, bw]`` intp
+    buffer, its slots, and the two sides take turns building theirs there.
+    Only the rows ``r * nb + b`` of ``blocks`` are read or written."""
+    block_i, block_j, grad = buffers
+    (main_blocks, _, _), (context_blocks, _, _) = steps
+    for b in blocks:
+        wi = np.take(main_blocks, rows[0] + b, axis=0, out=block_i, mode="clip")
+        wj = np.take(context_blocks, rows[1] + b, axis=0, out=block_j, mode="clip")
+        for k, ((param, cache, first), other) in enumerate(zip(steps, (wj, wi))):
+            flat = index[k] if shared is None else _flat_index(index[k], shared)
+            # ``other`` is not read again: it becomes this side's spare buffer
+            np.multiply(g[:, None], other, out=grad)
+            _adagrad_rows(param, cache, first + b, flat, grad.reshape(-1), lr,
+                          other.reshape(-1))
+
+
 def check_table(table: CooccurrenceTable) -> None:
     """Reject a table that training cannot read: ``pairs`` must be an integer
     ``[n, 2]`` array with ``0 <= i < j < n_tracks`` and ``values`` a real
@@ -245,13 +287,19 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
     every row it touches once (see ``_adagrad_rows``). An entry is read from
     the table through its place in ``directed_entries`` order, and its log
     count and weight are computed once per pair. A slice's dot products are
-    summed over ROW_CHUNK rows at a time, and its vector steps run one column
-    block of width ``bw`` at a time (``_block_width``), so the workspace
-    allocated once per call is two ``[ROW_CHUNK, dims]`` and three
-    ``[slice, bw]`` float buffers and two ``[slice, bw]`` intp ones (one if
-    there is one block). AdaGrad caches start at 1 so early steps are bounded
-    by lr. The loss recorded per epoch is the objective evaluated as each
-    slice is visited, before its update.
+    summed over ROW_CHUNK rows at a time on the calling thread, which also
+    computes the residuals, the loss and the bias steps. The vector steps then
+    run one column block of width ``bw`` at a time (``_block_width``); the
+    ``nb`` blocks are split into ``min(WORKERS, nb)`` contiguous groups, and
+    while the caller steps the first group a worker thread, started once per
+    call and joined before it returns or raises, steps the other. The groups
+    write disjoint rows, and each thread owns three ``[slice, bw]`` float
+    buffers; the dot chunks borrow their memory, so the workspace allocated
+    once per call is those buffers and two ``[slice, bw]`` intp ones (one if
+    there is one block). The result is the same, bit for bit, at any thread
+    count. AdaGrad caches start at 1 so early steps are bounded by lr. The loss
+    recorded per epoch is the objective evaluated as each slice is visited,
+    before its update.
     """
     GloveConfig(dims=dims, epochs=epochs, x_max=x_max, alpha=alpha, lr=lr, seed=seed)
     check_table(table)
@@ -282,55 +330,59 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
     logx = np.log(table.values)
     f = glove_weights(table.values, x_max, alpha)
 
-    # Workspace: a chunk's gathered w_i and w~_j rows, whose products are
-    # summed into ``dot``; a block's gathered w_i and w~_j columns, and its
-    # gradients; and each side's flat bincount index, built at the first block
-    # for every block (with one block, the two sides take turns in one buffer).
-    n = len(flat)
-    m_max = min(ENTRY_BATCH, n)
-    rows_i, rows_j = np.empty((2, min(ROW_CHUNK, n), dims))
-    dot = np.empty(m_max)
-    block_i, block_j, grad = np.empty((3, m_max, bw))
-    places = np.empty((min(nb, 2), m_max, bw), dtype=np.intp)
-    cols = np.arange(bw)
+    # the blocks in contiguous groups, one per thread; the caller runs the first
+    workers = min(WORKERS, nb)
+    groups = [range(nb * t // workers, nb * (t + 1) // workers) for t in range(workers)]
 
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, ENTRY_BATCH):
-            sel = order[lo:lo + ENTRY_BATCH]
-            m = len(sel)
-            i, j, pair = flat[sel], flat[sel ^ 1], sel >> 1
-            for c in range(0, m, ROW_CHUNK):
-                ci, cj = i[c:c + ROW_CHUNK], j[c:c + ROW_CHUNK]
-                wi = np.take(emb.main, ci, axis=0, out=rows_i[:len(ci)], mode="clip")
-                wj = np.take(emb.context, cj, axis=0, out=rows_j[:len(ci)], mode="clip")
-                np.multiply(wi, wj, out=wi).sum(axis=1, out=dot[c:c + len(ci)])
-            loss, g = _residual(dot[:m], emb.main_bias[i], emb.context_bias[j],
-                                logx[pair], f[pair])
-            epoch_loss += float(loss.sum())
-            steps, index = [], []
-            for (bias, bias_cache, param, cache), rows in zip(sides, (i, j)):
-                touched, slot = np.unique(rows, return_inverse=True)
-                _adagrad_rows(bias, bias_cache, touched, slot, g, lr, np.empty_like(g))
-                steps.append((param, cache, touched * nb))
-                index.append(slot)
-            del slot
-            i_nb, j_nb = i * nb, j * nb
-            for b in range(nb):
-                wi = np.take(main_blocks, i_nb + b, axis=0, out=block_i[:m], mode="clip")
-                wj = np.take(context_blocks, j_nb + b, axis=0, out=block_j[:m], mode="clip")
-                for k, ((param, cache, first), other) in enumerate(zip(steps, (wj, wi))):
-                    if b == 0:
-                        # the side's slots give way to the flat index built from them
-                        place = places[k % len(places), :m]
-                        np.add((index[k] * bw)[:, None], cols, out=place)
-                        index[k] = place.reshape(-1)
-                    # ``other`` is not read again: it becomes this side's spare buffer
-                    np.multiply(g[:, None], other, out=grad[:m])
-                    _adagrad_rows(param, cache, first + b, index[k], grad[:m].reshape(-1), lr,
-                                  other.reshape(-1))
-        emb.epoch_losses.append(epoch_loss)
+    # Workspace: each group's three [slice, bw] block buffers (``_block_steps``)
+    # and each side's flat bincount index (with one block, the two sides take
+    # turns in one buffer). A chunk's gathered w_i and w~_j rows, whose
+    # products are summed into ``dot``, borrow the block buffers' memory: no
+    # block runs until the chunks are summed.
+    n = len(flat)
+    m_max, chunk = min(ENTRY_BATCH, n), min(ROW_CHUNK, n)
+    work = np.empty(max(2 * chunk * dims, workers * 3 * m_max * bw))
+    rows_i, rows_j = work[:2 * chunk * dims].reshape(2, chunk, dims)
+    buffers = work[:workers * 3 * m_max * bw].reshape(workers, 3, m_max, bw)
+    dot = np.empty(m_max)
+    places = np.empty((min(nb, 2), m_max, bw), dtype=np.intp)
+
+    # no thread starts until a second group is submitted; leaving the block
+    # joins the worker, whether the loop returns or raises
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for lo in range(0, n, ENTRY_BATCH):
+                sel = order[lo:lo + ENTRY_BATCH]
+                m = len(sel)
+                i, j, pair = flat[sel], flat[sel ^ 1], sel >> 1
+                for c in range(0, m, ROW_CHUNK):
+                    ci, cj = i[c:c + ROW_CHUNK], j[c:c + ROW_CHUNK]
+                    wi = np.take(emb.main, ci, axis=0, out=rows_i[:len(ci)], mode="clip")
+                    wj = np.take(emb.context, cj, axis=0, out=rows_j[:len(ci)], mode="clip")
+                    np.multiply(wi, wj, out=wi).sum(axis=1, out=dot[c:c + len(ci)])
+                loss, g = _residual(dot[:m], emb.main_bias[i], emb.context_bias[j],
+                                    logx[pair], f[pair])
+                epoch_loss += float(loss.sum())
+                steps, index = [], []
+                for (bias, bias_cache, param, cache), rows in zip(sides, (i, j)):
+                    touched, slot = np.unique(rows, return_inverse=True)
+                    _adagrad_rows(bias, bias_cache, touched, slot, g, lr, np.empty_like(g))
+                    steps.append((param, cache, touched * nb))
+                    index.append(slot)
+                del slot
+                shared = places[0, :m] if nb == 1 else None
+                if shared is None:
+                    # the sides' slots give way to the flat indexes built from them
+                    index = [_flat_index(slot, place[:m]) for slot, place in zip(index, places)]
+                args = (steps, (i * nb, j * nb), g, index, shared, lr)
+                jobs = [pool.submit(_block_steps, group, buf[:, :m], *args)
+                        for group, buf in zip(groups[1:], buffers[1:])]
+                _block_steps(groups[0], buffers[0, :, :m], *args)
+                for job in jobs:
+                    job.result()
+            emb.epoch_losses.append(epoch_loss)
     return emb
 
 

@@ -178,20 +178,27 @@ def write_submission(path, rows: list[str]) -> None:
         fh.write("".join(row + "\n" for row in rows))
 
 
-def read_submission(path) -> list[str]:
-    """The non-blank lines of a submission, stripped, as row strings. A line
-    holds only ``0`` and ``1``, at most MAX_SECOND_HALF of them; a ParseError
-    names the first line that does not."""
+def submission_lines(path) -> list[str]:
+    """Every line of a submission, stripped, in file order: line ``k`` is
+    item ``k - 1``, and a blank line is ``""``. A line holds only ``0`` and
+    ``1``, at most MAX_SECOND_HALF of them; a ParseError names the file and
+    the first line that does not."""
     with open_text(path) as fh:
         lines = [line.strip() for line in fh.read().split("\n")]
     for line_no, line in enumerate(lines, start=1):
         if line.strip("01"):
-            raise ParseError(f"line {line_no}: submission characters must be 0/1, "
+            raise ParseError(f"{path}: line {line_no}: submission characters must be 0/1, "
                              f"found {sorted(set(line) - {'0', '1'})}")
         if len(line) > MAX_SECOND_HALF:
-            raise ParseError(f"line {line_no}: {len(line)} predictions, but a second half "
-                             f"has at most {MAX_SECOND_HALF}")
-    return [line for line in lines if line]
+            raise ParseError(f"{path}: line {line_no}: {len(line)} predictions, but a second "
+                             f"half has at most {MAX_SECOND_HALF}")
+    return lines
+
+
+def read_submission(path) -> list[str]:
+    """The non-blank lines of a submission (``submission_lines``) as row
+    strings."""
+    return [line for line in submission_lines(path) if line]
 
 
 def score_submission(truth_rows: list[str], rows: list[str]):

@@ -1,7 +1,9 @@
-"""Pin BLAS to one thread before numpy loads so timed tests measure
-single-core work and results stay deterministic across machines, and make
-every Hypothesis property test deterministic: examples come from a fixed
-seed, nothing is stored between runs, and no example has a deadline."""
+"""Pin BLAS to one thread before numpy loads so results stay deterministic
+across machines and matrix products in timed tests run on one core (GloVe's
+column-block phase may still use a second thread, ``glove.WORKERS``, with
+the same bits), and make every Hypothesis property test deterministic:
+examples come from a fixed seed, nothing is stored between runs, and no
+example has a deadline."""
 
 import os
 

@@ -750,10 +750,19 @@ class TestPredictAndEvaluate:
                     "--per-session", str(per_session)]) == 0
         assert per_session.read_text() == ("session_id,aa\nline000001,1.0\n"
                                            "line000002,0.5\nline000003,0.0\n")
-        # past 999,999 rows every name widens, so the names still sort in line order
-        monkeypatch.setattr(metrics, "read_submission", lambda path: ["1"] * 1_000_001)
+        # past line 999,999 every name widens, so the names still sort in line order
+        monkeypatch.setattr(metrics, "submission_lines", lambda path: ["1"] * 1_000_001)
         names, _ = cli._load_truth(truth)
         assert names[0] == "line0000001" and names[-1] == "line1000001"
+
+    def test_submission_truth_rows_keep_their_line_across_blank_lines(self, tmp_path):
+        truth, sub, per_session = (tmp_path / name for name in ("t.txt", "s.txt", "aa.csv"))
+        truth.write_text("01\n\n10\n")
+        sub.write_text("01\n00\n")
+        assert cli._load_truth(truth) == (["line000001", "line000003"], ["01", "10"])
+        assert run(["evaluate", "--truth", str(truth), "--submission", str(sub),
+                    "--per-session", str(per_session)]) == 0
+        assert per_session.read_text() == "session_id,aa\nline000001,1.0\nline000003,0.25\n"
 
     def test_evaluate_quoted_sessions_truth(self, workspace, tmp_path, capsys):
         plain = workspace / "sessions_holdout.csv"
@@ -778,7 +787,8 @@ class TestPredictAndEvaluate:
         assert run(["evaluate", "--truth", str(files["truth"]),
                     "--submission", str(files["submission"])]) == 3
         err = capsys.readouterr().err
-        assert err == "error: line 2: 11 predictions, but a second half has at most 10\n"
+        assert err == (f"error: {files[side]}: line 2: 11 predictions, but a second half "
+                       "has at most 10\n")
 
     def test_evaluate_submission_format_truth(self, tmp_path, capsys):
         truth = tmp_path / "truth.txt"

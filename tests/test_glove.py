@@ -1,4 +1,6 @@
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -409,6 +411,55 @@ class TestWorkspaceLoop:
     def test_one_dimension(self):
         self.assert_matches_reference(random_table(40, 500, seed=23), dims=1, epochs=3, seed=6)
 
+    @pytest.mark.parametrize("dims,blocks", [(150, 10), (45, 3), (151, 1)],
+                             ids=["ten-blocks", "three-blocks", "one-block"])
+    def test_worker_count_does_not_matter(self, monkeypatch, dims, blocks):
+        # 10,000 directed entries: two full slices and a short one. Four
+        # threads, more than the cores, switching every microsecond would
+        # show an update lost or crossed between the groups
+        table = random_table(300, 5_000, seed=21)
+        steps, threads = glove._block_steps, set()
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            steps(*args)
+
+        monkeypatch.setattr(glove, "_block_steps", recording)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(glove, "WORKERS", workers)
+                threads.clear()
+                runs.append(glove.train_glove(table, dims=dims, epochs=2, seed=9))
+                assert len(threads) == min(workers, blocks)
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs[1:]:
+            assert_same_embeddings(run, runs[0])
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_block_step_error_comes_out_and_the_worker_is_joined(self, monkeypatch, failing):
+        class BlockError(Exception):
+            pass
+
+        caller, steps, raised = threading.get_ident(), glove._block_steps, []
+
+        def step(*args):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raised.append(BlockError(failing))
+                raise raised[-1]
+            steps(*args)
+
+        monkeypatch.setattr(glove, "WORKERS", 2)
+        monkeypatch.setattr(glove, "_block_steps", step)
+        before = threading.active_count()
+        with pytest.raises(BlockError) as info:
+            glove.train_glove(random_table(300, 5_000, seed=21), dims=150, epochs=1, seed=0)
+        assert len(raised) == 1 and info.value is raised[0]
+        assert threading.active_count() == before
+
     @staticmethod
     def peak_slices(dims):
         """What one epoch over 400 tracks (two full slices and a short one)
@@ -428,16 +479,17 @@ class TestWorkspaceLoop:
         return (peak - inputs) / (glove.ENTRY_BATCH * dims * 8)
 
     def test_one_epoch_peak_stays_under_one_slice(self):
-        # at the default 150 dims the workspace is two [ROW_CHUNK, dims] chunks
-        # and five [slice, 15] blocks, about 0.76 slices
+        # at the default 150 dims the workspace is each thread's three float
+        # [slice, 15] blocks, whose memory the two [ROW_CHUNK, dims] chunks
+        # borrow, and two intp ones: 0.8 slices on two threads, 0.5 on one
         assert self.peak_slices(glove.GloveConfig.dims) <= 1.0
 
     def test_one_block_peak_holds_one_flat_index(self):
-        # 151 has no divisor from 8 to 16, so the steps run as one block: three
-        # float and one intp [slice, 151] buffers and two [ROW_CHUNK, 151] chunks
-        # are 4.25 slices, and a step's sums over at most 400 touched rows add
-        # 0.1. The two sides' flat indexes share one buffer; a second one would
-        # put the peak near 5.4
+        # 151 has no divisor from 8 to 16, so the steps run as one block on one
+        # thread: three float [slice, 151] buffers, which the two
+        # [ROW_CHUNK, 151] chunks borrow, and one intp one are 4 slices, and a
+        # step's sums over at most 400 touched rows add 0.1. The two sides'
+        # flat indexes share one buffer; a second one would put the peak near 5.2
         assert self.peak_slices(151) <= 4.5
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -339,7 +340,8 @@ class TestTruthAndSubmission:
     def test_read_strips_lines_and_skips_blank_ones(self, tmp_path):
         path = tmp_path / "sub.txt"
         path.write_bytes(b" 01 \r\n\n\t\r110\r\n1\x0c1\n")
-        with pytest.raises(ParseError, match=r"^line 5: .*found \['\\x0c'\]"):
+        where = re.escape(f"{path}: line 5: ")
+        with pytest.raises(ParseError, match=rf"^{where}.*found \['\\x0c'\]"):
             metrics.read_submission(path)
         path.write_bytes(b" 01 \r\n\n\t\r110\r\n\x0c11\x0c\n")
         assert metrics.read_submission(path) == ["01", "110", "11"]
@@ -347,14 +349,15 @@ class TestTruthAndSubmission:
     def test_row_longer_than_a_second_half_reports_its_line(self, tmp_path):
         path = tmp_path / "sub.txt"
         path.write_text("0101010101\n\n01010101010\n")
-        with pytest.raises(ParseError, match="^line 3: 11 predictions, but a second half "
+        where = re.escape(f"{path}: line 3: ")
+        with pytest.raises(ParseError, match=rf"^{where}11 predictions, but a second half "
                                              "has at most 10$"):
             metrics.read_submission(path)
 
     def test_bad_character_reports_line(self, tmp_path):
         path = tmp_path / "sub.txt"
         path.write_text("010\n0x1\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: line 2: ")):
             metrics.read_submission(path)
 
     def test_score_submission_identity(self):
