@@ -8,6 +8,17 @@ order and accumulates gradients into every node that requires them. Only
 parameters (leaves that require a gradient) own a ``grad`` array from the
 start; every other node's ``grad`` is ``None`` until ``backward`` reaches it.
 
+``backward`` may be given a worker thread (an executor of one thread). The
+walk and every pull into an intermediate node stay on the calling thread; a
+node's pulls into parameters, which nothing later in the walk reads, become
+one task that the worker runs while the walk goes on. Three rules keep the
+grads bit for bit those of the walk alone, and free of races: a parameter's
+contributions are added in walk order (the caller runs a task out of order,
+once its walk has ended, only if no other unfinished task writes one of its
+parameters); a node's other pulls run before its task is queued, so the
+memos they share are filled first; and ``backward`` returns or raises only
+when every task has finished, with the first error in walk order.
+
 Inside ``with no_grad():`` nothing is recorded: an op's output keeps no
 parents and no pulls, so it does not require a gradient, and each
 intermediate array is freed at its last use instead of living as long as
@@ -33,6 +44,8 @@ their values and gradients are within 1e-12 of the largest entry of each.
 from __future__ import annotations
 
 import contextvars
+from concurrent import futures
+from concurrent.futures import Executor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -557,7 +570,37 @@ def _topo_order(root: Node) -> list[Node]:
     return order
 
 
-def backward(loss: Node) -> None:
+def _pull_leaves(pulls, g) -> None:
+    """Add one node's contributions ``pull(g)`` into its leaves' grads, in
+    parents order: a parameter-gradient task of ``backward``."""
+    for leaf, pull in pulls:
+        leaf.grad += pull(g)
+
+
+def _finish(tasks) -> None:
+    """Finish the parameter-gradient tasks a worker was given, as
+    ``(leaf ids, pulls, g, future)`` in walk order: run on the calling
+    thread, newest first, each one the worker has not started and whose
+    leaves no other unfinished task writes, then wait for the rest. Raises
+    the error of the first task, in walk order, that failed."""
+    errors = {}  # the errors of the tasks run here
+    for k in reversed(range(len(tasks))):
+        leaves, pulls, g, job = tasks[k]
+        shared = any(not other.done() and leaves & others
+                     for j, (others, _, _, other) in enumerate(tasks) if j != k)
+        if not shared and job.cancel():
+            try:
+                _pull_leaves(pulls, g)
+            except BaseException as err:
+                errors[k] = err
+    futures.wait([job for *_, job in tasks])
+    for k, (*_, job) in enumerate(tasks):
+        err = errors.get(k) if job.cancelled() else job.exception()
+        if err is not None:
+            raise err
+
+
+def backward(loss: Node, worker: Executor | None = None) -> None:
     """Populate grads of every reachable requires_grad node with dLoss/dNode.
 
     Leaf grads accumulate across calls until the caller zeroes them. Every
@@ -566,6 +609,21 @@ def backward(loss: Node) -> None:
     only this loss's gradient. A contribution may be a view of the child's gradient
     (``add`` passes it through, ``concat_cols`` slices it), so an intermediate
     grad is never added to in place.
+
+    The walk runs on the calling thread, and so does every pull into an
+    intermediate node. A node's pulls into leaves (parameters) form one task,
+    queued after that node's other pulls, so the memos those fill (``gru``'s
+    sweep, ``enrich_affine``'s summed gradient) are complete before the task
+    reads them. Without a ``worker`` each task runs on the calling thread as
+    soon as it is queued. With one (an executor of one thread) the tasks run
+    there in queue order while the walk goes on; when the walk ends, the
+    caller runs every task the worker has not started, newest first, as long
+    as no other unfinished task writes one of its leaves, and waits for the
+    rest. So each leaf's contributions are added in walk order, as without a
+    worker, and the grads are the same bit for bit. ``backward`` returns, or
+    raises, only when every task has finished; the error that comes out is
+    the first in walk order, the same object that was raised. A task builds
+    no ``Node``.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 loss, got {loss.shape}")
@@ -577,12 +635,22 @@ def backward(loss: Node) -> None:
         if node.parents:
             node.grad = None
     loss.grad = np.ones((1, 1))
-    for node in reversed(order):
-        g = node.grad
-        for parent, pull in node.parents:
-            if not parent.parents:
-                parent.grad += pull(g)
-            elif parent.grad is None:
-                parent.grad = pull(g)
-            else:
-                parent.grad = parent.grad + pull(g)
+    tasks = []
+    try:
+        for node in reversed(order):
+            g = node.grad
+            leaf_pulls = []
+            for parent, pull in node.parents:
+                if not parent.parents:
+                    leaf_pulls.append((parent, pull))
+                elif parent.grad is None:
+                    parent.grad = pull(g)
+                else:
+                    parent.grad = parent.grad + pull(g)
+            if leaf_pulls and worker is None:
+                _pull_leaves(leaf_pulls, g)
+            elif leaf_pulls:
+                tasks.append(({id(leaf) for leaf, _ in leaf_pulls}, leaf_pulls, g,
+                              worker.submit(_pull_leaves, leaf_pulls, g)))
+    finally:
+        _finish(tasks)

@@ -20,9 +20,10 @@ no divisor from 8 to 16 runs as one block. Block ``b`` owns the rows
 ``r * nb + b`` of both tables and both caches and no other memory, so the
 blocks of a slice are split into contiguous groups that run at once: the
 calling thread steps the first group while one worker thread steps the
-rest (WORKERS, at most two threads in all). Every (row, column) sum still
-adds the slice's entries in slice order in one ``bincount``, so the result
-depends neither on the block width nor on the thread count, bit for bit.
+rest (``parallel.WORKERS``, at most two threads in all). Every (row,
+column) sum still adds the slice's entries in slice order in one
+``bincount``, so the result depends neither on the block width nor on the
+thread count, bit for bit.
 The buffers are allocated once per training call, and rows are gathered with
 ``np.take(..., out=, mode="clip")`` after ``check_table`` has proved every
 index in range. The exported embedding for a track is
@@ -34,21 +35,16 @@ objective symmetric under swapping the main and context parameter sets.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .data import SessionTable, atomic_write, open_text
 from .errors import ConfigError, TrainingError, ValidationError
 
 ENTRY_BATCH = 4096
 ROW_CHUNK = 512
-# threads that step a slice's column blocks: the caller and at most one
-# worker, never more than the CPUs this process may run on
-WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
 
 
 @dataclass
@@ -290,14 +286,14 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
     summed over ROW_CHUNK rows at a time on the calling thread, which also
     computes the residuals, the loss and the bias steps. The vector steps then
     run one column block of width ``bw`` at a time (``_block_width``); the
-    ``nb`` blocks are split into ``min(WORKERS, nb)`` contiguous groups, and
-    while the caller steps the first group a worker thread, started once per
-    call and joined before it returns or raises, steps the other. The groups
-    write disjoint rows, and each thread owns three ``[slice, bw]`` float
-    buffers; the dot chunks borrow their memory, so the workspace allocated
-    once per call is those buffers and two ``[slice, bw]`` intp ones (one if
-    there is one block). The result is the same, bit for bit, at any thread
-    count. AdaGrad caches start at 1 so early steps are bounded by lr. The loss
+    ``nb`` blocks are split into ``min(parallel.WORKERS, nb)`` contiguous
+    groups, and while the caller steps the first group a worker thread,
+    started once per call and joined before it returns or raises, steps the
+    other. The groups write disjoint rows, and each thread owns three
+    ``[slice, bw]`` float buffers; the dot chunks borrow their memory, so
+    the workspace allocated once per call is those buffers and two
+    ``[slice, bw]`` intp ones (one if there is one block). The result is the
+    same, bit for bit, at any thread count. AdaGrad caches start at 1 so early steps are bounded by lr. The loss
     recorded per epoch is the objective evaluated as each slice is visited,
     before its update.
     """
@@ -331,7 +327,7 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
     f = glove_weights(table.values, x_max, alpha)
 
     # the blocks in contiguous groups, one per thread; the caller runs the first
-    workers = min(WORKERS, nb)
+    workers = min(parallel.WORKERS, nb)
     groups = [range(nb * t // workers, nb * (t + 1) // workers) for t in range(workers)]
 
     # Workspace: each group's three [slice, bw] block buffers (``_block_steps``)
@@ -347,9 +343,8 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
     dot = np.empty(m_max)
     places = np.empty((min(nb, 2), m_max, bw), dtype=np.intp)
 
-    # no thread starts until a second group is submitted; leaving the block
-    # joins the worker, whether the loop returns or raises
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+    # leaving the block joins the worker, whether the loop returns or raises
+    with parallel.helpers(workers) as pool:
         for _ in range(epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0

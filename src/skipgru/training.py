@@ -35,13 +35,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from concurrent.futures import Executor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from . import metrics
+from . import metrics, parallel
 from .data import SessionTable, TrackTable, atomic_write, second_half_length
 from .errors import (
     CheckpointIntegrityError,
@@ -83,17 +84,33 @@ class AdamState:
     scratch: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def adam_step(params: ModelParams, state: AdamState) -> None:
+def _adam_moves(w, g, m, v, step, denom, lr: float, bc1: float, bc2: float) -> None:
+    """Adam's elementwise passes over one contiguous piece of the flat
+    vectors, all written in place (see ``adam_step``)."""
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=denom), g, out=denom)
+    np.multiply(np.divide(m, bc1, out=step), lr, out=step)
+    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
+    w -= np.divide(step, denom, out=step)
+
+
+def adam_step(params: ModelParams, state: AdamState, worker: Executor | None = None) -> None:
     """One in-place update of ``params.values`` from ``params.grads``.
 
-    The whole flat vector is updated at once. Every operation writes into the
-    moments, the values or a row of the scratch buffer, in the order of the
-    expressions ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    A non-finite gradient is named by its parameter, checked over the whole
+    gradient before anything is written. Every operation then writes into
+    the moments, the values or a row of the scratch buffer, in the order of
+    the expressions ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
     ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, with ``b1``, ``b2`` and
     ``eps`` the ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` constants, so
     the update is bitwise that of the expressions, element by element, and
-    allocates nothing after the first step. A non-finite gradient is named by
-    its parameter.
+    allocates nothing after the first step. Without a ``worker`` the flat
+    vectors are updated at once; with one (an executor of one thread) they
+    are cut into two contiguous halves, the caller updating the first while
+    the worker updates the second, with the same bits, since no element's
+    arithmetic reads another's.
     """
     w, g = params.values, params.grads
     if not np.isfinite(g).all():
@@ -104,14 +121,13 @@ def adam_step(params: ModelParams, state: AdamState) -> None:
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    m, v, (step, denom) = state.m, state.v, state.scratch
-    m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
-    v *= ADAM_BETA2
-    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=denom), g, out=denom)
-    np.multiply(np.divide(m, bc1, out=step), state.lr, out=step)
-    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
-    w -= np.divide(step, denom, out=step)
+    flat = (w, g, state.m, state.v, *state.scratch)
+    pieces = [slice(None)] if worker is None else [slice(0, w.size // 2), slice(w.size // 2, None)]
+    jobs = [worker.submit(_adam_moves, *(a[piece] for a in flat), state.lr, bc1, bc2)
+            for piece in pieces[1:]]
+    _adam_moves(*(a[pieces[0]] for a in flat), state.lr, bc1, bc2)
+    for job in jobs:
+        job.result()
 
 
 def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
@@ -312,6 +328,15 @@ def train(
     AA is computed after every epoch; the best epoch's arrays are copied and,
     at the end, written back into the model the checkpoint returns. Fully
     deterministic given config.seed.
+
+    Where the process may run on two CPUs (``parallel.WORKERS``), the call
+    has one worker thread, started at its first task and joined before the
+    call returns or raises. The forward, the loss, the batch gathers,
+    clipping and validation stay on the calling thread, and so does the
+    backward walk with every pull into an intermediate node; the worker
+    forms the parameter gradients (``ad.backward``) and runs the second half
+    of every Adam step (``adam_step``). The checkpoint is the same, bit for
+    bit, at any worker count.
     """
     if not train_sessions or not valid_sessions:
         raise ConfigError("train and validation session lists must be non-empty")
@@ -326,34 +351,36 @@ def train(
     best = [arr.copy() for arr in params.arrays().values()]
     best_aa = None
     epoch_log: list[dict] = []
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(train_sessions))
-        batch_losses = []
-        for lo in range(0, len(order), config.batch_size):
-            batch = train_set.batch(order[lo:lo + config.batch_size])
-            try:
-                batch_loss = loss(forward_batch(batch, params, "train"), batch.targets)
-                params.grads.fill(0.0)
-                ad.backward(batch_loss)
-            except NumericError as err:
-                raise TrainingError(
-                    f"aborting: non-finite value in epoch {epoch}, "
-                    f"batch starting at {lo} ({err})"
-                ) from err
-            if config.clip_norm is not None:
-                clip_gradients(params.grads, config.clip_norm)
-            adam_step(params, adam)
-            batch_losses.append(float(batch_loss.value[0, 0]))
-            del batch_loss  # free this batch's graph before the next is built
-        val_aa, _ = metrics.mean_aa(predict_encoded(valid_set, params) >= metrics.THRESHOLD,
-                                    valid_truth, second_half_length(valid_sessions.lengths))
-        train_loss = float(np.mean(batch_losses))
-        epoch_log.append({"epoch": epoch, "train_loss": train_loss, "val_aa": val_aa})
-        if log is not None:
-            log(f"epoch {epoch}: train_loss={train_loss:.6f} val_aa={val_aa:.4f}")
-        if best_aa is None or val_aa > best_aa:
-            best_aa = val_aa
-            best = [arr.copy() for arr in params.arrays().values()]
+    # leaving the block joins the worker, whether the loop returns or raises
+    with parallel.helpers(min(parallel.WORKERS, 2)) as worker:
+        for epoch in range(1, config.epochs + 1):
+            order = shuffle_rng.permutation(len(train_sessions))
+            batch_losses = []
+            for lo in range(0, len(order), config.batch_size):
+                batch = train_set.batch(order[lo:lo + config.batch_size])
+                try:
+                    batch_loss = loss(forward_batch(batch, params, "train"), batch.targets)
+                    params.grads.fill(0.0)
+                    ad.backward(batch_loss, worker)
+                except NumericError as err:
+                    raise TrainingError(
+                        f"aborting: non-finite value in epoch {epoch}, "
+                        f"batch starting at {lo} ({err})"
+                    ) from err
+                if config.clip_norm is not None:
+                    clip_gradients(params.grads, config.clip_norm)
+                adam_step(params, adam, worker)
+                batch_losses.append(float(batch_loss.value[0, 0]))
+                del batch_loss  # free this batch's graph before the next is built
+            val_aa, _ = metrics.mean_aa(predict_encoded(valid_set, params) >= metrics.THRESHOLD,
+                                        valid_truth, second_half_length(valid_sessions.lengths))
+            train_loss = float(np.mean(batch_losses))
+            epoch_log.append({"epoch": epoch, "train_loss": train_loss, "val_aa": val_aa})
+            if log is not None:
+                log(f"epoch {epoch}: train_loss={train_loss:.6f} val_aa={val_aa:.4f}")
+            if best_aa is None or val_aa > best_aa:
+                best_aa = val_aa
+                best = [arr.copy() for arr in params.arrays().values()]
 
     for arr, saved in zip(params.arrays().values(), best, strict=True):
         arr[...] = saved

@@ -5,12 +5,17 @@ table of a list of sessions, a session's halves as event lists, the packed
 row order of a batch and each session's rows read back out of one, the
 track table of a list of track rows, the
 co-occurrence table as a pair dict, the GloVe slice loop as it ran before
-its workspace buffers, a fresh batchnorm state, a fresh model at a seed, and
-a checkpoint writer for re-hashed tampered files."""
+its workspace buffers, a fresh batchnorm state, a fresh model at a seed, a
+checkpoint writer for re-hashed tampered files, a thread switch every
+microsecond, and a loss head whose backward raises from a chosen thread."""
 
 import hashlib
 import json
 import math
+import sys
+import threading
+import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -322,3 +327,49 @@ def rewrite_checkpoint(src, dst, tamper, arrays=None):
         body = values.tobytes()
     envelope["sha256"] = _canonical_sha256(envelope["payload"], body)
     dst.write_bytes(json.dumps(envelope).encode("utf-8") + b"\n" + body)
+
+
+@contextmanager
+def switching_every_microsecond():
+    """Let the interpreter switch threads every microsecond inside the block,
+    so an update lost or crossed between two threads would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def failing_head(loss, err, where):
+    """Two nodes over the 1x1 ``loss`` whose backward raises ``err``, and the
+    list of the threads that raised it.
+
+    The top node's pull into a fresh parameter is a parameter-gradient task;
+    the pull of the node below it, on the calling thread, waits until that
+    task has started, so with a worker the task runs there. With ``where``
+    ``"task"`` the task raises; with ``"walk"`` the pull below raises, and
+    the task, which sleeps first, sets ``finished`` only as it ends.
+    """
+    started, finished, raised = threading.Event(), threading.Event(), []
+
+    def task(g):
+        started.set()
+        if where == "task":
+            raised.append(threading.get_ident())
+            raise err
+        time.sleep(0.05)
+        finished.set()
+        return g
+
+    def below(g):
+        if where == "walk":
+            raised.append(threading.get_ident())
+            raise err
+        assert started.wait(timeout=10)
+        return g
+
+    mid = ad.Node(loss.value, requires_grad=True, parents=[(loss, below)])
+    top = ad.Node(loss.value, requires_grad=True,
+                  parents=[(mid, lambda g: g), (ad.parameter([[0.0]]), task)])
+    return top, raised, finished

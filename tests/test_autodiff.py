@@ -1,4 +1,5 @@
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from skipgru import autodiff as ad
 from skipgru.errors import DegenerateBatchError, NumericError, ShapeError, StateError
 
 from helpers import (batchnorm_state, central_diff, composed_gru, composed_gru_step, concat_rows,
-                     max_rel_err, projected_gru, scatter_rows)
+                     failing_head, max_rel_err, projected_gru, scatter_rows,
+                     switching_every_microsecond)
 
 
 def loss_of(node):
@@ -247,6 +249,65 @@ class TestBackward:
         ad.backward(ad.sum_all(y))
         assert c.grad is None
         assert np.array_equal(w.grad, [[1.0, 2.0]])
+
+
+
+def one_leaf_three_ways(rng):
+    """A loss in which the parameter ``w`` feeds three ops, so its gradient
+    is the sum of three contributions from three nodes."""
+    w = ad.parameter(rng.normal(size=(3, 3)))
+    x = ad.constant(rng.normal(size=(5, 3)))
+    twice = ad.matmul(ad.matmul(x, w), w)
+    out = ad.hadamard(twice, ad.take_rows(w, [0, 1, 2, 0, 1]))
+    return ad.sum_all(ad.hadamard(out, ad.constant(rng.normal(size=(5, 3))))), [w]
+
+
+def recurrent_head(rng):
+    """A GRU layer behind its input projection, summarized by rows and
+    enriched into an affine map: the ``gru`` and ``enrich_affine`` nodes whose
+    pulls share one memo per backward, with nine parameters."""
+    h, sizes = 4, [3, 2, 2, 1]
+    shapes = [(2, 3 * h), (1, 3 * h), (h, h), (h, h), (h, h), (2, h), (1, h), (2 + 2 * h, 3),
+              (1, 3)]
+    w_in, b, w_us, w_rs, w_s, proj_w, proj_b, w1, b1 = params = [
+        ad.parameter(rng.normal(size=shape)) for shape in shapes]
+    pre = ad.affine(ad.constant(rng.normal(size=(sum(sizes), 2))), w_in, b)
+    o = ad.gru(pre, ad.constant(np.zeros((3, h))), w_us, w_rs, w_s, sizes)
+    x_i = ad.constant(rng.normal(size=(5, 2)))
+    gate = ad.relu(ad.affine(x_i, proj_w, proj_b))
+    out = ad.enrich_affine(x_i, ad.take_rows(o, [5, 6, 7]), [0, 0, 1, 2, 2], gate, w1, b1)
+    return ad.sum_all(ad.hadamard(ad.sigmoid(out), ad.constant(rng.normal(size=(5, 3))))), params
+
+
+class TestBackwardWithAWorker:
+    @pytest.mark.parametrize("build", [one_leaf_three_ways, recurrent_head])
+    def test_grads_equal_those_without_a_worker_bitwise(self, build):
+        before = threading.active_count()
+        with switching_every_microsecond(), ThreadPoolExecutor(max_workers=1) as worker:
+            for seed in range(20):
+                grads = []
+                for pool in (None, worker):
+                    loss, params = build(np.random.default_rng(seed))
+                    ad.backward(loss, pool)
+                    grads.append([p.grad.tobytes() for p in params])
+                assert grads[0] == grads[1]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["task", "walk"])
+    def test_an_error_comes_out_as_itself_once_every_task_has_finished(self, where):
+        class PullError(Exception):
+            pass
+
+        err, before = PullError(where), threading.active_count()
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            loss, params = one_leaf_three_ways(np.random.default_rng(0))
+            top, raised, finished = failing_head(loss, err, where)
+            with pytest.raises(PullError) as info:
+                ad.backward(top, worker)
+            assert info.value is err
+            assert (raised[0] == threading.get_ident()) == (where == "walk")
+            assert where == "task" or finished.is_set()
+        assert threading.active_count() == before
 
 
 def every_op(w):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from skipgru import data, glove
+from skipgru import data, glove, parallel
 from skipgru.data import Event, Session
 from skipgru.errors import ConfigError, TrainingError, ValidationError
 
@@ -430,7 +430,7 @@ class TestWorkspaceLoop:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 4):
-                monkeypatch.setattr(glove, "WORKERS", workers)
+                monkeypatch.setattr(parallel, "WORKERS", workers)
                 threads.clear()
                 runs.append(glove.train_glove(table, dims=dims, epochs=2, seed=9))
                 assert len(threads) == min(workers, blocks)
@@ -452,7 +452,7 @@ class TestWorkspaceLoop:
                 raise raised[-1]
             steps(*args)
 
-        monkeypatch.setattr(glove, "WORKERS", 2)
+        monkeypatch.setattr(parallel, "WORKERS", 2)
         monkeypatch.setattr(glove, "_block_steps", step)
         before = threading.active_count()
         with pytest.raises(BlockError) as info:

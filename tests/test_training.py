@@ -1,16 +1,19 @@
 import json
 import re
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import fresh_params, one_batch, rewrite_checkpoint
+from helpers import (failing_head, fresh_params, one_batch, rewrite_checkpoint,
+                     switching_every_microsecond)
 
 from skipgru import autodiff as ad
-from skipgru import cli, data, metrics, model, training
+from skipgru import cli, data, metrics, model, parallel, training
 from skipgru.errors import (
     CheckpointIntegrityError,
     CheckpointVersionError,
@@ -105,6 +108,35 @@ class TestAdamStep:
         with pytest.raises(TrainingError, match="gru2.b_r"):
             training.adam_step(params, training.AdamState())
 
+    def test_nonfinite_gradient_writes_nothing_with_a_worker(self):
+        rng = np.random.default_rng(4)
+        params, state = small_params(), training.AdamState()
+        params.values[...] = rng.normal(size=params.values.shape)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            params.grads[...] = rng.normal(size=params.grads.shape)
+            training.adam_step(params, state, worker)
+            params.views(params.grads)["head.w3"][-1, -1] = np.inf
+            before = [a.tobytes() for a in (params.values, state.m, state.v)]
+            with pytest.raises(TrainingError, match="'head.w3'"):
+                training.adam_step(params, state, worker)
+        assert [a.tobytes() for a in (params.values, state.m, state.v)] == before
+        assert state.t == 1
+
+    def test_two_halves_on_a_worker_match_one_pass_bitwise(self):
+        rng = np.random.default_rng(5)
+        start = rng.normal(size=small_params().values.shape)
+        grads = [rng.normal(size=start.shape) for _ in range(3)]
+        runs = []
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for pool in (None, worker):
+                params, state = small_params(), training.AdamState()
+                params.values[...] = start
+                for g in grads:
+                    params.grads[...] = g
+                    training.adam_step(params, state, pool)
+                runs.append([a.tobytes() for a in (params.values, state.m, state.v)])
+        assert runs[0] == runs[1]
+
     def test_clip_gradients(self):
         grads = np.array([3.0, 0.0, 4.0])
         norm = training.clip_gradients(grads, max_norm=1.0)
@@ -190,6 +222,75 @@ class TestTrainLoop:
             training.TrainConfig(epochs=-1)
         with pytest.raises(ConfigError):
             training.TrainConfig(lr=0.0)
+
+
+
+class TestTrainWorkers:
+    SETTINGS = {
+        "relu": (model.VariantConfig(hidden_size=8), None),
+        "elu-batchnorm": (model.VariantConfig("elu", 8, use_batchnorm=True), None),
+        "clipped": (model.VariantConfig(hidden_size=8), 0.05),
+    }
+
+    @pytest.mark.parametrize("setting", list(SETTINGS))
+    def test_worker_count_does_not_matter(self, monkeypatch, setting):
+        # four workers asked for, more than the cores, and a thread switch
+        # every microsecond: a gradient added out of walk order, or an Adam
+        # half crossed with the other, would change the bits
+        variant, clip_norm = self.SETTINGS[setting]
+        tracks, train_s, valid_s, pipeline, _ = tiny_training_setup(seed=3, n_sessions=40)
+        config = training.TrainConfig(batch_size=8, epochs=2, seed=4, clip_norm=clip_norm)
+        caller, adam_threads, node_threads = threading.get_ident(), set(), set()
+        moves, init = training._adam_moves, ad.Node.__init__
+
+        def recording_moves(*args):
+            adam_threads.add(threading.get_ident())
+            moves(*args)
+
+        def recording_init(*args, **kwargs):
+            node_threads.add(threading.get_ident())
+            init(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_adam_moves", recording_moves)
+        monkeypatch.setattr(ad.Node, "__init__", recording_init)
+        runs, before = [], threading.active_count()
+        with switching_every_microsecond():
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(parallel, "WORKERS", workers)
+                adam_threads.clear()
+                runs.append(training.train(train_s, valid_s, tracks, pipeline, variant, config))
+                assert len(adam_threads) == min(workers, 2)
+                assert threading.active_count() == before
+        assert node_threads == {caller}
+        first = runs[0]
+        for run in runs[1:]:
+            assert run.content_hash() == first.content_hash()
+            assert run.metadata["epoch_log"] == first.metadata["epoch_log"]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(
+                run.params.arrays().values(), first.params.arrays().values(), strict=True))
+
+    @pytest.mark.parametrize("where", ["task", "walk"])
+    def test_a_pull_error_comes_out_of_train_as_itself(self, monkeypatch, where):
+        class PullError(Exception):
+            pass
+
+        err, raised = PullError(where), []
+
+        def failing_loss(probs, targets):
+            top, threads, _ = failing_head(model.loss(probs, targets), err, where)
+            raised.append(threads)
+            return top
+
+        tracks, train_s, valid_s, pipeline, variant = tiny_training_setup()
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        monkeypatch.setattr(training, "loss", failing_loss)
+        before = threading.active_count()
+        with pytest.raises(PullError) as info:
+            training.train(train_s, valid_s, tracks, pipeline, variant,
+                           training.TrainConfig(batch_size=8, epochs=1))
+        assert info.value is err
+        assert (raised[0][0] == threading.get_ident()) == (where == "walk")
+        assert threading.active_count() == before
 
 
 class TestOverfitSanity:
