@@ -8,16 +8,8 @@ order and accumulates gradients into every node that requires them. Only
 parameters (leaves that require a gradient) own a ``grad`` array from the
 start; every other node's ``grad`` is ``None`` until ``backward`` reaches it.
 
-``backward`` may be given a worker thread (an executor of one thread). The
-walk and every pull into an intermediate node stay on the calling thread; a
-node's pulls into parameters, which nothing later in the walk reads, become
-one task that the worker runs while the walk goes on. Three rules keep the
-grads bit for bit those of the walk alone, and free of races: a parameter's
-contributions are added in walk order (the caller runs a task out of order,
-once its walk has ended, only if no other unfinished task writes one of its
-parameters); a node's other pulls run before its task is queued, so the
-memos they share are filled first; and ``backward`` returns or raises only
-when every task has finished, with the first error in walk order.
+``backward`` may be given a worker thread, which forms the parameter
+gradients while the walk goes on, with the same bits (see ``parallel``).
 
 Inside ``with no_grad():`` nothing is recorded: an op's output keeps no
 parents and no pulls, so it does not require a gradient, and each
@@ -577,18 +569,16 @@ def _pull_leaves(pulls, g) -> None:
         leaf.grad += pull(g)
 
 
-def _finish(tasks) -> None:
+def _finish(tasks, steal: bool) -> None:
     """Finish the parameter-gradient tasks a worker was given, as
-    ``(leaf ids, pulls, g, future)`` in walk order: run on the calling
-    thread, newest first, each one the worker has not started and whose
-    leaves no other unfinished task writes, then wait for the rest. Raises
-    the error of the first task, in walk order, that failed."""
+    ``(pulls, g, future)`` in walk order. If ``steal`` (no two tasks write
+    the same leaf), run on the calling thread, newest first, each one the
+    worker has not started; then wait for the rest. Raises the error of the
+    first task, in walk order, that failed."""
     errors = {}  # the errors of the tasks run here
-    for k in reversed(range(len(tasks))):
-        leaves, pulls, g, job = tasks[k]
-        shared = any(not other.done() and leaves & others
-                     for j, (others, _, _, other) in enumerate(tasks) if j != k)
-        if not shared and job.cancel():
+    for k in reversed(range(len(tasks) if steal else 0)):
+        pulls, g, job = tasks[k]
+        if job.cancel():
             try:
                 _pull_leaves(pulls, g)
             except BaseException as err:
@@ -610,20 +600,12 @@ def backward(loss: Node, worker: Executor | None = None) -> None:
     (``add`` passes it through, ``concat_cols`` slices it), so an intermediate
     grad is never added to in place.
 
-    The walk runs on the calling thread, and so does every pull into an
-    intermediate node. A node's pulls into leaves (parameters) form one task,
-    queued after that node's other pulls, so the memos those fill (``gru``'s
-    sweep, ``enrich_affine``'s summed gradient) are complete before the task
-    reads them. Without a ``worker`` each task runs on the calling thread as
-    soon as it is queued. With one (an executor of one thread) the tasks run
-    there in queue order while the walk goes on; when the walk ends, the
-    caller runs every task the worker has not started, newest first, as long
-    as no other unfinished task writes one of its leaves, and waits for the
-    rest. So each leaf's contributions are added in walk order, as without a
-    worker, and the grads are the same bit for bit. ``backward`` returns, or
-    raises, only when every task has finished; the error that comes out is
-    the first in walk order, the same object that was raised. A task builds
-    no ``Node``.
+    A node's pulls into leaves (parameters) form one task, queued after that
+    node's other pulls, so the memos those fill (``gru``'s sweep,
+    ``enrich_affine``'s summed gradient) are complete before the task reads
+    them. Without a ``worker`` each task runs on the calling thread as soon
+    as it is queued; with one, the tasks are shared as ``parallel`` states.
+    A task builds no ``Node``.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 loss, got {loss.shape}")
@@ -635,7 +617,7 @@ def backward(loss: Node, worker: Executor | None = None) -> None:
         if node.parents:
             node.grad = None
     loss.grad = np.ones((1, 1))
-    tasks = []
+    tasks, leaves, steal = [], set(), True
     try:
         for node in reversed(order):
             g = node.grad
@@ -650,7 +632,9 @@ def backward(loss: Node, worker: Executor | None = None) -> None:
             if leaf_pulls and worker is None:
                 _pull_leaves(leaf_pulls, g)
             elif leaf_pulls:
-                tasks.append(({id(leaf) for leaf, _ in leaf_pulls}, leaf_pulls, g,
-                              worker.submit(_pull_leaves, leaf_pulls, g)))
+                ids = {id(leaf) for leaf, _ in leaf_pulls}
+                steal = steal and leaves.isdisjoint(ids)
+                leaves |= ids
+                tasks.append((leaf_pulls, g, worker.submit(_pull_leaves, leaf_pulls, g)))
     finally:
-        _finish(tasks)
+        _finish(tasks, steal)

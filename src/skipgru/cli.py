@@ -16,7 +16,8 @@ rejected, and the model, training and glove values are range-checked when
 the file is read. A flag sets the section field named by its ``dest``;
 explicit flags win over config-file values, which win over the built-in
 defaults. Exit codes:
-0 success, 2 usage, 3 data/format error, 4 numeric failure.
+0 success, 2 usage, 3 data/format error (any package error but a numeric
+one, or an OS error), 4 numeric failure (``NumericError``, ``TrainingError``).
 """
 
 from __future__ import annotations
@@ -32,16 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, glove, metrics, training
-from .errors import (
-    AlignmentError,
-    CheckpointError,
-    ConfigError,
-    DataError,
-    EnsembleError,
-    NumericError,
-    ShapeError,
-    TrainingError,
-)
+from .errors import ConfigError, DataError, NumericError, SkipGruError, TrainingError
 from .features import FeaturePipeline
 from .model import VariantConfig
 
@@ -380,13 +372,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DataError, ConfigError, CheckpointError, AlignmentError,
-            EnsembleError, ShapeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
     except (NumericError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (SkipGruError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def entry() -> None:

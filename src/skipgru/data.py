@@ -326,7 +326,12 @@ def _parse_int64(raw: str, column: str, line_no: int) -> int:
 
 
 def _parse_float(raw: str, column: str, line_no: int) -> float:
+    """A float field as ``float()`` reads it, but only in ASCII and with no
+    ``_``: ``float()`` would read ``1_80.5`` as 180.5 and other scripts'
+    digits as numbers too."""
     try:
+        if not raw.isascii() or "_" in raw:
+            raise ValueError(raw)
         return float(raw)
     except ValueError:
         raise ParseError(f"line {line_no}: column '{column}' is not a number: "
@@ -673,9 +678,8 @@ def write_tracks(path, tracks: TrackTable) -> None:
 def write_sessions(path, table: SessionTable, mode: str = "train") -> None:
     """Serialize a table in its order. The interaction columns are blank for
     unobserved events and, in infer mode, for events past the first half."""
-    session = np.repeat(np.arange(len(table)), table.lengths)
-    shown = table.observed & ((mode != "infer")
-                              | (table.positions <= first_half_length(table.lengths)[session]))
+    session, _, first = table.event_layout()
+    shown = table.observed & ((mode != "infer") | first)
     blank = [""] * len(INTERACTION_COLUMNS)
     columns = (session, table.positions, table.track_index, shown, table.flags.astype(np.int64),
                table.counts, table.context_index)

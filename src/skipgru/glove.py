@@ -18,12 +18,10 @@ with no copy, as ``[V * nb, bw]`` rows (row ``r``'s block ``b`` is row
 dims a block is 15 wide and no array of size slice x d exists; a ``d`` with
 no divisor from 8 to 16 runs as one block. Block ``b`` owns the rows
 ``r * nb + b`` of both tables and both caches and no other memory, so the
-blocks of a slice are split into contiguous groups that run at once: the
-calling thread steps the first group while one worker thread steps the
-rest (``parallel.WORKERS``, at most two threads in all). Every (row,
-column) sum still adds the slice's entries in slice order in one
-``bincount``, so the result depends neither on the block width nor on the
-thread count, bit for bit.
+two halves of a slice's blocks may run on two threads at once (see
+``parallel``). Every (row, column) sum still adds the slice's entries in
+slice order in one ``bincount``, so the result does not depend on the block
+width, bit for bit.
 The buffers are allocated once per training call, and rows are gathered with
 ``np.take(..., out=, mode="clip")`` after ``check_table`` has proved every
 index in range. The exported embedding for a track is
@@ -285,15 +283,14 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
     count and weight are computed once per pair. A slice's dot products are
     summed over ROW_CHUNK rows at a time on the calling thread, which also
     computes the residuals, the loss and the bias steps. The vector steps then
-    run one column block of width ``bw`` at a time (``_block_width``); the
-    ``nb`` blocks are split into ``min(parallel.WORKERS, nb)`` contiguous
-    groups, and while the caller steps the first group a worker thread,
-    started once per call and joined before it returns or raises, steps the
-    other. The groups write disjoint rows, and each thread owns three
-    ``[slice, bw]`` float buffers; the dot chunks borrow their memory, so
-    the workspace allocated once per call is those buffers and two
-    ``[slice, bw]`` intp ones (one if there is one block). The result is the
-    same, bit for bit, at any thread count. AdaGrad caches start at 1 so early steps are bounded by lr. The loss
+    run one column block of width ``bw`` at a time (``_block_width``), the
+    two halves of the ``nb`` blocks on the caller and the worker
+    (``parallel.split``). The halves write disjoint rows, and each owns three
+    ``[slice, bw]`` float buffers; the dot chunks borrow their memory, so the
+    workspace allocated once per call is those buffers and two
+    ``[slice, bw]`` intp ones (one set of each if there is one block).
+
+    AdaGrad caches start at 1 so early steps are bounded by lr. The loss
     recorded per epoch is the objective evaluated as each slice is visited,
     before its update.
     """
@@ -326,25 +323,22 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
     logx = np.log(table.values)
     f = glove_weights(table.values, x_max, alpha)
 
-    # the blocks in contiguous groups, one per thread; the caller runs the first
-    workers = min(parallel.WORKERS, nb)
-    groups = [range(nb * t // workers, nb * (t + 1) // workers) for t in range(workers)]
-
-    # Workspace: each group's three [slice, bw] block buffers (``_block_steps``)
-    # and each side's flat bincount index (with one block, the two sides take
-    # turns in one buffer). A chunk's gathered w_i and w~_j rows, whose
+    # Workspace: three [slice, bw] block buffers (``_block_steps``) for each
+    # half of the blocks (``parallel.split``) and each side's flat bincount
+    # index; with one block there is one half, and the two sides take turns
+    # in one index buffer. A chunk's gathered w_i and w~_j rows, whose
     # products are summed into ``dot``, borrow the block buffers' memory: no
     # block runs until the chunks are summed.
     n = len(flat)
     m_max, chunk = min(ENTRY_BATCH, n), min(ROW_CHUNK, n)
-    work = np.empty(max(2 * chunk * dims, workers * 3 * m_max * bw))
+    work = np.empty(max(2 * chunk * dims, min(nb, 2) * 3 * m_max * bw))
     rows_i, rows_j = work[:2 * chunk * dims].reshape(2, chunk, dims)
-    buffers = work[:workers * 3 * m_max * bw].reshape(workers, 3, m_max, bw)
+    buffers = work[:min(nb, 2) * 3 * m_max * bw].reshape(-1, 3, m_max, bw)
     dot = np.empty(m_max)
     places = np.empty((min(nb, 2), m_max, bw), dtype=np.intp)
 
     # leaving the block joins the worker, whether the loop returns or raises
-    with parallel.helpers(workers) as pool:
+    with parallel.worker() as pool:
         for _ in range(epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
@@ -372,11 +366,8 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
                     # the sides' slots give way to the flat indexes built from them
                     index = [_flat_index(slot, place[:m]) for slot, place in zip(index, places)]
                 args = (steps, (i * nb, j * nb), g, index, shared, lr)
-                jobs = [pool.submit(_block_steps, group, buf[:, :m], *args)
-                        for group, buf in zip(groups[1:], buffers[1:])]
-                _block_steps(groups[0], buffers[0, :, :m], *args)
-                for job in jobs:
-                    job.result()
+                parallel.split(pool, nb, lambda k, half: _block_steps(
+                    range(nb)[half], buffers[k, :, :m], *args))
             emb.epoch_losses.append(epoch_loss)
     return emb
 
@@ -404,7 +395,10 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     """Read 'track_id v_1 .. v_d' lines into a dict of float64 vectors.
 
     A line's values are parsed by one ``np.array`` call, which reads each
-    token as ``float()`` does; every error names its line.
+    token as ``float()`` does, once the tokens are known to be ASCII and to
+    hold no ``_``, which ``float()`` would also read (``1_0`` as 10); the
+    track id may hold any character but whitespace. Every error names its
+    line.
     """
     table: dict[str, np.ndarray] = {}
     dims = None
@@ -421,7 +415,10 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                 )
             if fields[0] in table:
                 raise ValidationError(f"line {line_no}: duplicate track id {fields[0]!r}")
+            text = "".join(fields[1:])
             try:
+                if not text.isascii() or "_" in text:
+                    raise ValueError(text)
                 vec = np.array(fields[1:], dtype=np.float64)
             except ValueError:
                 raise ValidationError(f"line {line_no}: non-numeric embedding value") from None

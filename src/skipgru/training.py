@@ -106,11 +106,9 @@ def adam_step(params: ModelParams, state: AdamState, worker: Executor | None = N
     ``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, with ``b1``, ``b2`` and
     ``eps`` the ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` constants, so
     the update is bitwise that of the expressions, element by element, and
-    allocates nothing after the first step. Without a ``worker`` the flat
-    vectors are updated at once; with one (an executor of one thread) they
-    are cut into two contiguous halves, the caller updating the first while
-    the worker updates the second, with the same bits, since no element's
-    arithmetic reads another's.
+    allocates nothing after the first step. No element's arithmetic reads
+    another's, so the flat vectors may be cut in two halves for the caller
+    and a ``worker`` (``parallel.split``) with the same bits.
     """
     w, g = params.values, params.grads
     if not np.isfinite(g).all():
@@ -122,12 +120,8 @@ def adam_step(params: ModelParams, state: AdamState, worker: Executor | None = N
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     flat = (w, g, state.m, state.v, *state.scratch)
-    pieces = [slice(None)] if worker is None else [slice(0, w.size // 2), slice(w.size // 2, None)]
-    jobs = [worker.submit(_adam_moves, *(a[piece] for a in flat), state.lr, bc1, bc2)
-            for piece in pieces[1:]]
-    _adam_moves(*(a[pieces[0]] for a in flat), state.lr, bc1, bc2)
-    for job in jobs:
-        job.result()
+    parallel.split(worker, w.size, lambda _, half: _adam_moves(
+        *(a[half] for a in flat), state.lr, bc1, bc2))
 
 
 def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
@@ -327,16 +321,8 @@ def train(
     multi-task loss over the real positions, backward, Adam. Validation mean
     AA is computed after every epoch; the best epoch's arrays are copied and,
     at the end, written back into the model the checkpoint returns. Fully
-    deterministic given config.seed.
-
-    Where the process may run on two CPUs (``parallel.WORKERS``), the call
-    has one worker thread, started at its first task and joined before the
-    call returns or raises. The forward, the loss, the batch gathers,
-    clipping and validation stay on the calling thread, and so does the
-    backward walk with every pull into an intermediate node; the worker
-    forms the parameter gradients (``ad.backward``) and runs the second half
-    of every Adam step (``adam_step``). The checkpoint is the same, bit for
-    bit, at any worker count.
+    deterministic given config.seed. The backward and Adam steps may share
+    their work with one worker thread (see ``parallel``).
     """
     if not train_sessions or not valid_sessions:
         raise ConfigError("train and validation session lists must be non-empty")
@@ -352,7 +338,7 @@ def train(
     best_aa = None
     epoch_log: list[dict] = []
     # leaving the block joins the worker, whether the loop returns or raises
-    with parallel.helpers(min(parallel.WORKERS, 2)) as worker:
+    with parallel.worker() as worker:
         for epoch in range(1, config.epochs + 1):
             order = shuffle_rng.permutation(len(train_sessions))
             batch_losses = []

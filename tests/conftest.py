@@ -3,11 +3,8 @@ across machines and matrix products in timed tests run on one core, and make
 every Hypothesis property test deterministic: examples come from a fixed
 seed, nothing is stored between runs, and no example has a deadline.
 
-Two parts may still use a second thread, ``parallel.WORKERS``, with the same
-bits: GloVe's column-block steps, and in ``training.train`` the parameter
-gradients of every backward (a node's pulls into parameters run on the
-worker in walk order, its pulls into intermediate nodes on the caller before
-them) and the second half of every Adam step."""
+GloVe training and ``training.train`` may still use one worker thread, with
+the same bits as without it (see ``skipgru.parallel``)."""
 
 import os
 

@@ -1,5 +1,7 @@
 import threading
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,6 +294,48 @@ class TestBackwardWithAWorker:
                     grads.append([p.grad.tobytes() for p in params])
                 assert grads[0] == grads[1]
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("build,stolen", [(one_leaf_three_ways, False),
+                                              (recurrent_head, True)],
+                             ids=["a-shared-leaf", "disjoint-leaves"])
+    def test_the_caller_runs_unstarted_tasks_only_if_no_two_share_a_leaf(
+            self, monkeypatch, build, stolen):
+        # the worker is held busy until the caller waits for the tasks, so
+        # every task is still queued when the walk ends
+        caller, release, ran = threading.get_ident(), threading.Event(), []
+        pull, wait = ad._pull_leaves, futures.wait
+
+        def recording_pull(pulls, g):
+            ran.append((threading.get_ident(), [id(leaf) for leaf, _ in pulls]))
+            pull(pulls, g)
+
+        def releasing_wait(jobs):
+            release.set()
+            return wait(jobs)
+
+        monkeypatch.setattr(ad, "_pull_leaves", recording_pull)
+        monkeypatch.setattr(ad, "futures", SimpleNamespace(wait=releasing_wait))
+        runs = []
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for pool in (None, worker):
+                loss, params = build(np.random.default_rng(3))
+                index = {id(p): k for k, p in enumerate(params)}
+                ran.clear()
+                release.clear()
+                if pool is not None:
+                    pool.submit(release.wait, 10)
+                ad.backward(loss, pool)
+                runs.append(([p.grad.tobytes() for p in params],
+                             [(thread == caller, [index[leaf] for leaf in leaves])
+                              for thread, leaves in ran]))
+        (serial_grads, serial_tasks), (grads, tasks) = runs
+        assert grads == serial_grads
+        walk = [leaves for _, leaves in serial_tasks]
+        assert len(walk) > 1
+        if stolen:
+            assert tasks == [(True, leaves) for leaves in reversed(walk)]
+        else:
+            assert tasks == [(False, leaves) for leaves in walk]
 
     @pytest.mark.parametrize("where", ["task", "walk"])
     def test_an_error_comes_out_as_itself_once_every_task_has_finished(self, where):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from helpers import rewrite_checkpoint
 
-from skipgru import cli, data, glove, metrics, model, training
+from skipgru import cli, data, errors, glove, metrics, model, training
 from skipgru.errors import ConfigError
 from skipgru.model import VariantConfig
 
@@ -63,6 +63,26 @@ class TestModuleEntryPoints:
         assert done.returncode == 0 and "sessions=12" in done.stdout
         for name in ("tracks.csv", "sessions.csv", "sessions_holdout.csv"):
             assert (tmp_path / "d" / name).stat().st_size > 0
+
+
+class TestExitCodeByErrorFamily:
+    """Every error class of the package leaves ``main`` as its family's exit
+    code and one ``error:`` line: 4 for a numeric or training failure, 3 for
+    any other."""
+
+    CLASSES = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.SkipGruError)]
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_exits_by_family_with_one_error_line(self, monkeypatch, capsys, cls):
+        def failing_stage(path):
+            raise cls(f"{path}: stage failed")
+
+        monkeypatch.setattr(cli, "_load_truth", failing_stage)
+        code = run(["evaluate", "--truth", "truth.csv", "--submission", "sub.txt"])
+        assert code == (4 if issubclass(cls, (errors.NumericError, errors.TrainingError)) else 3)
+        err = capsys.readouterr().err
+        assert err == "error: truth.csv: stage failed\n" and "Traceback" not in err
 
 
 class TestGenData:

@@ -673,6 +673,32 @@ class TestRowErrors:
             data.load_tracks(path)
         assert str(info.value) == f"line 3: column 'release_year' is not an integer: {raw!r}"
 
+    @pytest.mark.parametrize("column,raw", [("duration", "1_80.5"), ("acoustic_0", "\u0661"),
+                                            ("duration", "\u0662\u0660\u0660.5"),
+                                            ("acoustic_0", "0.2_5")],
+                             ids=["underscore", "arabic-indic", "arabic-indic-decimal",
+                                  "underscore-fraction"])
+    def test_loose_float(self, tmp_path, column, raw):
+        # float() reads all of these; the file format's numerals are ASCII
+        # with no digit grouping
+        fields = {"duration": "200.0", "acoustic_0": "0.5", column: raw}
+        path = tmp_path / "t.csv"
+        path.write_text("track_id,duration,release_year,acoustic_0\n"
+                        f"a,200.0,2000,0.5\nb,{fields['duration']},2000,{fields['acoustic_0']}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            data.load_tracks(path)
+        assert str(info.value) == f"line 3: column '{column}' is not a number: {raw!r}"
+
+    def test_track_id_may_hold_underscores_and_other_scripts(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("track_id,duration,release_year,acoustic_0\n"
+                        "a_1,200.5,2000,0.5\n\u0661\u00e9,180.25,1999,-1e-3\n",
+                        encoding="utf-8")
+        tracks = data.load_tracks(path)
+        assert tracks.ids == sorted(["a_1", "\u0661\u00e9"])
+        assert sorted(tracks.duration.tolist()) == [180.25, 200.5]
+
     def test_long_release_year(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("track_id,duration,release_year,acoustic_0\n"

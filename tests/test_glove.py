@@ -1,4 +1,3 @@
-import sys
 import tempfile
 import threading
 import tracemalloc
@@ -24,6 +23,7 @@ from helpers import (
     reference_train_glove,
     scatter_adagrad_step,
     session_table,
+    switching_every_microsecond,
 )
 
 
@@ -415,8 +415,9 @@ class TestWorkspaceLoop:
                              ids=["ten-blocks", "three-blocks", "one-block"])
     def test_worker_count_does_not_matter(self, monkeypatch, dims, blocks):
         # 10,000 directed entries: two full slices and a short one. Four
-        # threads, more than the cores, switching every microsecond would
-        # show an update lost or crossed between the groups
+        # workers asked for, more than the cores, give the caller and one
+        # worker; switching every microsecond would show an update lost or
+        # crossed between the halves
         table = random_table(300, 5_000, seed=21)
         steps, threads = glove._block_steps, set()
 
@@ -425,17 +426,14 @@ class TestWorkspaceLoop:
             steps(*args)
 
         monkeypatch.setattr(glove, "_block_steps", recording)
-        runs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        runs, before = [], threading.active_count()
+        with switching_every_microsecond():
             for workers in (1, 2, 4):
                 monkeypatch.setattr(parallel, "WORKERS", workers)
                 threads.clear()
                 runs.append(glove.train_glove(table, dims=dims, epochs=2, seed=9))
-                assert len(threads) == min(workers, blocks)
-        finally:
-            sys.setswitchinterval(interval)
+                assert len(threads) == min(workers, 2, blocks)
+                assert threading.active_count() == before
         for run in runs[1:]:
             assert_same_embeddings(run, runs[0])
 
@@ -479,14 +477,14 @@ class TestWorkspaceLoop:
         return (peak - inputs) / (glove.ENTRY_BATCH * dims * 8)
 
     def test_one_epoch_peak_stays_under_one_slice(self):
-        # at the default 150 dims the workspace is each thread's three float
+        # at the default 150 dims the workspace is each half's three float
         # [slice, 15] blocks, whose memory the two [ROW_CHUNK, dims] chunks
-        # borrow, and two intp ones: 0.8 slices on two threads, 0.5 on one
+        # borrow, and two intp ones: 0.8 slices, on one thread or two
         assert self.peak_slices(glove.GloveConfig.dims) <= 1.0
 
     def test_one_block_peak_holds_one_flat_index(self):
-        # 151 has no divisor from 8 to 16, so the steps run as one block on one
-        # thread: three float [slice, 151] buffers, which the two
+        # 151 has no divisor from 8 to 16, so the steps run as one block, one
+        # half, on the calling thread: three float [slice, 151] buffers, which the two
         # [ROW_CHUNK, 151] chunks borrow, and one intp one are 4 slices, and a
         # step's sums over at most 400 touched rows add 0.1. The two sides'
         # flat indexes share one buffer; a second one would put the peak near 5.2
@@ -609,8 +607,8 @@ class TestExport:
             glove.load_embeddings(path)
 
     def test_values_parse_as_float_does(self, tmp_path):
-        tokens = ["1_0", "1.5e-400", "-0", "+.5e-3", "4.9e-324", "1e-310", "0.1",
-                  "1.7976931348623157e308", "-2.5E+3", "\u0661\u0662"]
+        tokens = ["1.5e-400", "-0", "+.5e-3", "4.9e-324", "1e-310", "0.1",
+                  "1.7976931348623157e308", "-2.5E+3"]
         rows = [tokens, [repr(float(x)) for x in np.random.default_rng(5).normal(size=len(tokens))]]
         path = tmp_path / "emb.txt"
         path.write_text("".join(f"t{k} " + " ".join(row) + "\n" for k, row in enumerate(rows)),
@@ -618,6 +616,22 @@ class TestExport:
         loaded = glove.load_embeddings(path)
         for k, row in enumerate(rows):
             assert loaded[f"t{k}"].tobytes() == np.array([float(v) for v in row]).tobytes()
+
+    @pytest.mark.parametrize("bad", ["1_0", "1_80.5", "\u0661", "\u0661.\u0662", "1.\u0665"])
+    def test_loose_value_names_its_line(self, tmp_path, bad):
+        # float() reads each of these; the file format's numerals are ASCII
+        # with no digit grouping
+        path = tmp_path / "emb.txt"
+        path.write_text(f"A 1.0 2.0\nB 1.0 2.0\nC 1.0 {bad}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 3: non-numeric"):
+            glove.load_embeddings(path)
+
+    def test_track_id_may_hold_underscores_and_other_scripts(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("t_1 1.0 2.5\n\u0661\u00e9 -3.0 0.25\n", encoding="utf-8")
+        loaded = glove.load_embeddings(path)
+        assert {tid: vec.tolist() for tid, vec in loaded.items()} == {
+            "t_1": [1.0, 2.5], "\u0661\u00e9": [-3.0, 0.25]}
 
     @settings(max_examples=30)
     @given(values=arrays(np.float64, st.tuples(st.just(2), st.integers(1, 8), st.integers(1, 6)),
