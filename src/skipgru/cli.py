@@ -15,7 +15,8 @@ with the sections ``paths``, ``model`` (a ``model.VariantConfig``),
 rejected, and the model, training and glove values are range-checked when
 the file is read. A flag sets the section field named by its ``dest``;
 explicit flags win over config-file values, which win over the built-in
-defaults. Exit codes:
+defaults. Each output file's parent directories are made, and an output
+path that is a directory is rejected, before a stage does any work. Exit codes:
 0 success, 2 usage, 3 data/format error (any package error but a numeric
 one, or an OS error), 4 numeric failure (``NumericError``, ``TrainingError``).
 """
@@ -137,6 +138,16 @@ def _require(value, what: str):
     return value
 
 
+def _output(path):
+    """``path`` once its parent directory exists, made before a stage does any
+    work; a path that is a directory is a ConfigError naming it."""
+    if path is not None:
+        if Path(path).is_dir():
+            raise ConfigError(f"output path {str(path)!r} is a directory")
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -175,7 +186,7 @@ def cmd_gen_data(args) -> int:
 def cmd_embed(args) -> int:
     config = _config_for(args, "paths", "glove")
     sessions_path = _require(config.paths.sessions, "sessions path")
-    out_path = _require(config.paths.embeddings, "embedding output path")
+    out_path = _output(_require(config.paths.embeddings, "embedding output path"))
     g = config.glove
     sessions = data.load_sessions(sessions_path, None, mode="train")
     table = glove.build_cooccurrence(sessions, window=g.window)
@@ -214,7 +225,7 @@ def cmd_train(args) -> int:
     out = args.out
     if out is None and config.paths.checkpoint_dir is not None:
         out = str(Path(config.paths.checkpoint_dir) / "model.ckpt")
-    out = _require(out, "checkpoint output path")
+    out = _output(_require(out, "checkpoint output path"))
 
     tracks = data.load_tracks(tracks_path)
     sessions = data.load_sessions(sessions_path, tracks, mode="train")
@@ -226,7 +237,6 @@ def cmd_train(args) -> int:
         train_split, valid_split, tracks, pipeline, config.model, config.training,
         embedding_ref=embedding_ref, log=print,
     )
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     training.save_checkpoint(checkpoint, out)
     print(f"checkpoint={out}")
     print(f"train_sessions={len(train_split)}")
@@ -240,6 +250,7 @@ def cmd_predict(args) -> int:
     config = _config_for(args, "paths")
     sessions_path = _require(config.paths.sessions, "sessions path")
     tracks_path = _require(config.paths.tracks, "tracks path")
+    _output(args.out)
     members = []
     for path in args.model:
         checkpoint = training.load_checkpoint(path)
@@ -272,6 +283,8 @@ def _load_truth(path) -> tuple[list[str], list[str]]:
 
 
 def cmd_evaluate(args) -> int:
+    _output(args.per_session)
+    _output(args.breakdown)
     names, truth = _load_truth(args.truth)
     submission = metrics.read_submission(args.submission)
     mean, report = metrics.score_submission(truth, submission)

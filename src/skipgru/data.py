@@ -325,12 +325,26 @@ def _parse_int64(raw: str, column: str, line_no: int) -> int:
     raise ParseError(f"line {line_no}: column '{column}' does not fit in 64 bits: {_echo(raw)}")
 
 
+def first_loose_float(fields: list[str]) -> int | None:
+    """The index of the first of ``fields`` that ``float()`` may read although
+    it is no numeral of the file formats, or None. A numeral is ASCII, holds
+    no ``_``, and has no blank at either end and no leading ``+`` (``float()``
+    reads ``1_80.5``, `` 7 `` and ``+3``); an exponent keeps its sign, as
+    ``repr`` writes ``1e+20``. A field ``float()`` cannot read is left to it.
+    ``fields`` is one csv field or a line's tokens split at whitespace, so a
+    line of plain numerals is settled by a few scans of its joined text."""
+    text = "".join(fields)
+    if text.isascii() and "_" not in text and "+" not in text and text == text.strip():
+        return None
+    return next((k for k, raw in enumerate(fields) if not raw.isascii() or "_" in raw
+                 or raw[:1] == "+" or raw != raw.strip()), None)
+
+
 def _parse_float(raw: str, column: str, line_no: int) -> float:
-    """A float field as ``float()`` reads it, but only in ASCII and with no
-    ``_``: ``float()`` would read ``1_80.5`` as 180.5 and other scripts'
-    digits as numbers too."""
+    """A float field: a numeral as ``float()`` reads it, by the rule of
+    ``first_loose_float``."""
     try:
-        if not raw.isascii() or "_" in raw:
+        if first_loose_float([raw]) is not None:
             raise ValueError(raw)
         return float(raw)
     except ValueError:
@@ -752,7 +766,7 @@ def gen_synthetic(
         affinity = np.exp(TASTE_CONCENTRATION * (tracks.acoustic @ taste))
         affinity /= affinity.sum()
         chosen = rng.choice(n_tracks, size=length, p=affinity)
-        hour = int(rng.integers(0, 24))
+        hour = int(rng.integers(0, HOURS_PER_DAY))
         context = CONTEXT_TYPES[rng.integers(0, len(CONTEXT_TYPES))]
         for pos, track in enumerate(chosen.tolist(), start=1):
             skip = bool(float(u @ tracks.acoustic[track]) < 0.0)

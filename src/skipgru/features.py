@@ -12,13 +12,18 @@ doublet (second-half event, interactions withheld):
     [track embedding (d_emb) | duration | release_year | acoustic_0..d_ac-1 |
      position | is_pad]
 
-Only this module knows the layout: ``FeaturePipeline.encode`` turns a
-session table into per-event arrays once, and ``EncodedSessions.batch``
-gathers a batch's real rows from them, packed in the order the model reads
-them (see ``EncodedSessions.batch``). No row is a pad: is_pad stays in the
-layout, which checkpoints fix, and is 0 everywhere. The track embeddings
-are one matrix: a used track's row is gathered from it, or is zero for a
-track without an embedding.
+Only this module knows the layout. ``FeaturePipeline.encode`` turns a
+session table into two blocks once: ``static``, the song metadata of each
+used track (embedding, duration, release_year, acoustic), and ``dynamic``,
+every other column of each event (the interaction block, position, is_pad).
+A triplet is its track's static row followed by its event's whole dynamic
+row; a doublet is the same static row followed by the dynamic row's last two
+columns, so it is its triplet without the interaction block.
+``EncodedSessions.batch`` gathers a batch's real rows from the two blocks,
+packed in the order the model reads them. No row is a pad: is_pad stays in
+the layout, which checkpoints fix, and is 0 everywhere. The track
+embeddings are one matrix: a used track's row is gathered from it, or is
+zero for a track without an embedding.
 
 Every numeric column is scaled into [0, 1] by one expression, ``min_max``,
 from its training range. The context_type slot carries a code, 0 for a type
@@ -43,6 +48,7 @@ import numpy as np
 from .data import (
     COUNT_COLUMNS,
     MAX_SESSION_LEN,
+    TASK_NAMES,
     SessionTable,
     TrackTable,
     first_half_length,
@@ -50,8 +56,8 @@ from .data import (
 )
 from .errors import DataError, EmptyBatchError, StateError, ValidationError
 
-# width of the interaction-only block: 3 counts + 4 booleans + context code
-INTERACTION_WIDTH = len(COUNT_COLUMNS) + 4 + 1
+# width of the interaction-only block: 3 counts + 4 task flags + context code
+INTERACTION_WIDTH = len(COUNT_COLUMNS) + len(TASK_NAMES) + 1
 
 
 def min_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -193,15 +199,14 @@ class FeaturePipeline:
                                   f"interaction at position {table.positions[e]} (first half)")
         k = len(COUNT_COLUMNS)  # the last k numeric columns
         context = id_rows(self.contexts, table.context_types) + 1
-        interactions = np.zeros((len(first), INTERACTION_WIDTH))
-        interactions[first] = np.column_stack([
+        dynamic = np.zeros((len(first), INTERACTION_WIDTH + 2))  # is_pad stays 0
+        dynamic[first, :INTERACTION_WIDTH] = np.column_stack([
             min_max(table.counts[first], self.lo[-k:], self.hi[-k:]),
             table.flags[first], context[table.context_index[first]]])
+        dynamic[:, -2] = position_feature(table.positions.astype(np.float64))
         static = np.hstack([self._embedding_rows([tracks.ids[r] for r in used.tolist()]),
                             min_max(self._track_values(tracks, used), self.lo[:-k], self.hi[:-k])])
-        return EncodedSessions(table.offsets, static, track_row,
-                               position_feature(table.positions.astype(np.float64)),
-                               interactions, table.flags)
+        return EncodedSessions(table.offsets, static, track_row, dynamic, table.flags)
 
     def state_key(self) -> tuple[str, bytes]:
         """Exact, hashable identity of the fitted state: pipelines with equal
@@ -287,20 +292,22 @@ class Batch:
 
 @dataclass
 class EncodedSessions:
-    """A featurized session list on the session table's flat event axis.
+    """A featurized session list on the session table's flat event axis, as
+    two blocks: what belongs to a track, once per track, and what belongs to
+    an event, once per event.
 
     Session ``k`` holds events ``offsets[k]:offsets[k + 1]``, its first half
-    observed. Per event: a row of ``static`` (one row per used track), the
-    position feature, the scaled interaction block (0 on second-half events)
-    and the four task labels.
+    observed. An event's triplet is its track's row of ``static`` followed by
+    its row of ``dynamic``: the scaled interaction block (0 on second-half
+    events), then position and is_pad. Its doublet is the same static row
+    followed by the last two columns of ``dynamic`` only.
     """
 
-    offsets: np.ndarray       # int [n + 1]
-    static: np.ndarray        # [tracks used, d_doub - 2]
-    track_row: np.ndarray     # int [events], into static
-    positions: np.ndarray     # [events] position feature
-    interactions: np.ndarray  # [events, INTERACTION_WIDTH]
-    labels: np.ndarray        # bool [events, 4], TASK_NAMES order
+    offsets: np.ndarray    # int [n + 1]
+    static: np.ndarray     # [tracks used, d_doub - 2]
+    track_row: np.ndarray  # int [events], into static
+    dynamic: np.ndarray    # [events, INTERACTION_WIDTH + 2]
+    labels: np.ndarray     # bool [events, 4], TASK_NAMES order
 
     def batch(self, rows) -> Batch:
         """The sessions at ``rows``, in that order, as packed real rows.
@@ -327,12 +334,7 @@ class EncodedSessions:
         within = np.arange(len(session)) - (np.cumsum(second_lengths) - second_lengths)[session]
         second = (starts + first_lengths)[session] + within
         return Batch(
-            np.hstack([self.static[self.track_row[first]], self.interactions[first],
-                       self._tail(first)]),
+            np.hstack([self.static[self.track_row[first]], self.dynamic[first]]),
             sizes, last,
-            np.hstack([self.static[self.track_row[second]], self._tail(second)]),
+            np.hstack([self.static[self.track_row[second]], self.dynamic[second, -2:]]),
             session, self.labels[second].astype(np.float64))
-
-    def _tail(self, events: np.ndarray) -> np.ndarray:
-        """The ``position | is_pad`` columns of ``events``; no row is a pad."""
-        return np.column_stack([self.positions[events], np.zeros(len(events))])

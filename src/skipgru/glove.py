@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import parallel
-from .data import SessionTable, atomic_write, open_text
+from .data import SessionTable, atomic_write, first_loose_float, open_text
 from .errors import ConfigError, TrainingError, ValidationError
 
 ENTRY_BATCH = 4096
@@ -395,10 +395,10 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     """Read 'track_id v_1 .. v_d' lines into a dict of float64 vectors.
 
     A line's values are parsed by one ``np.array`` call, which reads each
-    token as ``float()`` does, once the tokens are known to be ASCII and to
-    hold no ``_``, which ``float()`` would also read (``1_0`` as 10); the
-    track id may hold any character but whitespace. Every error names its
-    line.
+    token as ``float()`` does, once ``data.first_loose_float`` has found no
+    token that ``float()`` reads but the format forbids (``1_0``, ``+3``);
+    the track id may hold any character but whitespace. Every error names
+    its line, and a non-numeric value its column (the id is column 1).
     """
     table: dict[str, np.ndarray] = {}
     dims = None
@@ -415,16 +415,29 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                 )
             if fields[0] in table:
                 raise ValidationError(f"line {line_no}: duplicate track id {fields[0]!r}")
-            text = "".join(fields[1:])
+            values = fields[1:]
+            bad = first_loose_float(values)
             try:
-                if not text.isascii() or "_" in text:
-                    raise ValueError(text)
-                vec = np.array(fields[1:], dtype=np.float64)
-            except ValueError:
-                raise ValidationError(f"line {line_no}: non-numeric embedding value") from None
+                vec = np.array(values, dtype=np.float64)
+            except ValueError:  # name an unreadable value unless a loose one comes first
+                bad = _first_unreadable(values[:bad])
+            if bad is not None:
+                raise ValidationError(f"line {line_no}: non-numeric embedding value in "
+                                      f"column {bad + 2}")
             if not np.isfinite(vec).all():
                 raise ValidationError(f"line {line_no}: non-finite embedding value")
             table[fields[0]] = vec
     if not table:
         raise ValidationError(f"{path}: no embeddings found")
     return table
+
+
+def _first_unreadable(values: list[str]) -> int:
+    """The index of the first of ``values`` that NumPy cannot read as a float,
+    or ``len(values)`` when it reads them all."""
+    for k, raw in enumerate(values):
+        try:
+            np.float64(raw)
+        except ValueError:
+            return k
+    return len(values)

@@ -420,6 +420,33 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: line 5: column 'release_year' is not an integer: '+1999'\n"
 
+    @pytest.mark.parametrize("column, name, raw", [
+        (1, "duration", " 7 "), (1, "duration", "+300.5"), (3, "acoustic_0", '"\t0.5\n"'),
+        (5, "acoustic_2", "+1e-3")])
+    def test_blank_or_plus_around_a_track_float_exits_three(self, workspace, tmp_path, capsys,
+                                                             column, name, raw):
+        tracks = _with_field(workspace / "tracks.csv", tmp_path / "tracks.csv", 5, column, raw)
+        assert run(["train", "--sessions", str(workspace / "sessions.csv"),
+                    "--tracks", str(tracks), "--embeddings", str(workspace / "emb.txt"),
+                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: line 5: column '{name}' is not a number: {raw.strip(chr(34))!r}\n"
+
+    @pytest.mark.parametrize("column", [2, 5])
+    def test_plus_before_an_embedding_value_exits_three(self, workspace, tmp_path, capsys,
+                                                        column):
+        lines = (workspace / "emb.txt").read_text().splitlines()
+        tokens = lines[2].split()
+        tokens[column - 1] = "+" + tokens[column - 1].lstrip("-")
+        lines[2] = " ".join(tokens)
+        embeddings = tmp_path / "emb.txt"
+        embeddings.write_text("\n".join(lines) + "\n")
+        assert run(["train", "--sessions", str(workspace / "sessions.csv"),
+                    "--tracks", str(workspace / "tracks.csv"), "--embeddings", str(embeddings),
+                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: line 3: non-numeric embedding value in column {column}\n"
+
     @pytest.mark.parametrize("name, flag, line_no, column", [
         ("tracks.csv", "--tracks", 5, 2), ("sessions.csv", "--sessions", 12, 1)])
     def test_numeral_past_the_int_digit_limit_exits_three(self, workspace, tmp_path, capsys,
@@ -606,6 +633,71 @@ def trained(workspace, tmp_path_factory):
                     "--hidden-size", "4", "--seed", str(k)] + extra) == 0
         paths.append(ckpt)
     return paths
+
+
+def writing_to(command, workspace, trained, out):
+    """argv of a short ``command`` run that writes its output to ``out``;
+    ``evaluate-per-session`` and ``evaluate-breakdown`` are ``evaluate`` with
+    that flag."""
+    sessions, tracks = str(workspace / "sessions.csv"), str(workspace / "tracks.csv")
+    holdout = workspace / "sessions_holdout.csv"
+    if command.startswith("evaluate"):
+        submission = out.parent.parent / "truth.txt"
+        metrics.write_submission(submission, metrics.second_half_truth(
+            data.load_sessions(holdout, None, mode="train")))
+        flag = command.replace("evaluate", "")
+        return ["evaluate", "--truth", str(holdout), "--submission", str(submission),
+                flag, str(out)]
+    return {
+        "embed": ["embed", "--sessions", sessions, "--out", str(out), "--dims", "4",
+                  "--epochs", "1"],
+        "train": ["train", "--sessions", sessions, "--tracks", tracks,
+                  "--embeddings", str(workspace / "emb.txt"), "--out", str(out),
+                  "--epochs", "1", "--batch-size", "16", "--hidden-size", "4"],
+        "predict": ["predict", "--model", str(trained[0]), "--sessions", str(holdout),
+                    "--tracks", tracks, "--out", str(out)],
+    }[command]
+
+
+each_writer = pytest.mark.parametrize(
+    "command", ["embed", "train", "predict", "evaluate--per-session", "evaluate--breakdown"])
+
+
+class TestOutputPaths:
+    """Every output path is treated alike before its stage does any work: its
+    parent directories are made, and a path that is a directory exits 3 with
+    an error naming it."""
+
+    @each_writer
+    def test_writes_into_a_fresh_nested_directory(self, workspace, trained, tmp_path, capsys,
+                                                  command):
+        out = tmp_path / "fresh" / "nested" / "out.txt"
+        (tmp_path / "fresh").mkdir()
+        assert run(writing_to(command, workspace, trained, out)) == 0
+        assert out.is_file() and os.listdir(out.parent) == ["out.txt"]
+
+    def test_gen_data_writes_into_a_fresh_nested_directory(self, tmp_path, capsys):
+        out = tmp_path / "fresh" / "nested"
+        assert run(["gen-data", "--out-dir", str(out), "--sessions", "5", "--tracks", "50"]) == 0
+        assert sorted(os.listdir(out)) == ["sessions.csv", "tracks.csv"]
+
+    @each_writer
+    def test_a_directory_fails_before_any_stage_work(self, workspace, trained, tmp_path, capsys,
+                                                     monkeypatch, command):
+        out = tmp_path / "fresh" / "isdir"
+        out.mkdir(parents=True)
+        argv = writing_to(command, workspace, trained, out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stage read its input")
+
+        for owner, name in [(data, "load_sessions"), (data, "load_tracks"),
+                            (data, "open_text"), (training, "load_checkpoint"),
+                            (metrics, "read_submission")]:
+            monkeypatch.setattr(owner, name, refuse)
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"error: output path {str(out)!r} is a directory\n"
+        assert os.listdir(out) == []
 
 
 class TestPredictAndEvaluate:

@@ -675,20 +675,32 @@ class TestRowErrors:
 
     @pytest.mark.parametrize("column,raw", [("duration", "1_80.5"), ("acoustic_0", "\u0661"),
                                             ("duration", "\u0662\u0660\u0660.5"),
-                                            ("acoustic_0", "0.2_5")],
+                                            ("acoustic_0", "0.2_5"), ("duration", " 7 "),
+                                            ("acoustic_0", "7 "), ("duration", "+3"),
+                                            ("acoustic_0", "\t1.5\n"), ("duration", "+1e+20"),
+                                            ("acoustic_0", "+inf")],
                              ids=["underscore", "arabic-indic", "arabic-indic-decimal",
-                                  "underscore-fraction"])
+                                  "underscore-fraction", "blanks", "trailing-blank", "plus",
+                                  "tab-newline", "plus-exponent", "plus-inf"])
     def test_loose_float(self, tmp_path, column, raw):
-        # float() reads all of these; the file format's numerals are ASCII
-        # with no digit grouping
+        # float() reads all of these; the file format's numerals are ASCII,
+        # with no digit grouping, no blank around them and no leading "+"
+        # (an exponent keeps its sign)
         fields = {"duration": "200.0", "acoustic_0": "0.5", column: raw}
         path = tmp_path / "t.csv"
-        path.write_text("track_id,duration,release_year,acoustic_0\n"
-                        f"a,200.0,2000,0.5\nb,{fields['duration']},2000,{fields['acoustic_0']}\n",
-                        encoding="utf-8")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["track_id", "duration", "release_year", "acoustic_0"],
+                                      ["a", "200.0", "2000", "0.5"],
+                                      ["b", fields["duration"], "2000", fields["acoustic_0"]]])
         with pytest.raises(ParseError) as info:
             data.load_tracks(path)
         assert str(info.value) == f"line 3: column '{column}' is not a number: {raw!r}"
+
+    @settings(max_examples=200)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_repr_parses(self, value):
+        assert np.float64(data._parse_float(repr(value), "duration", 2)).tobytes() == \
+            np.float64(value).tobytes()
 
     def test_track_id_may_hold_underscores_and_other_scripts(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipgru import data
 from skipgru.errors import DataError, StateError, ValidationError
@@ -273,6 +275,35 @@ class TestAssembly:
                     continue
                 for got, want in zip(unpack(batch)[order.index(k)], alone, strict=True):
                     assert np.array_equal(got, want)
+
+
+class TestTwoBlocks:
+    """A triplet is its track's static row followed by its event's whole
+    dynamic row; a doublet is the same static row followed by the dynamic
+    row's last two columns, so it is its triplet without the interaction
+    block."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(draw=st.data())
+    def test_packed_rows_are_the_two_blocks(self, corpus, pipeline, draw):
+        tracks, sessions = corpus
+        chosen = draw.draw(st.lists(st.integers(0, len(sessions) - 1), min_size=1,
+                                    unique=True), label="sessions")
+        encoded = pipeline.encode(sessions.take(chosen), tracks)
+        rows = draw.draw(st.permutations(range(len(chosen))), label="order")
+        rows = rows[:draw.draw(st.integers(1, len(rows)), label="batch size")]
+        batch = encoded.batch(rows)
+        starts, lengths = encoded.offsets[rows], np.diff(encoded.offsets)[rows]
+        firsts = data.first_half_length(lengths)
+        first = [starts[k] + t for k, t in packed_order(firsts.tolist())]
+        second = [start + t for start, f, n in zip(starts, firsts, lengths) for t in range(f, n)]
+        assert encoded.dynamic.shape == (len(encoded.track_row), INTERACTION_WIDTH + 2)
+        for row, e in zip(batch.first, first, strict=True):
+            assert row.tolist() == [*encoded.static[encoded.track_row[e]], *encoded.dynamic[e]]
+        for row, e in zip(batch.second, second, strict=True):
+            assert row.tolist() == [*encoded.static[encoded.track_row[e]],
+                                    *encoded.dynamic[e, -2:]]
+            assert not encoded.dynamic[e, :-2].any()
 
 
 class TestPipelineState:

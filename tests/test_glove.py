@@ -588,13 +588,16 @@ class TestExport:
         with pytest.raises(ValidationError, match="line 2.*non-finite"):
             glove.load_embeddings(path)
 
-    # float() reads the last five, but the format's numerals are ASCII with no "_"
+    # float() reads the last ten, but the format's numerals are ASCII with no
+    # "_" and no leading "+"
     @pytest.mark.parametrize("bad", ["0x10", "abc", "1,0", "nan(1)", "1..0", "1_0", "1_80.5",
-                                     "\u0661", "\u0661.\u0662", "1.\u0665"])
+                                     "\u0661", "\u0661.\u0662", "1.\u0665", "+0.5", "+.5e-3",
+                                     "+1e+20", "+inf", "+0"])
     def test_non_numeric_value_names_its_line(self, tmp_path, bad):
         path = tmp_path / "emb.txt"
         path.write_text(f"A 1.0 2.0\nB 1.0 2.0\nC {bad} 2.0\nD 1.0 2.0\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 3: non-numeric"):
+        with pytest.raises(ValidationError, match="^line 3: non-numeric embedding value in "
+                                                  "column 2$"):
             glove.load_embeddings(path)
 
     @pytest.mark.parametrize("text,expected", [
@@ -610,7 +613,7 @@ class TestExport:
             glove.load_embeddings(path)
 
     def test_values_parse_as_float_does(self, tmp_path):
-        tokens = ["1.5e-400", "-0", "+.5e-3", "4.9e-324", "1e-310", "0.1",
+        tokens = ["1.5e-400", "-0", ".5e-3", "4.9e-324", "1e-310", "0.1",
                   "1.7976931348623157e308", "-2.5E+3"]
         rows = [tokens, [repr(float(x)) for x in np.random.default_rng(5).normal(size=len(tokens))]]
         path = tmp_path / "emb.txt"
@@ -619,6 +622,25 @@ class TestExport:
         loaded = glove.load_embeddings(path)
         for k, row in enumerate(rows):
             assert loaded[f"t{k}"].tobytes() == np.array([float(v) for v in row]).tobytes()
+
+    @pytest.mark.parametrize("values, column", [(["x", "+1"], 2), (["+1", "x"], 2),
+                                                (["1", "1_0"], 3), (["1", "0x1"], 3),
+                                                (["1", "+1e+20"], 3)])
+    def test_first_bad_value_is_the_column_named(self, tmp_path, values, column):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"A {' '.join(values)}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            glove.load_embeddings(path)
+        assert str(info.value) == f"line 1: non-numeric embedding value in column {column}"
+
+    @settings(max_examples=200)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_repr_loads(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.txt"
+            path.write_text(f"A {value!r} {-value!r}\n", encoding="utf-8")
+            loaded = glove.load_embeddings(path)["A"]
+        assert loaded.tobytes() == np.array([value, -value]).tobytes()
 
     def test_track_id_may_hold_underscores_and_other_scripts(self, tmp_path):
         path = tmp_path / "emb.txt"
