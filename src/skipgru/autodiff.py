@@ -47,6 +47,10 @@ from .errors import DegenerateBatchError, NumericError, ShapeError, StateError
 
 ELU_ALPHA = 1.0
 BCE_CLIP = 1e-12
+# every norm layer's running-statistics rate and variance floor; a checkpoint
+# stores neither, so they are constants of the code
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
 
 ACTIVATION_KINDS = ("sigmoid", "relu", "elu")
 
@@ -343,23 +347,19 @@ class BatchNormState:
 
     Train mode normalizes with the current batch's per-column mean and biased
     variance and folds them into the running statistics in place
-    (``running = (1 - momentum) * running + momentum * batch``, the same
-    products and sum), so the arrays keep their identity; infer mode uses the
-    running statistics only.
+    (``running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch``, the
+    same products and sum), so the arrays keep their identity; infer mode
+    uses the running statistics only. Both modes add ``BN_EPSILON`` to the
+    variance. These four arrays are the whole layer, so a checkpoint that
+    stores them reproduces it.
     """
 
     gamma: Node
     beta: Node
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
     def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in (0, 1), got {self.momentum}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if (self.running_var < 0.0).any():
             raise ValueError("running_var entries must be non-negative")
 
@@ -382,11 +382,11 @@ def batchnorm(a: Node, state: BatchNormState, mode: str) -> Node:
             )
         mu = x.mean(axis=0)
         var = x.var(axis=0)
-        inv = 1.0 / np.sqrt(var + state.epsilon)
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (x - mu) * inv
         for running, batch in ((state.running_mean, mu), (state.running_var, var)):
-            running *= 1.0 - state.momentum
-            running += state.momentum * batch
+            running *= 1.0 - BN_MOMENTUM
+            running += BN_MOMENTUM * batch
 
         def pull_a(g):
             dxhat = g * gval
@@ -395,7 +395,7 @@ def batchnorm(a: Node, state: BatchNormState, mode: str) -> Node:
             )
 
     else:
-        inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        inv = 1.0 / np.sqrt(state.running_var + BN_EPSILON)
         xhat = (x - state.running_mean) * inv
 
         def pull_a(g):

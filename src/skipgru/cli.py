@@ -16,9 +16,11 @@ rejected, and the model, training and glove values are range-checked when
 the file is read. A flag sets the section field named by its ``dest``;
 explicit flags win over config-file values, which win over the built-in
 defaults. Each output file's parent directories are made, and an output
-path that is a directory is rejected, before a stage does any work. Exit codes:
+path that is a directory, or the same file as one of the stage's inputs or
+its other output, is rejected, before a stage does any work. Exit codes:
 0 success, 2 usage, 3 data/format error (any package error but a numeric
-one, or an OS error), 4 numeric failure (``NumericError``, ``TrainingError``).
+one, an OS error, or an allocation failure), 4 numeric failure
+(``NumericError``, ``TrainingError``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -138,12 +141,28 @@ def _require(value, what: str):
     return value
 
 
-def _output(path):
-    """``path`` once its parent directory exists, made before a stage does any
-    work; a path that is a directory is a ConfigError naming it."""
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: by ``os.path.samefile``
+    when both exist, so another spelling or a link counts too, else by their
+    resolved spellings."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _output(flag: str, path, *inputs: tuple[str, str | None]):
+    """``path``, given by ``flag``, once its parent directory exists, made
+    before a stage does any work. A path that is a directory, or that names
+    the same file as one of the ``(flag, path)`` pairs ``inputs``, is a
+    ConfigError naming it."""
     if path is not None:
         if Path(path).is_dir():
             raise ConfigError(f"output path {str(path)!r} is a directory")
+        for other_flag, other in inputs:
+            if other is not None and _same_file(path, other):
+                raise ConfigError(f"{flag} {str(path)!r} names the same file as "
+                                  f"{other_flag} {str(other)!r}")
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -186,7 +205,8 @@ def cmd_gen_data(args) -> int:
 def cmd_embed(args) -> int:
     config = _config_for(args, "paths", "glove")
     sessions_path = _require(config.paths.sessions, "sessions path")
-    out_path = _output(_require(config.paths.embeddings, "embedding output path"))
+    out_path = _output("--out", _require(config.paths.embeddings, "embedding output path"),
+                       ("--sessions", sessions_path), ("--config", args.config))
     g = config.glove
     sessions = data.load_sessions(sessions_path, None, mode="train")
     table = glove.build_cooccurrence(sessions, window=g.window)
@@ -225,7 +245,9 @@ def cmd_train(args) -> int:
     out = args.out
     if out is None and config.paths.checkpoint_dir is not None:
         out = str(Path(config.paths.checkpoint_dir) / "model.ckpt")
-    out = _output(_require(out, "checkpoint output path"))
+    out = _output("--out", _require(out, "checkpoint output path"),
+                  ("--sessions", sessions_path), ("--tracks", tracks_path),
+                  ("--embeddings", embeddings_path), ("--config", args.config))
 
     tracks = data.load_tracks(tracks_path)
     sessions = data.load_sessions(sessions_path, tracks, mode="train")
@@ -250,7 +272,8 @@ def cmd_predict(args) -> int:
     config = _config_for(args, "paths")
     sessions_path = _require(config.paths.sessions, "sessions path")
     tracks_path = _require(config.paths.tracks, "tracks path")
-    _output(args.out)
+    _output("--out", args.out, *(("--model", path) for path in args.model),
+            ("--sessions", sessions_path), ("--tracks", tracks_path), ("--config", args.config))
     members = []
     for path in args.model:
         checkpoint = training.load_checkpoint(path)
@@ -283,8 +306,9 @@ def _load_truth(path) -> tuple[list[str], list[str]]:
 
 
 def cmd_evaluate(args) -> int:
-    _output(args.per_session)
-    _output(args.breakdown)
+    inputs = (("--truth", args.truth), ("--submission", args.submission))
+    _output("--per-session", args.per_session, *inputs)
+    _output("--breakdown", args.breakdown, *inputs, ("--per-session", args.per_session))
     names, truth = _load_truth(args.truth)
     submission = metrics.read_submission(args.submission)
     mean, report = metrics.score_submission(truth, submission)
@@ -390,6 +414,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (SkipGruError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -211,13 +211,11 @@ class FeaturePipeline:
     def state_key(self) -> tuple[str, bytes]:
         """Exact, hashable identity of the fitted state: pipelines with equal
         keys encode every session to the same bytes."""
-        state = self.to_dict()
-        table = state.pop("embeddings")
-        return json.dumps(state, sort_keys=True), table.tobytes()
+        return json.dumps(self.to_dict(), sort_keys=True), self.embedding_table.tobytes()
 
     def to_dict(self) -> dict:
-        """The fitted state; ``embeddings`` is the read-only ``embedding_table``
-        itself, not a copy."""
+        """The fitted state but the embedding table, as plain JSON values; the
+        table is ``embedding_table``, whose rows follow ``embedding_ids``."""
         self._require_fitted()
         bounds = zip(self.numeric_columns, zip(self.lo.tolist(), self.hi.tolist()))
         return {
@@ -226,16 +224,16 @@ class FeaturePipeline:
             "scalers": {name: list(pair) for name, pair in sorted(bounds)},
             "context_vocab": {c: k for k, c in enumerate(self.contexts, start=1)},
             "embedding_ids": list(self.embedding_ids),
-            "embeddings": self.embedding_table,
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "FeaturePipeline":
-        """The pipeline ``to_dict`` wrote. A state that ``fit`` could not have
-        written is a ValidationError naming its field."""
+    def from_dict(cls, payload: dict, embeddings: np.ndarray) -> "FeaturePipeline":
+        """The pipeline whose ``to_dict`` is ``payload`` and whose
+        ``embedding_table`` is a copy of ``embeddings``. A state that ``fit``
+        could not have written is a ValidationError naming its field."""
         pipeline = cls({}, d_emb=payload["d_emb"])
         ids = list(payload["embedding_ids"])
-        table = np.array(payload["embeddings"], dtype=np.float64)
+        table = np.array(embeddings, dtype=np.float64)
         if table.shape != (len(ids), pipeline.d_emb):
             raise ValidationError(f"embeddings: table of shape {table.shape} does not match "
                                   f"{len(ids)} ids of dimension {pipeline.d_emb}")

@@ -151,10 +151,6 @@ class EmbeddingTable:
     context_bias: np.ndarray
     epoch_losses: list[float] = field(default_factory=list)
 
-    @property
-    def dims(self) -> int:
-        return self.main.shape[1]
-
     def vectors(self) -> np.ndarray:
         return self.main + self.context
 

@@ -71,7 +71,6 @@ def mean_aa(pred_bits, truth_bits, lengths) -> tuple[float, dict]:
     mean = sum(aa.tolist()) / len(aa)
     return mean, {
         "sessions": len(aa),
-        "mean_aa": mean,
         # every row has a first position, so its count is the row count
         "first_position_accuracy": hits.tolist()[0] / len(aa),
         "per_session": aa,

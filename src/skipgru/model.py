@@ -245,7 +245,7 @@ class ModelParams:
 
 def encode_first_half(batch: Batch, params: ModelParams) -> ad.Node:
     """Run both GRU layers over the batch's packed first-half rows; concat the
-    two states at each session's last step, ``[batch, 4H]`` in batch order."""
+    two states at each session's last step, ``[batch, 2H]`` in batch order."""
     dims = params.dims
     first = batch.first
     if first.ndim != 2 or first.shape[1] != dims.d_trip:

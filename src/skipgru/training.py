@@ -174,13 +174,13 @@ class Checkpoint:
 
     def payload(self) -> dict:
         """The header payload: the arrays appear as their shapes."""
-        pipeline = self.pipeline.to_dict()
         return {
             "variant": asdict(self.params.variant),
             "dims": asdict(self.params.dims),
             "params": {name: {"shape": list(arr.shape)}
                        for name, arr in self.params.arrays().items()},
-            "pipeline": {**pipeline, "embeddings": {"shape": list(pipeline["embeddings"].shape)}},
+            "pipeline": {**self.pipeline.to_dict(),
+                         "embeddings": {"shape": list(self.pipeline.embedding_table.shape)}},
             "embedding_ref": self.embedding_ref,
             "metadata": self.metadata,
         }
@@ -266,7 +266,7 @@ def load_checkpoint(path) -> Checkpoint:
         table = values[n_params:].reshape(table_shape)
         _check_array(path, "pipeline.embeddings", table)
         try:
-            pipeline = FeaturePipeline.from_dict({**payload["pipeline"], "embeddings": table})
+            pipeline = FeaturePipeline.from_dict(payload["pipeline"], table)
         except ValidationError as err:
             raise CheckpointIntegrityError(f"{path}: pipeline.{err}") from None
         dims = ModelDims(**payload["dims"])

@@ -113,11 +113,11 @@ def head_reference(x_i, x_half, session, params, mode):
     return ad.sigmoid(ad.affine(ad.activation(a2, act), params.head_w3, params.head_b3))
 
 
-def batchnorm_state(width, momentum=0.1, epsilon=1e-5):
+def batchnorm_state(width):
     """A norm layer of ``width`` columns at its initial scale 1, shift 0 and
     running statistics, with its own parameter nodes."""
     return ad.BatchNormState(ad.parameter(np.ones((1, width))), ad.parameter(np.zeros((1, width))),
-                             np.zeros(width), np.ones(width), momentum, epsilon)
+                             np.zeros(width), np.ones(width))
 
 
 def fresh_params(variant, dims, seed=0):

@@ -133,22 +133,25 @@ class TestConcat:
 
 
 class TestBatchNorm:
+    # a column of variance 1 normalizes to x / sqrt(1 + BN_EPSILON)
+    UNIT = 1.0 / np.sqrt(1.0 + ad.BN_EPSILON)
+
     def test_hand_normalization(self):
-        state = batchnorm_state(1, epsilon=1e-12)
+        state = batchnorm_state(1)
         out = ad.batchnorm(ad.constant([[1.0], [3.0]]), state, "train")
-        assert np.allclose(out.value, [[-1.0], [1.0]], atol=1e-6)
+        assert np.allclose(out.value, [[-self.UNIT], [self.UNIT]], rtol=0.0, atol=1e-15)
 
     def test_already_normalized_unchanged(self):
         x = np.array([[-1.0], [1.0]])
-        state = batchnorm_state(1, epsilon=1e-12)
+        state = batchnorm_state(1)
         out = ad.batchnorm(ad.constant(x), state, "train")
-        assert np.allclose(out.value, x, atol=1e-6)
+        assert np.allclose(out.value, x * self.UNIT, rtol=0.0, atol=1e-15)
 
     def test_infer_identity_running_stats(self):
-        state = batchnorm_state(3, epsilon=1e-12)
+        state = batchnorm_state(3)
         x = np.random.default_rng(0).normal(size=(4, 3))
         out = ad.batchnorm(ad.constant(x), state, "infer")
-        assert np.allclose(out.value, x, atol=1e-6)
+        assert np.allclose(out.value, x * self.UNIT, rtol=0.0, atol=1e-15)
 
     def test_degenerate_batch(self):
         state = batchnorm_state(2)
@@ -158,36 +161,36 @@ class TestBatchNorm:
     def test_train_columns_standardized(self):
         rng = np.random.default_rng(3)
         x = rng.normal(loc=5.0, scale=3.0, size=(64, 4))
-        state = batchnorm_state(4, epsilon=1e-14)
+        state = batchnorm_state(4)
         out = ad.batchnorm(ad.constant(x), state, "train").value
+        var = x.var(axis=0)
         assert np.abs(out.mean(axis=0)).max() < 1e-9
-        assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
+        assert np.abs(out.var(axis=0) - var / (var + ad.BN_EPSILON)).max() < 1e-12
 
     def test_running_stats_update(self):
         x = np.array([[0.0, 10.0], [2.0, 14.0]])
-        state = batchnorm_state(2, momentum=0.5)
+        state = batchnorm_state(2)
         ad.batchnorm(ad.constant(x), state, "train")
-        assert np.allclose(state.running_mean, [0.5, 6.0])
-        assert np.allclose(state.running_var, [1.0, 2.5])
+        # batch mean [1, 12] and variance [1, 4], folded in at BN_MOMENTUM = 0.1
+        assert ad.BN_MOMENTUM == 0.1
+        assert np.allclose(state.running_mean, [0.1, 1.2])
+        assert np.allclose(state.running_var, [1.0, 1.3])
 
     def test_running_stats_update_in_place_bitwise(self):
         # the stats keep their array objects, and every batch folds in by the
         # out-of-place formula's two products and sum, bit for bit
         rng = np.random.default_rng(11)
-        state = batchnorm_state(5, momentum=0.3)
+        state = batchnorm_state(5)
         mean, var = state.running_mean, state.running_var
         want_mean, want_var = mean.copy(), var.copy()
+        rate = ad.BN_MOMENTUM
         for _ in range(4):
             x = rng.normal(loc=2.0, scale=3.0, size=(7, 5))
             ad.batchnorm(ad.constant(x), state, "train")
-            want_mean = (1.0 - 0.3) * want_mean + 0.3 * x.mean(axis=0)
-            want_var = (1.0 - 0.3) * want_var + 0.3 * x.var(axis=0)
+            want_mean = (1.0 - rate) * want_mean + rate * x.mean(axis=0)
+            want_var = (1.0 - rate) * want_var + rate * x.var(axis=0)
             assert state.running_mean is mean and state.running_var is var
             assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
-
-    def test_momentum_bounds(self):
-        with pytest.raises(ValueError):
-            batchnorm_state(2, momentum=1.0)
 
 
 class TestBackward:

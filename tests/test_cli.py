@@ -1,7 +1,9 @@
+import argparse
 import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -34,6 +36,16 @@ class TestUsage:
 
     def test_unknown_command_exits_two(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def test_readme_names_every_flag_on_its_subcommand_line(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        for name, parser in commands.items():
+            line = next((line for line in lines if line.startswith(f"- `{name}`")), "")
+            missing = [flag for action in parser._actions for flag in action.option_strings
+                       if flag.startswith("--") and flag != "--help" and f"`{flag}`" not in line]
+            assert not missing, f"README's `{name}` line does not name {missing}"
 
 
 class TestModuleEntryPoints:
@@ -659,6 +671,16 @@ def writing_to(command, workspace, trained, out):
     }[command]
 
 
+def _refuse_stage_work(monkeypatch):
+    """Make every stage's first read fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage read its input")
+
+    for owner, name in [(data, "load_sessions"), (data, "load_tracks"), (data, "open_text"),
+                        (training, "load_checkpoint"), (metrics, "read_submission")]:
+        monkeypatch.setattr(owner, name, refuse)
+
+
 each_writer = pytest.mark.parametrize(
     "command", ["embed", "train", "predict", "evaluate--per-session", "evaluate--breakdown"])
 
@@ -687,17 +709,103 @@ class TestOutputPaths:
         out = tmp_path / "fresh" / "isdir"
         out.mkdir(parents=True)
         argv = writing_to(command, workspace, trained, out)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a stage read its input")
-
-        for owner, name in [(data, "load_sessions"), (data, "load_tracks"),
-                            (data, "open_text"), (training, "load_checkpoint"),
-                            (metrics, "read_submission")]:
-            monkeypatch.setattr(owner, name, refuse)
+        _refuse_stage_work(monkeypatch)
         assert run(argv) == 3
         assert capsys.readouterr().err == f"error: output path {str(out)!r} is a directory\n"
         assert os.listdir(out) == []
+
+
+def _set_flag(argv, flag, value):
+    """``argv`` with ``flag``'s value set to ``value``, appended if absent."""
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+
+
+def _spell(path, spelling):
+    """Another name of ``path``: itself, a ``sub/..`` detour or a symlink."""
+    if spelling == "dotted":
+        (path.parent / "sub").mkdir(exist_ok=True)
+        return os.path.join(path.parent, "sub", "..", path.name)
+    if spelling == "link":
+        (path.parent / "alias").symlink_to(path)
+        return str(path.parent / "alias")
+    return str(path)
+
+
+spellings = pytest.mark.parametrize("spelling", ["same", "dotted", "link"])
+
+
+class TestOutputNamingAnInput:
+    """An output that is the same file as one of its stage's inputs, or as
+    its other output, exits 3 before any work, naming both flags; the input
+    keeps its bytes."""
+
+    @spellings
+    @pytest.mark.parametrize("command, out_flag, in_flag", [
+        ("embed", "--out", "--sessions"), ("embed", "--out", "--config"),
+        ("train", "--out", "--sessions"), ("train", "--out", "--tracks"),
+        ("train", "--out", "--embeddings"), ("train", "--out", "--config"),
+        ("predict", "--out", "--model"), ("predict", "--out", "--sessions"),
+        ("predict", "--out", "--tracks"), ("predict", "--out", "--config"),
+        ("evaluate--per-session", "--per-session", "--truth"),
+        ("evaluate--per-session", "--per-session", "--submission"),
+        ("evaluate--breakdown", "--breakdown", "--truth"),
+        ("evaluate--breakdown", "--breakdown", "--submission"),
+    ])
+    def test_exits_three_and_keeps_the_input(self, workspace, trained, tmp_path, capsys,
+                                             monkeypatch, command, out_flag, in_flag, spelling):
+        argv = writing_to(command, workspace, trained, tmp_path / "out" / "out.txt")
+        given = tmp_path / "input"
+        if in_flag == "--config":
+            given.write_text("{}")
+        else:
+            shutil.copyfile(argv[argv.index(in_flag) + 1], given)
+        before = given.read_bytes()
+        out = _spell(given, spelling)
+        _set_flag(argv, in_flag, str(given))
+        _set_flag(argv, out_flag, out)
+        _refuse_stage_work(monkeypatch)
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (f"error: {out_flag} {out!r} names the same file "
+                                           f"as {in_flag} {str(given)!r}\n")
+        assert given.read_bytes() == before
+
+    @spellings
+    def test_one_file_for_both_evaluate_outputs_exits_three(self, workspace, trained, tmp_path,
+                                                            capsys, monkeypatch, spelling):
+        per_session = tmp_path / "report.csv"
+        argv = writing_to("evaluate--per-session", workspace, trained,
+                          tmp_path / "out" / "out.txt")
+        _set_flag(argv, "--per-session", str(per_session))
+        _set_flag(argv, "--breakdown", breakdown := _spell(per_session, spelling))
+        _refuse_stage_work(monkeypatch)
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (f"error: --breakdown {breakdown!r} names the same "
+                                           f"file as --per-session {str(per_session)!r}\n")
+        assert not per_session.exists()
+
+
+class TestAllocationFailure:
+    """A size no machine can allocate exits 3 with one ``error:`` line, not a
+    traceback. Both sizes ask for exabytes, so the request fails at once and
+    nothing is allocated."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--hidden-size", "100000000"),
+        ("embed", "--dims", "10000000000000000"),
+    ])
+    def test_exits_three_with_one_error_line(self, workspace, trained, tmp_path, capsys,
+                                             command, flag, value):
+        out = tmp_path / "out.txt"
+        argv = writing_to(command, workspace, trained, out)
+        _set_flag(argv, flag, value)
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate ")
+        assert "EiB" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestPredictAndEvaluate:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,11 +322,19 @@ class TestPipelineState:
 
     def test_serialization_round_trip(self, corpus, pipeline):
         tracks, sessions = corpus
-        clone = FeaturePipeline.from_dict(pipeline.to_dict())
+        clone = FeaturePipeline.from_dict(pipeline.to_dict(), pipeline.embedding_table)
         assert clone.state_key() == pipeline.state_key()
+        assert clone.embedding_table is not pipeline.embedding_table
         a = one_batch(sessions[:5], clone, tracks)
         b = one_batch(sessions[:5], pipeline, tracks)
         assert batch_bytes(a) == batch_bytes(b)
+
+    def test_state_is_plain_json(self, pipeline):
+        # the table travels on its own; everything else survives a JSON round trip
+        state = pipeline.to_dict()
+        assert "embeddings" not in state
+        clone = FeaturePipeline.from_dict(json.loads(json.dumps(state)), pipeline.embedding_table)
+        assert clone.state_key() == pipeline.state_key()
 
     def test_state_key_detects_schema_change(self, corpus, pipeline):
         tracks, sessions = corpus

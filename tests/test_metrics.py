@@ -399,7 +399,7 @@ def count_encodes(monkeypatch):
 
 def shifted_copy(pipeline):
     """An equal-schema copy whose duration bounds span a wider range."""
-    copy = FeaturePipeline.from_dict(pipeline.to_dict())
+    copy = FeaturePipeline.from_dict(pipeline.to_dict(), pipeline.embedding_table)
     copy.hi[copy.numeric_columns.index("duration")] += 50.0
     return copy
 

@@ -367,7 +367,10 @@ class TestCheckpointIO:
         assert envelope["schema_version"] == training.SCHEMA_VERSION == 2
         assert envelope["sha256"] == ckpt.content_hash()
         pipeline = envelope["payload"]["pipeline"]
-        assert pipeline["embeddings"] == {"shape": [len(pipeline["embedding_ids"]), 3]}
+        # the pipeline's JSON state, then the table's shape, in this key order
+        want = {**ckpt.pipeline.to_dict(),
+                "embeddings": {"shape": [len(ckpt.pipeline.embedding_ids), 3]}}
+        assert list(pipeline.items()) == list(want.items())
         assert pipeline["embedding_ids"] == sorted(pipeline["embedding_ids"])
 
     def test_file_is_header_plus_raw_floats(self, tmp_path):
