@@ -3,10 +3,13 @@
 Values are float64 numpy arrays of shape (rows, cols). Every operation
 returns a new :class:`Node` whose ``parents`` list carries ``(node, pull)``
 pairs; ``pull`` maps the output gradient to that parent's gradient
-contribution. ``backward`` walks the graph once in reverse topological
-order and accumulates gradients into every node that requires them. Only
-parameters (leaves that require a gradient) own a ``grad`` array from the
-start; every other node's ``grad`` is ``None`` until ``backward`` reaches it.
+contribution. Each node also holds its construction index, and a node is
+built after its parents, so the order of construction is a topological
+order: ``backward`` walks the reachable graph once, newest node first, and
+accumulates gradients into every node that requires them. Only parameters
+(leaves that require a gradient) own a ``grad`` array from the start; every
+other node's ``grad`` is ``None`` until ``backward`` first reaches it, and
+the first contribution of a pass replaces what an earlier pass left.
 
 ``backward`` may be given a worker thread, which forms the parameter
 gradients while the walk goes on, with the same bits (see ``parallel``).
@@ -36,6 +39,8 @@ their values and gradients are within 1e-12 of the largest entry of each.
 from __future__ import annotations
 
 import contextvars
+import heapq
+import itertools
 from concurrent import futures
 from concurrent.futures import Executor
 from contextlib import contextmanager
@@ -55,6 +60,9 @@ BN_EPSILON = 1e-5
 ACTIVATION_KINDS = ("sigmoid", "relu", "elu")
 
 _recording = contextvars.ContextVar("skipgru_autodiff_recording", default=True)
+# every Node's construction index; ``next`` on it is one call under the
+# interpreter lock, so nodes built on two threads never share an index
+_built = itertools.count()
 
 
 def as_matrix(x) -> np.ndarray:
@@ -70,9 +78,13 @@ def as_matrix(x) -> np.ndarray:
 
 
 class Node:
-    """A matrix value in the compute graph with an accumulated gradient."""
+    """A matrix value in the compute graph with an accumulated gradient.
 
-    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward_done")
+    ``index`` is the node's place in the order nodes were built in; since a
+    node is built after its parents, its index exceeds each of theirs.
+    """
+
+    __slots__ = ("value", "grad", "parents", "requires_grad", "index", "_backward_done")
 
     def __init__(self, value, requires_grad: bool = False, parents=None, op: str = "leaf"):
         v = as_matrix(value)
@@ -82,6 +94,7 @@ class Node:
         self.grad = np.zeros_like(v) if requires_grad and not parents else None
         self.parents = [] if parents is None else parents
         self.requires_grad = requires_grad
+        self.index = next(_built)
         self._backward_done = False
 
     @property
@@ -285,13 +298,8 @@ def enrich_affine(x: Node, h: Node, idx, gate: Node, w: Node, b: Node) -> Node:
     out += b.value
 
     sum_rows = _row_summer(idx, h.shape[0])
-    memo: dict = {}
-
-    def pulled(g):
-        """``(g summed by row of h, dL/d gated)``, once per ``backward``."""
-        if memo.get("g") is not g:
-            memo["g"], memo["pulled"] = g, (sum_rows(g), g @ w_g.T)
-        return memo["pulled"]
+    # (g summed by row of h, dL/d gated)
+    pulled = _once_per_pass(lambda g: (sum_rows(g), g @ w_g.T))
 
     def pull_h(g):
         g_h, d_gated = pulled(g)
@@ -525,14 +533,7 @@ def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, sizes) -> Node:
             do += np.matmul(dp[:, :2 * h], w_gate_t, out=dfg)
         return d_pre, d_o
 
-    memo: dict = {}
-
-    def swept(g):
-        """``(dL/d pre, dL/d o0)``, swept once per ``backward``: all pulls of a
-        pass get one gradient object, never added into in place."""
-        if memo.get("g") is not g:
-            memo["g"], memo["swept"] = g, sweep(g)
-        return memo["swept"]
+    swept = _once_per_pass(sweep)  # (dL/d pre, dL/d o0)
 
     return _result(out, [
         (pre, lambda g: swept(g)[0]),
@@ -543,23 +544,19 @@ def gru(pre: Node, o0: Node, w_us: Node, w_rs: Node, w_s: Node, sizes) -> Node:
     ], "gru")
 
 
-def _topo_order(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
+def _once_per_pass(fn):
+    """``fn`` memoized on the identity of its one argument. ``backward`` hands
+    every pull of a node the same gradient object, once per pass, so the
+    pulls of one node that share ``fn`` run it once per pass, and each pass
+    gets its own result. The result is shared, so no pull adds into it."""
+    memo = [None, None]  # the gradient last seen, and fn of it
+
+    def shared(g):
+        if memo[0] is not g:
+            memo[:] = g, fn(g)
+        return memo[1]
+
+    return shared
 
 
 def _pull_leaves(pulls, g) -> None:
@@ -572,9 +569,9 @@ def _pull_leaves(pulls, g) -> None:
 def _finish(tasks, steal: bool) -> None:
     """Finish the parameter-gradient tasks a worker was given, as
     ``(pulls, g, future)`` in walk order. If ``steal`` (no two tasks write
-    the same leaf), run on the calling thread, newest first, each one the
-    worker has not started; then wait for the rest. Raises the error of the
-    first task, in walk order, that failed."""
+    the same leaf), run on the calling thread, last queued first, each one
+    the worker has not started; then wait for the rest. Raises the error of
+    the first task, in walk order, that failed."""
     errors = {}  # the errors of the tasks run here
     for k in reversed(range(len(tasks) if steal else 0)):
         pulls, g, job = tasks[k]
@@ -593,12 +590,17 @@ def _finish(tasks, steal: bool) -> None:
 def backward(loss: Node, worker: Executor | None = None) -> None:
     """Populate grads of every reachable requires_grad node with dLoss/dNode.
 
-    Leaf grads accumulate across calls until the caller zeroes them. Every
-    intermediate node's grad is reset to ``None`` first and starts at the first
-    contribution it receives, so a node shared with an earlier graph passes on
-    only this loss's gradient. A contribution may be a view of the child's gradient
-    (``add`` passes it through, ``concat_cols`` slices it), so an intermediate
-    grad is never added to in place.
+    The walk pulls the reachable nodes from a heap, newest first by
+    construction index. Every node that reads a node was built after it, so
+    a node leaves the heap only once all its reachable readers have pulled
+    into it, and the walk reaches each node once.
+
+    Leaf grads accumulate across calls until the caller zeroes them. An
+    intermediate node's grad is replaced, not added to, by the first
+    contribution the walk brings it, so a node shared with an earlier graph
+    passes on only this loss's gradient. A contribution may be a view of the
+    child's gradient (``add`` passes it through, ``concat_cols`` slices it),
+    so an intermediate grad is never added to in place.
 
     A node's pulls into leaves (parameters) form one task, queued after that
     node's other pulls, so the memos those fill (``gru``'s sweep,
@@ -612,23 +614,23 @@ def backward(loss: Node, worker: Executor | None = None) -> None:
     if loss._backward_done:
         raise StateError("backward already ran on this graph; rebuild it first")
     loss._backward_done = True
-    order = _topo_order(loss)
-    for node in order:
-        if node.parents:
-            node.grad = None
     loss.grad = np.ones((1, 1))
+    heap, reached = [(-loss.index, loss)], {loss.index}
     tasks, leaves, steal = [], set(), True
     try:
-        for node in reversed(order):
+        while heap:
+            node = heapq.heappop(heap)[1]
             g = node.grad
             leaf_pulls = []
             for parent, pull in node.parents:
                 if not parent.parents:
                     leaf_pulls.append((parent, pull))
-                elif parent.grad is None:
-                    parent.grad = pull(g)
-                else:
+                elif parent.index in reached:
                     parent.grad = parent.grad + pull(g)
+                else:
+                    reached.add(parent.index)
+                    parent.grad = pull(g)
+                    heapq.heappush(heap, (-parent.index, parent))
             if leaf_pulls and worker is None:
                 _pull_leaves(leaf_pulls, g)
             elif leaf_pulls:

@@ -230,7 +230,8 @@ def cmd_embed(args) -> int:
 def _split_validation(sessions, config: TrainSection):
     n_valid = max(1, int(round(len(sessions) * config.val_fraction)))
     if n_valid >= len(sessions):
-        raise ConfigError("validation split leaves no training sessions")
+        raise ConfigError(f"val_fraction {config.val_fraction} leaves no training sessions: "
+                          f"{n_valid} of {len(sessions)} go to validation")
     order = np.random.default_rng([config.seed, 2]).permutation(len(sessions))
     valid = np.zeros(len(sessions), dtype=bool)
     valid[order[:n_valid]] = True

@@ -707,8 +707,21 @@ def write_sessions(path, table: SessionTable, mode: str = "train") -> None:
             in zip(*(column.tolist() for column in columns)))
 
 
+def float_count(*shape: int) -> int:
+    """The element count of a float64 array of ``shape``, as a Python int.
+
+    A count whose bytes no array can index raises ``MemoryError``, as a count
+    too large to allocate does, where NumPy would raise ``ValueError``.
+    """
+    count = math.prod(int(n) for n in shape)
+    if count * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate {count} float64 values: "
+                          f"{count * 8} bytes is more than an array can index")
+    return count
+
+
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim)
+    v = rng.normal(size=float_count(dim))
     return v / np.linalg.norm(v)
 
 

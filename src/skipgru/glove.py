@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import parallel
-from .data import SessionTable, atomic_write, first_loose_float, open_text
+from .data import SessionTable, atomic_write, first_loose_float, float_count, open_text
 from .errors import ConfigError, TrainingError, ValidationError
 
 ENTRY_BATCH = 4096
@@ -295,6 +295,7 @@ def train_glove(table: CooccurrenceTable, dims: int = GloveConfig.dims,
     if not len(table.pairs):
         raise TrainingError("cannot train embeddings on an empty co-occurrence table")
     v = table.n_tracks
+    float_count(v, dims)  # a table no array can hold fails before any draw
     rng = np.random.default_rng(seed)
     span = 0.5 / dims
     emb = EmbeddingTable(

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import SessionTable, TrackTable, second_half_length
+from .data import SessionTable, TrackTable, float_count, second_half_length
 from .errors import ConfigError, DegenerateBatchError, ShapeError
 from .features import Batch, EncodedSessions, FeaturePipeline
 
@@ -177,7 +177,7 @@ class ModelParams:
         self.dims = dims
         h2, n_num = 2 * variant.hidden_size, dims.d_trip - 1
         self._shapes = _stored_shapes(variant, dims)
-        size = sum(rows * cols for rows, cols in self._shapes.values())
+        size = float_count(sum(rows * cols for rows, cols in self._shapes.values()))
         self.values, self.grads = np.zeros(size), np.zeros(size)
         values, grads = self._blocks(self.values), self._blocks(self.grads)
 

@@ -10,12 +10,13 @@ call:
   slice's column blocks to the two threads.
 - ``training.train``: the forward, the loss, the batch gathers, clipping and
   validation stay on the calling thread. In ``autodiff.backward`` so do the
-  walk and every pull into an intermediate node; a node's pulls into
-  parameters form one task, queued after its other pulls so the memos they
-  share are filled first, and the worker runs the tasks in queue order while
-  the walk goes on. When the walk ends, the caller runs the tasks the worker
-  has not started, newest first, if no two tasks write the same parameter,
-  and otherwise waits. Each ``adam_step`` is cut in two by ``split``.
+  walk, which takes the nodes newest first, and every pull into an
+  intermediate node; a node's pulls into parameters form one task, queued
+  after its other pulls so the memos they share are filled first, and the
+  worker runs the tasks in queue (walk) order while the walk goes on. When
+  the walk ends, the caller runs the tasks the worker has not started, last
+  queued first, if no two tasks write the same parameter, and otherwise
+  waits. Each ``adam_step`` is cut in two by ``split``.
 
 No thread starts until a task is submitted, and the worker is joined when
 the call returns or raises. The two threads never write the same memory, and

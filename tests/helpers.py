@@ -7,7 +7,8 @@ track table of a list of track rows, the
 co-occurrence table as a pair dict, the GloVe slice loop as it ran before
 its workspace buffers, a fresh batchnorm state, a fresh model at a seed, a
 checkpoint writer for re-hashed tampered files, a thread switch every
-microsecond, and a loss head whose backward raises from a chosen thread."""
+microsecond, a loss head whose backward raises from a chosen thread, and
+the nodes a graph reaches."""
 
 import hashlib
 import json
@@ -373,3 +374,14 @@ def failing_head(loss, err, where):
     top = ad.Node(loss.value, requires_grad=True,
                   parents=[(mid, lambda g: g), (ad.parameter([[0.0]]), task)])
     return top, raised, finished
+
+
+def reachable(root):
+    """Every node ``root`` reaches through ``parents``, itself included, once."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(parent for parent, _ in node.parents)
+    return list(seen.values())

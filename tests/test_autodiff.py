@@ -1,18 +1,19 @@
 import threading
+import time
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skipgru import autodiff as ad
 from skipgru.errors import DegenerateBatchError, NumericError, ShapeError, StateError
 
 from helpers import (batchnorm_state, central_diff, composed_gru, composed_gru_step, concat_rows,
-                     failing_head, max_rel_err, projected_gru, scatter_rows,
+                     failing_head, max_rel_err, projected_gru, reachable, scatter_rows,
                      switching_every_microsecond)
 
 
@@ -355,6 +356,109 @@ class TestBackwardWithAWorker:
             assert (raised[0] == threading.get_ident()) == (where == "walk")
             assert where == "task" or finished.is_set()
         assert threading.active_count() == before
+
+    def test_an_error_of_a_task_the_caller_stole_comes_out_once_the_worker_stops(
+            self, monkeypatch):
+        # the worker is held inside the first task until the caller waits, so
+        # the caller runs the second task, which raises, while the first runs
+        class PullError(Exception):
+            pass
+
+        err, caller, before = PullError("stolen"), threading.get_ident(), threading.active_count()
+        started, release, finished, raised = (threading.Event(), threading.Event(),
+                                              threading.Event(), [])
+        wait = futures.wait
+
+        def releasing_wait(jobs):
+            release.set()
+            return wait(jobs)
+
+        def held(g):
+            started.set()
+            assert release.wait(timeout=10)
+            time.sleep(0.05)
+            finished.set()
+            return g
+
+        def stolen(g):
+            raised.append(threading.get_ident())
+            raise err
+
+        def after_the_worker_starts(g):
+            assert started.wait(timeout=10)
+            return g
+
+        monkeypatch.setattr(ad, "futures", SimpleNamespace(wait=releasing_wait))
+        one = np.ones((1, 1))
+        base = ad.Node(one, requires_grad=True, parents=[(ad.parameter(one), stolen)])
+        mid = ad.Node(one, requires_grad=True, parents=[(base, after_the_worker_starts)])
+        top = ad.Node(one, requires_grad=True,
+                      parents=[(mid, lambda g: g), (ad.parameter(one), held)])
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            with pytest.raises(PullError) as info:
+                ad.backward(top, worker)
+            assert finished.is_set()
+        assert info.value is err and raised == [caller]
+        assert threading.active_count() == before
+
+
+GRAPH_OPS = ("matmul", "affine", "mean", "gated", "sigmoid", "elu", "take_rows")
+
+
+def random_graph(ops, x0, x1, w, b, weights):
+    """A loss over a graph that ``ops`` builds from the leaves, and the graph's
+    hub. Op k reads nodes ``i`` and ``j`` (modulo the nodes built so far) of
+    its ``(kind, i, j)``, but every third op reads the hub, the first op's
+    output, in place of node ``i``; the loss adds one weighted sum of every op
+    output, so the hub has at least three readers, built far apart. No op
+    grows its operands, so values stay near the leaves' scale."""
+    nodes = [x0, x1]
+    for k, (kind, i, j) in enumerate(ops):
+        a = nodes[2] if k % 3 == 2 else nodes[i % len(nodes)]
+        c = nodes[j % len(nodes)]
+        nodes.append({
+            "matmul": lambda: ad.matmul(a, w),
+            "affine": lambda: ad.affine(a, w, b),
+            "mean": lambda: ad.scale(ad.add(a, c), 0.5),
+            "gated": lambda: ad.hadamard(a, ad.sigmoid(c)),
+            "sigmoid": lambda: ad.sigmoid(a),
+            "elu": lambda: ad.activation(a, "elu"),
+            "take_rows": lambda: ad.take_rows(a, [i % 3, j % 3, (i + j) % 3]),
+        }[kind]())
+    terms = [ad.sum_all(ad.hadamard(node, weight)) for node, weight in zip(nodes[2:], weights)]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return loss, nodes[2]
+
+
+class TestRandomGraphs:
+    @given(ops=st.lists(st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 99),
+                                  st.integers(0, 99)), min_size=7, max_size=12),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40)
+    def test_grads_match_finite_differences_and_a_worker_bitwise(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(scale=0.5, size=shape) for shape in ((3, 3), (3, 3), (3, 3), (1, 3))]
+        weights = [ad.constant(rng.normal(size=(3, 3))) for _ in ops]
+        grads = []
+        with switching_every_microsecond(), ThreadPoolExecutor(max_workers=1) as worker:
+            for pool in (None, worker):
+                params = [ad.parameter(v) for v in values]
+                loss, hub = random_graph(ops, *params, weights)
+                ad.backward(loss, pool)
+                grads.append([p.grad.tobytes() for p in params])
+        assert grads[0] == grads[1]
+        built = sorted(node.index for node in reachable(loss)
+                       for parent, _ in node.parents if parent is hub)
+        assert len(built) >= 3 and built[-1] - built[0] >= 4
+
+        for k, param in enumerate(params):
+            def f(x, k=k):
+                probe = [ad.constant(x if m == k else v) for m, v in enumerate(values)]
+                return random_graph(ops, *probe, weights)[0].value[0, 0]
+
+            assert max_rel_err(param.grad, central_diff(f, values[k])) < 1e-6
 
 
 def every_op(w):

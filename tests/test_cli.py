@@ -621,6 +621,49 @@ class TestConfigSections:
     def test_unknown_activation_flag_is_a_usage_error(self, capsys):
         assert run(["train", "--activation", "tanh"]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid config JSON (Expecting property name enclosed in double "
+                      "quotes: line 1 column 2 (char 1))"),
+        ("[1, 2]", "config root must be an object"),
+        ('{"training": [1]}', "config section 'training' must be an object"),
+    ], ids=["not-json", "root-not-object", "section-not-object"])
+    @pytest.mark.parametrize("argv", [["embed"], ["train"], ["predict", "--model", "m.ckpt"]])
+    def test_a_malformed_file_exits_three_naming_it(self, tmp_path, capsys, monkeypatch, text,
+                                                    message, argv):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        _refuse_stage_work(monkeypatch)
+        assert run(argv + ["--config", str(cfg_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+        assert not out.exists()
+
+    def test_train_writes_into_the_checkpoint_dir(self, workspace, tmp_path, capsys):
+        ckpt_dir = tmp_path / "runs" / "first"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "paths": {"sessions": str(workspace / "sessions.csv"),
+                      "tracks": str(workspace / "tracks.csv"),
+                      "embeddings": str(workspace / "emb.txt"),
+                      "checkpoint_dir": str(ckpt_dir)},
+            "model": {"hidden_size": 4},
+            "training": {"epochs": 1, "batch_size": 16},
+        }))
+        assert run(["train", "--config", str(cfg_path)]) == 0
+        assert f"checkpoint={ckpt_dir / 'model.ckpt'}" in capsys.readouterr().out.splitlines()
+        assert os.listdir(ckpt_dir) == ["model.ckpt"]
+        assert training.load_checkpoint(ckpt_dir / "model.ckpt").metadata["epochs"] == 1
+
+    def test_a_validation_split_of_every_session_exits_three(self, workspace, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        assert run(["train", "--sessions", str(workspace / "sessions.csv"),
+                    "--tracks", str(workspace / "tracks.csv"),
+                    "--embeddings", str(workspace / "emb.txt"), "--out", str(out),
+                    "--val-fraction", "0.995"]) == 3
+        assert capsys.readouterr().err == (
+            "error: val_fraction 0.995 leaves no training sessions: 60 of 60 go to validation\n")
+        assert not out.exists()
+
 
 def _with_field(src, dst, line_no, column, value):
     """Copy a csv file whose fields hold no comma, setting one field of one line."""
@@ -806,6 +849,27 @@ class TestAllocationFailure:
         assert err.startswith("error: out of memory: Unable to allocate ")
         assert "EiB" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("gen-data", "--acoustic-dim", "10000000000000000000"),
+        ("embed", "--dims", "10000000000000000000"),
+        ("train", "--hidden-size", "3037000500"),
+    ])
+    def test_a_size_no_array_can_index_exits_three(self, workspace, trained, tmp_path, capsys,
+                                                   command, flag, value):
+        # NumPy raises ValueError, not MemoryError, for these counts; the count
+        # is checked as a Python int before any array is asked for
+        out = tmp_path / "out.txt"
+        argv = (["gen-data", "--out-dir", str(out), "--sessions", "3", "--tracks", "50"]
+                if command == "gen-data" else writing_to(command, workspace, trained, out))
+        _set_flag(argv, flag, value)
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        count = int(err.removeprefix("error: out of memory: Unable to allocate ").split()[0])
+        assert err == (f"error: out of memory: Unable to allocate {count} float64 values: "
+                       f"{8 * count} bytes is more than an array can index\n")
+        assert 8 * count > np.iinfo(np.intp).max
+        assert not out.exists() or os.listdir(out) == []
 
 
 class TestPredictAndEvaluate:

@@ -386,6 +386,20 @@ class TestSyntheticGenerator:
             "178e2d6a30eedf5526b2ca3d4111a51f59803239c39fc276d0fd95c0787315e2")
 
 
+class TestFloatCount:
+    def test_counts_the_elements_of_a_shape(self):
+        assert data.float_count(3, 4) == 12 and data.float_count() == 1
+        assert data.float_count(np.int64(5), 2) == 10
+
+    def test_a_count_whose_bytes_no_array_can_index_is_a_memory_error(self):
+        limit = (np.iinfo(np.intp).max + 1) // 8
+        assert data.float_count(limit - 1) == limit - 1
+        with pytest.raises(MemoryError, match=f"Unable to allocate {limit} float64 values"):
+            data.float_count(limit)
+        with pytest.raises(MemoryError):
+            data.float_count(2**40, 2**40)
+
+
 class _FailingFile:
     """File handle whose first write puts half of its text on the disk and
     then raises, as a full disk does, so a writer that writes its whole file

@@ -12,8 +12,8 @@ from skipgru.errors import (CheckpointIntegrityError, ConfigError, DegenerateBat
 from skipgru.features import FeaturePipeline
 
 from helpers import (central_diff, composed_gru_step, enrich_reference, fresh_params,
-                     head_reference, max_rel_err, one_batch, rewrite_checkpoint, session_table,
-                     split_halves, unpack)
+                     head_reference, max_rel_err, one_batch, reachable, rewrite_checkpoint,
+                     session_table, split_halves, unpack)
 
 
 def tiny_setup(seed=0, hidden=3, n_sessions=6, use_batchnorm=False, activation="relu"):
@@ -264,7 +264,7 @@ class TestGraphSize:
         for size in (2, 16):
             batch = one_batch(sessions[:size], pipeline, tracks)
             graph = model.loss(model.forward_batch(batch, params, "train"), batch.targets)
-            counts.append(sum(1 for node in ad._topo_order(graph) if node.parents))
+            counts.append(sum(1 for node in reachable(graph) if node.parents))
         assert counts[0] == counts[1] <= nodes
 
     @pytest.mark.parametrize("mode,nodes", [("train", 26), ("infer", 21)])
